@@ -61,15 +61,24 @@ chaos-quick: vet
 	$(GO) test -race -timeout 300s -run 'TestGeneration|TestDoorman|TestStale' ./internal/comm/tcp/
 	$(GO) test -race -timeout 300s -run 'TestCheckpointGC|TestAutoResume|TestDegraded|TestResume' ./internal/pclouds/
 
-# Short fuzz passes: the prediction-server request decoders (malformed
-# JSON/binary rows must get a 4xx, never a panic), the stream window
-# checkpoint decoder (garbage must error, accepted bytes must re-encode
-# identically), and the v2 record-block decoder (corrupt blocks must fail
-# their CRC, never decode silently).
+# Short fuzz passes over every fuzz target in the tree, found by name — a
+# new decoder's target is picked up without touching this file. Today: the
+# tree and model-file decoders, the prediction-server request decoders
+# (malformed JSON/binary rows must get a 4xx, never a panic), the v2
+# record-block decoder (corrupt blocks must fail their CRC, never decode
+# silently), the wire frame reader, the stream window checkpoint decoder,
+# and the level-batched point-bucket, alive-descriptor and candidate-vector
+# decoders of the parallel build (garbage must error, accepted bytes must
+# re-encode identically).
+FUZZTIME ?= 5s
 fuzz:
-	$(GO) test -run='^$$' -fuzz=FuzzClassifyRequest -fuzztime=10s ./internal/serve
-	$(GO) test -run='^$$' -fuzz=FuzzDecodeCheckpoint -fuzztime=10s ./internal/stream
-	$(GO) test -run='^$$' -fuzz=FuzzRecordBlock -fuzztime=10s ./internal/record
+	@set -e; \
+	for file in $$(grep -rlE '^func Fuzz[A-Za-z0-9_]*\(f \*testing\.F\)' --include='*_test.go' internal); do \
+		for target in $$(sed -nE 's/^func (Fuzz[A-Za-z0-9_]*)\(f \*testing\.F\).*/\1/p' $$file); do \
+			echo "fuzz ./$$(dirname $$file) $$target"; \
+			$(GO) test -run='^$$' -fuzz="^$$target\$$" -fuzztime=$(FUZZTIME) ./$$(dirname $$file); \
+		done; \
+	done
 
 # -run='^$' keeps the benchmark pass from re-running the unit-test suite.
 bench:

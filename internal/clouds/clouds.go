@@ -344,12 +344,12 @@ func (b *builder) build(recs []record.Record, sample []record.Record, depth int)
 	}
 	sp := cand.Splitter()
 
-	leftRecs, rightRecs := partitionRecords(b.schema, recs, sp)
+	leftRecs, rightRecs := PartitionRecords(b.schema, recs, sp)
 	b.stats.RecordReads += n
 	if len(leftRecs) == 0 || len(rightRecs) == 0 {
 		return b.leaf(classCounts, n)
 	}
-	leftSample, rightSample := partitionRecords(b.schema, sample, sp)
+	leftSample, rightSample := PartitionRecords(b.schema, sample, sp)
 
 	nd := &tree.Node{Splitter: sp, ClassCounts: classCounts, N: n}
 	nd.Class = nd.Majority()
@@ -400,68 +400,33 @@ func (b *builder) largeNodeSplit(recs, sample []record.Record, n int64) Candidat
 	if b.cfg.Method == SS {
 		return best
 	}
-
-	// SSE: prune with the lower bound, then search alive intervals exactly.
-	giniMin := best.Gini
-	if !best.Valid {
-		giniMin = gini.Index(ns.Class) // any improvement counts
-	}
-	alive := DetermineAlive(ns, giniMin)
-	b.stats.BoundaryEvaluated += n
-	b.stats.AlivePoints += alive.Points
-	b.stats.AliveIntervals += alive.NumAlive()
-	if alive.Points > b.stats.MaxAlivePoints {
-		b.stats.MaxAlivePoints = alive.Points
-	}
-	if alive.NumAlive() == 0 {
-		return best
-	}
-
-	// Collect points of alive intervals (second pass).
-	pts := collectAlivePoints(ns, alive, recs)
-	b.stats.RecordReads += n
-	for j, nst := range ns.Numeric {
-		for i, flag := range alive.Alive[j] {
-			if !flag {
-				continue
-			}
-			leftBefore := LeftBefore(nst, i, b.schema.NumClasses)
-			cand := EvaluateInterval(nst.Attr, leftBefore, ns.Class, pts[j][i])
-			if cand.Better(best) {
-				best = cand
-			}
+	// SSE: the second pass collects alive-interval points from memory.
+	best, _ = b.refineAlive(ns, best, n, func(add func(*record.Record)) error {
+		for i := range recs {
+			add(&recs[i])
 		}
-	}
+		return nil
+	})
 	return best
 }
 
-// collectAlivePoints gathers, for every alive interval of every numeric
-// attribute, the (value, class) points that fall inside it.
-func collectAlivePoints(ns *NodeStats, alive *AliveSet, recs []record.Record) [][][]Point {
-	pts := make([][][]Point, len(ns.Numeric))
-	for j, nst := range ns.Numeric {
-		pts[j] = make([][]Point, nst.Intervals.NumIntervals())
-	}
-	for _, r := range recs {
-		for j, nst := range ns.Numeric {
-			v := r.Num[j]
-			i := nst.Intervals.Locate(v)
-			if alive.Alive[j][i] {
-				pts[j][i] = append(pts[j][i], Point{V: v, Class: r.Class})
-			}
+// PartitionRecords splits recs by the splitter; order within each side is
+// preserved. Both sides are allocated once, at their exact size.
+func PartitionRecords(schema *record.Schema, recs []record.Record, sp *tree.Splitter) (left, right []record.Record) {
+	goes := make([]bool, len(recs))
+	nLeft := 0
+	for i := range recs {
+		if goes[i] = sp.GoesLeft(schema, recs[i]); goes[i] {
+			nLeft++
 		}
 	}
-	return pts
-}
-
-// partitionRecords splits recs by the splitter; order within each side is
-// preserved.
-func partitionRecords(schema *record.Schema, recs []record.Record, sp *tree.Splitter) (left, right []record.Record) {
-	for _, r := range recs {
-		if sp.GoesLeft(schema, r) {
-			left = append(left, r)
+	left = make([]record.Record, 0, nLeft)
+	right = make([]record.Record, 0, len(recs)-nLeft)
+	for i, l := range goes {
+		if l {
+			left = append(left, recs[i])
 		} else {
-			right = append(right, r)
+			right = append(right, recs[i])
 		}
 	}
 	return left, right

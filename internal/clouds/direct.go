@@ -38,6 +38,9 @@ func DirectSplit(schema *record.Schema, recs []record.Record) Candidate {
 		}
 		var nLeft int64
 		for i := 0; i < len(pts); i++ {
+			if pts[i].V != pts[i].V {
+				break // NaN sorts last and never goes left (see EvaluateInterval)
+			}
 			left[pts[i].Class]++
 			nLeft++
 			if i+1 < len(pts) && pts[i+1].V == pts[i].V {

@@ -146,7 +146,7 @@ func (b *oocBuilder) build(name string, sample []record.Record, depth int, class
 		b.store.Remove(name)
 		return b.leaf(classCounts, n), nil
 	}
-	leftSample, rightSample := partitionRecords(b.schema, sample, sp)
+	leftSample, rightSample := PartitionRecords(b.schema, sample, sp)
 	var leftStats, rightStats *NodeStats
 	if b.oocLargeChild(leftCounts, nl, depth+1) {
 		q := b.cfg.QForNode(nl, b.nRoot)
@@ -242,52 +242,12 @@ func (b *oocBuilder) streamSplit(name string, sample []record.Record, n int64, f
 	if b.cfg.Method == SS {
 		return best, nil
 	}
-	giniMin := best.Gini
-	if !best.Valid {
-		giniMin = gini.Index(ns.Class)
-	}
-	alive := DetermineAlive(ns, giniMin)
-	b.stats.BoundaryEvaluated += n
-	b.stats.AlivePoints += alive.Points
-	b.stats.AliveIntervals += alive.NumAlive()
-	if alive.Points > b.stats.MaxAlivePoints {
-		b.stats.MaxAlivePoints = alive.Points
-	}
-	if alive.NumAlive() == 0 {
-		return best, nil
-	}
-
 	// Second streaming pass: collect alive-interval points (the paper
 	// assumes each alive interval fits in main memory).
-	pts := make([][][]Point, len(ns.Numeric))
-	for j, nst := range ns.Numeric {
-		pts[j] = make([][]Point, nst.Intervals.NumIntervals())
-	}
-	if err := scan(b.store, name, func(r *record.Record) error {
-		for j, nst := range ns.Numeric {
-			v := r.Num[j]
-			i := nst.Intervals.Locate(v)
-			if alive.Alive[j][i] {
-				pts[j][i] = append(pts[j][i], Point{V: v, Class: r.Class})
-			}
-		}
-		return nil
-	}); err != nil {
-		return Candidate{}, err
-	}
-	b.stats.RecordReads += n
-
-	for j, nst := range ns.Numeric {
-		for i, flag := range alive.Alive[j] {
-			if !flag {
-				continue
-			}
-			leftBefore := LeftBefore(nst, i, b.schema.NumClasses)
-			cand := EvaluateInterval(nst.Attr, leftBefore, ns.Class, pts[j][i])
-			if cand.Better(best) {
-				best = cand
-			}
-		}
-	}
-	return best, nil
+	return b.refineAlive(ns, best, n, func(add func(*record.Record)) error {
+		return scan(b.store, name, func(r *record.Record) error {
+			add(r)
+			return nil
+		})
+	})
 }

@@ -66,44 +66,34 @@ func (c Candidate) Splitter() *tree.Splitter {
 	}
 }
 
-// Encode packs a candidate for transport (MinLoc payloads).
-func (c Candidate) Encode() []byte {
-	out := make([]byte, 0, 44+len(c.InLeft)+8*len(c.LeftCounts))
-	if c.Valid {
-		out = append(out, 1)
-	} else {
-		out = append(out, 0)
-	}
-	if c.Kind == tree.NumericSplit {
-		out = append(out, 0)
-	} else {
-		out = append(out, 1)
-	}
-	var b8 [8]byte
-	binary.LittleEndian.PutUint32(b8[:4], uint32(c.Attr))
-	out = append(out, b8[:4]...)
-	binary.LittleEndian.PutUint64(b8[:], math.Float64bits(c.Gini))
-	out = append(out, b8[:]...)
-	binary.LittleEndian.PutUint64(b8[:], math.Float64bits(c.Threshold))
-	out = append(out, b8[:]...)
-	binary.LittleEndian.PutUint32(b8[:4], uint32(len(c.InLeft)))
-	out = append(out, b8[:4]...)
-	for _, in := range c.InLeft {
-		if in {
-			out = append(out, 1)
-		} else {
-			out = append(out, 0)
+// EncodedLen returns the length of the candidate's Encode form.
+func (c Candidate) EncodedLen() int { return 38 + len(c.InLeft) + 8*len(c.LeftCounts) }
+
+// Encode packs a candidate for transport (reduction payloads).
+func (c Candidate) Encode() []byte { return c.AppendEncode(make([]byte, 0, c.EncodedLen())) }
+
+// AppendEncode appends the candidate's Encode form to dst.
+func (c Candidate) AppendEncode(dst []byte) []byte {
+	flag := func(b bool) byte {
+		if b {
+			return 1
 		}
+		return 0
 	}
-	binary.LittleEndian.PutUint64(b8[:], uint64(c.LeftN))
-	out = append(out, b8[:]...)
-	binary.LittleEndian.PutUint32(b8[:4], uint32(len(c.LeftCounts)))
-	out = append(out, b8[:4]...)
+	dst = append(dst, flag(c.Valid), flag(c.Kind != tree.NumericSplit))
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(c.Attr))
+	dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(c.Gini))
+	dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(c.Threshold))
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(c.InLeft)))
+	for _, in := range c.InLeft {
+		dst = append(dst, flag(in))
+	}
+	dst = binary.LittleEndian.AppendUint64(dst, uint64(c.LeftN))
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(c.LeftCounts)))
 	for _, v := range c.LeftCounts {
-		binary.LittleEndian.PutUint64(b8[:], uint64(v))
-		out = append(out, b8[:]...)
+		dst = binary.LittleEndian.AppendUint64(dst, uint64(v))
 	}
-	return out
+	return dst
 }
 
 // DecodeCandidate reverses Candidate.Encode.
@@ -111,7 +101,10 @@ func DecodeCandidate(src []byte) (Candidate, error) {
 	if len(src) < 26 {
 		return Candidate{}, fmt.Errorf("clouds: candidate payload too short (%d bytes)", len(src))
 	}
-	c := Candidate{Valid: src[0] != 0}
+	if src[0] > 1 || src[1] > 1 {
+		return Candidate{}, fmt.Errorf("clouds: candidate flag bytes %d,%d not 0 or 1", src[0], src[1])
+	}
+	c := Candidate{Valid: src[0] == 1}
 	if src[1] == 0 {
 		c.Kind = tree.NumericSplit
 	} else {
@@ -128,7 +121,10 @@ func DecodeCandidate(src []byte) (Candidate, error) {
 	if n > 0 {
 		c.InLeft = make([]bool, n)
 		for i := range c.InLeft {
-			c.InLeft[i] = src[off+i] != 0
+			if src[off+i] > 1 {
+				return Candidate{}, fmt.Errorf("clouds: candidate subset byte %d not 0 or 1", src[off+i])
+			}
+			c.InLeft[i] = src[off+i] == 1
 		}
 	}
 	off += n
@@ -148,21 +144,23 @@ func DecodeCandidate(src []byte) (Candidate, error) {
 	return c, nil
 }
 
-// bestNumericBoundary evaluates one numeric attribute's interval boundaries
-// (prefix sums over the frequency rows, gini at each cut) against the node
-// totals and returns the attribute's best candidate. Records with value
-// exactly equal to a cut are counted in the interval left of it (Locate's
-// "records at a cut belong left" rule), so every boundary candidate is the
-// splitter "attr <= cut".
-func bestNumericBoundary(nst *NumericStats, total []int64, nTotal int64) Candidate {
+// BestBoundaryInRun evaluates the boundaries that close a contiguous run of
+// one numeric attribute's intervals: rows[k] is the class-frequency vector
+// of interval first+k, before the class counts of every interval below the
+// run. Boundary i is the splitter "attr <= cuts[i]" (records at a cut
+// belong to the interval left of it); the last interval has no boundary.
+// The sequential builders pass an attribute's whole range (first 0, before
+// zero); pCLOUDS passes the run a rank owns under its replication scheme.
+func BestBoundaryInRun(attr int, cuts []float64, first int, rows [][]int64, before, total []int64, nTotal int64) Candidate {
 	best := Candidate{Valid: false, Gini: math.Inf(1)}
-	left := make([]int64, len(total))
+	left := gini.Clone(before)
 	right := make([]int64, len(total))
-	var nLeft int64
-	for b := 0; b < nst.Intervals.NumBounds(); b++ {
-		gini.Add(left, nst.Freq[b])
-		nLeft += gini.Sum(nst.Freq[b])
-		if nLeft == 0 || nLeft == nTotal {
+	bestLeft := make([]int64, len(total))
+	nLeft := gini.Sum(left)
+	for k, row := range rows {
+		gini.Add(left, row)
+		nLeft += gini.Sum(row)
+		if first+k >= len(cuts) || nLeft == 0 || nLeft == nTotal {
 			continue
 		}
 		for i := range right {
@@ -171,21 +169,29 @@ func bestNumericBoundary(nst *NumericStats, total []int64, nTotal int64) Candida
 		cand := Candidate{
 			Valid:     true,
 			Gini:      gini.SplitIndex(left, right),
-			Attr:      nst.Attr,
+			Attr:      attr,
 			Kind:      tree.NumericSplit,
-			Threshold: nst.Intervals.Cuts[b],
+			Threshold: cuts[first+k],
 			LeftN:     nLeft,
 		}
 		if cand.Better(best) {
-			cand.LeftCounts = gini.Clone(left)
+			copy(bestLeft, left)
 			best = cand
 		}
+	}
+	if best.Valid {
+		best.LeftCounts = bestLeft
 	}
 	return best
 }
 
-// bestCategorical evaluates one categorical attribute's subset split.
-func bestCategorical(cm *gini.CountMatrix, attr int, total []int64, nTotal int64) Candidate {
+func bestNumericBoundary(nst *NumericStats, total []int64, nTotal int64) Candidate {
+	return BestBoundaryInRun(nst.Attr, nst.Intervals.Cuts, 0, nst.Freq, make([]int64, len(total)), total, nTotal)
+}
+
+// BestCategorical evaluates one categorical attribute's subset split from
+// its (global) count matrix.
+func BestCategorical(cm *gini.CountMatrix, attr int, total []int64, nTotal int64) Candidate {
 	ss := cm.BestSubsetSplit()
 	var nLeft int64
 	for v, in := range ss.InLeft {
@@ -229,7 +235,7 @@ func BestBoundarySplit(ns *NodeStats) Candidate {
 		}
 	}
 	for j, cm := range ns.Cat {
-		if cand := bestCategorical(cm, ns.Schema.CategoricalIndices()[j], ns.Class, nTotal); cand.Better(best) {
+		if cand := BestCategorical(cm, ns.Schema.CategoricalIndices()[j], ns.Class, nTotal); cand.Better(best) {
 			best = cand
 		}
 	}
@@ -252,7 +258,7 @@ func AttributeBest(ns *NodeStats) []Candidate {
 	}
 	for j, cm := range ns.Cat {
 		attr := ns.Schema.CategoricalIndices()[j]
-		out[attr] = bestCategorical(cm, attr, ns.Class, nTotal)
+		out[attr] = BestCategorical(cm, attr, ns.Class, nTotal)
 	}
 	return out
 }
@@ -287,53 +293,63 @@ func BestOfAttrs(cands []Candidate, attrs []int) Candidate {
 	return best
 }
 
-// AliveSet flags, for each numeric attribute (in schema numeric order), the
-// intervals whose gini lower bound beats gini_min and which therefore must
-// be searched exactly (the SSE method's alive intervals).
+// AliveInterval describes one SSE alive interval: which numeric attribute
+// (by numeric index) and interval it is, its point count (the sorting-cost
+// proxy of pCLOUDS's single assignment), and the class counts of everything
+// below it, which the exact search starts from.
+type AliveInterval struct {
+	AttrJ      int
+	Interval   int
+	Count      int64
+	LeftBefore []int64
+}
+
+// AliveSet is the outcome of the SSE method's pruning step at one node.
 type AliveSet struct {
 	// Alive[j][i] marks interval i of numeric attribute j.
 	Alive [][]bool
+	// List holds the alive intervals in canonical (attribute, interval)
+	// order.
+	List []AliveInterval
 	// Points counts the records falling in alive intervals (for the
 	// survival ratio diagnostic).
 	Points int64
 }
 
 // NumAlive returns the number of alive intervals across attributes.
-func (a *AliveSet) NumAlive() int {
-	n := 0
-	for _, flags := range a.Alive {
-		for _, f := range flags {
-			if f {
-				n++
-			}
+func (a *AliveSet) NumAlive() int { return len(a.List) }
+
+// AppendAliveInRun appends to dst the alive intervals of a contiguous run of
+// one numeric attribute's intervals (arguments as BestBoundaryInRun):
+// interval i is alive iff it holds at least one point and its gini lower
+// bound (gini.LowerBound on the interval's boundary statistics) is strictly
+// below giniMin. Boundary-only intervals cannot improve on the
+// already-evaluated boundary gini, so single-point intervals whose value
+// equals the upper cut are still searched (cheap) for simplicity.
+func AppendAliveInRun(dst []AliveInterval, attrJ, first int, rows [][]int64, before, total []int64, giniMin float64) []AliveInterval {
+	left := gini.Clone(before)
+	for k, row := range rows {
+		if cnt := gini.Sum(row); cnt > 0 && gini.LowerBound(left, row, total) < giniMin {
+			dst = append(dst, AliveInterval{AttrJ: attrJ, Interval: first + k, Count: cnt, LeftBefore: gini.Clone(left)})
 		}
+		gini.Add(left, row)
 	}
-	return n
+	return dst
 }
 
-// DetermineAlive computes the SSE method's alive intervals: interval i of a
-// numeric attribute is alive iff its gini lower bound (gini.LowerBound on
-// the interval's boundary statistics) is strictly below giniMin and the
-// interval holds at least one point. Boundary-only intervals cannot improve
-// on the already-evaluated boundary gini, so single-point intervals whose
-// value equals the upper cut are still searched (cheap) for simplicity.
+// DetermineAlive computes the SSE method's alive intervals of a node: the
+// intervals that must be searched exactly because their lower bound beats
+// gini_min.
 func DetermineAlive(ns *NodeStats, giniMin float64) *AliveSet {
 	as := &AliveSet{Alive: make([][]bool, len(ns.Numeric))}
-	total := ns.Class
+	zero := make([]int64, len(ns.Class))
 	for j, nst := range ns.Numeric {
-		flags := make([]bool, nst.Intervals.NumIntervals())
-		left := make([]int64, len(total))
-		for i := range flags {
-			cnt := gini.Sum(nst.Freq[i])
-			if cnt > 0 {
-				if est := gini.LowerBound(left, nst.Freq[i], total); est < giniMin {
-					flags[i] = true
-					as.Points += cnt
-				}
-			}
-			gini.Add(left, nst.Freq[i])
-		}
-		as.Alive[j] = flags
+		as.Alive[j] = make([]bool, nst.Intervals.NumIntervals())
+		as.List = AppendAliveInRun(as.List, j, 0, nst.Freq, zero, ns.Class, giniMin)
+	}
+	for _, ai := range as.List {
+		as.Alive[ai.AttrJ][ai.Interval] = true
+		as.Points += ai.Count
 	}
 	return as
 }
@@ -351,10 +367,17 @@ func EvaluateInterval(attr int, leftBefore, total []int64, pts []Point) Candidat
 	}
 	SortPoints(pts)
 	nTotal := gini.Sum(total)
-	left := gini.Clone(leftBefore)
-	right := make([]int64, len(total))
+	c := len(total)
+	buf := make([]int64, 3*c)
+	left, right, bestLeft := buf[:c:c], buf[c:2*c:2*c], buf[2*c:]
+	copy(left, leftBefore)
 	var nLeft int64 = gini.Sum(leftBefore)
 	for i := 0; i < len(pts); i++ {
+		if pts[i].V != pts[i].V {
+			// NaN sorts last and satisfies no "attr <= v" test: neither it
+			// nor anything after it can move left.
+			break
+		}
 		left[pts[i].Class]++
 		nLeft++
 		// Only evaluate at the last occurrence of each distinct value.
@@ -376,9 +399,12 @@ func EvaluateInterval(attr int, leftBefore, total []int64, pts []Point) Candidat
 			LeftN:     nLeft,
 		}
 		if cand.Better(best) {
-			cand.LeftCounts = gini.Clone(left)
+			copy(bestLeft, left)
 			best = cand
 		}
+	}
+	if best.Valid {
+		best.LeftCounts = bestLeft
 	}
 	return best
 }

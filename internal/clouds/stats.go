@@ -9,8 +9,9 @@
 package clouds
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"pclouds/internal/gini"
 	"pclouds/internal/histogram"
@@ -114,18 +115,25 @@ func (ns *NodeStats) FlatLen() int {
 // N, class counts, per-numeric-attribute interval frequencies (row-major),
 // per-categorical-attribute count matrices (row-major).
 func (ns *NodeStats) Flatten() []int64 {
-	out := make([]int64, 0, ns.FlatLen())
-	out = append(out, ns.N)
-	out = append(out, ns.Class...)
+	return ns.AppendFlatten(make([]int64, 0, ns.FlatLen()))
+}
+
+// AppendFlatten appends the Flatten vector to dst, so the statistics of a
+// whole frontier level can share one reduction buffer.
+func (ns *NodeStats) AppendFlatten(dst []int64) []int64 {
+	dst = append(dst, ns.N)
+	dst = append(dst, ns.Class...)
 	for _, nst := range ns.Numeric {
 		for _, f := range nst.Freq {
-			out = append(out, f...)
+			dst = append(dst, f...)
 		}
 	}
 	for _, cm := range ns.Cat {
-		out = append(out, cm.Flatten()...)
+		for _, row := range cm.Counts {
+			dst = append(dst, row...)
+		}
 	}
-	return out
+	return dst
 }
 
 // Unflatten replaces ns's counters with the contents of a Flatten vector of
@@ -258,12 +266,27 @@ type Point struct {
 }
 
 // SortPoints orders points by value then class; a canonical order that makes
-// in-interval evaluation deterministic regardless of collection order.
-func SortPoints(pts []Point) {
-	sort.Slice(pts, func(i, j int) bool {
-		if pts[i].V != pts[j].V {
-			return pts[i].V < pts[j].V
-		}
-		return pts[i].Class < pts[j].Class
-	})
+// in-interval evaluation deterministic regardless of collection order. The
+// order is total: NaN values sort after every number (they satisfy no
+// "attr <= v" test, so the exact search stops at the first one).
+func SortPoints(pts []Point) { slices.SortFunc(pts, comparePoints) }
+
+func comparePoints(a, b Point) int {
+	switch {
+	case a.V < b.V:
+		return -1
+	case a.V > b.V:
+		return 1
+	case a.V == b.V:
+		return cmp.Compare(a.Class, b.Class)
+	}
+	// At least one side is NaN.
+	switch aNaN, bNaN := a.V != a.V, b.V != b.V; {
+	case aNaN && bNaN:
+		return cmp.Compare(a.Class, b.Class)
+	case aNaN:
+		return 1
+	default:
+		return -1
+	}
 }

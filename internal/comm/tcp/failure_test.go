@@ -342,3 +342,111 @@ func TestHeartbeatsExcludedFromTraffic(t *testing.T) {
 		}
 	}
 }
+
+// TestConcurrentPeerFailuresNoDeadlock is the regression test for the
+// gossipDown deadlock: two peers of a 4-rank mesh are declared down at the
+// same moment, so one declarer runs the failure gossip (which looks at every
+// other peer) while the other waits for it. With onDown fired under the
+// failed peer's mutex, the gossiper blocked on that mutex and its holder on
+// the gossip Once, and Close then hung forever in peer.fail.
+func TestConcurrentPeerFailuresNoDeadlock(t *testing.T) {
+	const rounds = 200
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := 0; i < rounds && !t.Failed(); i++ {
+			comms := dialGroupCfg(t, 4, func(r int, cfg *Config) { cfg.HeartbeatInterval = -1 })
+			c := comms[0]
+			var wg sync.WaitGroup
+			start := make(chan struct{})
+			for _, r := range []int{1, 2} {
+				wg.Add(1)
+				go func(pe *peer) {
+					defer wg.Done()
+					<-start
+					pe.fail(&comm.PeerDown{Rank: pe.rank, Addr: pe.addr, Cause: "injected"})
+				}(c.peers[r])
+			}
+			close(start)
+			wg.Wait()
+			for _, c := range comms {
+				c.Close()
+			}
+			// The cascade may add more: ranks 1 and 2 see rank 0's side of
+			// their connections drop and say so to rank 3.
+			if s := c.Stats(); s.PeerDowns < 2 {
+				t.Errorf("round %d: PeerDowns = %d, want at least the 2 injected", i, s.PeerDowns)
+			}
+		}
+	}()
+	select {
+	case <-done:
+	case <-time.After(90 * time.Second):
+		t.Fatal("concurrent peer failures followed by Close deadlocked")
+	}
+}
+
+// TestFinishedPeerDoesNotPoisonOthers: rank 2 closes (a clean exit, bye
+// first) while rank 0 is blocked in Recv from the healthy rank 1. Rank 0
+// must get its frame — no PeerDown, no gossip, and no silence verdict on
+// the finished peer however long it stays quiet — and the finished peer
+// only becomes a failure for a Recv that needs a frame it never sent.
+func TestFinishedPeerDoesNotPoisonOthers(t *testing.T) {
+	comms := dialGroupCfg(t, 3, func(r int, cfg *Config) {
+		cfg.HeartbeatInterval = 50 * time.Millisecond
+		cfg.PeerTimeout = 300 * time.Millisecond
+	})
+	got := make(chan error, 1)
+	go func() {
+		b, err := comms[0].Recv(1, comm.TagUser)
+		if err == nil && string(b) != "late" {
+			err = fmt.Errorf("payload %q", b)
+		}
+		got <- err
+	}()
+	comms[2].Close()
+	waitUntil(t, func() bool {
+		pe := comms[0].peers[2]
+		pe.mu.Lock()
+		defer pe.mu.Unlock()
+		return pe.finished && pe.closed
+	})
+	time.Sleep(2 * comms[0].cfg.PeerTimeout) // the silence monitor gets its chance
+	for r := 0; r < 2; r++ {
+		if s := comms[r].Stats(); s.PeerDowns != 0 {
+			t.Fatalf("rank %d declared %d peers down after a clean exit", r, s.PeerDowns)
+		}
+	}
+	if err := comms[1].Send(0, comm.TagUser, []byte("late")); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case err := <-got:
+		if err != nil {
+			t.Fatalf("Recv from the healthy peer: %v", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("Recv from the healthy peer still blocked")
+	}
+	_, err := comms[0].Recv(2, comm.TagUser)
+	pd, ok := comm.AsPeerDown(err)
+	if !ok || pd.Rank != 2 || !strings.Contains(pd.Cause, "finished") {
+		t.Fatalf("Recv from the finished peer: want PeerDown(rank 2, finished), got %v", err)
+	}
+}
+
+// TestSendWriteErrorIsPeerDown: a write that fails on an established
+// connection surfaces as comm.PeerDown (which driver.Loop recovers from),
+// not as a bare socket error.
+func TestSendWriteErrorIsPeerDown(t *testing.T) {
+	comms := dialGroupCfg(t, 2, func(r int, cfg *Config) { cfg.HeartbeatInterval = -1 })
+	// Rank 0's socket to rank 1 breaks under it with no goodbye. The write
+	// usually loses no race and is what declares the peer ("send failed");
+	// when rank 1's reaction to the half-close reaches rank 0's reader first,
+	// the declaration is the reader's. Either way it is a PeerDown.
+	comms[0].peers[1].conn.(*net.TCPConn).CloseWrite()
+	err := comms[0].Send(1, comm.TagUser, []byte("x"))
+	if pd, ok := comm.AsPeerDown(err); !ok || pd.Rank != 1 {
+		t.Fatalf("want PeerDown(rank 1), got %v", err)
+	}
+}

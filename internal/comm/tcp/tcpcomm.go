@@ -37,6 +37,15 @@
 // promptly with the same comm.PeerDown; the deployment is expected to abort
 // or checkpoint-restart the job, as cmd/pcloudsd does.
 //
+// A peer that finished is not a peer that died. Close says goodbye with a
+// bye control frame before it shuts its connections, and the EOF that
+// follows a bye declares nothing: no PeerDown, no gossip, no other peer
+// touched — a rank still waiting on a healthy peer is not poisoned by the
+// clean exit of a third. Frames the finished peer sent before its goodbye
+// are still delivered. Only a Recv that needs a frame the finished peer
+// never sent fails, and only then is that peer declared down (cause "peer
+// finished") and the declaration gossiped like any other.
+//
 // # Generation fencing
 //
 // Restarting a crashed rank raises a hazard the static gang never had: a
@@ -84,6 +93,10 @@ const heartbeatTag = -2
 // deterministic during a cascade — a peer learns "rank 3 died" from the
 // rank that saw it, before that rank's own teardown breaks the connection.
 const downTag = -3
+
+// byeTag is the goodbye Close sends on every live connection before
+// shutting it: the EOF that follows is a clean exit, not a death.
+const byeTag = -5
 
 // helloAckTag answers a hello frame; the 8-byte payload is
 // status u32 LE | acceptor-generation u32 LE. Generation fencing lives in
@@ -221,9 +234,15 @@ type peer struct {
 	// failErr is set exactly once when the connection is declared dead (read
 	// error, failure detection, or local Close); closed flags that no more
 	// frames will arrive. Queued frames are still drained before failErr is
-	// surfaced to Recv.
+	// surfaced to Recv. failing is set while the declaring goroutine runs
+	// onDown with mu released; nobody else may declare the peer meanwhile.
 	failErr error
 	closed  bool
+	failing bool
+	// finished records the peer's bye. A finished peer that then reaches
+	// EOF is closed with failErr still nil: its exit becomes a failure only
+	// for a Recv that finds no frame to take (see take).
+	finished bool
 }
 
 // Comm is one rank's handle to a TCP group.
@@ -576,12 +595,16 @@ func (c *Comm) newPeer(rank int, conn net.Conn, fr *wire.Conn) *peer {
 // delayed may first observe a *detector's* teardown and blame the wrong
 // rank. With it, the detector's last frame on each connection names the
 // root cause, and TCP ordering guarantees it is read before that
-// connection's EOF. The sends are synchronous, so by the time the failure
-// surfaces to the caller (and the caller tears the communicator down) the
-// gossip frames are already on the wire. onDown fires with the failed
-// peer's mutex held; the sends only take *other* peers' send mutexes, and
-// no path acquires a peer mutex while holding a send mutex, so the lock
-// order is acyclic. Send errors are ignored: gossip is best-effort.
+// connection's EOF. The sends are synchronous, and the failure is published
+// to blocked receivers only after onDown returns, so by the time it
+// surfaces to any caller (and the caller tears the communicator down) the
+// gossip frames are already on the wire. onDown fires with NO peer mutex
+// held (failLocked releases the failed peer's around the call): gossip
+// takes other peers' mutexes inside gossipOnce, and when two peers fail
+// together — any clean shutdown of three or more ranks — a declarer that
+// held its peer's mutex while waiting for the Once would deadlock against
+// the Once's holder waiting for that mutex. Send errors are ignored: gossip
+// is best-effort.
 func (c *Comm) gossipDown(downRank int) {
 	c.gossipOnce.Do(func() {
 		payload := []byte{byte(downRank), byte(downRank >> 8), byte(downRank >> 16), byte(downRank >> 24)}
@@ -605,31 +628,54 @@ func (pe *peer) fail(err error) {
 	pe.mu.Unlock()
 }
 
+// failLocked is fail for callers that hold pe.mu. For a comm.PeerDown it
+// releases pe.mu around onDown (see gossipDown for why) and re-acquires it
+// before publishing the failure, so callers must re-check their state
+// afterwards. It returns without effect when the peer has already failed or
+// another goroutine is in the middle of declaring it.
 func (pe *peer) failLocked(err error) {
-	if pe.failErr != nil {
+	if pe.failErr != nil || pe.failing {
 		return
+	}
+	if pd, ok := comm.AsPeerDown(err); ok && pe.onDown != nil {
+		pe.failing = true
+		pe.mu.Unlock()
+		pe.onDown(pd)
+		pe.mu.Lock()
+		pe.failing = false
 	}
 	pe.failErr = err
 	pe.closed = true
-	if pd, ok := comm.AsPeerDown(err); ok && pe.onDown != nil {
-		pe.onDown(pd)
-	}
 	pe.conn.Close()
 	pe.cond.Broadcast()
 }
 
 // readLoop demultiplexes one peer's incoming frames. Heartbeats only feed
-// the silence clock; data frames are queued by tag. A read error — EOF from
-// a peer that exited, a reset from a dead host — declares the peer down.
+// the silence clock; data frames are queued by tag. A read error — a reset
+// from a dead host, EOF from a peer that exited without a goodbye — declares
+// the peer down; EOF after a bye only closes the connection.
 func (c *Comm) readLoop(pe *peer) {
 	for {
 		f, err := pe.fr.Recv()
 		if err != nil {
-			pe.fail(&comm.PeerDown{Rank: pe.rank, Addr: pe.addr, Cause: fmt.Sprintf("connection failed: %v", err)})
+			pe.mu.Lock()
+			if pe.finished && pe.failErr == nil && !pe.failing {
+				pe.closed = true
+				pe.conn.Close()
+				pe.cond.Broadcast()
+			} else {
+				pe.failLocked(&comm.PeerDown{Rank: pe.rank, Addr: pe.addr, Cause: fmt.Sprintf("connection failed: %v", err)})
+			}
+			pe.mu.Unlock()
 			return
 		}
 		pe.mu.Lock()
 		pe.lastSeen = time.Now()
+		if f.Tag == byeTag {
+			pe.finished = true
+			pe.mu.Unlock()
+			continue
+		}
 		if f.Tag == heartbeatTag {
 			pe.cond.Broadcast() // refresh deadlines of blocked takes
 			pe.mu.Unlock()
@@ -683,7 +729,7 @@ func (c *Comm) heartbeatLoop(interval time.Duration) {
 			}
 			if c.cfg.PeerTimeout > 0 {
 				pe.mu.Lock()
-				if pe.failErr == nil && time.Since(pe.lastSeen) > c.cfg.PeerTimeout {
+				if !pe.closed && !pe.finished && time.Since(pe.lastSeen) > c.cfg.PeerTimeout {
 					pe.failLocked(&comm.PeerDown{Rank: pe.rank, Addr: pe.addr,
 						Cause: fmt.Sprintf("silent for %v (no data or heartbeat)", c.cfg.PeerTimeout)})
 				}
@@ -696,7 +742,11 @@ func (c *Comm) heartbeatLoop(interval time.Duration) {
 			err := pe.fr.Send(wire.Frame{Tag: heartbeatTag})
 			pe.sendM.Unlock()
 			if err != nil {
-				pe.fail(&comm.PeerDown{Rank: pe.rank, Addr: pe.addr, Cause: fmt.Sprintf("heartbeat send: %v", err)})
+				// The read side decides what a broken connection means: the
+				// peer's goodbye may be sitting unread behind this error, and
+				// declaring it down here would gossip a clean exit as a death.
+				// A connection that fails writes but never errors a read is
+				// caught by the silence check above.
 				continue
 			}
 			c.statsMu.Lock()
@@ -706,10 +756,23 @@ func (c *Comm) heartbeatLoop(interval time.Duration) {
 	}
 }
 
+// failure returns the failure the peer was declared with (nil if none),
+// waiting out a declaration another goroutine is in the middle of.
+func (pe *peer) failure() error {
+	pe.mu.Lock()
+	defer pe.mu.Unlock()
+	for pe.failing {
+		pe.cond.Wait()
+	}
+	return pe.failErr
+}
+
+// dead reports whether the connection is past use: failed, being declared
+// failed, or closed by the peer's goodbye.
 func (pe *peer) dead() bool {
 	pe.mu.Lock()
 	defer pe.mu.Unlock()
-	return pe.failErr != nil
+	return pe.closed || pe.failing || pe.finished
 }
 
 // take dequeues the oldest frame of one tag, blocking until one arrives,
@@ -732,6 +795,10 @@ func (pe *peer) take(tag int32, peerTO, recvTO time.Duration) (wire.Frame, float
 			recvDL = t0.Add(recvTO)
 		}
 		for len(pe.queues[tag]) == 0 && !pe.closed {
+			if pe.failing {
+				pe.cond.Wait() // the declarer broadcasts when it publishes
+				continue
+			}
 			var dl time.Time
 			if peerTO > 0 {
 				dl = pe.lastSeen.Add(peerTO)
@@ -752,7 +819,7 @@ func (pe *peer) take(tag int32, peerTO, recvTO time.Duration) (wire.Frame, float
 					cause = fmt.Sprintf("silent for %v (no data or heartbeat)", peerTO)
 				}
 				pe.failLocked(&comm.PeerDown{Rank: pe.rank, Addr: pe.addr, Cause: cause})
-				break
+				continue
 			}
 			// Arm a wake-up at the deadline; any frame arrival broadcasts
 			// sooner and the loop re-derives the (possibly pushed-back)
@@ -766,6 +833,17 @@ func (pe *peer) take(tag int32, peerTO, recvTO time.Duration) (wire.Frame, float
 			tm.Stop()
 		}
 		wait = time.Since(t0).Seconds()
+	}
+	// Closed by the peer's goodbye with nothing left to take: the frame this
+	// receiver needs will never come, and only now is the peer's exit a
+	// failure.
+	for len(pe.queues[tag]) == 0 && pe.failErr == nil {
+		if pe.failing {
+			pe.cond.Wait()
+			continue
+		}
+		pe.failLocked(&comm.PeerDown{Rank: pe.rank, Addr: pe.addr,
+			Cause: fmt.Sprintf("peer finished: it closed its communicator and no tag %d frame is queued", tag)})
 	}
 	q := pe.queues[tag]
 	if len(q) == 0 {
@@ -841,18 +919,21 @@ func (c *Comm) Send(to int, tag comm.Tag, data []byte) error {
 	f := wire.Frame{Tag: int32(tag), SentAt: c.clock.Time(), Payload: data}
 	backoff := c.cfg.SendBackoff
 	for attempt := 0; ; attempt++ {
-		err := c.trySend(pe, f)
+		wrote, err := c.trySend(pe, f)
 		if err == nil {
 			break
 		}
 		if attempt >= c.cfg.SendRetries || !comm.IsTransient(err) {
-			// If the connection was already declared dead, report that
-			// declaration (and the cascade's root cause) rather than the raw
-			// socket error from writing to a closed connection.
-			pe.mu.Lock()
-			ferr := pe.failErr
-			pe.mu.Unlock()
-			if ferr != nil {
+			// A write that fails on an established connection means the peer
+			// is gone (its process died, or it left and the write lost the
+			// race with the reader's EOF): declare it, so the caller gets a
+			// comm.PeerDown it can recover from. If the connection was
+			// already declared dead, that first declaration (and the
+			// cascade's root cause) is what is reported.
+			if wrote {
+				pe.fail(&comm.PeerDown{Rank: pe.rank, Addr: pe.addr, Cause: fmt.Sprintf("send failed: %v", err)})
+			}
+			if ferr := pe.failure(); ferr != nil {
 				return c.attribute(to, ferr)
 			}
 			return fmt.Errorf("tcpcomm: rank %d send to %d: %w", c.cfg.Rank, to, err)
@@ -869,16 +950,18 @@ func (c *Comm) Send(to int, tag comm.Tag, data []byte) error {
 	return nil
 }
 
-func (c *Comm) trySend(pe *peer, f wire.Frame) error {
+// trySend makes one attempt to put f on the wire; wrote reports whether the
+// error (if any) came from the connection rather than the test hook.
+func (c *Comm) trySend(pe *peer, f wire.Frame) (wrote bool, err error) {
 	if hook := c.sendFault; hook != nil {
 		if err := hook(pe.rank); err != nil {
-			return err
+			return false, err
 		}
 	}
 	pe.sendM.Lock()
-	err := pe.fr.Send(f)
+	err = pe.fr.Send(f)
 	pe.sendM.Unlock()
-	return err
+	return true, err
 }
 
 // Recv implements comm.Communicator. When the peer is dead, wedged past
@@ -904,10 +987,12 @@ func (c *Comm) Recv(from int, tag comm.Tag) ([]byte, error) {
 	return f.Payload, nil
 }
 
-// Close tears down all connections and the listener, and stops the
-// heartbeat pump. Any Recv blocked on a peer — and any issued afterwards —
-// is woken promptly with an error wrapping ErrClosed; frames already
-// queued are still delivered before the error surfaces.
+// Close says goodbye to every live peer (a bye frame, so the EOF they see
+// next reads as a clean exit — see the package doc), then tears down all
+// connections and the listener and stops the heartbeat pump. Any Recv
+// blocked on a peer — and any issued afterwards — is woken promptly with an
+// error wrapping ErrClosed; frames already queued are still delivered
+// before the error surfaces.
 func (c *Comm) Close() error {
 	var err error
 	c.closed.Do(func() {
@@ -916,9 +1001,18 @@ func (c *Comm) Close() error {
 			err = c.listener.Close()
 		}
 		for _, pe := range c.peers {
-			if pe != nil {
-				pe.fail(ErrClosed)
+			if pe == nil {
+				continue
 			}
+			// Best-effort and bounded: neither a Send wedged on this peer
+			// (it holds sendM; closing the socket below frees it) nor a peer
+			// that stopped reading may hold Close up.
+			if !pe.dead() && pe.sendM.TryLock() {
+				pe.conn.SetWriteDeadline(time.Now().Add(time.Second))
+				pe.fr.Send(wire.Frame{Tag: byeTag}) //nolint:errcheck
+				pe.sendM.Unlock()
+			}
+			pe.fail(ErrClosed)
 		}
 	})
 	return err

@@ -5,8 +5,9 @@
 package gini
 
 import (
+	"cmp"
 	"math"
-	"sort"
+	"slices"
 )
 
 // Index returns the gini impurity 1 - sum_i (c_i/n)^2 of a class-frequency
@@ -102,8 +103,10 @@ func LowerBound(left, interval, total []int64) float64 {
 
 func lowerBoundExact(left, interval, total []int64) float64 {
 	c := len(total)
-	l := make([]int64, c)
-	r := make([]int64, c)
+	// LowerBound calls this for at most 16 classes, and once per interval of
+	// every attribute of every node: the scratch vectors stay on the stack.
+	var lbuf, rbuf [16]int64
+	l, r := lbuf[:c], rbuf[:c]
 	best := math.Inf(1)
 	for mask := 0; mask < 1<<c; mask++ {
 		for i := 0; i < c; i++ {
@@ -262,23 +265,25 @@ func (m *CountMatrix) bestSubsetTwoClass() SubsetSplit {
 		}
 		order = append(order, vp{v, p})
 	}
-	sort.Slice(order, func(i, j int) bool {
-		if order[i].prop != order[j].prop {
-			return order[i].prop < order[j].prop
+	slices.SortFunc(order, func(a, b vp) int {
+		if a.prop != b.prop {
+			return cmp.Compare(a.prop, b.prop)
 		}
-		return order[i].value < order[j].value
+		return cmp.Compare(a.value, b.value)
 	})
-	total := m.Total()
-	left := make([]int64, 2)
-	right := Clone(total)
-	best := SubsetSplit{InLeft: make([]bool, card), Gini: SplitIndex(left, right)}
+	var left, right [2]int64
+	for _, row := range m.Counts {
+		right[0] += row[0]
+		right[1] += row[1]
+	}
+	best := SubsetSplit{InLeft: make([]bool, card), Gini: SplitIndex(left[:], right[:])}
 	cur := make([]bool, card)
 	for k := 0; k < card-1; k++ {
 		v := order[k].value
 		cur[v] = true
-		Add(left, m.Counts[v])
-		Sub(right, m.Counts[v])
-		if g := SplitIndex(left, right); g < best.Gini {
+		Add(left[:], m.Counts[v])
+		Sub(right[:], m.Counts[v])
+		if g := SplitIndex(left[:], right[:]); g < best.Gini {
 			best.Gini = g
 			copy(best.InLeft, cur)
 		}

@@ -32,6 +32,11 @@ type LevelProgress struct {
 	// and async-pipeline stall seconds.
 	CommBytes int64   `json:"comm_bytes"`
 	IOWaitSec float64 `json:"io_wait_s"`
+	// Collectives is the number of collective operations this rank entered
+	// during the level (comm.Stats.Ops[*].Calls) — the level's rounds. A
+	// level-synchronous build pays the same few whatever the frontier's
+	// width.
+	Collectives int64 `json:"collectives"`
 	// WallSec and SimSec are the level's duration on this rank.
 	WallSec float64 `json:"wall_s"`
 	SimSec  float64 `json:"sim_s"`
@@ -120,6 +125,7 @@ func (p *ProgressWriter) Emit() func(LevelProgress) {
 type mergedLevel struct {
 	level, frontier, smallPending int
 	records, splits, commBytes    int64
+	collectives                   int64 // the busiest rank's
 	ioWait                        float64
 	maxWall, maxSim               float64
 	ranks                         int
@@ -130,7 +136,8 @@ type mergedLevel struct {
 // renderLevelTable renders gathered per-level records (all ranks) as the
 // per-level section of the rank-0 merged report: one row per level with
 // group-total routed records, split evaluations, comm bytes and io-wait,
-// the slowest rank's wall/sim seconds, and the checkpoint outcome.
+// the collectives one rank entered (the level's rounds), the slowest rank's
+// wall/sim seconds, and the checkpoint outcome.
 func renderLevelTable(all []LevelProgress) string {
 	if len(all) == 0 {
 		return ""
@@ -151,6 +158,7 @@ func renderLevelTable(all []LevelProgress) string {
 		m.records += lp.RecordsRouted
 		m.splits += lp.SplitEvals
 		m.commBytes += lp.CommBytes
+		m.collectives = max(m.collectives, lp.Collectives)
 		m.ioWait += lp.IOWaitSec
 		if lp.WallSec > m.maxWall {
 			m.maxWall = lp.WallSec
@@ -168,9 +176,9 @@ func renderLevelTable(all []LevelProgress) string {
 	sort.Ints(order)
 
 	var sb strings.Builder
-	sb.WriteString("per-level progress (group totals; wall/sim are the slowest rank's seconds)\n")
+	sb.WriteString("per-level progress (group totals; collectives are per rank, wall/sim the slowest rank's seconds)\n")
 	tw := tabwriter.NewWriter(&sb, 2, 4, 2, ' ', 0)
-	fmt.Fprintln(tw, "level\tfrontier\tsmall\tsplit-evals\trouted\tcomm-bytes\tio-wait-s\twall-max\tsim-max\tckpt")
+	fmt.Fprintln(tw, "level\tfrontier\tsmall\tsplit-evals\trouted\tcomm-bytes\tcollectives\tio-wait-s\twall-max\tsim-max\tckpt")
 	for _, lv := range order {
 		m := byLevel[lv]
 		ckpt := "-"
@@ -180,9 +188,9 @@ func renderLevelTable(all []LevelProgress) string {
 		case m.ckptOK > 0:
 			ckpt = "ok"
 		}
-		fmt.Fprintf(tw, "%d\t%d\t%d\t%d\t%d\t%d\t%.6f\t%.6f\t%.6f\t%s\n",
+		fmt.Fprintf(tw, "%d\t%d\t%d\t%d\t%d\t%d\t%d\t%.6f\t%.6f\t%.6f\t%s\n",
 			m.level, m.frontier, m.smallPending, m.splits, m.records,
-			m.commBytes, m.ioWait, m.maxWall, m.maxSim, ckpt)
+			m.commBytes, m.collectives, m.ioWait, m.maxWall, m.maxSim, ckpt)
 	}
 	if err := tw.Flush(); err != nil {
 		return ""

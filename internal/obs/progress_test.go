@@ -44,8 +44,8 @@ func TestProgressWriterJSONLines(t *testing.T) {
 
 func TestRenderLevelTable(t *testing.T) {
 	all := []LevelProgress{
-		{Rank: 0, Level: 1, Frontier: 2, RecordsRouted: 10, SplitEvals: 1, CommBytes: 100, WallSec: 0.5, Checkpoint: "ok"},
-		{Rank: 1, Level: 1, Frontier: 2, RecordsRouted: 30, SplitEvals: 1, CommBytes: 200, WallSec: 0.75, Checkpoint: "ok"},
+		{Rank: 0, Level: 1, Frontier: 2, RecordsRouted: 10, SplitEvals: 1, CommBytes: 100, Collectives: 7, WallSec: 0.5, Checkpoint: "ok"},
+		{Rank: 1, Level: 1, Frontier: 2, RecordsRouted: 30, SplitEvals: 1, CommBytes: 200, Collectives: 7, WallSec: 0.75, Checkpoint: "ok"},
 		{Rank: 0, Level: 2, Frontier: 0, SmallPending: 3, RecordsRouted: 5, CommBytes: 10, WallSec: 0.1, Checkpoint: "failed"},
 		{Rank: 1, Level: 2, Frontier: 0, SmallPending: 3, RecordsRouted: 5, CommBytes: 10, WallSec: 0.2, Checkpoint: "ok"},
 	}
@@ -59,8 +59,9 @@ func TestRenderLevelTable(t *testing.T) {
 		t.Fatalf("got %d lines, want 4:\n%s", len(lines), tbl)
 	}
 	row1 := strings.Fields(lines[2])
-	// level frontier small split-evals routed comm-bytes ...
-	if row1[0] != "1" || row1[1] != "2" || row1[3] != "2" || row1[4] != "40" || row1[5] != "300" {
+	// level frontier small split-evals routed comm-bytes collectives ...
+	// (collectives are one rank's rounds, not the sum over ranks).
+	if row1[0] != "1" || row1[1] != "2" || row1[3] != "2" || row1[4] != "40" || row1[5] != "300" || row1[6] != "7" {
 		t.Fatalf("level 1 row aggregates wrong: %v", row1)
 	}
 	// Wall is the slowest rank's, not the sum.

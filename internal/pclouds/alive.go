@@ -8,37 +8,36 @@ import (
 
 	"pclouds/internal/clouds"
 	"pclouds/internal/comm"
+	"pclouds/internal/gini"
 	"pclouds/internal/record"
 )
 
-// sortAlive orders alive intervals canonically by (attribute, interval) so
-// the assignment is deterministic on every rank.
-func sortAlive(list []aliveInterval) {
-	sort.Slice(list, func(i, j int) bool {
-		if list[i].attrJ != list[j].attrJ {
-			return list[i].attrJ < list[j].attrJ
-		}
-		return list[i].interval < list[j].interval
-	})
-}
+// aliveBatchPoints bounds how many alive points (global, summed over the
+// nodes of a batch) one round of the exact search holds in memory across
+// the group: a level whose alive intervals hold more is searched in
+// consecutive sub-batches of whole nodes, each with its own collection
+// scan and point exchange. The counts are exact and identical on every
+// rank (they are in the alive descriptors), so all ranks cut the same
+// batches. A variable only so that the sub-batching test can lower it.
+var aliveBatchPoints int64 = 1 << 21
 
 // assignIntervals maps each alive interval to one processor under the
 // single-assignment approach, balancing the sorting cost n·log n with
-// longest-processing-time-first. Deterministic: ties break toward the lower
-// rank and the earlier interval.
-func assignIntervals(alive []aliveInterval, p int) []int {
+// longest-processing-time-first over every interval it is given — a whole
+// level's, so the load evens out across nodes as well as within them.
+// Deterministic: ties break toward the lower rank and the earlier interval.
+func assignIntervals(alive []levelAlive, p int) []int {
 	idx := make([]int, len(alive))
+	cost := make([]float64, len(alive))
 	for i := range idx {
 		idx[i] = i
-	}
-	cost := func(i int) float64 {
-		n := float64(alive[i].count)
-		if n < 2 {
-			return n
+		n := float64(alive[i].Count)
+		cost[i] = n
+		if n >= 2 {
+			cost[i] = n * math.Log2(n)
 		}
-		return n * math.Log2(n)
 	}
-	sort.SliceStable(idx, func(a, b int) bool { return cost(idx[a]) > cost(idx[b]) })
+	sort.SliceStable(idx, func(a, b int) bool { return cost[idx[a]] > cost[idx[b]] })
 	load := make([]float64, p)
 	owner := make([]int, len(alive))
 	for _, i := range idx {
@@ -49,139 +48,185 @@ func assignIntervals(alive []aliveInterval, p int) []int {
 			}
 		}
 		owner[i] = best
-		load[best] += cost(i)
+		load[best] += cost[i]
 	}
 	return owner
 }
 
-// evaluateAlive runs the single-assignment exact search: every alive
-// interval is assigned to one processor; each rank streams its local node
-// data once, shipping the points of every alive interval to the interval's
-// assignee in one all-to-all; assignees sort and evaluate their intervals
-// and a final min-combine yields the node's best split overall.
-func (b *pbuilder) evaluateAlive(t *nodeTask, local *clouds.NodeStats, boundaryBest clouds.Candidate, alive []aliveInterval) (clouds.Candidate, error) {
-	p := b.c.Size()
-	rank := b.c.Rank()
-	owner := assignIntervals(alive, p)
-	aliveIdx := make(map[[2]int]int, len(alive))
-	for i, ai := range alive {
-		aliveIdx[[2]int{ai.attrJ, ai.interval}] = i
-	}
-
-	// Local collection pass: bucket points by (destination, alive index).
-	perDest := make([][][]clouds.Point, p)
-	for d := range perDest {
-		perDest[d] = make([][]clouds.Point, len(alive))
-	}
-	var localN int64
-	if err := b.scanFrontier(t.file, func(r *record.Record) error {
-		localN++
-		for j, nst := range local.Numeric {
-			v := r.Num[j]
-			i, ok := aliveIdx[[2]int{j, nst.Intervals.Locate(v)}]
-			if !ok {
-				continue
+// evaluateAlive runs the single-assignment exact search for every node of
+// the level that has alive intervals: each interval is assigned to one
+// processor; each rank streams its local node data once, shipping the points
+// of every alive interval to the interval's assignee in one all-to-all;
+// assignees sort and evaluate their intervals, and a final min-combine over
+// the per-node candidate vector yields every node's best split overall.
+func (b *pbuilder) evaluateAlive(nodes []*levelNode) error {
+	mine := make([]clouds.Candidate, len(nodes))
+	for start := 0; start < len(nodes); {
+		end, points := start, int64(0)
+		for end < len(nodes) {
+			var np int64
+			for _, ai := range nodes[end].alive {
+				np += ai.Count
 			}
-			d := owner[i]
-			perDest[d][i] = append(perDest[d][i], clouds.Point{V: v, Class: r.Class})
+			if end > start && points+np > aliveBatchPoints {
+				break
+			}
+			points += np
+			end++
 		}
-		return nil
-	}); err != nil {
-		return clouds.Candidate{}, err
+		if err := b.aliveBatch(nodes[start:end], mine[start:end]); err != nil {
+			return err
+		}
+		start = end
 	}
-	b.stats.Build.RecordReads += localN
-	b.chargeCPU(localN)
+	best, err := combineCandidates(b.c, mine)
+	if err != nil {
+		return err
+	}
+	for i, n := range nodes {
+		if !n.best.Better(best[i]) {
+			n.best = best[i]
+		}
+	}
+	return nil
+}
 
-	// One all-to-all ships every point to its interval's assignee.
+// aliveBatch collects, exchanges and searches the alive intervals of one
+// batch of nodes; out[i] receives this rank's best exact candidate for
+// batch[i].
+func (b *pbuilder) aliveBatch(batch []*levelNode, out []clouds.Candidate) error {
+	p, rank := b.c.Size(), b.c.Rank()
+	var list []levelAlive
+	for i, n := range batch {
+		for _, ai := range n.alive {
+			list = append(list, levelAlive{node: i, AliveInterval: ai})
+		}
+	}
+	owner := assignIntervals(list, p)
+
+	// Collection pass, node file by node file. The statistics pass already
+	// counted this rank's points per interval, so every slot is sized up
+	// front: a slot this rank will search itself gets room for the
+	// interval's global count (the peers' points are appended to it), any
+	// other slot exactly the local points it will ship.
+	pass := &scanPass{b: b}
+	cols := make([]*clouds.AliveCollector, len(batch))
+	sendBytes := make([]int, p)
+	g := 0
+	for i, n := range batch {
+		capacity := make([]int64, len(n.alive))
+		for s, ai := range n.alive {
+			if owner[g] == rank {
+				capacity[s] = ai.Count
+			} else {
+				capacity[s] = gini.Sum(n.local.Numeric[ai.AttrJ].Freq[ai.Interval])
+				sendBytes[owner[g]] += 8 + 12*int(capacity[s])
+			}
+			g++
+		}
+		cols[i] = clouds.NewAliveCollector(intervalsOf(n.local), n.alive, capacity)
+		col := cols[i]
+		if !pass.scan(n.t.file, func(r *record.Record) error {
+			col.Add(r)
+			return nil
+		}) {
+			break
+		}
+	}
+	if err := pass.finish(); err != nil {
+		return err
+	}
+
+	// One all-to-all ships every point to its interval's assignee; the
+	// points this rank keeps are never encoded.
+	mine := make([][]clouds.Point, len(list))
 	parts := make([][]byte, p)
-	for d := 0; d < p; d++ {
-		parts[d] = encodePointBuckets(perDest[d])
+	for d := range parts {
 		if d != rank {
-			for _, pts := range perDest[d] {
+			parts[d] = make([]byte, 0, sendBytes[d])
+		}
+	}
+	g = 0
+	for i, n := range batch {
+		for s := range n.alive {
+			pts := cols[i].Points(s)
+			if d := owner[g]; d == rank {
+				mine[g] = pts
+			} else if len(pts) > 0 {
+				parts[d] = appendPointBucket(parts[d], g, pts)
 				b.stats.RecordsShipped += int64(len(pts))
 			}
+			g++
 		}
 	}
 	recv, err := comm.AllToAll(b.c, parts)
 	if err != nil {
-		return clouds.Candidate{}, err
+		return err
 	}
-
-	// Assemble the points of the intervals this rank owns.
-	mine := make([][]clouds.Point, len(alive))
-	for _, raw := range recv {
-		if err := decodePointBuckets(raw, mine); err != nil {
-			return clouds.Candidate{}, err
+	for src, raw := range recv {
+		if src == rank {
+			continue
+		}
+		if err := decodePointBuckets(raw, mine, owner, rank, b.schema.NumClasses); err != nil {
+			return err
 		}
 	}
 
 	// Exact evaluation of owned intervals; EvaluateInterval sorts
 	// canonically, so merge order does not matter.
-	myBest := clouds.Candidate{Valid: false}
 	numIdx := b.schema.NumericIndices()
-	for i, ai := range alive {
-		if owner[i] != rank {
+	for g, la := range list {
+		if owner[g] != rank {
 			continue
 		}
 		// Sorting and scanning the interval costs ~2 touches per point.
-		b.chargeCPU(2 * int64(len(mine[i])))
-		cand := clouds.EvaluateInterval(numIdx[ai.attrJ], ai.leftBefore, t.classCounts, mine[i])
-		if cand.Better(myBest) {
-			myBest = cand
+		b.chargeCPU(2 * int64(len(mine[g])))
+		cand := clouds.EvaluateInterval(numIdx[la.AttrJ], la.LeftBefore, batch[la.node].t.classCounts, mine[g])
+		if cand.Better(out[la.node]) {
+			out[la.node] = cand
 		}
 	}
-	best, err := combineCandidates(b.c, myBest)
-	if err != nil {
-		return clouds.Candidate{}, err
-	}
-	if boundaryBest.Better(best) {
-		return boundaryBest, nil
-	}
-	return best, nil
+	return nil
 }
 
-// encodePointBuckets frames non-empty buckets as
+// appendPointBucket frames one bucket as
 // [u32 aliveIdx][u32 n][n × (f64 value, u32 class)].
-func encodePointBuckets(buckets [][]clouds.Point) []byte {
-	var out []byte
-	var b8 [8]byte
-	for i, pts := range buckets {
-		if len(pts) == 0 {
-			continue
-		}
-		binary.LittleEndian.PutUint32(b8[:4], uint32(i))
-		out = append(out, b8[:4]...)
-		binary.LittleEndian.PutUint32(b8[:4], uint32(len(pts)))
-		out = append(out, b8[:4]...)
-		for _, pt := range pts {
-			binary.LittleEndian.PutUint64(b8[:], math.Float64bits(pt.V))
-			out = append(out, b8[:]...)
-			binary.LittleEndian.PutUint32(b8[:4], uint32(pt.Class))
-			out = append(out, b8[:4]...)
-		}
+func appendPointBucket(dst []byte, idx int, pts []clouds.Point) []byte {
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(idx))
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(pts)))
+	for _, pt := range pts {
+		dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(pt.V))
+		dst = binary.LittleEndian.AppendUint32(dst, uint32(pt.Class))
 	}
-	return out
+	return dst
 }
 
-func decodePointBuckets(src []byte, into [][]clouds.Point) error {
-	for len(src) > 0 {
-		if len(src) < 8 {
-			return fmt.Errorf("pclouds: truncated point bucket header")
+// decodePointBuckets appends a peer's buckets to the slots of into that this
+// rank owns. A frame holds non-empty buckets in ascending slot order, each
+// slot at most once; a bucket for a slot this rank does not own, or a point
+// whose class is not in [0, classes), is an error.
+func decodePointBuckets(src []byte, into [][]clouds.Point, owner []int, rank, classes int) error {
+	r := &frameReader{buf: src}
+	prev := -1
+	for r.more() {
+		idx := int(r.u32())
+		n := r.count(12)
+		if r.err != nil {
+			return fmt.Errorf("pclouds: point buckets: %w", r.err)
 		}
-		idx := int(binary.LittleEndian.Uint32(src))
-		n := int(binary.LittleEndian.Uint32(src[4:]))
-		src = src[8:]
-		if idx < 0 || idx >= len(into) {
-			return fmt.Errorf("pclouds: point bucket index %d out of range", idx)
+		if n == 0 || idx <= prev {
+			return fmt.Errorf("pclouds: point bucket %d (%d points) after bucket %d", idx, n, prev)
 		}
-		if len(src) < n*12 {
-			return fmt.Errorf("pclouds: truncated point bucket body")
+		prev = idx
+		if idx >= len(into) || owner[idx] != rank {
+			return fmt.Errorf("pclouds: point bucket for alive interval %d, which rank %d does not own", idx, rank)
 		}
 		for k := 0; k < n; k++ {
-			v := math.Float64frombits(binary.LittleEndian.Uint64(src))
-			cls := int32(binary.LittleEndian.Uint32(src[8:]))
-			into[idx] = append(into[idx], clouds.Point{V: v, Class: cls})
-			src = src[12:]
+			v, class := math.Float64frombits(r.u64()), r.u32()
+			if class >= uint32(classes) {
+				return fmt.Errorf("pclouds: point bucket %d holds class %d of %d", idx, class, classes)
+			}
+			into[idx] = append(into[idx], clouds.Point{V: v, Class: int32(class)})
 		}
 	}
 	return nil

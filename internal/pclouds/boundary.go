@@ -1,372 +1,473 @@
 package pclouds
 
 import (
+	"cmp"
 	"encoding/binary"
 	"fmt"
+	"slices"
 
 	"pclouds/internal/clouds"
 	"pclouds/internal/comm"
 	"pclouds/internal/gini"
-	"pclouds/internal/histogram"
-	"pclouds/internal/record"
-	"pclouds/internal/tree"
 )
 
-// aliveInterval describes one SSE alive interval globally: which numeric
-// attribute (by numeric index) and interval it is, the global class counts
-// of everything below it (needed for exact evaluation), and its global
-// point count (the sorting-cost proxy used for single-assignment).
-type aliveInterval struct {
-	attrJ      int
-	interval   int
-	count      int64
-	leftBefore []int64
+// This file is the boundary phase of the paper's exact (SSE) protocol for a
+// whole frontier level (Section 5.1.1): the level's interval statistics are
+// combined under the configured replication scheme, every boundary is
+// evaluated by the rank holding its global statistics, and — for the SSE
+// method — the alive intervals are determined and made known to all ranks.
+//
+// Full replication combines every statistic on every rank with one
+// all-reduce; every rank then evaluates every node identically and no
+// further exchange is needed. The other three schemes give every
+// (attribute, interval) pair one owner (mapping.go): one all-to-all
+// reduce-scatters the level's statistics to their owners, one prefix sum
+// (block mappings only) yields the class counts below each owned run, one
+// vector-of-candidates combine yields every node's gini_min, and one
+// all-gather broadcasts the owners' alive-interval descriptors.
+
+// ownedRun is the contiguous run of one numeric attribute's intervals this
+// rank owns at one node, with globally combined statistics.
+type ownedRun struct {
+	j, first int
+	rows     [][]int64 // rows[k] is the class vector of interval first+k
+	before   []int64   // class counts of every interval below the run
 }
 
-// deriveSplit derives the node's splitting point under the configured
-// split-finding protocol. All ranks return the same candidate. The traffic
-// of the whole derivation is attributed to Stats.SplitComm, so the three
-// protocols' bytes on the wire are directly comparable.
-func (b *pbuilder) deriveSplit(t *nodeTask) (clouds.Candidate, error) {
-	sc := comm.NewScope(b.c)
-	var cand clouds.Candidate
-	var err error
-	switch b.cfg.Clouds.Split {
-	case clouds.SplitHist:
-		cand, err = b.deriveSplitHist(t)
-	case clouds.SplitVote:
-		cand, err = b.deriveSplitVote(t)
-	default:
-		cand, err = b.deriveSplitSSE(t)
-	}
-	b.stats.SplitComm.Add(sc.Delta())
-	return cand, err
+// ownedCat is one categorical attribute this rank owns at one node.
+type ownedCat struct {
+	j  int
+	cm *gini.CountMatrix
 }
 
-// deriveSplitSSE is the paper's exact protocol: local statistics pass,
-// boundary evaluation under the configured replication scheme, and — for
-// the SSE method — alive-interval determination and exact evaluation under
-// the single-assignment approach.
-func (b *pbuilder) deriveSplitSSE(t *nodeTask) (clouds.Candidate, error) {
-	local := t.localStats
-	if local == nil {
-		// No fused statistics from the parent (the root, or fusion off):
-		// one streaming pass builds them now.
-		span := b.rec.Start("stats")
-		q := b.cfg.Clouds.QForNode(t.n, b.nRoot)
-		intervals := clouds.BuildIntervals(b.schema, t.sample, q)
-		local = clouds.NewNodeStats(b.schema, intervals)
-		var localN int64
-		if err := b.scanFrontier(t.file, func(r *record.Record) error {
-			local.Add(*r)
-			localN++
-			return nil
-		}); err != nil {
-			return clouds.Candidate{}, err
-		}
-		b.stats.Build.RecordReads += localN
-		b.chargeCPU(localN)
-		span.End()
-	}
+// levelAlive is one alive interval of the level: node indexes the level's
+// node list.
+type levelAlive struct {
+	node int
+	clouds.AliveInterval
+}
 
-	bnd := b.rec.Start("boundary")
-	var boundaryBest clouds.Candidate
-	var alive []aliveInterval
-	var err error
+func (b *pbuilder) boundarySplits(nodes []*levelNode) error {
 	switch b.cfg.Boundary {
 	case FullReplication:
-		boundaryBest, alive, err = b.boundaryFullReplication(t, local)
-	case AttributeBased:
-		boundaryBest, alive, err = b.boundaryAttributeBased(t, local)
-	case IntervalBased:
-		boundaryBest, alive, err = b.boundaryBlocked(t, local, intervalMapping(intervalCounts(local), b.c.Size()))
-	case Hybrid:
-		boundaryBest, alive, err = b.boundaryBlocked(t, local, hybridMapping(intervalCounts(local), b.c.Size()))
+		return b.boundaryFullReplication(nodes)
+	case AttributeBased, IntervalBased, Hybrid:
+		return b.boundaryOwned(nodes)
 	default:
-		err = fmt.Errorf("pclouds: unknown boundary method %d", b.cfg.Boundary)
+		return fmt.Errorf("pclouds: unknown boundary method %d", b.cfg.Boundary)
 	}
-	bnd.End()
+}
+
+// giniMinOf is the pruning threshold of the SSE method: the best boundary
+// gini, or the node's own impurity when no boundary split is valid (any
+// improvement counts).
+func giniMinOf(best clouds.Candidate, total []int64) float64 {
+	if best.Valid {
+		return best.Gini
+	}
+	return gini.Index(total)
+}
+
+// reduceLevelStats combines every node's full statistics on every rank with
+// one all-reduce over the concatenated Flatten vectors and returns the
+// global statistics, node by node.
+func (b *pbuilder) reduceLevelStats(nodes []*levelNode, op func(a, b int64) int64) ([]*clouds.NodeStats, error) {
+	size := 0
+	for _, n := range nodes {
+		size += n.local.FlatLen()
+	}
+	flat := make([]int64, 0, size)
+	for _, n := range nodes {
+		flat = n.local.AppendFlatten(flat)
+	}
+	flat, err := comm.AllReduceInt64(b.c, flat, op)
 	if err != nil {
-		return clouds.Candidate{}, err
+		return nil, err
 	}
-	if b.cfg.Clouds.Method == clouds.SS || len(alive) == 0 {
-		return boundaryBest, nil
+	global := make([]*clouds.NodeStats, len(nodes))
+	for i, n := range nodes {
+		global[i] = clouds.NewNodeStats(b.schema, intervalsOf(n.local))
+		if err := global[i].Unflatten(flat[:global[i].FlatLen()]); err != nil {
+			return nil, err
+		}
+		flat = flat[global[i].FlatLen():]
 	}
-	b.stats.Build.AliveIntervals += len(alive)
-	for _, ai := range alive {
-		b.stats.Build.AlivePoints += ai.count
-	}
-	b.stats.Build.BoundaryEvaluated += t.n
-	tAlive := b.c.Clock().Time()
-	aspan := b.rec.Start("alive")
-	cand, err := b.evaluateAlive(t, local, boundaryBest, alive)
-	aspan.End()
-	b.stats.TimeAliveEval += b.c.Clock().Time() - tAlive
-	return cand, err
+	return global, nil
 }
 
-// boundaryFullReplication combines every statistic on every rank with one
-// all-reduce; each rank then evaluates all boundaries and determines the
-// alive set identically.
-func (b *pbuilder) boundaryFullReplication(t *nodeTask, local *clouds.NodeStats) (clouds.Candidate, []aliveInterval, error) {
-	flat, err := comm.AllReduceInt64(b.c, local.Flatten(), addI64)
+// boundaryFullReplication combines every statistic of the level on every
+// rank with one all-reduce; each rank then evaluates all boundaries and
+// determines the alive sets identically.
+func (b *pbuilder) boundaryFullReplication(nodes []*levelNode) error {
+	global, err := b.reduceLevelStats(nodes, addI64)
 	if err != nil {
-		return clouds.Candidate{}, nil, err
+		return err
 	}
-	global := clouds.NewNodeStats(b.schema, intervalsOf(local))
-	if err := global.Unflatten(flat); err != nil {
-		return clouds.Candidate{}, nil, err
-	}
-	best := clouds.BestBoundarySplit(global)
-	if b.cfg.Clouds.Method == clouds.SS {
-		return best, nil, nil
-	}
-	giniMin := best.Gini
-	if !best.Valid {
-		giniMin = gini.Index(global.Class)
-	}
-	as := clouds.DetermineAlive(global, giniMin)
-	var alive []aliveInterval
-	for j, nst := range global.Numeric {
-		for i, flag := range as.Alive[j] {
-			if !flag {
-				continue
-			}
-			alive = append(alive, aliveInterval{
-				attrJ:      j,
-				interval:   i,
-				count:      gini.Sum(nst.Freq[i]),
-				leftBefore: clouds.LeftBefore(nst, i, b.schema.NumClasses),
-			})
+	for i, n := range nodes {
+		n.best = clouds.BestBoundarySplit(global[i])
+		if b.cfg.Clouds.Method != clouds.SS {
+			n.alive = clouds.DetermineAlive(global[i], giniMinOf(n.best, global[i].Class)).List
 		}
 	}
-	return best, alive, nil
+	return nil
 }
 
-// intervalsOf extracts the interval structures from a NodeStats for
-// allocating an identically shaped one.
-func intervalsOf(ns *clouds.NodeStats) []*histogram.Intervals {
-	out := make([]*histogram.Intervals, len(ns.Numeric))
-	for j, nst := range ns.Numeric {
-		out[j] = nst.Intervals
-	}
-	return out
-}
-
-// boundaryAttributeBased implements the paper's attribute-based replication
-// method: each attribute's global frequency vectors are reduced to one
-// owner processor, which evaluates that attribute's boundaries (a local
-// prefix sum and gini computation) and, for SSE, its alive intervals. A
-// global min-combine over the owners' best candidates yields gini_min, and
-// one all-gather broadcasts the alive-interval descriptors to all ranks.
-func (b *pbuilder) boundaryAttributeBased(t *nodeTask, local *clouds.NodeStats) (clouds.Candidate, []aliveInterval, error) {
-	p := b.c.Size()
-	numN := len(local.Numeric)
-	c := b.schema.NumClasses
-
-	// Reduce each attribute's statistics to its owner.
-	ownedNumeric := make(map[int][][]int64) // attrJ -> freq rows (owner only)
-	for j, nst := range local.Numeric {
-		owner := j % p
-		flat := make([]int64, 0, len(nst.Freq)*c)
-		for _, row := range nst.Freq {
-			flat = append(flat, row...)
-		}
-		combined, err := comm.ReduceInt64(b.c, owner, flat, addI64)
-		if err != nil {
-			return clouds.Candidate{}, nil, err
-		}
-		if b.c.Rank() == owner {
-			rows := make([][]int64, len(nst.Freq))
-			for i := range rows {
-				rows[i] = combined[i*c : (i+1)*c]
-			}
-			ownedNumeric[j] = rows
-		}
-	}
-	ownedCat := make(map[int]*gini.CountMatrix) // cat index -> global matrix
-	for j, cm := range local.Cat {
-		owner := (numN + j) % p
-		combined, err := comm.ReduceInt64(b.c, owner, cm.Flatten(), addI64)
-		if err != nil {
-			return clouds.Candidate{}, nil, err
-		}
-		if b.c.Rank() == owner {
-			ownedCat[j] = gini.UnflattenCountMatrix(combined, cm.Cardinality(), cm.Classes())
-		}
+// boundaryOwned runs the boundary phase under an owner mapping.
+func (b *pbuilder) boundaryOwned(nodes []*levelNode) error {
+	p, rank, c := b.c.Size(), b.c.Rank(), b.schema.NumClasses
+	maps := make([]ownerMapping, len(nodes))
+	for i, n := range nodes {
+		maps[i] = newOwnerMapping(b.cfg.Boundary, intervalCounts(n.local), len(n.local.Cat), p)
 	}
 
-	// Each owner evaluates its attributes' boundary candidates locally.
-	myBest := clouds.Candidate{Valid: false}
-	total := t.classCounts
-	nTotal := t.n
-	for j, rows := range ownedNumeric {
-		nst := local.Numeric[j]
-		left := make([]int64, c)
-		right := make([]int64, c)
-		var nLeft int64
-		for bnd := 0; bnd < nst.Intervals.NumBounds(); bnd++ {
-			gini.Add(left, rows[bnd])
-			nLeft += gini.Sum(rows[bnd])
-			if nLeft == 0 || nLeft == nTotal {
-				continue
+	// 1. Reduce-scatter the level's statistics to their owners with one
+	// all-to-all. Shapes are identical on every rank, so the payload for
+	// destination d is a bare int64 vector: node by node, the frequency rows
+	// of the intervals d owns, then the count matrices of the categorical
+	// attributes d owns.
+	sizes := make([]int, p)
+	for i, n := range nodes {
+		for _, owners := range maps[i].numeric {
+			for _, d := range owners {
+				sizes[d] += c
 			}
-			for i := range right {
-				right[i] = total[i] - left[i]
+		}
+		for j, cm := range n.local.Cat {
+			sizes[maps[i].cat[j]] += cm.Cardinality() * c
+		}
+	}
+	vecs := make([][]int64, p)
+	for d := range vecs {
+		vecs[d] = make([]int64, 0, sizes[d])
+	}
+	for i, n := range nodes {
+		for j, nst := range n.local.Numeric {
+			for iv, d := range maps[i].numeric[j] {
+				vecs[d] = append(vecs[d], nst.Freq[iv]...)
 			}
-			cand := clouds.Candidate{
-				Valid: true, Gini: gini.SplitIndex(left, right),
-				Attr: nst.Attr, Kind: tree.NumericSplit, Threshold: nst.Intervals.Cuts[bnd],
-				LeftN: nLeft,
-			}
-			if cand.Better(myBest) {
-				cand.LeftCounts = gini.Clone(left)
-				myBest = cand
+		}
+		for j, cm := range n.local.Cat {
+			d := maps[i].cat[j]
+			for _, row := range cm.Counts {
+				vecs[d] = append(vecs[d], row...)
 			}
 		}
 	}
-	for j, cm := range ownedCat {
-		ss := cm.BestSubsetSplit()
-		var nLeft int64
-		for v, in := range ss.InLeft {
-			if in {
-				nLeft += gini.Sum(cm.Counts[v])
-			}
+	parts := make([][]byte, p)
+	for d := range parts {
+		if d != rank {
+			parts[d] = comm.Int64sToBytes(vecs[d])
 		}
-		if nLeft == 0 || nLeft == nTotal {
+	}
+	recv, err := comm.AllToAll(b.c, parts)
+	if err != nil {
+		return err
+	}
+	owned := vecs[rank]
+	for src, raw := range recv {
+		if src == rank {
 			continue
 		}
-		cand := clouds.Candidate{
-			Valid: true, Gini: ss.Gini,
-			Attr: b.schema.CategoricalIndices()[j], Kind: tree.CategoricalSplit, InLeft: ss.InLeft,
-			LeftN: nLeft,
+		if len(raw) != 8*len(owned) {
+			return fmt.Errorf("pclouds: rank %d sent %d bytes of owned statistics, want %d", src, len(raw), 8*len(owned))
 		}
-		if cand.Better(myBest) {
-			lv := make([]int64, c)
-			for v, in := range ss.InLeft {
-				if in {
-					gini.Add(lv, cm.Counts[v])
-				}
-			}
-			cand.LeftCounts = lv
-			myBest = cand
+		for k := range owned {
+			owned[k] += int64(binary.LittleEndian.Uint64(raw[8*k:]))
 		}
 	}
 
-	// Global min-combine of the owners' candidates yields gini_min.
-	best, err := combineCandidates(b.c, myBest)
+	// Carve the combined vector back into per-node runs and matrices.
+	for i, n := range nodes {
+		n.runs, n.cats = n.runs[:0], n.cats[:0]
+		for j := range n.local.Numeric {
+			first, count := maps[i].run(j, rank)
+			if count == 0 {
+				continue
+			}
+			rows := make([][]int64, count)
+			for k := range rows {
+				rows[k], owned = owned[:c:c], owned[c:]
+			}
+			n.runs = append(n.runs, ownedRun{j: j, first: first, rows: rows})
+		}
+		for j, cm := range n.local.Cat {
+			if maps[i].cat[j] != rank {
+				continue
+			}
+			size := cm.Cardinality() * c
+			n.cats = append(n.cats, ownedCat{j: j, cm: gini.UnflattenCountMatrix(owned[:size], cm.Cardinality(), c)})
+			owned = owned[size:]
+		}
+	}
+
+	// 2. Class counts below each owned run. A rank that owns whole
+	// attributes starts every run at zero; block mappings get the offsets
+	// from one prefix sum over the ranks (the paper's prefix-sum primitive).
+	if err := b.runOffsets(nodes); err != nil {
+		return err
+	}
+
+	// 3. Every owner evaluates its boundaries locally; one global
+	// min-combine over the per-node candidate vector yields each gini_min.
+	mine := make([]clouds.Candidate, len(nodes))
+	catIdx, numIdx := b.schema.CategoricalIndices(), b.schema.NumericIndices()
+	for i, n := range nodes {
+		total, nTotal := n.t.classCounts, n.t.n
+		for _, r := range n.runs {
+			cuts := n.local.Numeric[r.j].Intervals.Cuts
+			if cand := clouds.BestBoundaryInRun(numIdx[r.j], cuts, r.first, r.rows, r.before, total, nTotal); cand.Better(mine[i]) {
+				mine[i] = cand
+			}
+		}
+		for _, oc := range n.cats {
+			if cand := clouds.BestCategorical(oc.cm, catIdx[oc.j], total, nTotal); cand.Better(mine[i]) {
+				mine[i] = cand
+			}
+		}
+	}
+	best, err := combineCandidates(b.c, mine)
 	if err != nil {
-		return clouds.Candidate{}, nil, err
+		return err
+	}
+	for i, n := range nodes {
+		n.best = best[i]
 	}
 	if b.cfg.Clouds.Method == clouds.SS {
-		return best, nil, nil
-	}
-	giniMin := best.Gini
-	if !best.Valid {
-		giniMin = gini.Index(total)
+		return nil
 	}
 
-	// Owners determine the alive intervals of their attributes and the
+	// 4. Owners determine the alive intervals of their runs and the
 	// statuses are broadcast to all processors (one all-gather).
-	var mine []aliveInterval
-	for j, rows := range ownedNumeric {
-		left := make([]int64, c)
-		for i, row := range rows {
-			cnt := gini.Sum(row)
-			if cnt > 0 {
-				if est := gini.LowerBound(left, row, total); est < giniMin {
-					mine = append(mine, aliveInterval{
-						attrJ: j, interval: i, count: cnt,
-						leftBefore: gini.Clone(left),
-					})
-				}
+	var mineAlive []levelAlive
+	var buf []clouds.AliveInterval
+	for i, n := range nodes {
+		giniMin := giniMinOf(n.best, n.t.classCounts)
+		buf = buf[:0]
+		for _, r := range n.runs {
+			buf = clouds.AppendAliveInRun(buf, r.j, r.first, r.rows, r.before, n.t.classCounts, giniMin)
+		}
+		for _, ai := range buf {
+			mineAlive = append(mineAlive, levelAlive{node: i, AliveInterval: ai})
+		}
+	}
+	gathered, err := comm.AllGather(b.c, encodeAliveList(mineAlive, c))
+	if err != nil {
+		return err
+	}
+	for _, raw := range gathered {
+		list, err := decodeAliveList(raw, c, len(nodes))
+		if err != nil {
+			return err
+		}
+		for _, la := range list {
+			numeric := nodes[la.node].local.Numeric
+			if la.AttrJ >= len(numeric) || la.Interval >= len(numeric[la.AttrJ].Freq) {
+				return fmt.Errorf("pclouds: alive descriptor names interval %d of numeric attribute %d, which node %d does not have",
+					la.Interval, la.AttrJ, la.node)
 			}
-			gini.Add(left, row)
+			nodes[la.node].alive = append(nodes[la.node].alive, la.AliveInterval)
 		}
 	}
-	parts, err := comm.AllGather(b.c, encodeAliveList(mine, c))
-	if err != nil {
-		return clouds.Candidate{}, nil, err
+	for _, n := range nodes {
+		sortAlive(n.alive)
 	}
-	var alive []aliveInterval
-	for _, raw := range parts {
-		lst, err := decodeAliveList(raw, c)
-		if err != nil {
-			return clouds.Candidate{}, nil, err
-		}
-		alive = append(alive, lst...)
-	}
-	sortAlive(alive)
-	return best, alive, nil
+	return nil
 }
 
-// combineCandidates finds the globally best candidate under the
-// deterministic total order.
-func combineCandidates(c comm.Communicator, mine clouds.Candidate) (clouds.Candidate, error) {
-	res, err := comm.AllReduceBytes(c, mine.Encode(), func(a, b []byte) ([]byte, error) {
-		ca, err := clouds.DecodeCandidate(a)
-		if err != nil {
-			return nil, err
+// runOffsets fills in ownedRun.before for every run of the level.
+func (b *pbuilder) runOffsets(nodes []*levelNode) error {
+	c := b.schema.NumClasses
+	numN := b.schema.NumNumeric()
+	if b.cfg.Boundary == AttributeBased {
+		zero := make([]int64, c)
+		for _, n := range nodes {
+			for r := range n.runs {
+				n.runs[r].before = zero
+			}
 		}
-		cb, err := clouds.DecodeCandidate(b)
-		if err != nil {
-			return nil, err
+		return nil
+	}
+	sums := make([]int64, len(nodes)*numN*c)
+	for i, n := range nodes {
+		for _, r := range n.runs {
+			acc := sums[(i*numN+r.j)*c:][:c]
+			for _, row := range r.rows {
+				gini.Add(acc, row)
+			}
 		}
-		if cb.Better(ca) {
-			return b, nil
+	}
+	inclusive, err := comm.PrefixSumInt64(b.c, sums)
+	if err != nil {
+		return err
+	}
+	for i, n := range nodes {
+		for r := range n.runs {
+			at := (i*numN + n.runs[r].j) * c
+			before := make([]int64, c)
+			for k := range before {
+				before[k] = inclusive[at+k] - sums[at+k]
+			}
+			n.runs[r].before = before
 		}
-		return a, nil
+	}
+	return nil
+}
+
+// sortAlive orders alive intervals canonically by (attribute, interval) so
+// the assignment is deterministic on every rank.
+func sortAlive(list []clouds.AliveInterval) {
+	slices.SortFunc(list, func(a, b clouds.AliveInterval) int {
+		return cmp.Or(cmp.Compare(a.AttrJ, b.AttrJ), cmp.Compare(a.Interval, b.Interval))
 	})
-	if err != nil {
-		return clouds.Candidate{}, err
-	}
-	return clouds.DecodeCandidate(res)
 }
 
-func encodeAliveList(list []aliveInterval, classes int) []byte {
-	var out []byte
-	var b8 [8]byte
-	put32 := func(v uint32) {
-		binary.LittleEndian.PutUint32(b8[:4], v)
-		out = append(out, b8[:4]...)
+// combineCandidates finds, for every position of the vector, the globally
+// best candidate under the deterministic total order. Better is a total
+// order with a unique maximum, so the element-wise combine is associative
+// and commutative and the reduction tree's shape cannot change the result.
+func combineCandidates(c comm.Communicator, mine []clouds.Candidate) ([]clouds.Candidate, error) {
+	res, err := comm.AllReduceBytes(c, encodeCandidates(mine), mergeCandidates)
+	if err != nil {
+		return nil, err
 	}
-	put64 := func(v uint64) {
-		binary.LittleEndian.PutUint64(b8[:], v)
-		out = append(out, b8[:]...)
+	return decodeCandidates(res, len(mine))
+}
+
+// encodeCandidates frames a candidate vector as [u32 n] n × ([u32 len][candidate]).
+func encodeCandidates(cands []clouds.Candidate) []byte {
+	size := 4
+	for _, cd := range cands {
+		size += 4 + cd.EncodedLen()
 	}
-	put32(uint32(len(list)))
-	for _, ai := range list {
-		put32(uint32(ai.attrJ))
-		put32(uint32(ai.interval))
-		put64(uint64(ai.count))
+	out := binary.LittleEndian.AppendUint32(make([]byte, 0, size), uint32(len(cands)))
+	for _, cd := range cands {
+		out = binary.LittleEndian.AppendUint32(out, uint32(cd.EncodedLen()))
+		out = cd.AppendEncode(out)
+	}
+	return out
+}
+
+// nextCandidate reads one framed element: the decoded candidate and its raw
+// bytes.
+func nextCandidate(r *frameReader) (clouds.Candidate, []byte, error) {
+	raw := r.take(r.count(1))
+	if r.err != nil {
+		return clouds.Candidate{}, nil, fmt.Errorf("pclouds: candidate vector: %w", r.err)
+	}
+	cd, err := clouds.DecodeCandidate(raw)
+	return cd, raw, err
+}
+
+func decodeCandidates(src []byte, want int) ([]clouds.Candidate, error) {
+	r := &frameReader{buf: src}
+	// Every element carries at least its length field.
+	n := r.count(4)
+	if r.err != nil || n != want {
+		return nil, fmt.Errorf("pclouds: candidate vector of %d elements in %d bytes, want %d", n, len(src), want)
+	}
+	out := make([]clouds.Candidate, n)
+	for i := range out {
+		var err error
+		if out[i], _, err = nextCandidate(r); err != nil {
+			return nil, err
+		}
+	}
+	if r.more() {
+		return nil, fmt.Errorf("pclouds: candidate vector: %d trailing bytes", len(r.buf))
+	}
+	return out, nil
+}
+
+// mergeCandidates is the reduction operator: element by element, the better
+// candidate's bytes survive.
+func mergeCandidates(a, b []byte) ([]byte, error) {
+	ra, rb := &frameReader{buf: a}, &frameReader{buf: b}
+	n := ra.count(4)
+	if m := rb.count(4); ra.err != nil || rb.err != nil || n != m {
+		return nil, fmt.Errorf("pclouds: combining candidate vectors of %d and %d elements", n, m)
+	}
+	out := binary.LittleEndian.AppendUint32(make([]byte, 0, max(len(a), len(b))), uint32(n))
+	for i := 0; i < n; i++ {
+		ca, rawA, err := nextCandidate(ra)
+		if err != nil {
+			return nil, err
+		}
+		cb, rawB, err := nextCandidate(rb)
+		if err != nil {
+			return nil, err
+		}
+		win := rawA
+		if cb.Better(ca) {
+			win = rawB
+		}
+		out = binary.LittleEndian.AppendUint32(out, uint32(len(win)))
+		out = append(out, win...)
+	}
+	return out, nil
+}
+
+// encodeAliveList frames alive descriptors, which must be grouped by node,
+// as [u32 groups] groups × ([u32 node][u32 n] n × ([u32 attr][u32 interval]
+// [u64 count][classes × u64])).
+func encodeAliveList(list []levelAlive, classes int) []byte {
+	groups := 0
+	for i, la := range list {
+		if i == 0 || la.node != list[i-1].node {
+			groups++
+		}
+	}
+	out := make([]byte, 0, 4+8*groups+len(list)*(16+8*classes))
+	out = binary.LittleEndian.AppendUint32(out, uint32(groups))
+	for i, la := range list {
+		if i == 0 || la.node != list[i-1].node {
+			n := 1
+			for i+n < len(list) && list[i+n].node == la.node {
+				n++
+			}
+			out = binary.LittleEndian.AppendUint32(out, uint32(la.node))
+			out = binary.LittleEndian.AppendUint32(out, uint32(n))
+		}
+		out = binary.LittleEndian.AppendUint32(out, uint32(la.AttrJ))
+		out = binary.LittleEndian.AppendUint32(out, uint32(la.Interval))
+		out = binary.LittleEndian.AppendUint64(out, uint64(la.Count))
 		for k := 0; k < classes; k++ {
-			put64(uint64(ai.leftBefore[k]))
+			out = binary.LittleEndian.AppendUint64(out, uint64(la.LeftBefore[k]))
 		}
 	}
 	return out
 }
 
-func decodeAliveList(src []byte, classes int) ([]aliveInterval, error) {
-	if len(src) < 4 {
-		return nil, fmt.Errorf("pclouds: truncated alive list")
-	}
-	n := int(binary.LittleEndian.Uint32(src))
-	src = src[4:]
+// decodeAliveList reverses encodeAliveList; node indices must lie in
+// [0, nodes) and ascend from group to group.
+func decodeAliveList(src []byte, classes, nodes int) ([]levelAlive, error) {
+	r := &frameReader{buf: src}
 	per := 16 + 8*classes
-	if len(src) != n*per {
-		return nil, fmt.Errorf("pclouds: alive list length %d, want %d", len(src), n*per)
-	}
-	out := make([]aliveInterval, n)
-	for i := range out {
-		out[i].attrJ = int(binary.LittleEndian.Uint32(src))
-		out[i].interval = int(binary.LittleEndian.Uint32(src[4:]))
-		out[i].count = int64(binary.LittleEndian.Uint64(src[8:]))
-		src = src[16:]
-		out[i].leftBefore = make([]int64, classes)
-		for k := 0; k < classes; k++ {
-			out[i].leftBefore[k] = int64(binary.LittleEndian.Uint64(src))
-			src = src[8:]
+	var out []levelAlive
+	malformed := fmt.Errorf("pclouds: malformed alive list (%d bytes)", len(src))
+	prev := -1
+	for groups := r.count(8 + per); groups > 0; groups-- {
+		node, n := int(r.u32()), r.count(per)
+		if r.err != nil || n == 0 {
+			return nil, malformed
 		}
+		// Groups arrive in node order, one per node.
+		if node <= prev || node >= nodes {
+			return nil, fmt.Errorf("pclouds: alive descriptors for node %d after node %d, of %d", node, prev, nodes)
+		}
+		prev = node
+		counts := make([]int64, n*classes)
+		for ; n > 0; n-- {
+			la := levelAlive{node: node}
+			la.AttrJ, la.Interval, la.Count = int(r.u32()), int(r.u32()), int64(r.u64())
+			la.LeftBefore, counts = counts[:classes:classes], counts[classes:]
+			for k := range la.LeftBefore {
+				la.LeftBefore[k] = int64(r.u64())
+			}
+			out = append(out, la)
+		}
+	}
+	if r.err != nil || r.more() {
+		return nil, malformed
 	}
 	return out, nil
 }

@@ -322,9 +322,11 @@ func TestChaosDroppedFrameNoHang(t *testing.T) {
 	data := makeData(t, 2000, 1, 11)
 	cfg := testConfig(clouds.SS)
 	sample := cfg.Clouds.SampleFor(data)
-	// Drop exactly one data frame from rank 1, a while into the build.
+	// Drop exactly one data frame from rank 1, a while into the build: its
+	// seventh of the thirteen it sends (one round of collectives per level
+	// leaves this four-level build no twenty-first frame to drop).
 	inj := fault.NewInjector(17,
-		fault.Rule{Rank: 1, Op: fault.OpSend, Class: fault.AnyClass, Action: fault.Drop, After: 20, Count: 1})
+		fault.Rule{Rank: 1, Op: fault.OpSend, Class: fault.AnyClass, Action: fault.Drop, After: 6, Count: 1})
 
 	watchdog(t, "dropped frame", func() {
 		addrs := reservePorts(t, p)

@@ -23,7 +23,7 @@ import (
 // pattern — so a later run can resume from the last complete level instead
 // of rebuilding from scratch. The resumed build re-derives frontier samples
 // by routing the shared root sample through the partial tree's splitters
-// and re-runs each frontier node's statistics pass (deriveSplit handles
+// and re-runs each frontier node's statistics pass (statsPass handles
 // tasks without fused statistics), which reproduces the uninterrupted
 // build's tree bit-identically.
 //
@@ -647,7 +647,7 @@ func restoreTask(b *pbuilder, root *tree.Node, rootSample []record.Record, ct ck
 		if cur == nil || cur.Splitter == nil {
 			return nil, fmt.Errorf("pclouds: resume: task %s: tree path broken at step %d", ct.ID, i)
 		}
-		l, r := partitionSample(b.schema, sample, cur.Splitter)
+		l, r := clouds.PartitionRecords(b.schema, sample, cur.Splitter)
 		if path[i] == 'L' {
 			sample, cur = l, cur.Left
 		} else {
@@ -658,7 +658,7 @@ func restoreTask(b *pbuilder, root *tree.Node, rootSample []record.Record, ct ck
 	if parent == nil || parent.Splitter == nil {
 		return nil, fmt.Errorf("pclouds: resume: task %s: parent node missing from partial tree", ct.ID)
 	}
-	l, r := partitionSample(b.schema, sample, parent.Splitter)
+	l, r := clouds.PartitionRecords(b.schema, sample, parent.Splitter)
 	last := path[len(path)-1]
 	var attach func(*tree.Node)
 	if last == 'L' {
@@ -672,7 +672,7 @@ func restoreTask(b *pbuilder, root *tree.Node, rootSample []record.Record, ct ck
 		id: ct.ID, file: ct.File, sample: sample, depth: len(path),
 		n: ct.N, classCounts: append([]int64(nil), ct.ClassCounts...),
 		attach: attach,
-		// localStats stays nil: deriveSplit runs its own statistics pass for
+		// localStats stays nil: statsPass runs a statistics pass for
 		// tasks without fused statistics, producing the identical split.
 	}, nil
 }

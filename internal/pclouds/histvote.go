@@ -1,7 +1,7 @@
 package pclouds
 
-// Communication-efficient split finding. The SSE protocol's per-node
-// traffic grows with the node's interval count and pays extra rounds for
+// Communication-efficient split finding. The SSE protocol's traffic per
+// node grows with the node's interval count and pays extra rounds for
 // the alive-interval exact search (boundary.go). The two protocols here
 // trade split exactness for constant, mergeable payloads:
 //
@@ -9,7 +9,7 @@ package pclouds
 //     quantile bins per numeric attribute (built from the node's shared
 //     sample, so all ranks agree on the bin edges), the histograms merge
 //     associatively in a single all-reduce, and every rank evaluates the
-//     merged boundaries identically. One collective per node; the split
+//     merged boundaries identically. One collective per level; the split
 //     threshold is quantized to a bin edge.
 //
 //   - vote: PV-Tree-style two-round attribute voting over the same bins.
@@ -19,6 +19,10 @@ package pclouds
 //     all-reduced for the elected attributes only, and the exact (within
 //     bin resolution) winner over the elected set is chosen. Attributes
 //     that look poor on every rank never cross the wire.
+//
+// Both run over a whole frontier level at once (level.go): the per-node
+// histograms and ballots are concatenated, so hist costs one all-reduce per
+// level and vote one all-gather plus one all-reduce.
 
 import (
 	"encoding/binary"
@@ -28,112 +32,84 @@ import (
 	"pclouds/internal/clouds"
 	"pclouds/internal/comm"
 	"pclouds/internal/histogram"
-	"pclouds/internal/record"
 )
 
-// childIntervals builds the interval structures a child node's fused
-// statistics accumulate over: the size-proportional QForNode count under
-// SSE, the fixed HistBins count under hist/vote.
-func (b *pbuilder) childIntervals(sample []record.Record, n int64) []*histogram.Intervals {
-	q := b.cfg.Clouds.QForNode(n, b.nRoot)
-	if b.cfg.Clouds.Split != clouds.SplitSSE {
-		q = b.cfg.Clouds.HistBins
-	}
-	return clouds.BuildIntervals(b.schema, sample, q)
-}
-
-// localFixedBinStats returns this rank's fixed-bin statistics for the node:
-// the fused statistics from the parent's partition pass when available,
-// otherwise one streaming pass now (the root, resumed frontier tasks, or
-// fusion off).
-func (b *pbuilder) localFixedBinStats(t *nodeTask) (*clouds.NodeStats, error) {
-	if t.localStats != nil {
-		return t.localStats, nil
-	}
-	span := b.rec.Start("stats")
-	defer span.End()
-	local := clouds.NewNodeStats(b.schema, clouds.BuildIntervals(b.schema, t.sample, b.cfg.Clouds.HistBins))
-	var localN int64
-	if err := b.scanFrontier(t.file, func(r *record.Record) error {
-		local.Add(*r)
-		localN++
-		return nil
-	}); err != nil {
-		return nil, err
-	}
-	b.stats.Build.RecordReads += localN
-	b.chargeCPU(localN)
-	return local, nil
-}
-
-// deriveSplitHist merges every rank's fixed-bin histograms in one
+// splitsHist merges every rank's fixed-bin histograms of the level in one
 // all-reduce and evaluates the merged boundaries identically on every rank.
-func (b *pbuilder) deriveSplitHist(t *nodeTask) (clouds.Candidate, error) {
-	local, err := b.localFixedBinStats(t)
-	if err != nil {
-		return clouds.Candidate{}, err
-	}
-	bnd := b.rec.Start("boundary")
-	defer bnd.End()
+func (b *pbuilder) splitsHist(nodes []*levelNode) error {
 	// histogram.MergeCount is the shared associative histogram combine; the
 	// streaming frontier (internal/stream) merges its window sketches with
 	// the exact same op, so both layers inherit the same order-independence.
-	flat, err := comm.AllReduceInt64(b.c, local.Flatten(), histogram.MergeCount)
+	global, err := b.reduceLevelStats(nodes, histogram.MergeCount)
 	if err != nil {
-		return clouds.Candidate{}, err
+		return err
 	}
-	global := clouds.NewNodeStats(b.schema, intervalsOf(local))
-	if err := global.Unflatten(flat); err != nil {
-		return clouds.Candidate{}, err
+	for i, n := range nodes {
+		n.best = clouds.BestBoundarySplit(global[i])
 	}
-	return clouds.BestBoundarySplit(global), nil
+	return nil
 }
 
-// deriveSplitVote runs the two voting rounds. Every step after the
+// splitsVote runs the two voting rounds for the level. Every step after the
 // all-gather is a deterministic function of identical inputs, so all ranks
-// elect the same attributes and return the same candidate.
-func (b *pbuilder) deriveSplitVote(t *nodeTask) (clouds.Candidate, error) {
-	local, err := b.localFixedBinStats(t)
-	if err != nil {
-		return clouds.Candidate{}, err
+// elect the same attributes and derive the same candidates.
+func (b *pbuilder) splitsVote(nodes []*levelNode) error {
+	// Round 1: nominate this rank's locally best attributes per node and
+	// elect.
+	ballots := make([][]int, len(nodes))
+	for i, n := range nodes {
+		ballots[i] = clouds.TopKAttrs(clouds.AttributeBest(n.local), b.cfg.Clouds.VoteTopK)
 	}
-	bnd := b.rec.Start("boundary")
-	defer bnd.End()
-
-	// Round 1: nominate this rank's locally best attributes and elect.
-	nominated := clouds.TopKAttrs(clouds.AttributeBest(local), b.cfg.Clouds.VoteTopK)
-	ballots, err := comm.AllGather(b.c, encodeVote(nominated))
+	gathered, err := comm.AllGather(b.c, encodeVotes(ballots))
 	if err != nil {
-		return clouds.Candidate{}, err
+		return err
 	}
-	votes := make([][]int, len(ballots))
-	for i, raw := range ballots {
-		if votes[i], err = decodeVote(raw); err != nil {
-			return clouds.Candidate{}, err
+	votes := make([][][]int, len(nodes)) // node -> rank -> nominated attributes
+	for _, raw := range gathered {
+		theirs, err := decodeVotes(raw, len(nodes))
+		if err != nil {
+			return err
+		}
+		for i := range nodes {
+			votes[i] = append(votes[i], theirs[i])
 		}
 	}
-	elected := electAttrs(votes, 2*b.cfg.Clouds.VoteTopK)
-	if len(elected) == 0 {
-		// No rank found any valid local split; the node becomes a leaf.
-		return clouds.Candidate{Valid: false}, nil
-	}
 
-	// Round 2: merge full bin statistics for the elected attributes only.
-	flat, err := local.FlattenAttrs(elected)
+	// Round 2: merge full bin statistics for the elected attributes only. A
+	// node where no rank found any valid local split elects nothing, ships
+	// nothing and becomes a leaf.
+	elected := make([][]int, len(nodes))
+	var flat []int64
+	for i, n := range nodes {
+		elected[i] = electAttrs(votes[i], 2*b.cfg.Clouds.VoteTopK)
+		part, err := n.local.FlattenAttrs(elected[i])
+		if err != nil {
+			return err
+		}
+		flat = append(flat, part...)
+	}
+	if len(flat) == 0 {
+		return nil
+	}
+	flat, err = comm.AllReduceInt64(b.c, flat, histogram.MergeCount)
 	if err != nil {
-		return clouds.Candidate{}, err
+		return err
 	}
-	gflat, err := comm.AllReduceInt64(b.c, flat, histogram.MergeCount)
-	if err != nil {
-		return clouds.Candidate{}, err
+	for i, n := range nodes {
+		if len(elected[i]) == 0 {
+			continue
+		}
+		global := clouds.NewNodeStats(b.schema, intervalsOf(n.local))
+		global.N = n.t.n
+		copy(global.Class, n.t.classCounts)
+		size := global.AttrFlatLen(elected[i])
+		if err := global.UnflattenAttrs(elected[i], flat[:size]); err != nil {
+			return err
+		}
+		flat = flat[size:]
+		n.best = clouds.BestOfAttrs(clouds.AttributeBest(global), elected[i])
 	}
-	global := clouds.NewNodeStats(b.schema, intervalsOf(local))
-	global.N = t.n
-	copy(global.Class, t.classCounts)
-	if err := global.UnflattenAttrs(elected, gflat); err != nil {
-		return clouds.Candidate{}, err
-	}
-	return clouds.BestOfAttrs(clouds.AttributeBest(global), elected), nil
+	return nil
 }
 
 // electAttrs tallies every rank's nominations and elects up to electCount
@@ -165,26 +141,37 @@ func electAttrs(ballots [][]int, electCount int) []int {
 	return attrs
 }
 
-func encodeVote(attrs []int) []byte {
-	out := make([]byte, 4+4*len(attrs))
-	binary.LittleEndian.PutUint32(out, uint32(len(attrs)))
-	for i, a := range attrs {
-		binary.LittleEndian.PutUint32(out[4+4*i:], uint32(a))
+// encodeVotes frames one rank's ballots for a level as
+// [u32 nodes] nodes × ([u32 n][n × u32 attribute]).
+func encodeVotes(ballots [][]int) []byte {
+	size := 4
+	for _, attrs := range ballots {
+		size += 4 + 4*len(attrs)
+	}
+	out := binary.LittleEndian.AppendUint32(make([]byte, 0, size), uint32(len(ballots)))
+	for _, attrs := range ballots {
+		out = binary.LittleEndian.AppendUint32(out, uint32(len(attrs)))
+		for _, a := range attrs {
+			out = binary.LittleEndian.AppendUint32(out, uint32(a))
+		}
 	}
 	return out
 }
 
-func decodeVote(src []byte) ([]int, error) {
-	if len(src) < 4 {
-		return nil, fmt.Errorf("pclouds: truncated vote")
+func decodeVotes(src []byte, nodes int) ([][]int, error) {
+	r := &frameReader{buf: src}
+	if n := r.count(4); r.err != nil || n != nodes {
+		return nil, fmt.Errorf("pclouds: ballots for %d nodes in %d bytes, want %d nodes", n, len(src), nodes)
 	}
-	n := int(binary.LittleEndian.Uint32(src))
-	if len(src) != 4+4*n {
-		return nil, fmt.Errorf("pclouds: vote length %d, want %d", len(src), 4+4*n)
-	}
-	out := make([]int, n)
+	out := make([][]int, nodes)
 	for i := range out {
-		out[i] = int(binary.LittleEndian.Uint32(src[4+4*i:]))
+		out[i] = make([]int, r.count(4))
+		for k := range out[i] {
+			out[i][k] = int(r.u32())
+		}
+	}
+	if r.err != nil || r.more() {
+		return nil, fmt.Errorf("pclouds: malformed ballots (%d bytes for %d nodes)", len(src), nodes)
 	}
 	return out, nil
 }

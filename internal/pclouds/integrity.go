@@ -1,9 +1,10 @@
 package pclouds
 
-// Collective corruption verdicts. With Config.Integrity on, every frontier
-// scan is followed by a tiny MinLoc collective: each rank contributes +Inf
-// when its scan was clean, or its own rank plus a JSON attribution payload
-// when the scan failed. All ranks therefore agree — in the same round — on
+// Collective corruption verdicts. With Config.Integrity on, every pass over
+// frontier files (a level's statistics, alive-collection and partition
+// passes, the small-node redistribution — see scanPass) ends in a tiny
+// MinLoc collective: each rank contributes +Inf when its scans were clean,
+// or its own rank plus a JSON attribution payload when one failed. All ranks therefore agree — in the same round — on
 // whether the level's data plane is intact, and when it is not, every rank
 // holds the identical root-cause report (rank, file, offset, checksum
 // detail) from the lowest-ranked victim. That symmetric error is what lets
@@ -22,7 +23,6 @@ import (
 
 	"pclouds/internal/comm"
 	"pclouds/internal/ooc"
-	"pclouds/internal/record"
 )
 
 // maxCorruptionRecoveries bounds the detect→quarantine→restore cycles one
@@ -74,7 +74,7 @@ func corruptionReport(rank int, name string, err error) CorruptionReport {
 // dataVerdict is the collective: scanErr is this rank's local outcome for
 // scanning name (nil when clean). Every rank must call it the same number
 // of times per level — the SPMD structure of the build guarantees this, as
-// every scan site runs once per task on every rank. It returns nil only
+// every pass runs on every rank. It returns nil only
 // when every rank was clean; otherwise the identical *DataCorruptError on
 // every rank, built from the lowest-ranked victim's report.
 func dataVerdict(c comm.Communicator, name string, scanErr error) error {
@@ -97,16 +97,4 @@ func dataVerdict(c comm.Communicator, name string, scanErr error) error {
 		rep = CorruptionReport{Rank: int(v), Detail: "unattributed data-plane failure"}
 	}
 	return &DataCorruptError{Report: rep}
-}
-
-// scanFrontier streams every record of a store file through fn, exactly
-// like scanStore — and, with integrity on, follows the scan with the
-// collective verdict so a checksum failure on any rank surfaces
-// symmetrically everywhere.
-func (b *pbuilder) scanFrontier(name string, fn func(*record.Record) error) error {
-	err := scanStore(b.store, name, fn)
-	if !b.cfg.Integrity {
-		return err
-	}
-	return dataVerdict(b.c, name, err)
 }

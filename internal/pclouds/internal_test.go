@@ -1,6 +1,7 @@
 package pclouds
 
 import (
+	"encoding/binary"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -13,11 +14,11 @@ import (
 )
 
 func TestAliveListCodec(t *testing.T) {
-	list := []aliveInterval{
-		{attrJ: 0, interval: 3, count: 17, leftBefore: []int64{5, 12}},
-		{attrJ: 2, interval: 0, count: 1, leftBefore: []int64{0, 0}},
+	list := []levelAlive{
+		{node: 0, AliveInterval: clouds.AliveInterval{AttrJ: 0, Interval: 3, Count: 17, LeftBefore: []int64{5, 12}}},
+		{node: 4, AliveInterval: clouds.AliveInterval{AttrJ: 2, Interval: 0, Count: 1, LeftBefore: []int64{0, 0}}},
 	}
-	got, err := decodeAliveList(encodeAliveList(list, 2), 2)
+	got, err := decodeAliveList(encodeAliveList(list, 2), 2, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -25,17 +26,20 @@ func TestAliveListCodec(t *testing.T) {
 		t.Fatalf("roundtrip mismatch: %+v vs %+v", got, list)
 	}
 	// Empty list.
-	got, err = decodeAliveList(encodeAliveList(nil, 2), 2)
+	got, err = decodeAliveList(encodeAliveList(nil, 2), 2, 5)
 	if err != nil || len(got) != 0 {
 		t.Fatalf("empty list roundtrip: %v %v", got, err)
 	}
 	// Corruption.
-	if _, err := decodeAliveList([]byte{1, 2}, 2); err == nil {
+	if _, err := decodeAliveList([]byte{1, 2}, 2, 5); err == nil {
 		t.Fatal("short payload should fail")
 	}
 	raw := encodeAliveList(list, 2)
-	if _, err := decodeAliveList(raw[:len(raw)-1], 2); err == nil {
+	if _, err := decodeAliveList(raw[:len(raw)-1], 2, 5); err == nil {
 		t.Fatal("truncated payload should fail")
+	}
+	if _, err := decodeAliveList(raw, 2, 4); err == nil {
+		t.Fatal("descriptor for a node beyond the level should fail")
 	}
 }
 
@@ -45,23 +49,40 @@ func TestPointBucketCodec(t *testing.T) {
 		nil,
 		{{V: 9.25, Class: 1}},
 	}
+	var frame []byte
+	for i, pts := range buckets {
+		if len(pts) > 0 {
+			frame = appendPointBucket(frame, i, pts)
+		}
+	}
+	owner := []int{1, 0, 1} // rank 1 owns slots 0 and 2
 	into := make([][]clouds.Point, 3)
-	if err := decodePointBuckets(encodePointBuckets(buckets), into); err != nil {
+	if err := decodePointBuckets(frame, into, owner, 1, 2); err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(buckets[0], into[0]) || into[1] != nil || !reflect.DeepEqual(buckets[2], into[2]) {
 		t.Fatalf("roundtrip mismatch: %+v", into)
 	}
-	// Merging two frames accumulates.
-	if err := decodePointBuckets(encodePointBuckets(buckets), into); err != nil {
+	// Merging a second peer's frame accumulates.
+	if err := decodePointBuckets(frame, into, owner, 1, 2); err != nil {
 		t.Fatal(err)
 	}
 	if len(into[0]) != 4 {
 		t.Fatalf("merge failed: %d points", len(into[0]))
 	}
-	// Bad index.
-	if err := decodePointBuckets(encodePointBuckets(buckets), make([][]clouds.Point, 1)); err == nil {
+	// One frame names a slot at most once.
+	if err := decodePointBuckets(append(frame[:len(frame):len(frame)], frame...), into, owner, 1, 2); err == nil {
+		t.Fatal("a frame that repeats a slot should fail")
+	}
+	// Bad index, a slot another rank owns, a class outside the schema.
+	if err := decodePointBuckets(frame, make([][]clouds.Point, 1), owner[:1], 1, 2); err == nil {
 		t.Fatal("out-of-range bucket should fail")
+	}
+	if err := decodePointBuckets(frame, into, owner, 0, 2); err == nil {
+		t.Fatal("bucket for a slot this rank does not own should fail")
+	}
+	if err := decodePointBuckets(frame, into, owner, 1, 1); err == nil {
+		t.Fatal("class outside the schema should fail")
 	}
 }
 
@@ -73,18 +94,36 @@ func TestTaskRecordCodec(t *testing.T) {
 		nil,
 		{g.Next()},
 	}
+	var frame []byte
+	for i, recs := range buckets {
+		if len(recs) == 0 {
+			continue
+		}
+		frame = binary.LittleEndian.AppendUint32(frame, uint32(i))
+		frame = binary.LittleEndian.AppendUint32(frame, uint32(len(recs)))
+		for _, r := range recs {
+			frame = r.Encode(frame)
+		}
+	}
 	into := make([][]record.Record, 3)
-	if err := decodeTaskRecords(schema, encodeTaskRecords(buckets), into); err != nil {
+	arena := &recordArena{schema: schema}
+	if err := decodeTaskRecords(schema, frame, into, arena); err != nil {
 		t.Fatal(err)
 	}
 	if len(into[0]) != 2 || into[1] != nil || len(into[2]) != 1 {
 		t.Fatalf("roundtrip shape: %v", into)
 	}
-	if into[0][1].Num[0] != buckets[0][1].Num[0] || into[2][0].Class != buckets[2][0].Class {
+	if !reflect.DeepEqual(into[0], buckets[0]) || !reflect.DeepEqual(into[2], buckets[2]) {
 		t.Fatal("record contents mangled")
 	}
-	if err := decodeTaskRecords(schema, []byte{1, 2, 3}, into); err == nil {
+	if err := decodeTaskRecords(schema, []byte{1, 2, 3}, into, arena); err == nil {
 		t.Fatal("corrupt frame should fail")
+	}
+	// A count larger than the bytes present must fail before it sizes
+	// anything.
+	huge := binary.LittleEndian.AppendUint32(binary.LittleEndian.AppendUint32(nil, 0), 1<<31)
+	if err := decodeTaskRecords(schema, huge, into, arena); err == nil {
+		t.Fatal("oversized count should fail")
 	}
 }
 
@@ -113,7 +152,7 @@ func TestIntervalMappingProperties(t *testing.T) {
 		nI := int(nI8%200) + 1
 		p := int(p8%16) + 1
 		m := intervalMapping([]int{nI}, p)
-		return mappingValid(m.ownerOf[0], p, nI)
+		return mappingValid(m[0], p, nI)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Fatal(err)
@@ -133,14 +172,14 @@ func TestHybridMappingProperties(t *testing.T) {
 		p := 1 + rng.Intn(16)
 		m := hybridMapping(counts, p)
 		// Per-attribute monotone and in range.
-		for j, owners := range m.ownerOf {
+		for j, owners := range m {
 			if !mappingValid(owners, p, counts[j]) {
 				t.Fatalf("attribute %d invalid owners %v (p=%d)", j, owners, p)
 			}
 		}
 		// Global monotone along the concatenated stream.
 		last := 0
-		for _, owners := range m.ownerOf {
+		for _, owners := range m {
 			for _, o := range owners {
 				if o < last {
 					t.Fatalf("hybrid mapping not monotone along the stream")
@@ -151,7 +190,7 @@ func TestHybridMappingProperties(t *testing.T) {
 		// Balance: with enough intervals, every rank owns something.
 		if total >= p {
 			owned := make([]int, p)
-			for _, owners := range m.ownerOf {
+			for _, owners := range m {
 				for _, o := range owners {
 					owned[o]++
 				}
@@ -181,9 +220,9 @@ func mappingValid(owners []int, p, nI int) bool {
 
 func TestAssignIntervalsDeterministicAndBalanced(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
-	alive := make([]aliveInterval, 40)
+	alive := make([]levelAlive, 40)
 	for i := range alive {
-		alive[i] = aliveInterval{attrJ: i % 5, interval: i / 5, count: int64(1 + rng.Intn(1000))}
+		alive[i] = levelAlive{node: i % 3, AliveInterval: clouds.AliveInterval{AttrJ: i % 5, Interval: i / 5, Count: int64(1 + rng.Intn(1000))}}
 	}
 	a := assignIntervals(alive, 4)
 	b := assignIntervals(alive, 4)
@@ -192,7 +231,7 @@ func TestAssignIntervalsDeterministicAndBalanced(t *testing.T) {
 	}
 	load := make([]float64, 4)
 	for i, o := range a {
-		n := float64(alive[i].count)
+		n := float64(alive[i].Count)
 		cost := n
 		if n >= 2 {
 			cost = n * log2(n)

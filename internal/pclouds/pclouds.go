@@ -5,8 +5,10 @@
 //
 // The tree is built with mixed parallelism:
 //
-//   - Large nodes use data parallelism. Per node: a local statistics pass
-//     over the rank's share of the node's records; evaluation of the
+//   - Large nodes use data parallelism, one whole tree level at a time
+//     (concatenated parallelism: every collective is issued once per level,
+//     carrying all of the level's nodes). Per level: a local statistics
+//     pass over the rank's share of each node's records; evaluation of the
 //     interval boundaries with the replication method (attribute-based
 //     assignment of each attribute's global frequency vectors to one
 //     processor, or full replication via all-reduce — Config.Boundary);
@@ -153,8 +155,8 @@ type Config struct {
 	// garbage-collection hiccups — conditions the build survives but the
 	// operator should see). Nil logs to the standard logger.
 	Warnf func(format string, args ...any)
-	// Integrity enables collective corruption verdicts on every frontier
-	// scan (see integrity.go) and, when CheckpointDir is also set, the
+	// Integrity enables collective corruption verdicts on every pass over
+	// frontier files (see integrity.go) and, when CheckpointDir is also set, the
 	// detect–quarantine–restore recovery ladder in Build. It pairs with a
 	// store whose backend was wrapped by ooc.Store.EnableIntegrity; off (the
 	// default), the build's communication volume is bit-identical with
@@ -183,7 +185,7 @@ type Stats struct {
 	Comm comm.Stats
 	IO   ooc.IOStats
 	// SplitComm is the subset of Comm attributable to splitting-point
-	// derivation (the deriveSplit scope) — the traffic the -split-method
+	// derivation (the deriveSplits scope) — the traffic the -split-method
 	// protocols compete on.
 	SplitComm comm.Stats
 	// SimTime is this rank's simulated clock after the build.
@@ -426,21 +428,18 @@ func buildAttempt(cfg Config, c comm.Communicator, store *ooc.Store, rootName st
 	// holds exactly one file per frontier task.
 	for len(queue) > 0 {
 		meter := b.startLevel()
-		var next []*nodeTask
-		for _, t := range queue {
-			children, err := b.processLargeNode(t)
-			if err != nil {
-				return nil, nil, err
-			}
-			for _, ch := range children {
-				if cfg.Clouds.IsSmall(ch.n, b.nRoot) {
-					small = append(small, ch)
-				} else {
-					next = append(next, ch)
-				}
+		children, err := b.processLevel(level+1, queue)
+		if err != nil {
+			return nil, nil, err
+		}
+		queue = queue[:0]
+		for _, ch := range children {
+			if cfg.Clouds.IsSmall(ch.n, b.nRoot) {
+				small = append(small, ch)
+			} else {
+				queue = append(queue, ch)
 			}
 		}
-		queue = next
 		level++
 		if cfg.CheckpointDir != "" {
 			cspan := rec.Start("checkpoint")
@@ -550,132 +549,4 @@ func (b *pbuilder) leafNode(t *nodeTask) {
 	nd.Class = nd.Majority()
 	t.attach(nd)
 	b.removeFile(t.file)
-}
-
-// processLargeNode runs the data-parallel pipeline of Section 5 on one
-// large node and returns its child tasks (empty for leaves).
-func (b *pbuilder) processLargeNode(t *nodeTask) ([]*nodeTask, error) {
-	if b.cfg.Clouds.ShouldStop(t.classCounts, t.n, t.depth) {
-		b.leafNode(t)
-		return nil, nil
-	}
-	b.stats.LargeNodes++
-	node := b.rec.StartID("large-node", t.id)
-	defer node.End()
-
-	t0 := b.c.Clock().Time()
-	cand, err := b.deriveSplit(t)
-	if err != nil {
-		return nil, err
-	}
-	b.stats.TimeSplitDerive += b.c.Clock().Time() - t0
-	if !cand.Valid {
-		b.leafNode(t)
-		return nil, nil
-	}
-	sp := cand.Splitter()
-
-	// The winning candidate carries the split's global left size and class
-	// counts, so both children's bookkeeping is known before any data
-	// moves — no combine is needed after the partition pass.
-	nl := cand.LeftN
-	nr := t.n - nl
-	leftCounts := gini.Clone(cand.LeftCounts)
-	rightCounts := make([]int64, b.schema.NumClasses)
-	for i := range rightCounts {
-		rightCounts[i] = t.classCounts[i] - leftCounts[i]
-	}
-	if nl <= 0 || nr <= 0 {
-		b.leafNode(t)
-		return nil, nil
-	}
-	leftSample, rightSample := partitionSample(b.schema, t.sample, sp)
-
-	// Fused partitioning (Sections 4.2 and 5.2): while streaming the node
-	// into its two child files, accumulate each large child's local
-	// statistics on the child's own interval structures — the statistics
-	// pass the child would otherwise need is saved.
-	var leftStats, rightStats *clouds.NodeStats
-	fuse := !b.cfg.DisableFusion
-	if fuse && !b.cfg.Clouds.IsSmall(nl, b.nRoot) && !b.cfg.Clouds.ShouldStop(leftCounts, nl, t.depth+1) {
-		leftStats = clouds.NewNodeStats(b.schema, b.childIntervals(leftSample, nl))
-	}
-	if fuse && !b.cfg.Clouds.IsSmall(nr, b.nRoot) && !b.cfg.Clouds.ShouldStop(rightCounts, nr, t.depth+1) {
-		rightStats = clouds.NewNodeStats(b.schema, b.childIntervals(rightSample, nr))
-	}
-
-	tPart := b.c.Clock().Time()
-	pspan := b.rec.Start("partition")
-	defer pspan.End()
-	defer func() { b.stats.TimePartition += b.c.Clock().Time() - tPart }()
-	b.nextID++
-	leftFile := fmt.Sprintf("%s-%dL", t.file, b.nextID)
-	rightFile := fmt.Sprintf("%s-%dR", t.file, b.nextID)
-	lw, err := b.store.CreateWriter(leftFile)
-	if err != nil {
-		return nil, err
-	}
-	rw, err := b.store.CreateWriter(rightFile)
-	if err != nil {
-		lw.Close()
-		return nil, err
-	}
-	var localN int64
-	err = b.scanFrontier(t.file, func(r *record.Record) error {
-		localN++
-		if sp.GoesLeft(b.schema, *r) {
-			if leftStats != nil {
-				leftStats.Add(*r)
-			}
-			return lw.Write(*r)
-		}
-		if rightStats != nil {
-			rightStats.Add(*r)
-		}
-		return rw.Write(*r)
-	})
-	b.stats.Build.RecordReads += localN
-	b.chargeCPU(localN)
-	if leftStats != nil || rightStats != nil {
-		// The fused statistics work is real compute even though the I/O
-		// pass is shared.
-		b.chargeCPU(localN)
-	}
-	if err2 := lw.Close(); err == nil {
-		err = err2
-	}
-	if err2 := rw.Close(); err == nil {
-		err = err2
-	}
-	if err != nil {
-		return nil, err
-	}
-	b.removeFile(t.file)
-
-	nd := &tree.Node{Splitter: sp, ClassCounts: gini.Clone(t.classCounts), N: t.n}
-	nd.Class = nd.Majority()
-	t.attach(nd)
-
-	left := &nodeTask{
-		id: t.id + "L", file: leftFile, sample: leftSample, depth: t.depth + 1,
-		n: nl, classCounts: leftCounts, localStats: leftStats,
-		attach: func(x *tree.Node) { nd.Left = x },
-	}
-	right := &nodeTask{
-		id: t.id + "R", file: rightFile, sample: rightSample, depth: t.depth + 1,
-		n: nr, classCounts: rightCounts, localStats: rightStats,
-		attach: func(x *tree.Node) { nd.Right = x },
-	}
-	return []*nodeTask{left, right}, nil
-}
-
-func partitionSample(schema *record.Schema, recs []record.Record, sp *tree.Splitter) (left, right []record.Record) {
-	for _, r := range recs {
-		if sp.GoesLeft(schema, r) {
-			left = append(left, r)
-		} else {
-			right = append(right, r)
-		}
-	}
-	return left, right
 }

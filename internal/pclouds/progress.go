@@ -4,6 +4,7 @@ import (
 	"strconv"
 	"time"
 
+	"pclouds/internal/comm"
 	"pclouds/internal/obs"
 )
 
@@ -15,6 +16,7 @@ type levelMeter struct {
 	wallStart    time.Time
 	simStart     float64
 	commBytes    int64
+	collectives  int64
 	shipped      int64
 	largeNodes   int
 	ioWait       float64
@@ -22,11 +24,22 @@ type levelMeter struct {
 	ckptPruned   int
 }
 
+// collectiveCalls sums the per-class collective invocation counters.
+func collectiveCalls(s comm.Stats) int64 {
+	var n int64
+	for _, op := range s.Ops {
+		n += op.Calls
+	}
+	return n
+}
+
 func (b *pbuilder) startLevel() levelMeter {
+	cs := b.c.Stats()
 	return levelMeter{
 		wallStart:    time.Now(),
 		simStart:     b.c.Clock().Time(),
-		commBytes:    b.c.Stats().BytesSent,
+		commBytes:    cs.BytesSent,
+		collectives:  collectiveCalls(cs),
 		shipped:      b.stats.RecordsShipped,
 		largeNodes:   b.stats.LargeNodes,
 		ioWait:       b.store.Stats().WaitSec,
@@ -38,6 +51,7 @@ func (b *pbuilder) startLevel() levelMeter {
 // finishLevel turns the meter into the level's progress record, appends it
 // to Stats.Levels, and feeds the configured sinks (callback + registry).
 func (b *pbuilder) finishLevel(m levelMeter, level, frontier, smallPending int) {
+	cs := b.c.Stats()
 	lp := obs.LevelProgress{
 		Rank:          b.c.Rank(),
 		Level:         level,
@@ -45,7 +59,8 @@ func (b *pbuilder) finishLevel(m levelMeter, level, frontier, smallPending int) 
 		SmallPending:  smallPending,
 		RecordsRouted: b.stats.RecordsShipped - m.shipped,
 		SplitEvals:    int64(b.stats.LargeNodes - m.largeNodes),
-		CommBytes:     b.c.Stats().BytesSent - m.commBytes,
+		CommBytes:     cs.BytesSent - m.commBytes,
+		Collectives:   collectiveCalls(cs) - m.collectives,
 		IOWaitSec:     b.store.Stats().WaitSec - m.ioWait,
 		WallSec:       time.Since(m.wallStart).Seconds(),
 		SimSec:        b.c.Clock().Time() - m.simStart,

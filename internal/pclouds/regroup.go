@@ -62,54 +62,15 @@ func assignGroups(tasks []*nodeTask, p int) []groupAssignment {
 func (b *pbuilder) smallNodePhaseRegroup(small []*nodeTask) error {
 	sort.Slice(small, func(i, j int) bool { return small[i].id < small[j].id })
 	b.stats.SmallTasks = len(small)
-	p := b.c.Size()
 	rank := b.c.Rank()
-	groups := assignGroups(small, p)
+	groups := assignGroups(small, b.c.Size())
 
 	// Ship each task's records to every member of its group, in one
 	// all-to-all.
-	rspan := b.rec.Start("small-redistribute")
-	perDest := make([][][]record.Record, p)
-	for d := range perDest {
-		perDest[d] = make([][]record.Record, len(small))
-	}
-	for i, t := range small {
-		g := groups[i]
-		var localN int64
-		if err := b.scanFrontier(t.file, func(r *record.Record) error {
-			localN++
-			rec := r.Clone()
-			for d := g.lo; d < g.hi; d++ {
-				perDest[d][i] = append(perDest[d][i], rec)
-			}
-			return nil
-		}); err != nil {
-			return err
-		}
-		b.stats.Build.RecordReads += localN
-		b.chargeCPU(localN)
-		for d := g.lo; d < g.hi; d++ {
-			if d != rank {
-				b.stats.RecordsShipped += localN
-			}
-		}
-		b.removeFile(t.file)
-	}
-	parts := make([][]byte, p)
-	for d := 0; d < p; d++ {
-		parts[d] = encodeTaskRecords(perDest[d])
-	}
-	recv, err := comm.AllToAll(b.c, parts)
+	taskRecs, err := b.redistributeSmall(small, func(i int) (lo, hi int) { return groups[i].lo, groups[i].hi })
 	if err != nil {
 		return err
 	}
-	taskRecs := make([][]record.Record, len(small))
-	for _, raw := range recv {
-		if err := decodeTaskRecords(b.schema, raw, taskRecs); err != nil {
-			return err
-		}
-	}
-	rspan.End()
 
 	// Identify this rank's group and build its tasks cooperatively.
 	gspan := b.rec.Start("small-solve")
@@ -144,34 +105,7 @@ func (b *pbuilder) smallNodePhaseRegroup(small []*nodeTask) error {
 	gspan.End()
 
 	// Exchange the finished subtrees (as in the single-owner phase).
-	espan := b.rec.Start("small-exchange")
-	defer espan.End()
-	gathered, err := comm.AllGather(b.c, encodeSubtrees(results))
-	if err != nil {
-		return err
-	}
-	attached := 0
-	for _, raw := range gathered {
-		pairs, err := decodeSubtrees(raw)
-		if err != nil {
-			return err
-		}
-		for _, pr := range pairs {
-			if pr.idx < 0 || pr.idx >= len(small) {
-				return fmt.Errorf("pclouds: subtree index %d out of range", pr.idx)
-			}
-			dt, err := tree.Decode(b.schema, pr.blob)
-			if err != nil {
-				return err
-			}
-			small[pr.idx].attach(dt.Root)
-			attached++
-		}
-	}
-	if attached != len(small) {
-		return fmt.Errorf("pclouds: attached %d subtrees, expected %d", attached, len(small))
-	}
-	return nil
+	return b.exchangeSubtrees(small, results)
 }
 
 // groupSolve builds one small task's subtree cooperatively on subgroup sub:
@@ -284,5 +218,9 @@ func (b *pbuilder) distributedDirectSplit(sub comm.Communicator, recs []record.R
 		totalAttrs := len(b.schema.Attrs)
 		b.c.Clock().Advance(float64(2*len(recs)*assigned) / float64(totalAttrs) * b.cfg.CPUPerRecord)
 	}
-	return combineCandidates(sub, myBest)
+	best, err := combineCandidates(sub, []clouds.Candidate{myBest})
+	if err != nil {
+		return clouds.Candidate{}, err
+	}
+	return best[0], nil
 }

@@ -26,51 +26,12 @@ func (b *pbuilder) smallNodePhase(small []*nodeTask) error {
 	sort.Slice(small, func(i, j int) bool { return small[i].id < small[j].id })
 	b.stats.SmallTasks = len(small)
 
-	p := b.c.Size()
 	rank := b.c.Rank()
-	owner := assignTasks(small, p)
-
-	// Ship every record of every small node to its owner, batched into one
-	// exchange. Frame per task: [u32 taskIdx][u32 n][n records].
-	rspan := b.rec.Start("small-redistribute")
-	perDest := make([][][]record.Record, p)
-	for d := range perDest {
-		perDest[d] = make([][]record.Record, len(small))
-	}
-	for i, t := range small {
-		d := owner[i]
-		var localN int64
-		if err := b.scanFrontier(t.file, func(r *record.Record) error {
-			localN++
-			perDest[d][i] = append(perDest[d][i], r.Clone())
-			return nil
-		}); err != nil {
-			return err
-		}
-		b.stats.Build.RecordReads += localN
-		b.chargeCPU(localN)
-		if d != rank {
-			b.stats.RecordsShipped += localN
-		}
-		b.removeFile(t.file)
-	}
-	parts := make([][]byte, p)
-	for d := 0; d < p; d++ {
-		parts[d] = encodeTaskRecords(perDest[d])
-	}
-	recv, err := comm.AllToAll(b.c, parts)
+	owner := assignTasks(small, b.c.Size())
+	taskRecs, err := b.redistributeSmall(small, func(i int) (lo, hi int) { return owner[i], owner[i] + 1 })
 	if err != nil {
 		return err
 	}
-
-	// Owners assemble their tasks' records.
-	taskRecs := make([][]record.Record, len(small))
-	for _, raw := range recv {
-		if err := decodeTaskRecords(b.schema, raw, taskRecs); err != nil {
-			return err
-		}
-	}
-	rspan.End()
 
 	// Build owned subtrees locally; no further communication until the
 	// exchange of results.
@@ -91,10 +52,159 @@ func (b *pbuilder) smallNodePhase(small []*nodeTask) error {
 		results[i] = tree.Encode(&tree.Tree{Schema: b.schema, Root: nd})
 	}
 	bspan.End()
+	return b.exchangeSubtrees(small, results)
+}
 
-	// Exchange the encoded subtrees so every rank attaches the same tree.
-	espan := b.rec.Start("small-exchange")
-	defer espan.End()
+// redistributeSmall ships every record of every small node to the ranks
+// [lo, hi) that dests names for it, batched into one exchange, and returns
+// the records of the tasks this rank received (indexed like small). The
+// rank's own share of its tasks goes from the scan straight into memory; it
+// is never encoded.
+func (b *pbuilder) redistributeSmall(small []*nodeTask, dests func(i int) (lo, hi int)) ([][]record.Record, error) {
+	defer b.rec.Start("small-redistribute").End()
+	p, rank := b.c.Size(), b.c.Rank()
+	rb := b.schema.RecordBytes()
+
+	// The store knows each file's record count, which sizes every frame.
+	counts := make([]int, len(small))
+	sendBytes := make([]int, p)
+	for i, t := range small {
+		n, err := b.store.Count(t.file)
+		if err != nil {
+			n = 0 // the scan below reports what is wrong with the file
+		}
+		counts[i] = int(n)
+		for d, hi := dests(i); d < hi; d++ {
+			if d != rank {
+				sendBytes[d] += 8 + counts[i]*rb
+			}
+		}
+	}
+	parts := make([][]byte, p)
+	for d := range parts {
+		if d != rank {
+			parts[d] = make([]byte, 0, sendBytes[d])
+		}
+	}
+
+	pass := &scanPass{b: b}
+	arena := recordArena{schema: b.schema}
+	own := make([][]record.Record, len(small))
+	for i, t := range small {
+		lo, hi := dests(i)
+		mine := lo <= rank && rank < hi
+		if mine {
+			arena.reserve(counts[i])
+			own[i] = make([]record.Record, 0, counts[i])
+		}
+		// Frame per task and destination: [u32 taskIdx][u32 n][n records];
+		// n is patched in once the scan has counted the records.
+		for d := lo; d < hi; d++ {
+			if d != rank {
+				parts[d] = binary.LittleEndian.AppendUint32(parts[d], uint32(i))
+				parts[d] = binary.LittleEndian.AppendUint32(parts[d], 0)
+			}
+		}
+		var localN int
+		ok := pass.scan(t.file, func(r *record.Record) error {
+			localN++
+			if mine {
+				own[i] = append(own[i], arena.copyOf(r))
+			}
+			for d := lo; d < hi; d++ {
+				if d != rank {
+					parts[d] = r.Encode(parts[d])
+				}
+			}
+			return nil
+		})
+		if !ok {
+			break
+		}
+		for d := lo; d < hi; d++ {
+			if d != rank {
+				binary.LittleEndian.PutUint32(parts[d][len(parts[d])-localN*rb-4:], uint32(localN))
+				b.stats.RecordsShipped += int64(localN)
+			}
+		}
+	}
+	if err := pass.finish(); err != nil {
+		return nil, err
+	}
+	for _, t := range small {
+		b.removeFile(t.file)
+	}
+	recv, err := comm.AllToAll(b.c, parts)
+	if err != nil {
+		return nil, err
+	}
+
+	// Owners assemble their tasks' records in rank order.
+	taskRecs := make([][]record.Record, len(small))
+	for i, t := range small {
+		if lo, hi := dests(i); lo <= rank && rank < hi {
+			taskRecs[i] = make([]record.Record, 0, t.n)
+		}
+	}
+	for src, raw := range recv {
+		if src == rank {
+			for i := range own {
+				taskRecs[i] = append(taskRecs[i], own[i]...)
+			}
+			continue
+		}
+		if err := decodeTaskRecords(b.schema, raw, taskRecs, &arena); err != nil {
+			return nil, err
+		}
+	}
+	return taskRecs, nil
+}
+
+// recordArena hands out records whose value slices are carved from shared
+// backing arrays: one allocation per reserve call instead of two per
+// record.
+type recordArena struct {
+	schema *record.Schema
+	num    []float64
+	cat    []int32
+}
+
+// reserve makes room for n more records.
+func (a *recordArena) reserve(n int) {
+	nn, nc := a.schema.NumNumeric(), a.schema.NumCategorical()
+	if len(a.num) < n*nn {
+		a.num = make([]float64, n*nn)
+	}
+	if len(a.cat) < n*nc {
+		a.cat = make([]int32, n*nc)
+	}
+}
+
+// next returns a zeroed record with its slices in the arena.
+func (a *recordArena) next() record.Record {
+	nn, nc := a.schema.NumNumeric(), a.schema.NumCategorical()
+	if len(a.num) < nn || len(a.cat) < nc {
+		a.reserve(256)
+	}
+	r := record.Record{Num: a.num[:nn:nn], Cat: a.cat[:nc:nc]}
+	a.num, a.cat = a.num[nn:], a.cat[nc:]
+	return r
+}
+
+// copyOf returns a deep copy of r in the arena.
+func (a *recordArena) copyOf(r *record.Record) record.Record {
+	c := a.next()
+	copy(c.Num, r.Num)
+	copy(c.Cat, r.Cat)
+	c.Class = r.Class
+	return c
+}
+
+// exchangeSubtrees all-gathers the encoded subtrees (results[i] is non-nil
+// on the rank that solved small[i]) and attaches every one of them on every
+// rank, so all ranks finish with the same tree.
+func (b *pbuilder) exchangeSubtrees(small []*nodeTask, results [][]byte) error {
+	defer b.rec.Start("small-exchange").End()
 	gathered, err := comm.AllGather(b.c, encodeSubtrees(results))
 	if err != nil {
 		return err
@@ -151,46 +261,27 @@ func assignTasks(tasks []*nodeTask, p int) []int {
 	return owner
 }
 
-func encodeTaskRecords(buckets [][]record.Record) []byte {
-	var out []byte
-	var b4 [4]byte
-	for i, recs := range buckets {
-		if len(recs) == 0 {
-			continue
-		}
-		binary.LittleEndian.PutUint32(b4[:], uint32(i))
-		out = append(out, b4[:]...)
-		binary.LittleEndian.PutUint32(b4[:], uint32(len(recs)))
-		out = append(out, b4[:]...)
-		for _, r := range recs {
-			out = r.Encode(out)
-		}
-	}
-	return out
-}
-
-func decodeTaskRecords(schema *record.Schema, src []byte, into [][]record.Record) error {
+// decodeTaskRecords appends the records of every [u32 taskIdx][u32 n]
+// [n records] frame in src to into[taskIdx].
+func decodeTaskRecords(schema *record.Schema, src []byte, into [][]record.Record, arena *recordArena) error {
 	rb := schema.RecordBytes()
-	for len(src) > 0 {
-		if len(src) < 8 {
-			return fmt.Errorf("pclouds: truncated task record frame")
+	r := &frameReader{buf: src}
+	for r.more() {
+		idx := int(r.u32())
+		n := r.count(rb)
+		if r.err != nil {
+			return fmt.Errorf("pclouds: task records: %w", r.err)
 		}
-		idx := int(binary.LittleEndian.Uint32(src))
-		n := int(binary.LittleEndian.Uint32(src[4:]))
-		src = src[8:]
-		if idx < 0 || idx >= len(into) {
+		if idx >= len(into) {
 			return fmt.Errorf("pclouds: task record index %d out of range", idx)
 		}
-		if len(src) < n*rb {
-			return fmt.Errorf("pclouds: truncated task record body")
-		}
+		arena.reserve(n)
 		for k := 0; k < n; k++ {
-			var rec record.Record
-			if _, err := rec.Decode(schema, src[:rb]); err != nil {
+			rec := arena.next()
+			if _, err := rec.Decode(schema, r.take(rb)); err != nil {
 				return err
 			}
 			into[idx] = append(into[idx], rec)
-			src = src[rb:]
 		}
 	}
 	return nil
@@ -201,17 +292,21 @@ type subtreePair struct {
 	blob []byte
 }
 
+// encodeSubtrees frames the non-nil results as [u32 idx][u64 len][len bytes].
 func encodeSubtrees(results [][]byte) []byte {
-	var out []byte
-	var b8 [8]byte
+	size := 0
+	for _, blob := range results {
+		if blob != nil {
+			size += 12 + len(blob)
+		}
+	}
+	out := make([]byte, 0, size)
 	for i, blob := range results {
 		if blob == nil {
 			continue
 		}
-		binary.LittleEndian.PutUint32(b8[:4], uint32(i))
-		out = append(out, b8[:4]...)
-		binary.LittleEndian.PutUint64(b8[:], uint64(len(blob)))
-		out = append(out, b8[:]...)
+		out = binary.LittleEndian.AppendUint32(out, uint32(i))
+		out = binary.LittleEndian.AppendUint64(out, uint64(len(blob)))
 		out = append(out, blob...)
 	}
 	return out
@@ -219,18 +314,13 @@ func encodeSubtrees(results [][]byte) []byte {
 
 func decodeSubtrees(src []byte) ([]subtreePair, error) {
 	var out []subtreePair
-	for len(src) > 0 {
-		if len(src) < 12 {
-			return nil, fmt.Errorf("pclouds: truncated subtree frame")
+	r := &frameReader{buf: src}
+	for r.more() {
+		idx, n := int(r.u32()), r.u64()
+		if r.err != nil || n > uint64(len(r.buf)) {
+			return nil, fmt.Errorf("pclouds: malformed subtree frame (%d bytes)", len(src))
 		}
-		idx := int(binary.LittleEndian.Uint32(src))
-		n := int(binary.LittleEndian.Uint64(src[4:]))
-		src = src[12:]
-		if n < 0 || n > len(src) {
-			return nil, fmt.Errorf("pclouds: corrupt subtree length %d", n)
-		}
-		out = append(out, subtreePair{idx: idx, blob: src[:n]})
-		src = src[n:]
+		out = append(out, subtreePair{idx: idx, blob: r.take(int(n))})
 	}
 	return out, nil
 }

@@ -2,6 +2,7 @@ package pclouds
 
 import (
 	"errors"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -194,25 +195,25 @@ func TestElectAttrs(t *testing.T) {
 }
 
 func TestVoteCodecRoundTrip(t *testing.T) {
-	for _, attrs := range [][]int{nil, {0}, {2, 5, 8}} {
-		got, err := decodeVote(encodeVote(attrs))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(got) != len(attrs) {
-			t.Fatalf("round trip of %v: %v", attrs, got)
-		}
-		for i := range attrs {
-			if got[i] != attrs[i] {
-				t.Fatalf("round trip of %v: %v", attrs, got)
-			}
-		}
+	ballots := [][]int{{}, {0}, {2, 5, 8}}
+	got, err := decodeVotes(encodeVotes(ballots), len(ballots))
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, err := decodeVote([]byte{1}); err == nil {
+	if !reflect.DeepEqual(got, ballots) {
+		t.Fatalf("round trip of %v: %v", ballots, got)
+	}
+	if _, err := decodeVotes(encodeVotes(ballots), 2); err == nil {
+		t.Fatal("ballots for another node count must error")
+	}
+	if _, err := decodeVotes([]byte{1}, 1); err == nil {
 		t.Fatal("truncated vote must error")
 	}
-	if _, err := decodeVote([]byte{2, 0, 0, 0, 9, 0, 0, 0}); err == nil {
+	if _, err := decodeVotes([]byte{1, 0, 0, 0, 2, 0, 0, 0, 9, 0, 0, 0}, 1); err == nil {
 		t.Fatal("length mismatch must error")
+	}
+	if _, err := decodeVotes(append(encodeVotes(ballots), 0), len(ballots)); err == nil {
+		t.Fatal("trailing bytes must error")
 	}
 }
 
