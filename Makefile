@@ -70,13 +70,12 @@ chaos-quick: vet
 # and the level-batched point-bucket, alive-descriptor and candidate-vector
 # decoders of the parallel build (garbage must error, accepted bytes must
 # re-encode identically).
-FUZZTIME ?= 5s
 fuzz:
 	@set -e; \
 	for file in $$(grep -rlE '^func Fuzz[A-Za-z0-9_]*\(f \*testing\.F\)' --include='*_test.go' internal); do \
 		for target in $$(sed -nE 's/^func (Fuzz[A-Za-z0-9_]*)\(f \*testing\.F\).*/\1/p' $$file); do \
 			echo "fuzz ./$$(dirname $$file) $$target"; \
-			$(GO) test -run='^$$' -fuzz="^$$target\$$" -fuzztime=$(FUZZTIME) ./$$(dirname $$file); \
+			$(GO) test -run='^$$' -fuzz="^$$target\$$" -fuzztime=10s ./$$(dirname $$file); \
 		done; \
 	done
 

@@ -334,31 +334,29 @@ func TestDetermineAliveNeverPrunesBetterSplit(t *testing.T) {
 				i := nst.Intervals.Locate(v)
 				ptsAll[i] = append(ptsAll[i], Point{V: v, Class: r.Class})
 			}
+			left := make([]int64, len(ns.Class))
 			for i := range ptsAll {
-				cand := EvaluateInterval(nst.Attr, LeftBefore(nst, i, 2), ns.Class, ptsAll[i])
+				cand := EvaluateInterval(nst.Attr, left, ns.Class, ptsAll[i])
 				if cand.Better(allBest) {
 					allBest = cand
 				}
+				gini.Add(left, nst.Freq[i])
 			}
 		}
 		// Evaluate only alive intervals.
 		aliveBest := best
-		for j, nst := range ns.Numeric {
-			for i, flag := range alive.Alive[j] {
-				if !flag {
-					continue
+		for _, ai := range alive.List {
+			nst := ns.Numeric[ai.AttrJ]
+			var pts []Point
+			for _, r := range data.Records {
+				v := r.Num[ai.AttrJ]
+				if nst.Intervals.Locate(v) == ai.Interval {
+					pts = append(pts, Point{V: v, Class: r.Class})
 				}
-				var pts []Point
-				for _, r := range data.Records {
-					v := r.Num[j]
-					if nst.Intervals.Locate(v) == i {
-						pts = append(pts, Point{V: v, Class: r.Class})
-					}
-				}
-				cand := EvaluateInterval(nst.Attr, LeftBefore(nst, i, 2), ns.Class, pts)
-				if cand.Better(aliveBest) {
-					aliveBest = cand
-				}
+			}
+			cand := EvaluateInterval(nst.Attr, ai.LeftBefore, ns.Class, pts)
+			if cand.Better(aliveBest) {
+				aliveBest = cand
 			}
 		}
 		if aliveBest.Gini > allBest.Gini+1e-12 {
@@ -592,21 +590,16 @@ func TestCandidateLeftCountsConsistent(t *testing.T) {
 			giniMin = gini.Index(ns.Class)
 		}
 		alive := DetermineAlive(ns, giniMin)
-		for j, nst := range ns.Numeric {
-			for i, flag := range alive.Alive[j] {
-				if !flag {
-					continue
+		for _, ai := range alive.List {
+			nst := ns.Numeric[ai.AttrJ]
+			var pts []Point
+			for _, r := range data.Records {
+				v := r.Num[ai.AttrJ]
+				if nst.Intervals.Locate(v) == ai.Interval {
+					pts = append(pts, Point{V: v, Class: r.Class})
 				}
-				var pts []Point
-				for _, r := range data.Records {
-					v := r.Num[j]
-					if nst.Intervals.Locate(v) == i {
-						pts = append(pts, Point{V: v, Class: r.Class})
-					}
-				}
-				cand := EvaluateInterval(nst.Attr, LeftBefore(nst, i, data.Schema.NumClasses), ns.Class, pts)
-				check("interval", cand)
 			}
+			check("interval", EvaluateInterval(nst.Attr, ai.LeftBefore, ns.Class, pts))
 		}
 	}
 }

@@ -185,10 +185,6 @@ func BestBoundaryInRun(attr int, cuts []float64, first int, rows [][]int64, befo
 	return best
 }
 
-func bestNumericBoundary(nst *NumericStats, total []int64, nTotal int64) Candidate {
-	return BestBoundaryInRun(nst.Attr, nst.Intervals.Cuts, 0, nst.Freq, make([]int64, len(total)), total, nTotal)
-}
-
 // BestCategorical evaluates one categorical attribute's subset split from
 // its (global) count matrix.
 func BestCategorical(cm *gini.CountMatrix, attr int, total []int64, nTotal int64) Candidate {
@@ -229,8 +225,9 @@ func BestCategorical(cm *gini.CountMatrix, attr int, total []int64, nTotal int64
 func BestBoundarySplit(ns *NodeStats) Candidate {
 	best := Candidate{Valid: false, Gini: math.Inf(1)}
 	nTotal := gini.Sum(ns.Class)
+	zero := make([]int64, len(ns.Class))
 	for _, nst := range ns.Numeric {
-		if cand := bestNumericBoundary(nst, ns.Class, nTotal); cand.Better(best) {
+		if cand := BestBoundaryInRun(nst.Attr, nst.Intervals.Cuts, 0, nst.Freq, zero, ns.Class, nTotal); cand.Better(best) {
 			best = cand
 		}
 	}
@@ -253,8 +250,9 @@ func AttributeBest(ns *NodeStats) []Candidate {
 		out[i] = Candidate{Valid: false, Gini: math.Inf(1)}
 	}
 	nTotal := gini.Sum(ns.Class)
+	zero := make([]int64, len(ns.Class))
 	for _, nst := range ns.Numeric {
-		out[nst.Attr] = bestNumericBoundary(nst, ns.Class, nTotal)
+		out[nst.Attr] = BestBoundaryInRun(nst.Attr, nst.Intervals.Cuts, 0, nst.Freq, zero, ns.Class, nTotal)
 	}
 	for j, cm := range ns.Cat {
 		attr := ns.Schema.CategoricalIndices()[j]
@@ -306,8 +304,6 @@ type AliveInterval struct {
 
 // AliveSet is the outcome of the SSE method's pruning step at one node.
 type AliveSet struct {
-	// Alive[j][i] marks interval i of numeric attribute j.
-	Alive [][]bool
 	// List holds the alive intervals in canonical (attribute, interval)
 	// order.
 	List []AliveInterval
@@ -341,14 +337,12 @@ func AppendAliveInRun(dst []AliveInterval, attrJ, first int, rows [][]int64, bef
 // intervals that must be searched exactly because their lower bound beats
 // gini_min.
 func DetermineAlive(ns *NodeStats, giniMin float64) *AliveSet {
-	as := &AliveSet{Alive: make([][]bool, len(ns.Numeric))}
+	as := &AliveSet{}
 	zero := make([]int64, len(ns.Class))
 	for j, nst := range ns.Numeric {
-		as.Alive[j] = make([]bool, nst.Intervals.NumIntervals())
 		as.List = AppendAliveInRun(as.List, j, 0, nst.Freq, zero, ns.Class, giniMin)
 	}
 	for _, ai := range as.List {
-		as.Alive[ai.AttrJ][ai.Interval] = true
 		as.Points += ai.Count
 	}
 	return as
@@ -407,14 +401,4 @@ func EvaluateInterval(attr int, leftBefore, total []int64, pts []Point) Candidat
 		best.LeftCounts = bestLeft
 	}
 	return best
-}
-
-// LeftBefore returns the cumulative class counts of all intervals preceding
-// interval idx for one numeric attribute's statistics.
-func LeftBefore(nst *NumericStats, idx int, classes int) []int64 {
-	left := make([]int64, classes)
-	for i := 0; i < idx; i++ {
-		gini.Add(left, nst.Freq[i])
-	}
-	return left
 }

@@ -390,7 +390,9 @@ func TestConcurrentPeerFailuresNoDeadlock(t *testing.T) {
 // first) while rank 0 is blocked in Recv from the healthy rank 1. Rank 0
 // must get its frame — no PeerDown, no gossip, and no silence verdict on
 // the finished peer however long it stays quiet — and the finished peer
-// only becomes a failure for a Recv that needs a frame it never sent.
+// only becomes a failure for a Recv that needs a frame it never sent. That
+// failure reaches rank 1 as a root cause only: rank 1's connection to the
+// finished peer stays intact and still delivers what was sent before the bye.
 func TestFinishedPeerDoesNotPoisonOthers(t *testing.T) {
 	comms := dialGroupCfg(t, 3, func(r int, cfg *Config) {
 		cfg.HeartbeatInterval = 50 * time.Millisecond
@@ -404,6 +406,9 @@ func TestFinishedPeerDoesNotPoisonOthers(t *testing.T) {
 		}
 		got <- err
 	}()
+	if err := comms[2].Send(1, comm.TagUser, []byte("last")); err != nil {
+		t.Fatal(err)
+	}
 	comms[2].Close()
 	waitUntil(t, func() bool {
 		pe := comms[0].peers[2]
@@ -432,6 +437,43 @@ func TestFinishedPeerDoesNotPoisonOthers(t *testing.T) {
 	pd, ok := comm.AsPeerDown(err)
 	if !ok || pd.Rank != 2 || !strings.Contains(pd.Cause, "finished") {
 		t.Fatalf("Recv from the finished peer: want PeerDown(rank 2, finished), got %v", err)
+	}
+	waitUntil(t, func() bool { // rank 0's gossip has reached rank 1
+		comms[1].statsMu.Lock()
+		defer comms[1].statsMu.Unlock()
+		return comms[1].firstDown != nil
+	})
+	if err := comms[1].peers[2].failure(); err != nil {
+		t.Fatalf("rank 1 failed its connection to the finished peer on gossip: %v", err)
+	}
+	if b, err := comms[1].Recv(2, comm.TagUser); err != nil || string(b) != "last" {
+		t.Fatalf("rank 1 lost the finished peer's last frame: %q, %v", b, err)
+	}
+}
+
+// TestCloseSaysByeUnderSendContention: Close waits for a connection's send
+// lock (a heartbeat or Send in flight holds it) instead of skipping the
+// goodbye, so the peer still sees a clean exit.
+func TestCloseSaysByeUnderSendContention(t *testing.T) {
+	comms := dialGroupCfg(t, 2, func(r int, cfg *Config) { cfg.HeartbeatInterval = -1 })
+	pe := comms[0].peers[1]
+	pe.sendM.Lock()
+	closed := make(chan struct{})
+	go func() {
+		comms[0].Close()
+		close(closed)
+	}()
+	time.Sleep(50 * time.Millisecond)
+	pe.sendM.Unlock()
+	<-closed
+	waitUntil(t, func() bool {
+		pe := comms[1].peers[0]
+		pe.mu.Lock()
+		defer pe.mu.Unlock()
+		return pe.closed
+	})
+	if err := comms[1].peers[0].failure(); err != nil {
+		t.Fatalf("a clean Close behind a busy send lock read as a failure: %v", err)
 	}
 }
 

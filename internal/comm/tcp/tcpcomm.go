@@ -43,8 +43,12 @@
 // touched — a rank still waiting on a healthy peer is not poisoned by the
 // clean exit of a third. Frames the finished peer sent before its goodbye
 // are still delivered. Only a Recv that needs a frame the finished peer
-// never sent fails, and only then is that peer declared down (cause "peer
-// finished") and the declaration gossiped like any other.
+// never sent, or a Send to it, fails — with a comm.PeerDown (cause "peer
+// finished") the caller can recover from. That declaration is gossiped so a
+// cascade still names its root, but the gossip says the peer finished, and
+// a rank that hears it (or hears any report about a peer whose bye it has
+// read) only remembers the root cause: it never cuts the finished peer's
+// connection, which it may not have read to the end yet.
 //
 // # Generation fencing
 //
@@ -220,8 +224,9 @@ type peer struct {
 	conn net.Conn
 	fr   *wire.Conn
 	// onDown is invoked exactly once when the peer is declared failed with
-	// a comm.PeerDown (not on orderly local Close).
-	onDown func(*comm.PeerDown)
+	// a comm.PeerDown (not on orderly local Close); finished tells whether
+	// the peer had said goodbye.
+	onDown func(pd *comm.PeerDown, finished bool)
 
 	sendM sync.Mutex
 
@@ -241,7 +246,7 @@ type peer struct {
 	failing bool
 	// finished records the peer's bye. A finished peer that then reaches
 	// EOF is closed with failErr still nil: its exit becomes a failure only
-	// for a Recv that finds no frame to take (see take).
+	// for a Recv that finds no frame to take (see take) or a Send.
 	finished bool
 }
 
@@ -576,21 +581,30 @@ func (c *Comm) newPeer(rank int, conn net.Conn, fr *wire.Conn) *peer {
 		lastSeen: time.Now(),
 		queues:   make(map[int32][]wire.Frame),
 	}
-	pe.onDown = func(pd *comm.PeerDown) {
+	pe.onDown = func(pd *comm.PeerDown, finished bool) {
 		c.statsMu.Lock()
 		c.stats.PeerDowns++
-		if c.firstDown == nil {
-			c.firstDown = pd
-		}
 		c.statsMu.Unlock()
-		c.gossipDown(pd.Rank)
+		c.noteRootCause(pd)
+		c.gossipDown(pd.Rank, finished)
 	}
 	pe.cond = sync.NewCond(&pe.mu)
 	return pe
 }
 
+// noteRootCause keeps the first peer failure this rank learns of as the
+// cascade's root cause.
+func (c *Comm) noteRootCause(pd *comm.PeerDown) {
+	c.statsMu.Lock()
+	if c.firstDown == nil {
+		c.firstDown = pd
+	}
+	c.statsMu.Unlock()
+}
+
 // gossipDown broadcasts the first locally observed peer failure to every
-// other live peer on the control tag. Without it, attribution during a
+// other live peer on the control tag: the rank as u32 LE, then one byte
+// telling whether that peer had finished (see peerReportedDown). Without it, attribution during a
 // cascade is a scheduling race: a rank whose own view of the dead peer is
 // delayed may first observe a *detector's* teardown and blame the wrong
 // rank. With it, the detector's last frame on each connection names the
@@ -605,9 +619,13 @@ func (c *Comm) newPeer(rank int, conn net.Conn, fr *wire.Conn) *peer {
 // held its peer's mutex while waiting for the Once would deadlock against
 // the Once's holder waiting for that mutex. Send errors are ignored: gossip
 // is best-effort.
-func (c *Comm) gossipDown(downRank int) {
+func (c *Comm) gossipDown(downRank int, finished bool) {
 	c.gossipOnce.Do(func() {
-		payload := []byte{byte(downRank), byte(downRank >> 8), byte(downRank >> 16), byte(downRank >> 24)}
+		payload := make([]byte, 5)
+		putU32(payload, uint32(downRank))
+		if finished {
+			payload[4] = 1
+		}
 		for _, pe := range c.peers {
 			if pe == nil || pe.rank == downRank || pe.dead() {
 				continue
@@ -638,9 +656,10 @@ func (pe *peer) failLocked(err error) {
 		return
 	}
 	if pd, ok := comm.AsPeerDown(err); ok && pe.onDown != nil {
+		finished := pe.finished
 		pe.failing = true
 		pe.mu.Unlock()
-		pe.onDown(pd)
+		pe.onDown(pd, finished)
 		pe.mu.Lock()
 		pe.failing = false
 	}
@@ -686,9 +705,8 @@ func (c *Comm) readLoop(pe *peer) {
 		}
 		if f.Tag == downTag {
 			pe.mu.Unlock()
-			if len(f.Payload) == 4 {
-				down := int(uint32(f.Payload[0]) | uint32(f.Payload[1])<<8 | uint32(f.Payload[2])<<16 | uint32(f.Payload[3])<<24)
-				c.peerReportedDown(down, pe.rank)
+			if len(f.Payload) == 5 {
+				c.peerReportedDown(int(getU32(f.Payload)), pe.rank, f.Payload[4] != 0)
 			}
 			continue
 		}
@@ -700,13 +718,30 @@ func (c *Comm) readLoop(pe *peer) {
 
 // peerReportedDown applies failure gossip: reporter has declared down dead,
 // so this rank declares it dead too (idempotently) instead of waiting for
-// its own detector or, worse, misattributing the reporter's teardown.
-func (c *Comm) peerReportedDown(down, reporter int) {
+// its own detector or, worse, misattributing the reporter's teardown. A
+// peer that finished — the reporter says so, or this rank has read its bye —
+// is only remembered as the root cause and passed on: it left cleanly, what
+// the reporter still wanted from it is the reporter's failure, and cutting
+// the connection here would lose the frames it sent before its goodbye.
+// Passing it on (as a declaration would) keeps attribution deterministic:
+// whoever later fails on this rank's teardown has read the root cause on the
+// same connection first.
+func (c *Comm) peerReportedDown(down, reporter int, finished bool) {
 	if down < 0 || down >= len(c.peers) || down == c.cfg.Rank || c.peers[down] == nil {
 		return
 	}
-	c.peers[down].fail(&comm.PeerDown{Rank: down, Addr: c.cfg.Addrs[down],
-		Cause: fmt.Sprintf("reported down by rank %d", reporter)})
+	pd := &comm.PeerDown{Rank: down, Addr: c.cfg.Addrs[down],
+		Cause: fmt.Sprintf("reported down by rank %d", reporter)}
+	pe := c.peers[down]
+	pe.mu.Lock()
+	if !finished && !pe.finished {
+		pe.failLocked(pd)
+		pe.mu.Unlock()
+		return
+	}
+	pe.mu.Unlock()
+	c.noteRootCause(pd)
+	c.gossipDown(down, true)
 }
 
 // heartbeatLoop pumps liveness frames to every live peer until Close, and
@@ -753,6 +788,16 @@ func (c *Comm) heartbeatLoop(interval time.Duration) {
 			c.stats.HeartbeatsSent++
 			c.statsMu.Unlock()
 		}
+	}
+}
+
+// closing reports whether Close has begun.
+func (c *Comm) closing() bool {
+	select {
+	case <-c.quit:
+		return true
+	default:
+		return false
 	}
 }
 
@@ -927,10 +972,11 @@ func (c *Comm) Send(to int, tag comm.Tag, data []byte) error {
 			// A write that fails on an established connection means the peer
 			// is gone (its process died, or it left and the write lost the
 			// race with the reader's EOF): declare it, so the caller gets a
-			// comm.PeerDown it can recover from. If the connection was
+			// comm.PeerDown it can recover from — unless the write failed
+			// because Close is tearing this rank down. If the connection was
 			// already declared dead, that first declaration (and the
 			// cascade's root cause) is what is reported.
-			if wrote {
+			if wrote && !c.closing() {
 				pe.fail(&comm.PeerDown{Rank: pe.rank, Addr: pe.addr, Cause: fmt.Sprintf("send failed: %v", err)})
 			}
 			if ferr := pe.failure(); ferr != nil {
@@ -1000,15 +1046,22 @@ func (c *Comm) Close() error {
 		if c.listener != nil {
 			err = c.listener.Close()
 		}
+		// The write deadline bounds everything that can hold sendM — a
+		// heartbeat in flight, a Send wedged on a peer that stopped reading
+		// — and the bye itself, so Close waits for the lock instead of
+		// skipping the goodbye when it is contended.
+		deadline := time.Now().Add(time.Second)
+		for _, pe := range c.peers {
+			if pe != nil {
+				pe.conn.SetWriteDeadline(deadline)
+			}
+		}
 		for _, pe := range c.peers {
 			if pe == nil {
 				continue
 			}
-			// Best-effort and bounded: neither a Send wedged on this peer
-			// (it holds sendM; closing the socket below frees it) nor a peer
-			// that stopped reading may hold Close up.
-			if !pe.dead() && pe.sendM.TryLock() {
-				pe.conn.SetWriteDeadline(time.Now().Add(time.Second))
+			if !pe.dead() {
+				pe.sendM.Lock()
 				pe.fr.Send(wire.Frame{Tag: byeTag}) //nolint:errcheck
 				pe.sendM.Unlock()
 			}

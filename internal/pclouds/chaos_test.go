@@ -322,11 +322,13 @@ func TestChaosDroppedFrameNoHang(t *testing.T) {
 	data := makeData(t, 2000, 1, 11)
 	cfg := testConfig(clouds.SS)
 	sample := cfg.Clouds.SampleFor(data)
-	// Drop exactly one data frame from rank 1, a while into the build: its
-	// seventh of the thirteen it sends (one round of collectives per level
-	// leaves this four-level build no twenty-first frame to drop).
+	// Drop exactly one data frame from rank 1 mid-build: the first frame of
+	// its first all-to-all exchange (statistics, points or small-node
+	// records, whichever this configuration reaches first). Picking it by
+	// traffic class keeps the rule independent of how many frames the
+	// collective schedule sends before it.
 	inj := fault.NewInjector(17,
-		fault.Rule{Rank: 1, Op: fault.OpSend, Class: fault.AnyClass, Action: fault.Drop, After: 6, Count: 1})
+		fault.Rule{Rank: 1, Op: fault.OpSend, Class: comm.OpAllToAll, Action: fault.Drop, Count: 1})
 
 	watchdog(t, "dropped frame", func() {
 		addrs := reservePorts(t, p)
