@@ -120,7 +120,6 @@ examples:
 	$(GO) run ./examples/quickstart
 	$(GO) run ./examples/outofcore
 	$(GO) run ./examples/distributed
-	$(GO) run ./examples/strategies
 	$(GO) run ./examples/customschema
 
 # The capture files referenced by EXPERIMENTS.md.

@@ -14,8 +14,6 @@
 //	BenchmarkStrategies     -> Ablation A (Section 3 strategy comparison)
 //	BenchmarkSplitMethods   -> Ablation B (SS vs SSE vs direct)
 //	BenchmarkBoundary       -> Ablation C (boundary statistics schemes)
-//	BenchmarkBaseline       -> Ablation D (CLOUDS vs SPRINT)
-//	BenchmarkParallelBaseline -> Ablation E (pCLOUDS vs ScalParC)
 //
 // plus micro-benchmarks of the kernels (gini evaluation, interval location,
 // record codec, sequential build).
@@ -35,8 +33,6 @@ import (
 	"pclouds/internal/histogram"
 	"pclouds/internal/mdl"
 	"pclouds/internal/record"
-	"pclouds/internal/sliq"
-	"pclouds/internal/sprint"
 	"pclouds/internal/tree"
 )
 
@@ -269,53 +265,6 @@ func BenchmarkBoundary(b *testing.B) {
 				}
 			}
 			b.ReportMetric(float64(row.CommBytes), "comm-bytes")
-		})
-	}
-}
-
-func BenchmarkBaseline(b *testing.B) {
-	g, _ := datagen.New(datagen.Config{Function: 2, Seed: 1})
-	data := g.Generate(8000)
-	b.Run("CLOUDS-SSE", func(b *testing.B) {
-		cfg := clouds.Config{Method: clouds.SSE, QRoot: 64, QMin: 8, SmallNodeQ: 4, MaxDepth: 12, MinNodeSize: 2, Seed: 1}
-		for i := 0; i < b.N; i++ {
-			if _, _, err := clouds.BuildInCore(cfg, data, nil); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("SLIQ", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, _, err := sliq.Build(sliq.Config{MaxDepth: 12, MinNodeSize: 2}, data); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("SPRINT", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, _, err := sprint.Build(sprint.Config{MaxDepth: 12, MinNodeSize: 2}, data); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-}
-
-func BenchmarkParallelBaseline(b *testing.B) {
-	h := benchHarness()
-	rows, err := h.ParallelBaselineAblation(3000, 1000, []int{4})
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, row := range rows {
-		row := row
-		b.Run(row.System, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := h.ParallelBaselineAblation(3000, 1000, []int{4}); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ReportMetric(float64(row.CommBytes), "comm-bytes")
-			b.ReportMetric(row.SimTime, "sim-s")
 		})
 	}
 }

@@ -50,8 +50,6 @@ func main() {
 		dotPath     = flag.String("dot", "", "write the finished tree as Graphviz dot to this path")
 		inFormat    = flag.String("in", "binary", "training/test file format: binary, csv, or csv-auto (schema inferred; string categories allowed)")
 		holdout     = flag.Float64("holdout", 0.2, "held-out fraction for csv-auto evaluation")
-		regroup     = flag.Bool("regroup", false, "regroup idle processors in the small-node phase")
-		noFusion    = flag.Bool("no-fusion", false, "disable fused partitioning (extra stats pass per large node)")
 		traceOut    = flag.String("trace-out", "", "write a Chrome trace_event JSON of the parallel build to this path")
 		progressOut = flag.String("progress-out", "", "write per-level progress records (all ranks) as JSON lines to this path")
 		showStats   = flag.Bool("stats", false, "print the merged per-phase report and per-rank comm/I/O tables")
@@ -132,7 +130,7 @@ func main() {
 			st.RecordReads, st.SurvivalRatio(), st.LargeNodes, st.SmallNodes)
 	} else {
 		pipe := ooc.Pipeline{Enabled: *ioPipe, Depth: *ioDepth}
-		t, err = runParallel(cfg, *boundary, train, *procs, *regroup, *noFusion, *traceOut, *progressOut, *showStats, pipe)
+		t, err = runParallel(cfg, *boundary, train, *procs, *traceOut, *progressOut, *showStats, pipe)
 		if err != nil {
 			fatal(err)
 		}
@@ -205,8 +203,8 @@ func classifyOnly(modelPath, testPath string, printTree bool) error {
 	return nil
 }
 
-func runParallel(cfg clouds.Config, boundary string, train *record.Dataset, p int, regroup, noFusion bool, traceOut, progressOut string, showStats bool, pipe ooc.Pipeline) (*tree.Tree, error) {
-	pcfg := pclouds.Config{Clouds: cfg, RegroupIdle: regroup, DisableFusion: noFusion}
+func runParallel(cfg clouds.Config, boundary string, train *record.Dataset, p int, traceOut, progressOut string, showStats bool, pipe ooc.Pipeline) (*tree.Tree, error) {
+	pcfg := pclouds.Config{Clouds: cfg}
 	switch boundary {
 	case "attribute":
 		pcfg.Boundary = pclouds.AttributeBased

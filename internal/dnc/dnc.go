@@ -4,7 +4,7 @@
 // one pass over the task's records, a decision (leaf or split) taken on the
 // globally combined summary, and a routing rule that partitions records
 // between the two subtasks. The Engine executes the tree over data that is
-// distributed across ranks and disk-resident on each, under one of four
+// distributed across ranks and disk-resident on each, under one of five
 // strategies:
 //
 //	DataParallel    tasks solved one after another by all processors
@@ -13,12 +13,15 @@
 //	TaskParallel    partitioned tree construction: processor subgroups
 //	                recursively take subtasks, moving the data to the
 //	                subgroup (compute-dependent parallel I/O)
+//	TaskParallelCI  tasks assigned to owners while the data stays put
+//	                (compute-independent parallel I/O)
 //	Mixed           data parallelism for large tasks, then delayed task
 //	                parallelism for small ones (the pCLOUDS recipe)
 //
 // All strategies produce identical leaf results for a deterministic
 // Problem; they differ in communication structure, I/O volume and simulated
-// time, which is exactly what the strategy ablation experiment measures.
+// time, which is exactly what the strategy ablation experiment measures
+// (experiments.StrategiesAblation, pinned by TestStrategiesAblationShape).
 package dnc
 
 import (
@@ -112,15 +115,6 @@ type RunStats struct {
 	RecordReads   int64
 	Redistributed int64 // records shipped between ranks
 	Collectives   int64
-}
-
-// add accumulates o into s.
-func (s *RunStats) add(o RunStats) {
-	s.Tasks += o.Tasks
-	s.LeafTasks += o.LeafTasks
-	s.RecordReads += o.RecordReads
-	s.Redistributed += o.Redistributed
-	s.Collectives += o.Collectives
 }
 
 // Result is the outcome of a run at one rank.

@@ -26,7 +26,7 @@ type StrategyRow struct {
 	Collectives   int64
 }
 
-// StrategiesAblation runs the generic D&C engine under all four strategies
+// StrategiesAblation runs the generic D&C engine under all five strategies
 // on a median-split problem over n records and p ranks.
 func (h Harness) StrategiesAblation(n, p int, switchN int64) ([]StrategyRow, error) {
 	schema := record.MustSchema([]record.Attribute{{Name: "k", Kind: record.Numeric}}, 2)
@@ -90,12 +90,12 @@ func PrintStrategies(w io.Writer, rows []StrategyRow) {
 		fmt.Fprintf(w, "%-16s %-6d %-12.4f %-14d %-14d %-12d\n",
 			r.Strategy, r.Procs, r.SimTime, r.RecordReads, r.Redistributed, r.Collectives)
 	}
-	fmt.Fprintln(w, "(mixed combines data parallelism's zero large-task movement with task")
-	fmt.Fprintln(w, " parallelism's startup-free small tasks — the paper's recommendation)")
+	fmt.Fprintln(w, "(task-parallel and mixed move records, the other three never do; which")
+	fmt.Fprintln(w, " strategy wins depends on the key count and the cost model)")
 }
 
-// medianSplit is the generic engine's test problem (also used by the
-// strategies ablation): histogram summaries, median-bin decisions.
+// medianSplit is the strategies ablation's problem: histogram summaries,
+// median-bin decisions.
 type medianSplit struct {
 	leafN int64
 	bins  int

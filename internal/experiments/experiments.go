@@ -45,10 +45,6 @@ type Harness struct {
 	MaxDepth int
 	// Boundary selects the boundary-statistics scheme.
 	Boundary pclouds.BoundaryMethod
-	// Regroup enables idle-processor regrouping in the small-node phase.
-	Regroup bool
-	// NoFusion disables fused partitioning (for the fusion ablation).
-	NoFusion bool
 	// Pipeline configures the stores' async I/O pipeline (read-ahead and
 	// write-behind). It changes wall time only: simulated costs and page
 	// counts are identical either way, so experiment shape is unaffected.
@@ -146,11 +142,9 @@ func (h Harness) Run(data *record.Dataset, sample []record.Record, p int) (*RunR
 	}
 
 	cfg := pclouds.Config{
-		Clouds:        h.cloudsConfig(),
-		Boundary:      h.Boundary,
-		RegroupIdle:   h.Regroup,
-		DisableFusion: h.NoFusion,
-		Integrity:     h.Integrity,
+		Clouds:    h.cloudsConfig(),
+		Boundary:  h.Boundary,
+		Integrity: h.Integrity,
 		// One record touch per attribute per pass, charged live.
 		CPUPerRecord: h.Params.CPURecord * float64(1+data.Schema.NumNumeric()+data.Schema.NumCategorical()),
 	}

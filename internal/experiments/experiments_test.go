@@ -131,17 +131,37 @@ func TestStrategiesAblationShape(t *testing.T) {
 	for _, r := range rows {
 		byName[r.Strategy.String()] = r
 	}
-	if byName["data-parallel"].Redistributed != 0 {
-		t.Fatal("data parallelism moved data")
+	dp, cat, tp, ci, mixed := byName["data-parallel"], byName["concatenated"], byName["task-parallel"], byName["task-parallel-ci"], byName["mixed"]
+	// Movement: the three no-movement strategies move nothing; task
+	// parallelism redistributes (nearly) every record at the first split;
+	// mixed moves only its small tasks' records.
+	for _, r := range []StrategyRow{dp, cat, ci} {
+		if r.Redistributed != 0 {
+			t.Errorf("%v moved %d records", r.Strategy, r.Redistributed)
+		}
 	}
-	if byName["task-parallel"].Redistributed == 0 {
-		t.Fatal("task parallelism moved no data")
+	if tp.Redistributed < 3000*95/100 {
+		t.Errorf("task parallelism redistributed %d of 3000 records, want >= 95%%", tp.Redistributed)
 	}
-	if byName["mixed"].Redistributed >= byName["task-parallel"].Redistributed {
-		t.Fatal("mixed should move less than task parallelism")
+	if mixed.Redistributed >= tp.Redistributed {
+		t.Errorf("mixed moved %d records, task parallelism %d; mixed should move less", mixed.Redistributed, tp.Redistributed)
 	}
-	if byName["concatenated"].Collectives >= byName["data-parallel"].Collectives {
-		t.Fatal("concatenated should batch collectives")
+	// Collectives: concatenation batches every level into one round, the
+	// fewest of the no-movement strategies.
+	for _, r := range []StrategyRow{dp, ci} {
+		if cat.Collectives >= r.Collectives {
+			t.Errorf("concatenated %d collectives >= %v %d", cat.Collectives, r.Strategy, r.Collectives)
+		}
+	}
+	// Time: at this size mixed beats every strategy that never moves data.
+	// (Near 1M keys its extra read pass outweighs the collectives it saves
+	// and the ordering flips.) Mixed versus compute-dependent task
+	// parallelism is not asserted; under costmodel.Default() task
+	// parallelism is faster. See EXPERIMENTS.md, Ablation A.
+	for _, r := range []StrategyRow{dp, cat, ci} {
+		if mixed.SimTime >= r.SimTime {
+			t.Errorf("mixed %.4fs >= %v %.4fs", mixed.SimTime, r.Strategy, r.SimTime)
+		}
 	}
 	var buf bytes.Buffer
 	PrintStrategies(&buf, rows)
@@ -173,97 +193,6 @@ func TestSplitMethodsAblationShape(t *testing.T) {
 	var buf bytes.Buffer
 	PrintSplitMethods(&buf, rows)
 	if !strings.Contains(buf.String(), "Ablation B") {
-		t.Fatal("print output missing header")
-	}
-}
-
-func TestBaselineAblationShape(t *testing.T) {
-	h := smallHarness()
-	rows, err := h.BaselineAblation(4000, 1500)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 3 {
-		t.Fatalf("rows %d", len(rows))
-	}
-	clouds, sliq, sprint := rows[0], rows[1], rows[2]
-	if sliq.Accuracy != sprint.Accuracy || sliq.TreeNodes != sprint.TreeNodes {
-		t.Fatalf("SLIQ and SPRINT disagree: %+v vs %+v", sliq, sprint)
-	}
-	if sliq.MemResident == 0 {
-		t.Fatal("SLIQ class list not measured")
-	}
-	if clouds.Accuracy < sprint.Accuracy-0.02 {
-		t.Fatalf("CLOUDS accuracy %.4f far below SPRINT %.4f", clouds.Accuracy, sprint.Accuracy)
-	}
-	if clouds.IOBytes >= sprint.IOBytes {
-		t.Fatalf("CLOUDS I/O %d >= SPRINT %d; the paper's claim is the reverse", clouds.IOBytes, sprint.IOBytes)
-	}
-	if sprint.MemResident == 0 {
-		t.Fatal("SPRINT hash not measured")
-	}
-	var buf bytes.Buffer
-	PrintBaseline(&buf, rows)
-	if !strings.Contains(buf.String(), "Ablation D") {
-		t.Fatal("print output missing header")
-	}
-}
-
-func TestParallelBaselineAblationShape(t *testing.T) {
-	h := smallHarness()
-	rows, err := h.ParallelBaselineAblation(3000, 1200, []int{4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 2 {
-		t.Fatalf("rows %d", len(rows))
-	}
-	var pc, sc ParallelBaselineRow
-	for _, r := range rows {
-		if r.System == "pCLOUDS" {
-			pc = r
-		} else {
-			sc = r
-		}
-	}
-	if pc.Accuracy < sc.Accuracy-0.02 {
-		t.Fatalf("pCLOUDS accuracy %.4f far below ScalParC %.4f", pc.Accuracy, sc.Accuracy)
-	}
-	// The Section 4 claim: pCLOUDS communicates less than the parallel
-	// exact baseline.
-	if pc.CommBytes >= sc.CommBytes {
-		t.Fatalf("pCLOUDS comm %d >= ScalParC %d", pc.CommBytes, sc.CommBytes)
-	}
-	if pc.CommMsgs >= sc.CommMsgs {
-		t.Fatalf("pCLOUDS msgs %d >= ScalParC %d", pc.CommMsgs, sc.CommMsgs)
-	}
-	var buf bytes.Buffer
-	PrintParallelBaseline(&buf, rows)
-	if !strings.Contains(buf.String(), "Ablation E") {
-		t.Fatal("print output missing header")
-	}
-}
-
-func TestRegroupAblationShape(t *testing.T) {
-	h := smallHarness()
-	rows, err := h.RegroupAblation([]int{600}, []int{8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 1 {
-		t.Fatalf("rows %d", len(rows))
-	}
-	r := rows[0]
-	if r.SingleOwner <= 0 || r.Regrouped <= 0 {
-		t.Fatalf("degenerate times %+v", r)
-	}
-	// Regrouping must never be meaningfully slower.
-	if r.Regrouped > r.SingleOwner*1.05 {
-		t.Fatalf("regrouping slower: %+v", r)
-	}
-	var buf bytes.Buffer
-	PrintRegroup(&buf, rows)
-	if !strings.Contains(buf.String(), "regrouping") {
 		t.Fatal("print output missing header")
 	}
 }
@@ -457,36 +386,6 @@ func TestMemoryAblationShape(t *testing.T) {
 	var buf bytes.Buffer
 	PrintMemory(&buf, rows)
 	if !strings.Contains(buf.String(), "memory budget") {
-		t.Fatal("print output missing header")
-	}
-}
-
-func TestFusionAblationShape(t *testing.T) {
-	h := smallHarness()
-	rows, err := h.FusionAblation(3000, []int{4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 2 {
-		t.Fatalf("rows %d", len(rows))
-	}
-	var fused, unfused FusionRow
-	for _, r := range rows {
-		if r.Fused {
-			fused = r
-		} else {
-			unfused = r
-		}
-	}
-	if fused.ReadBytes >= unfused.ReadBytes {
-		t.Fatalf("fusion did not reduce reads: %d vs %d", fused.ReadBytes, unfused.ReadBytes)
-	}
-	if fused.SimTime >= unfused.SimTime {
-		t.Fatalf("fusion did not reduce simulated time: %.4f vs %.4f", fused.SimTime, unfused.SimTime)
-	}
-	var buf bytes.Buffer
-	PrintFusion(&buf, rows)
-	if !strings.Contains(buf.String(), "Fused partitioning") {
 		t.Fatal("print output missing header")
 	}
 }

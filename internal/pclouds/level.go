@@ -185,7 +185,7 @@ func intervalsOf(ns *clouds.NodeStats) []*histogram.Intervals {
 }
 
 // statsPass gives every node that has no fused statistics from its parent
-// (the root, resumed frontier tasks, fusion off) one streaming pass.
+// (the root and resumed frontier tasks) one streaming pass.
 func (b *pbuilder) statsPass(nodes []*levelNode) error {
 	var todo []*levelNode
 	for _, n := range nodes {
@@ -219,7 +219,6 @@ func (b *pbuilder) statsPass(nodes []*levelNode) error {
 func (b *pbuilder) partitionLevel(nodes []*levelNode) ([]*nodeTask, error) {
 	var children []*nodeTask
 	pass := &scanPass{b: b}
-	fuse := !b.cfg.DisableFusion
 	var split []*levelNode
 	for _, n := range nodes {
 		t := n.t
@@ -240,10 +239,10 @@ func (b *pbuilder) partitionLevel(nodes []*levelNode) ([]*nodeTask, error) {
 		}
 		leftSample, rightSample := clouds.PartitionRecords(b.schema, t.sample, sp)
 		var leftStats, rightStats *clouds.NodeStats
-		if fuse && !b.cfg.Clouds.IsSmall(nl, b.nRoot) && !b.cfg.Clouds.ShouldStop(leftCounts, nl, t.depth+1) {
+		if !b.cfg.Clouds.IsSmall(nl, b.nRoot) && !b.cfg.Clouds.ShouldStop(leftCounts, nl, t.depth+1) {
 			leftStats = clouds.NewNodeStats(b.schema, b.nodeIntervals(leftSample, nl))
 		}
-		if fuse && !b.cfg.Clouds.IsSmall(nr, b.nRoot) && !b.cfg.Clouds.ShouldStop(rightCounts, nr, t.depth+1) {
+		if !b.cfg.Clouds.IsSmall(nr, b.nRoot) && !b.cfg.Clouds.ShouldStop(rightCounts, nr, t.depth+1) {
 			rightStats = clouds.NewNodeStats(b.schema, b.nodeIntervals(rightSample, nr))
 		}
 

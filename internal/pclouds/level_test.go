@@ -32,11 +32,11 @@ func withSpecialValues(data *record.Dataset) *record.Dataset {
 
 // TestLevelDeterminismMatrix pins the determinism contract on the
 // level-synchronous frontier step: at every rank count, under every
-// boundary scheme and split protocol, with the integrity verdicts and the
-// fused partitioning on or off, on clean data and on data with NaN/±Inf
-// values, the tree encodes byte-for-byte like the sequential in-core
-// builder's. (vote is p-dependent by design; it must equal the sequential
-// tree on one rank and must not move with integrity or fusion at any p.)
+// boundary scheme and split protocol, with the integrity verdicts on or
+// off, on clean data and on data with NaN/±Inf values, the tree encodes
+// byte-for-byte like the sequential in-core builder's. (vote is
+// p-dependent by design; it must equal the sequential tree on one rank and
+// must not move with integrity at any p.)
 func TestLevelDeterminismMatrix(t *testing.T) {
 	clean := makeData(t, 3000, 2, 42)
 	datasets := map[string]*record.Dataset{"clean": clean, "nan-inf": withSpecialValues(clean)}
@@ -59,17 +59,15 @@ func TestLevelDeterminismMatrix(t *testing.T) {
 						break // the boundary scheme belongs to the sse protocol
 					}
 					for _, integrity := range []bool{false, true} {
-						for _, noFusion := range []bool{false, true} {
-							cfg := base
-							cfg.Boundary, cfg.Integrity, cfg.DisableFusion = bm, integrity, noFusion
-							got, _ := buildParallel(t, cfg, data, sample, p)
-							if sm == clouds.SplitVote && p > 1 && !integrity && !noFusion {
-								want = tree.Encode(got)
-							}
-							if !bytes.Equal(tree.Encode(got), want) {
-								t.Errorf("%s split=%v p=%d boundary=%v integrity=%v fusion=%v: tree differs from the reference",
-									name, sm, p, bm, integrity, !noFusion)
-							}
+						cfg := base
+						cfg.Boundary, cfg.Integrity = bm, integrity
+						got, _ := buildParallel(t, cfg, data, sample, p)
+						if sm == clouds.SplitVote && p > 1 && !integrity {
+							want = tree.Encode(got)
+						}
+						if !bytes.Equal(tree.Encode(got), want) {
+							t.Errorf("%s split=%v p=%d boundary=%v integrity=%v: tree differs from the reference",
+								name, sm, p, bm, integrity)
 						}
 					}
 				}

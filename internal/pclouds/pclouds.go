@@ -96,17 +96,6 @@ type Config struct {
 	// compute accounting (disk and network costs are charged by the store
 	// and communicator regardless).
 	CPUPerRecord float64
-	// DisableFusion turns off fused partitioning (child statistics
-	// accumulated during the parent's partition pass); with fusion off,
-	// every large node pays a separate statistics pass, as the fusion
-	// ablation measures.
-	DisableFusion bool
-	// RegroupIdle enables processor regrouping in the small-node phase
-	// (the paper's stated future work): when there are fewer small tasks
-	// than processors, each task is solved by a processor subgroup instead
-	// of a single owner, leaving no rank idle. The tree is unchanged; only
-	// the load balance improves.
-	RegroupIdle bool
 	// Trace, when non-nil, records per-phase spans, communication and I/O
 	// attribution for this rank (see package obs). It must be enabled on
 	// either every rank of the group or none: the end-of-build merged
@@ -460,11 +449,7 @@ func buildAttempt(cfg Config, c comm.Communicator, store *ooc.Store, rootName st
 
 	tSmall := c.Clock().Time()
 	sspan := rec.Start("small-phase")
-	if cfg.RegroupIdle && len(small) > 0 && len(small) < c.Size() {
-		if err := b.smallNodePhaseRegroup(small); err != nil {
-			return nil, nil, err
-		}
-	} else if err := b.smallNodePhase(small); err != nil {
+	if err := b.smallNodePhase(small); err != nil {
 		return nil, nil, err
 	}
 	sspan.End()

@@ -307,26 +307,3 @@ func TestSimulatedSpeedup(t *testing.T) {
 		t.Errorf("simulated speedup %.2f on 4 ranks is implausibly low", speedup)
 	}
 }
-
-// TestFusionOffStillMatchesSequential: disabling fused partitioning must
-// not change the tree (it only adds a separate statistics pass).
-func TestFusionOffStillMatchesSequential(t *testing.T) {
-	data := makeData(t, 3000, 2, 42)
-	cfg := testConfig(clouds.SSE)
-	sample := cfg.Clouds.SampleFor(data)
-	seq, _, err := clouds.BuildInCore(cfg.Clouds, data, sample)
-	if err != nil {
-		t.Fatal(err)
-	}
-	off := cfg
-	off.DisableFusion = true
-	par, _ := buildParallel(t, off, data, sample, 4)
-	if !tree.Equal(seq, par) {
-		t.Fatal("fusion-off tree differs from sequential")
-	}
-	on := cfg
-	par2, _ := buildParallel(t, on, data, sample, 4)
-	if !tree.Equal(par, par2) {
-		t.Fatal("fusion on/off trees differ")
-	}
-}

@@ -28,7 +28,7 @@ func (b *pbuilder) smallNodePhase(small []*nodeTask) error {
 
 	rank := b.c.Rank()
 	owner := assignTasks(small, b.c.Size())
-	taskRecs, err := b.redistributeSmall(small, func(i int) (lo, hi int) { return owner[i], owner[i] + 1 })
+	taskRecs, err := b.redistributeSmall(small, owner)
 	if err != nil {
 		return err
 	}
@@ -55,12 +55,11 @@ func (b *pbuilder) smallNodePhase(small []*nodeTask) error {
 	return b.exchangeSubtrees(small, results)
 }
 
-// redistributeSmall ships every record of every small node to the ranks
-// [lo, hi) that dests names for it, batched into one exchange, and returns
-// the records of the tasks this rank received (indexed like small). The
-// rank's own share of its tasks goes from the scan straight into memory; it
-// is never encoded.
-func (b *pbuilder) redistributeSmall(small []*nodeTask, dests func(i int) (lo, hi int)) ([][]record.Record, error) {
+// redistributeSmall ships every record of every small node to its owner,
+// batched into one exchange, and returns the records of the tasks this rank
+// owns (indexed like small). The rank's own share of its tasks goes from the
+// scan straight into memory; it is never encoded.
+func (b *pbuilder) redistributeSmall(small []*nodeTask, owner []int) ([][]record.Record, error) {
 	defer b.rec.Start("small-redistribute").End()
 	p, rank := b.c.Size(), b.c.Rank()
 	rb := b.schema.RecordBytes()
@@ -74,10 +73,8 @@ func (b *pbuilder) redistributeSmall(small []*nodeTask, dests func(i int) (lo, h
 			n = 0 // the scan below reports what is wrong with the file
 		}
 		counts[i] = int(n)
-		for d, hi := dests(i); d < hi; d++ {
-			if d != rank {
-				sendBytes[d] += 8 + counts[i]*rb
-			}
+		if d := owner[i]; d != rank {
+			sendBytes[d] += 8 + counts[i]*rb
 		}
 	}
 	parts := make([][]byte, p)
@@ -91,41 +88,33 @@ func (b *pbuilder) redistributeSmall(small []*nodeTask, dests func(i int) (lo, h
 	arena := recordArena{schema: b.schema}
 	own := make([][]record.Record, len(small))
 	for i, t := range small {
-		lo, hi := dests(i)
-		mine := lo <= rank && rank < hi
+		d := owner[i]
+		mine := d == rank
 		if mine {
 			arena.reserve(counts[i])
 			own[i] = make([]record.Record, 0, counts[i])
-		}
-		// Frame per task and destination: [u32 taskIdx][u32 n][n records];
-		// n is patched in once the scan has counted the records.
-		for d := lo; d < hi; d++ {
-			if d != rank {
-				parts[d] = binary.LittleEndian.AppendUint32(parts[d], uint32(i))
-				parts[d] = binary.LittleEndian.AppendUint32(parts[d], 0)
-			}
+		} else {
+			// Frame per task: [u32 taskIdx][u32 n][n records]; n is
+			// patched in once the scan has counted the records.
+			parts[d] = binary.LittleEndian.AppendUint32(parts[d], uint32(i))
+			parts[d] = binary.LittleEndian.AppendUint32(parts[d], 0)
 		}
 		var localN int
 		ok := pass.scan(t.file, func(r *record.Record) error {
 			localN++
 			if mine {
 				own[i] = append(own[i], arena.copyOf(r))
-			}
-			for d := lo; d < hi; d++ {
-				if d != rank {
-					parts[d] = r.Encode(parts[d])
-				}
+			} else {
+				parts[d] = r.Encode(parts[d])
 			}
 			return nil
 		})
 		if !ok {
 			break
 		}
-		for d := lo; d < hi; d++ {
-			if d != rank {
-				binary.LittleEndian.PutUint32(parts[d][len(parts[d])-localN*rb-4:], uint32(localN))
-				b.stats.RecordsShipped += int64(localN)
-			}
+		if !mine {
+			binary.LittleEndian.PutUint32(parts[d][len(parts[d])-localN*rb-4:], uint32(localN))
+			b.stats.RecordsShipped += int64(localN)
 		}
 	}
 	if err := pass.finish(); err != nil {
@@ -142,7 +131,7 @@ func (b *pbuilder) redistributeSmall(small []*nodeTask, dests func(i int) (lo, h
 	// Owners assemble their tasks' records in rank order.
 	taskRecs := make([][]record.Record, len(small))
 	for i, t := range small {
-		if lo, hi := dests(i); lo <= rank && rank < hi {
+		if owner[i] == rank {
 			taskRecs[i] = make([]record.Record, 0, t.n)
 		}
 	}
