@@ -32,10 +32,10 @@ test:
 # vote) across concurrent simulated ranks, so every build exercises the
 # concurrency under the race detector.
 race: vet-concurrency
-	$(GO) test -race ./internal/ooc/... ./internal/comm/... ./internal/fault/... ./internal/pclouds/... ./internal/clouds/... ./internal/serve/... ./internal/driver/... ./internal/stream/... ./internal/record/... ./internal/scrub/...
+	$(GO) test -race ./internal/ooc/... ./internal/comm/... ./internal/fault/... ./internal/pclouds/... ./internal/clouds/... ./internal/serve/... ./internal/driver/... ./internal/stream/... ./internal/record/... ./internal/scrub/... ./internal/durable/...
 
 vet-concurrency:
-	$(GO) vet ./internal/ooc/... ./internal/comm/tcp/... ./internal/fault/... ./internal/pclouds/... ./internal/clouds/... ./internal/serve/... ./internal/driver/... ./internal/stream/... ./internal/record/... ./internal/scrub/...
+	$(GO) vet ./internal/ooc/... ./internal/comm/tcp/... ./internal/fault/... ./internal/pclouds/... ./internal/clouds/... ./internal/serve/... ./internal/driver/... ./internal/stream/... ./internal/record/... ./internal/scrub/... ./internal/durable/...
 
 # Fault-injection acceptance suite: killed/wedged ranks, dropped and
 # corrupted frames, slow and failing storage — every scenario must end in
@@ -44,7 +44,7 @@ vet-concurrency:
 # because fault paths are where the detector earns its keep.
 chaos:
 	$(GO) test -race -run 'TestChaos' -v ./internal/pclouds/
-	$(GO) test -race ./internal/fault/... ./internal/comm/tcp/... ./internal/driver/... ./internal/stream/...
+	$(GO) test -race ./internal/fault/... ./internal/comm/tcp/... ./internal/driver/... ./internal/stream/... ./internal/durable/...
 	$(GO) test -race -run 'TestCheckpoint|TestResume|TestWriteBehind|TestPrefetch' ./internal/pclouds/ ./internal/fault/ ./internal/ooc/
 	$(GO) test -race -run 'TestDrift|TestStationary|TestCorruptPublish' -v ./internal/stream/
 	$(GO) test -race -run 'TestRegistryQuarantines|TestRegistryRollback|TestRegistrySingleFile' ./internal/serve/
@@ -54,19 +54,22 @@ chaos:
 
 # chaos-quick is the self-healing subset that gates every commit: the
 # supervised kill-and-respawn acceptance test, generation fencing, and the
-# checkpoint GC/auto-resume tests, under the race detector with a tight
+# checkpoint GC/auto-resume tests of the batch build and the resume
+# agreement of the streaming engine, under the race detector with a tight
 # overall deadline so a hang fails fast instead of eating the gate.
 chaos-quick: vet
 	$(GO) test -race -timeout 300s -run 'TestSupervised|TestRunRank|TestSupervise' ./internal/driver/
 	$(GO) test -race -timeout 300s -run 'TestGeneration|TestDoorman|TestStale' ./internal/comm/tcp/
 	$(GO) test -race -timeout 300s -run 'TestCheckpointGC|TestAutoResume|TestDegraded|TestResume' ./internal/pclouds/
+	$(GO) test -race -timeout 300s -run 'TestResume' ./internal/stream/
 
 # Short fuzz passes over every fuzz target in the tree, found by name — a
 # new decoder's target is picked up without touching this file. Today: the
 # tree and model-file decoders, the prediction-server request decoders
 # (malformed JSON/binary rows must get a 4xx, never a panic), the v2
 # record-block decoder (corrupt blocks must fail their CRC, never decode
-# silently), the wire frame reader, the stream window checkpoint decoder,
+# silently), the wire frame reader, the ooc frame-stream verifier, the
+# stream window checkpoint and batch partial-tree checkpoint decoders,
 # and the level-batched point-bucket, alive-descriptor and candidate-vector
 # decoders of the parallel build (garbage must error, accepted bytes must
 # re-encode identically).

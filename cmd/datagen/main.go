@@ -51,6 +51,7 @@ import (
 	"time"
 
 	"pclouds/internal/datagen"
+	"pclouds/internal/durable"
 	"pclouds/internal/record"
 )
 
@@ -78,7 +79,7 @@ func main() {
 	// The file ID in the v2 header names what the bytes are: the generator
 	// configuration, hashed. Deterministic, so regenerating the same dataset
 	// yields the same identity (and the same header fingerprint).
-	fileID := uint64(record.Checksum([]byte(fmt.Sprintf("datagen fn=%d seed=%d noise=%g drift=%d,%d",
+	fileID := uint64(durable.Checksum([]byte(fmt.Sprintf("datagen fn=%d seed=%d noise=%g drift=%d,%d",
 		*fn, *seed, *noise, *drift, *dto))))
 
 	if *strm {

@@ -35,10 +35,11 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"sync"
 	"time"
+
+	"pclouds/internal/durable"
 )
 
 // FrameMagic starts every frame written by a VerifyingBackend; scrubbers
@@ -47,13 +48,6 @@ const FrameMagic = "pOC1"
 
 // FrameHeaderSize is the fixed per-frame header length in bytes.
 const FrameHeaderSize = 16
-
-// QuarantineSuffix is appended to a corrupt file's name when it is set
-// aside by Store.Quarantine, mirroring the serve registry's convention for
-// corrupt published models.
-const QuarantineSuffix = ".quarantined"
-
-var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
 // ErrCorrupt is the sentinel wrapped by every CorruptionError; callers test
 // with errors.Is.
@@ -252,7 +246,7 @@ func checkFrameHeader(name string, off int64, seq uint32, hdr []byte) (uint32, *
 // checkFrameCRC recomputes the frame checksum over header fields + payload.
 func checkFrameCRC(name string, off int64, seq uint32, hdr, payload []byte) *CorruptionError {
 	want := binary.LittleEndian.Uint32(hdr[12:])
-	got := crc32.Update(crc32.Checksum(hdr[:12], castagnoli), castagnoli, payload)
+	got := durable.Update(durable.Checksum(hdr[:12]), payload)
 	if want != got {
 		return &CorruptionError{File: name, Offset: off, Seq: seq, WantCRC: want, GotCRC: got, Reason: "frame checksum mismatch"}
 	}
@@ -377,7 +371,7 @@ func (w *verifyWriter) emit() error {
 	copy(f, FrameMagic)
 	binary.LittleEndian.PutUint32(f[4:], w.seq)
 	binary.LittleEndian.PutUint32(f[8:], uint32(len(w.buf)))
-	crc := crc32.Update(crc32.Checksum(f[:12], castagnoli), castagnoli, w.buf)
+	crc := durable.Update(durable.Checksum(f[:12]), w.buf)
 	binary.LittleEndian.PutUint32(f[12:], crc)
 	f = append(f, w.buf...)
 	if _, err := w.inner.Write(f); err != nil {
@@ -540,12 +534,12 @@ func (s *Store) EnableIntegrity(opts IntegrityOptions) *VerifyingBackend {
 // EnableIntegrity was never called.
 func (s *Store) Integrity() *VerifyingBackend { return s.verify }
 
-// Quarantine sets a corrupt file aside by renaming it with
-// QuarantineSuffix, preserving the evidence for offline scrubbing while
-// making sure no later open can consume the bad bytes. It returns the
-// quarantined name.
+// Quarantine sets a corrupt file aside under durable.QuarantineName,
+// preserving the evidence for offline scrubbing while making sure no later
+// open can consume the bad bytes. The rename goes through the backend, so
+// fault injectors see it. It returns the quarantined name.
 func (s *Store) Quarantine(name string) (string, error) {
-	q := name + QuarantineSuffix
+	q := durable.QuarantineName(name)
 	if err := s.b.Rename(name, q); err != nil {
 		return "", fmt.Errorf("ooc: quarantining %q: %w", name, err)
 	}

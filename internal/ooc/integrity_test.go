@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"pclouds/internal/costmodel"
+	"pclouds/internal/durable"
 	"pclouds/internal/record"
 )
 
@@ -355,7 +356,7 @@ func TestQuarantine(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if q != "d"+QuarantineSuffix {
+	if q != durable.QuarantineName("d") || durable.Live(q) {
 		t.Fatalf("quarantined name %q", q)
 	}
 	if _, err := st.OpenReader("d"); err == nil {

@@ -6,10 +6,10 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"sort"
 
 	"pclouds/internal/clouds"
 	"pclouds/internal/comm"
+	"pclouds/internal/durable"
 	"pclouds/internal/record"
 	"pclouds/internal/tree"
 )
@@ -19,30 +19,30 @@ import (
 // exactly one store file per frontier task, every rank agrees on the task
 // list, and rank 0's partial tree contains every node built so far. At that
 // point each rank persists a manifest of its frontier (and rank 0 the
-// partial tree) atomically — temp file, fsync, rename, the tree.SaveFile
-// pattern — so a later run can resume from the last complete level instead
-// of rebuilding from scratch. The resumed build re-derives frontier samples
-// by routing the shared root sample through the partial tree's splitters
-// and re-runs each frontier node's statistics pass (statsPass handles
-// tasks without fused statistics), which reproduces the uninterrupted
-// build's tree bit-identically.
+// partial tree) atomically with durable.WriteFile, so a later run can
+// resume from the last complete level instead of rebuilding from scratch.
+// The resumed build re-derives frontier samples by routing the shared root
+// sample through the partial tree's splitters and re-runs each frontier
+// node's statistics pass (statsPass handles tasks without fused
+// statistics), which reproduces the uninterrupted build's tree
+// bit-identically.
 //
 // Checkpoints live in per-level directories (level-0001, level-0002, …)
 // under Config.CheckpointDir. Levels are written independently by each
 // rank; a commit collective after every level tells all ranks whether the
 // level is complete everywhere, gating garbage collection. Because a crash
 // can land between two ranks' checkpoint writes, ranks may legitimately
-// disagree by one level; resume therefore agrees (collectively) on the
-// newest level complete on *every* rank and restores from that. To make
-// the one-level fallback possible, a consumed frontier file is not deleted
-// when the build partitions it — its removal is deferred until every
-// checkpoint level referencing it has been pruned (keepLevels bounds the
-// retained window, so disk stays bounded).
+// disagree by one level; resume therefore agrees (durable.Resume) on the
+// newest level complete and restorable on *every* rank and restores from
+// that. To make the one-level fallback possible, a consumed frontier file
+// is not deleted when the build partitions it — its removal is deferred
+// until every checkpoint level referencing it has been pruned (keepLevels
+// bounds the retained window, so disk stays bounded).
 //
 // Degraded mode: a storage error during a checkpoint write is a warning,
 // not a build failure — the rank reports the level unusable in the commit
 // collective, every rank skips that level's GC, and the build carries on.
-// Resume simply never selects the incomplete level.
+// Resume routes around the incomplete level.
 //
 // What is NOT checkpointed: progress inside a level or inside the deferred
 // small-node phase. A crash there resumes from the preceding level
@@ -120,25 +120,15 @@ func treePath(dir string, level int) string {
 
 // listLevels returns, ascending, the checkpoint levels under dir that hold
 // this rank's manifest (and, on rank 0, the partial tree). Levels another
-// rank wrote but this rank did not are this rank's holes — the resume
-// agreement below routes around them.
+// rank wrote but this rank did not are this rank's holes — durable.Resume
+// routes around them.
 func listLevels(dir string, rank int) ([]int, error) {
-	ents, err := os.ReadDir(dir)
+	all, err := durable.Epochs(dir, "level-%d")
 	if err != nil {
-		if os.IsNotExist(err) {
-			return nil, nil
-		}
 		return nil, err
 	}
 	var levels []int
-	for _, e := range ents {
-		var lvl int
-		if !e.IsDir() {
-			continue
-		}
-		if _, err := fmt.Sscanf(e.Name(), "level-%d", &lvl); err != nil || lvl < 1 {
-			continue
-		}
+	for _, lvl := range all {
 		if _, err := os.Stat(manifestPath(dir, lvl, rank)); err != nil {
 			continue
 		}
@@ -149,39 +139,7 @@ func listLevels(dir string, rank int) ([]int, error) {
 		}
 		levels = append(levels, lvl)
 	}
-	sort.Ints(levels)
 	return levels, nil
-}
-
-// atomicWrite persists data to path via temp+fsync+rename, the same
-// all-or-nothing discipline as tree.SaveFile.
-func atomicWrite(path string, data []byte) error {
-	dir := filepath.Dir(path)
-	f, err := os.CreateTemp(dir, filepath.Base(path)+".tmp-*")
-	if err != nil {
-		return err
-	}
-	tmp := f.Name()
-	fail := func(err error) error {
-		f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if _, err := f.Write(data); err != nil {
-		return fail(err)
-	}
-	if err := f.Sync(); err != nil {
-		return fail(err)
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	return nil
 }
 
 func taskManifest(b *pbuilder, tasks []*nodeTask) ([]ckptTask, error) {
@@ -232,7 +190,7 @@ func (b *pbuilder) writeCheckpoint(dir string, level int, root *tree.Node, pendi
 		// The checksum footer lets a resume reject a bit-flipped partial
 		// tree instead of decoding garbage (tree.StripChecksum verifies it).
 		blob := tree.AppendChecksum(tree.EncodePartial(&tree.Tree{Schema: b.schema, Root: root}))
-		if err := atomicWrite(treePath(dir, level), blob); err != nil {
+		if err := durable.WriteFile(treePath(dir, level), blob); err != nil {
 			return fmt.Errorf("pclouds: checkpoint tree: %w", err)
 		}
 	}
@@ -240,7 +198,7 @@ func (b *pbuilder) writeCheckpoint(dir string, level int, root *tree.Node, pendi
 	if err != nil {
 		return err
 	}
-	if err := atomicWrite(manifestPath(dir, level, m.Rank), data); err != nil {
+	if err := durable.WriteFile(manifestPath(dir, level, m.Rank), data); err != nil {
 		return fmt.Errorf("pclouds: checkpoint manifest: %w", err)
 	}
 	b.stats.Checkpoints++
@@ -262,7 +220,7 @@ func (b *pbuilder) checkpointLevel(level int, root *tree.Node, pending, small []
 		b.rec.Count("checkpoint-failures", 1)
 		b.warnf("pclouds: rank %d: checkpoint level %d failed, continuing without it: %v", b.c.Rank(), level, werr)
 	}
-	allOK, err := comm.AllReduceInt64(b.c, []int64{ok}, minI64)
+	allOK, err := comm.AllReduceInt64(b.c, []int64{ok}, func(a, b int64) int64 { return min(a, b) })
 	if err != nil {
 		return err
 	}
@@ -385,106 +343,45 @@ type resumeState struct {
 	nextID int
 }
 
-// agreeLevel finds the newest checkpoint level at most bound complete on
-// every rank. The loop is collective and deterministic: starting from the
-// minimum of every rank's newest level, it steps down until a candidate
-// exists everywhere (degraded-mode holes make "min of newest" insufficient
-// on its own). The bound lets the restore ladder exclude levels already
-// tried and found corrupt. Returns ErrNoCheckpoint — on every rank — when
-// no common level exists.
-func agreeLevel(c comm.Communicator, levels []int, bound int) (int, error) {
-	newestAtMost := func(bound int) int64 {
-		for i := len(levels) - 1; i >= 0; i-- {
-			if levels[i] <= bound {
-				return int64(levels[i])
-			}
-		}
-		return 0
-	}
-	cand, err := comm.AllReduceInt64(c, []int64{newestAtMost(bound)}, minI64)
-	if err != nil {
-		return 0, err
-	}
-	for cand[0] >= 1 {
-		have := int64(0)
-		for _, l := range levels {
-			if int64(l) == cand[0] {
-				have = 1
-			}
-		}
-		all, err := comm.AllReduceInt64(c, []int64{have}, minI64)
-		if err != nil {
-			return 0, err
-		}
-		if all[0] == 1 {
-			return int(cand[0]), nil
-		}
-		cand, err = comm.AllReduceInt64(c, []int64{newestAtMost(int(cand[0]) - 1)}, minI64)
-		if err != nil {
-			return 0, err
-		}
-	}
-	return 0, ErrNoCheckpoint
-}
-
-func minI64(a, b int64) int64 {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-// loadCheckpoint agrees with every other rank on the newest checkpoint
-// level complete everywhere, reads this rank's manifest for it, rebuilds
-// the partial tree from rank 0's blob, reconstitutes the frontier tasks —
-// samples re-derived from the shared root sample, attach closures
+// loadCheckpoint resumes from the newest checkpoint level every rank can
+// restore (durable.Resume): it reads this rank's manifest for the level,
+// rebuilds the partial tree from rank 0's blob, reconstitutes the frontier
+// tasks — samples re-derived from the shared root sample, attach closures
 // re-pointed into the decoded tree — and finally garbage-collects every
-// other (older or orphaned) checkpoint level.
-//
-// With Config.Integrity on, a level whose restore fails anywhere (a
-// quarantined frontier file, a checksum-failing partial tree, an unreadable
-// manifest) does not fail the resume outright: the ladder steps the agreed
-// bound below it and tries the next-newest level complete everywhere, until
-// a level restores cleanly or no candidates remain (ErrNoCheckpoint). The
-// step-down is collective — every rank fails restoreLevel's all-or-nothing
-// vote together — so ranks never diverge on which level they resume from.
+// other (older or orphaned) checkpoint level. A level whose restore fails
+// anywhere (a quarantined or missing frontier file, a checksum-failing
+// partial tree, an unreadable manifest) is stepped past collectively; with
+// no level left the error is ErrNoCheckpoint wrapping the cause.
 func loadCheckpoint(cfg Config, c comm.Communicator, b *pbuilder, rootSample []record.Record) (*resumeState, error) {
 	dir := cfg.CheckpointDir
 	levels, err := listLevels(dir, c.Rank())
 	if err != nil {
 		return nil, fmt.Errorf("pclouds: resume: %w", err)
 	}
-	bound := int(^uint(0) >> 1)
-	for {
-		lvl, err := agreeLevel(c, levels, bound)
-		if err != nil {
-			return nil, err
-		}
-		st, m, restoreErr, err := restoreLevel(cfg, c, b, rootSample, dir, lvl)
-		if err != nil {
-			return nil, err
-		}
-		if restoreErr == nil {
-			gcAfterRestore(b, dir, levels, lvl, m)
-			return st, nil
-		}
-		if !cfg.Integrity {
-			return nil, restoreErr
-		}
-		b.warnf("pclouds: rank %d: resume from checkpoint level %d failed (%v); trying an older level",
-			c.Rank(), lvl, restoreErr)
-		bound = lvl - 1
+	var st *resumeState
+	var m ckptManifest
+	lvl, err := durable.Resume(c, levels, func(lvl int) error {
+		var err error
+		st, m, err = restoreLevel(cfg, c, b, rootSample, dir, lvl)
+		return err
+	})
+	if errors.Is(err, durable.ErrNoEpoch) {
+		return nil, fmt.Errorf("%w: %w", ErrNoCheckpoint, err)
 	}
+	if err != nil {
+		return nil, err
+	}
+	gcAfterRestore(b, dir, levels, lvl, m)
+	return st, nil
 }
 
-// restoreLevel attempts to reconstitute one agreed checkpoint level. The
-// outcome is split: err is fatal (communication failures, configuration
-// mismatches — identical on every rank by construction); restoreErr is a
-// per-level failure the integrity ladder may step past. Every rank reaches
-// the Broadcast and the all-or-nothing vote no matter where its local
-// restore failed, so a partially-corrupt level can never deadlock the
-// group.
-func restoreLevel(cfg Config, c comm.Communicator, b *pbuilder, rootSample []record.Record, dir string, lvl int) (*resumeState, ckptManifest, error, error) {
+// restoreLevel attempts to reconstitute one candidate checkpoint level.
+// Communication failures and configuration mismatches (identical on every
+// rank by construction) are durable.Fatal; any other error is a per-level
+// failure durable.Resume steps past. Every rank reaches the Broadcast no
+// matter where its local restore failed, so a partially-corrupt level can
+// never deadlock the group.
+func restoreLevel(cfg Config, c comm.Communicator, b *pbuilder, rootSample []record.Record, dir string, lvl int) (*resumeState, ckptManifest, error) {
 	var m ckptManifest
 	var localErr error
 	data, err := os.ReadFile(manifestPath(dir, lvl, c.Rank()))
@@ -498,23 +395,23 @@ func restoreLevel(cfg Config, c comm.Communicator, b *pbuilder, rootSample []rec
 		// written by the same build — so failing before the collectives is
 		// safe, and stepping down a level could not fix them anyway.
 		if m.Version != ckptVersion {
-			return nil, m, nil, fmt.Errorf("pclouds: resume: manifest version %d, want %d", m.Version, ckptVersion)
+			return nil, m, durable.Fatal(fmt.Errorf("pclouds: resume: manifest version %d, want %d", m.Version, ckptVersion))
 		}
 		if m.Rank != c.Rank() || m.Size != c.Size() {
-			return nil, m, nil, fmt.Errorf("pclouds: resume: manifest is for rank %d of %d, this group is rank %d of %d",
-				m.Rank, m.Size, c.Rank(), c.Size())
+			return nil, m, durable.Fatal(fmt.Errorf("pclouds: resume: manifest is for rank %d of %d, this group is rank %d of %d",
+				m.Rank, m.Size, c.Rank(), c.Size()))
 		}
 		ckptSplit := m.Split
 		if ckptSplit == "" {
 			ckptSplit = clouds.SplitSSE.String()
 		}
 		if got := cfg.Clouds.Split.String(); ckptSplit != got {
-			return nil, m, nil, fmt.Errorf("pclouds: resume: checkpoint was written with -split-method %s, this build uses %s",
-				ckptSplit, got)
+			return nil, m, durable.Fatal(fmt.Errorf("pclouds: resume: checkpoint was written with -split-method %s, this build uses %s",
+				ckptSplit, got))
 		}
 		if m.DataCRC != 0 && cfg.DataChecksum != 0 && m.DataCRC != cfg.DataChecksum {
-			return nil, m, nil, fmt.Errorf("pclouds: resume: checkpoint was written against dataset fingerprint %08x, this build reads %08x — refusing to resume on different data",
-				m.DataCRC, cfg.DataChecksum)
+			return nil, m, durable.Fatal(fmt.Errorf("pclouds: resume: checkpoint was written against dataset fingerprint %08x, this build reads %08x — refusing to resume on different data",
+				m.DataCRC, cfg.DataChecksum))
 		}
 	}
 
@@ -535,7 +432,7 @@ func restoreLevel(cfg Config, c comm.Communicator, b *pbuilder, rootSample []rec
 	}
 	blob, err = comm.Broadcast(c, 0, blob)
 	if err != nil {
-		return nil, m, nil, err
+		return nil, m, durable.Fatal(err)
 	}
 	st := &resumeState{level: m.Level, nRoot: m.NRoot, nextID: m.NextID}
 	if localErr == nil {
@@ -554,24 +451,11 @@ func restoreLevel(cfg Config, c comm.Communicator, b *pbuilder, rootSample []rec
 			st.small, localErr = restoreTasks(b, st.root, rootSample, m.Small)
 		}
 	}
-	// Resume is all-or-nothing: if any rank's restore failed, every rank
-	// must agree here — a rank that proceeded alone would block forever in
-	// the first collective of the level loop.
-	ok := int64(1)
 	if localErr != nil {
-		ok = 0
+		b.warnf("pclouds: rank %d: resume from checkpoint level %d failed: %v", c.Rank(), lvl, localErr)
+		return nil, m, localErr
 	}
-	allOK, err := comm.AllReduceInt64(c, []int64{ok}, minI64)
-	if err != nil {
-		return nil, m, nil, err
-	}
-	if localErr != nil {
-		return nil, m, localErr, nil
-	}
-	if allOK[0] == 0 {
-		return nil, m, fmt.Errorf("pclouds: resume: another rank failed to restore checkpoint level %d", lvl), nil
-	}
-	return st, m, nil, nil
+	return st, m, nil
 }
 
 // gcAfterRestore runs once the restore is committed; every other

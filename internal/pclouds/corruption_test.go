@@ -12,6 +12,7 @@ import (
 	"pclouds/internal/clouds"
 	"pclouds/internal/comm"
 	"pclouds/internal/costmodel"
+	"pclouds/internal/durable"
 	"pclouds/internal/fault"
 	"pclouds/internal/ooc"
 	"pclouds/internal/record"
@@ -164,7 +165,7 @@ func TestChaosCorruptionRecovered(t *testing.T) {
 		if stats[1].Integrity.Corruptions == 0 {
 			t.Error("rank 1: verifying backend counted no corruptions")
 		}
-		q, err := filepath.Glob(filepath.Join(storeRoot, "rank1", "*"+ooc.QuarantineSuffix))
+		q, err := filepath.Glob(filepath.Join(storeRoot, "rank1", durable.QuarantineName("*")))
 		if err != nil || len(q) != 1 {
 			t.Errorf("quarantined files in rank 1's store: %v (err %v), want exactly one", q, err)
 		}

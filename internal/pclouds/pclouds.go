@@ -364,7 +364,7 @@ func buildAttempt(cfg Config, c comm.Communicator, store *ooc.Store, rootName st
 			resumed = true
 		case errors.Is(err, ErrNoCheckpoint) && cfg.ResumeAuto:
 			// No usable checkpoint anywhere: fall back to a fresh build.
-			// agreeLevel is collective, so every rank falls back together.
+			// durable.Resume is collective, so every rank falls back together.
 		default:
 			return nil, nil, err
 		}

@@ -24,9 +24,10 @@ import (
 	"bufio"
 	"encoding/binary"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"os"
+
+	"pclouds/internal/durable"
 )
 
 // V2Magic begins every v2 record file.
@@ -45,10 +46,9 @@ const MaxV2BlockBytes = 16 << 20
 // v2BlockRecords is the writer's records-per-block granularity.
 const v2BlockRecords = 4096
 
-var crcTable = crc32.MakeTable(crc32.Castagnoli)
-
-// Checksum is the CRC-32C used throughout the data plane.
-func Checksum(b []byte) uint32 { return crc32.Checksum(b, crcTable) }
+// Checksum is durable.Checksum, the CRC-32C used throughout the data
+// plane, kept for the benchmark harness that fingerprints trees with it.
+func Checksum(b []byte) uint32 { return durable.Checksum(b) }
 
 // V2Header is a parsed v2 file header. CRC is the stored header checksum —
 // the dataset fingerprint checkpoints bind.
@@ -64,7 +64,7 @@ func EncodeV2Header(recordBytes uint32, fileID uint64) []byte {
 	copy(b, V2Magic)
 	binary.LittleEndian.PutUint32(b[8:], recordBytes)
 	binary.LittleEndian.PutUint64(b[12:], fileID)
-	binary.LittleEndian.PutUint32(b[20:], crc32.Checksum(b[:20], crcTable))
+	binary.LittleEndian.PutUint32(b[20:], durable.Checksum(b[:20]))
 	return b
 }
 
@@ -77,7 +77,7 @@ func ParseV2Header(b []byte) (V2Header, error) {
 		return V2Header{}, fmt.Errorf("record: bad v2 magic %q", b[:8])
 	}
 	want := binary.LittleEndian.Uint32(b[20:])
-	if got := crc32.Checksum(b[:20], crcTable); got != want {
+	if got := durable.Checksum(b[:20]); got != want {
 		return V2Header{}, fmt.Errorf("record: v2 header checksum mismatch (want %08x got %08x)", want, got)
 	}
 	h := V2Header{
@@ -122,7 +122,7 @@ func SniffHeader(path string) (hdr V2Header, ok bool, err error) {
 func EncodeV2Block(dst, payload []byte) []byte {
 	var h [V2BlockHeaderSize]byte
 	binary.LittleEndian.PutUint32(h[0:], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(h[4:], crc32.Checksum(payload, crcTable))
+	binary.LittleEndian.PutUint32(h[4:], durable.Checksum(payload))
 	dst = append(dst, h[:]...)
 	return append(dst, payload...)
 }
@@ -143,7 +143,7 @@ func V2BlockLen(hdr []byte, recordBytes uint32) (uint32, error) {
 // VerifyV2Block checks a block payload against its header checksum.
 func VerifyV2Block(hdr, payload []byte) error {
 	want := binary.LittleEndian.Uint32(hdr[4:])
-	if got := crc32.Checksum(payload, crcTable); got != want {
+	if got := durable.Checksum(payload); got != want {
 		return fmt.Errorf("record: v2 block checksum mismatch (want %08x got %08x)", want, got)
 	}
 	return nil

@@ -1,12 +1,14 @@
 // Package scrub implements the offline data-plane integrity scrubber: it
 // walks a directory of pclouds artifacts, classifies each file by its
-// leading magic bytes, and verifies every checksum the format carries —
-// record v2 block files, ooc frame streams, serialised models, and stream
-// window checkpoints. Files without an integrity format (legacy v1 record
-// files, arbitrary bytes) are reported as unverifiable rather than passed,
-// and files already quarantined by the online recovery path are skipped so
-// a scrub after an incident stays clean. The scrubber reads raw files on
-// disk; it needs no schema and never mutates anything.
+// leading magic bytes (or, for batch-checkpoint partial trees, which have
+// none, by their trailing checksum footer), and verifies every checksum the
+// format carries — record v2 block files, ooc frame streams, serialised
+// models, partial trees, and stream window checkpoints. Files without an
+// integrity format (legacy v1 record files, arbitrary bytes) are reported
+// as unverifiable rather than passed, and files already quarantined by the
+// online recovery path, or left behind by an interrupted atomic write, are
+// skipped so a scrub after an incident stays clean. The scrubber reads raw
+// files on disk; it needs no schema and never mutates anything.
 package scrub
 
 import (
@@ -21,6 +23,7 @@ import (
 	"sort"
 	"strings"
 
+	"pclouds/internal/durable"
 	"pclouds/internal/ooc"
 	"pclouds/internal/record"
 	"pclouds/internal/stream"
@@ -35,7 +38,8 @@ const (
 	StatusOK Status = "OK"
 	// StatusFail: a checksum mismatch, truncation, or malformed structure.
 	StatusFail Status = "FAIL"
-	// StatusSkip: not scrubbed (already quarantined).
+	// StatusSkip: not scrubbed (quarantined, or an interrupted write's
+	// temporary).
 	StatusSkip Status = "SKIP"
 	// StatusNote: readable but carrying no checksums to verify.
 	StatusNote Status = "NOTE"
@@ -44,7 +48,7 @@ const (
 // Result is the scrub verdict for one file.
 type Result struct {
 	Path   string
-	Kind   string // "record-v2", "ooc-frames", "model", "stream-ckpt", "json", "quarantined", "unknown"
+	Kind   string // "record-v2", "ooc-frames", "model", "partial-tree", "stream-ckpt", "json", "quarantined", "temp", "unknown"
 	Status Status
 	Detail string
 }
@@ -103,9 +107,13 @@ func Dir(root string) ([]Result, Summary, error) {
 
 // File scrubs one file: classify by magic, verify every checksum.
 func File(path string) Result {
-	if strings.HasSuffix(path, ooc.QuarantineSuffix) {
+	if durable.Quarantined(path) {
 		return Result{Path: path, Kind: "quarantined", Status: StatusSkip,
 			Detail: "already quarantined by online recovery"}
+	}
+	if !durable.Live(path) {
+		return Result{Path: path, Kind: "temp", Status: StatusSkip,
+			Detail: "temporary of an interrupted atomic write; never loaded"}
 	}
 	f, err := os.Open(path)
 	if err != nil {
@@ -132,6 +140,8 @@ func File(path string) Result {
 		return scrubCheckpoint(path)
 	case len(head) >= 4 && binary.LittleEndian.Uint32(head) == tree.ModelMagic:
 		return scrubModel(path)
+	case hasChecksumFooter(f):
+		return scrubPartialTree(path)
 	case strings.HasSuffix(path, ".json"):
 		return scrubJSON(path)
 	default:
@@ -189,6 +199,33 @@ func scrubModel(path string) Result {
 			Detail: detail + "; pre-integrity file without checksum footer (decode-checked only)"}
 	}
 	return Result{Path: path, Kind: "model", Status: StatusOK, Detail: detail + ", footer checksum verified"}
+}
+
+// hasChecksumFooter reports whether f ends in the footer tree.AppendChecksum
+// writes: the only mark a batch checkpoint's partial tree (level-NNNN/
+// tree.bin, tree.EncodePartial + footer) carries.
+func hasChecksumFooter(f *os.File) bool {
+	st, err := f.Stat()
+	if err != nil || st.Size() < 8 {
+		return false
+	}
+	tag := make([]byte, 4)
+	_, err = f.ReadAt(tag, st.Size()-8)
+	return err == nil && string(tag) == tree.FooterMagic
+}
+
+// scrubPartialTree verifies a partial tree's footer checksum. Decoding it
+// needs the build's schema, which the scrubber does not have.
+func scrubPartialTree(path string) Result {
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		return Result{Path: path, Kind: "partial-tree", Status: StatusFail, Detail: err.Error()}
+	}
+	if _, _, err := tree.StripChecksum(raw); err != nil {
+		return Result{Path: path, Kind: "partial-tree", Status: StatusFail, Detail: err.Error()}
+	}
+	return Result{Path: path, Kind: "partial-tree", Status: StatusOK,
+		Detail: fmt.Sprintf("%d bytes, footer checksum verified", len(raw))}
 }
 
 func scrubJSON(path string) Result {

@@ -9,8 +9,8 @@ import (
 
 	"pclouds/internal/costmodel"
 	"pclouds/internal/datagen"
+	"pclouds/internal/durable"
 	"pclouds/internal/ooc"
-	"pclouds/internal/record"
 	"pclouds/internal/stream"
 	"pclouds/internal/tree"
 )
@@ -62,10 +62,23 @@ func writeFixtures(t *testing.T, dir string) map[string]string {
 		t.Fatal(err)
 	}
 
+	// Batch-checkpoint partial tree (level-NNNN/tree.bin): EncodePartial +
+	// checksum footer, no leading magic; the right child is still pending.
+	partial := &tree.Tree{Schema: d.Schema, Root: &tree.Node{
+		Splitter:    &tree.Splitter{Kind: tree.NumericSplit, Attr: 0, Threshold: 30},
+		N:           400,
+		ClassCounts: []int64{300, 100},
+		Left:        &tree.Node{N: 300, ClassCounts: []int64{300, 0}},
+	}}
+	partialPath := filepath.Join(dir, "tree.bin")
+	if err := os.WriteFile(partialPath, tree.AppendChecksum(tree.EncodePartial(partial)), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
 	// Stream window checkpoint envelope (magic + body + file checksum).
 	body := append([]byte(stream.CheckpointMagic), make([]byte, 64)...)
 	ckptPath := filepath.Join(dir, "window-000003.ckpt")
-	if err := os.WriteFile(ckptPath, binary.LittleEndian.AppendUint32(body, record.Checksum(body)), 0o644); err != nil {
+	if err := os.WriteFile(ckptPath, binary.LittleEndian.AppendUint32(body, durable.Checksum(body)), 0o644); err != nil {
 		t.Fatal(err)
 	}
 
@@ -77,15 +90,16 @@ func writeFixtures(t *testing.T, dir string) map[string]string {
 	if err := os.WriteFile(filepath.Join(dir, "legacy.bin"), bytes.Repeat([]byte{0xff}, 256), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(filepath.Join(dir, "bad"+ooc.QuarantineSuffix), []byte("whatever"), 0o644); err != nil {
+	if err := os.WriteFile(durable.QuarantineName(filepath.Join(dir, "bad")), []byte("whatever"), 0o644); err != nil {
 		t.Fatal(err)
 	}
 
 	return map[string]string{
-		"record-v2":   recPath,
-		"ooc-frames":  filepath.Join(dir, "frontier"),
-		"model":       modelPath,
-		"stream-ckpt": ckptPath,
+		"record-v2":    recPath,
+		"ooc-frames":   filepath.Join(dir, "frontier"),
+		"model":        modelPath,
+		"partial-tree": partialPath,
+		"stream-ckpt":  ckptPath,
 	}
 }
 
@@ -101,7 +115,7 @@ func TestScrubCleanFixtures(t *testing.T) {
 	}
 	want := map[string]Status{
 		"record-v2": StatusOK, "ooc-frames": StatusOK, "model": StatusOK,
-		"stream-ckpt": StatusOK, "json": StatusNote, "unknown": StatusNote,
+		"partial-tree": StatusOK, "stream-ckpt": StatusOK, "json": StatusNote, "unknown": StatusNote,
 		"quarantined": StatusSkip,
 	}
 	got := map[string]Status{}
@@ -123,7 +137,8 @@ func TestScrubFindsEveryInjectedCorruption(t *testing.T) {
 	cleanDir := t.TempDir()
 	protected := writeFixtures(t, cleanDir)
 	// Offsets past each format's magic: header field, interior, last byte.
-	magicLen := map[string]int{"record-v2": 8, "ooc-frames": 4, "model": 4, "stream-ckpt": 8}
+	// A partial tree has no magic: its flips start at the head.
+	magicLen := map[string]int{"record-v2": 8, "ooc-frames": 4, "model": 4, "partial-tree": 0, "stream-ckpt": 8}
 
 	badDir := t.TempDir()
 	var wantFail int
@@ -174,5 +189,28 @@ func TestScrubFindsEveryInjectedCorruption(t *testing.T) {
 	}
 	if r := File(p); r.Status == StatusOK {
 		t.Errorf("wiped magic scrubbed as OK: %+v", r)
+	}
+}
+
+// TestScrubSkipsInterruptedWriteTemps: the temporary a crash leaves between
+// an atomic write's create and rename is never loaded (the serving
+// registry and the checkpoint listings skip it), so the scrub skips it too
+// instead of failing it as a truncated model.
+func TestScrubSkipsInterruptedWriteTemps(t *testing.T) {
+	dir := t.TempDir()
+	protected := writeFixtures(t, dir)
+	raw, err := os.ReadFile(protected["model"])
+	if err != nil {
+		t.Fatal(err)
+	}
+	tmp := filepath.Join(dir, "model-w000001.tree.tmp-1234567")
+	if err := os.WriteFile(tmp, raw[:len(raw)/2], 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if r := File(tmp); r.Status != StatusSkip || r.Kind != "temp" {
+		t.Fatalf("interrupted-write temporary scrubbed as %+v, want a temp SKIP", r)
+	}
+	if _, sum, err := Dir(dir); err != nil || sum.Fail != 0 {
+		t.Fatalf("clean directory with a stray temporary: %+v (%v)", sum, err)
 	}
 }

@@ -10,6 +10,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"pclouds/internal/durable"
 	"pclouds/internal/obs"
 	"pclouds/internal/tree"
 )
@@ -27,7 +28,7 @@ import (
 // observe a torn model; and if a foreign writer does produce a corrupt
 // file, loading fails validation and the previous version keeps serving —
 // for directory registries the corrupt file is additionally quarantined
-// (renamed aside with a ".quarantined" suffix) so the poller moves on to
+// (renamed aside by durable.Quarantine) so the poller moves on to
 // the next-best candidate instead of retrying the same broken file every
 // tick.
 //
@@ -253,8 +254,7 @@ func (r *Registry) reloadLocked() (*Model, bool, error) {
 		m, err := LoadModelFile(cand.path)
 		if err != nil {
 			if cand.path != r.path { // directory registry: quarantine, try next-best
-				q := cand.path + ".quarantined"
-				if rerr := os.Rename(cand.path, q); rerr == nil {
+				if q, rerr := durable.Quarantine(cand.path); rerr == nil {
 					r.quarantined.Add(1)
 					r.logf("serve: registry: quarantined %s (moved to %s): %v", cand.path, q, err)
 					continue
@@ -325,8 +325,9 @@ type candidate struct {
 
 // scanModels picks the best model candidate under path: the path itself if
 // it is a file, otherwise the regular file in the directory with the
-// newest mtime (name descending as tiebreak). Dotfiles, tree.SaveFile
-// temporaries and quarantined files are skipped.
+// newest mtime (name descending as tiebreak). Dotfiles and files that are
+// not durable.Live (interrupted-write temporaries, quarantined files) are
+// skipped.
 func scanModels(path string) (candidate, error) {
 	st, err := os.Stat(path)
 	if err != nil {
@@ -343,8 +344,7 @@ func scanModels(path string) (candidate, error) {
 	found := false
 	for _, e := range entries {
 		name := e.Name()
-		if !e.Type().IsRegular() || strings.HasPrefix(name, ".") || strings.Contains(name, ".tmp-") ||
-			strings.HasSuffix(name, ".quarantined") {
+		if !e.Type().IsRegular() || strings.HasPrefix(name, ".") || !durable.Live(name) {
 			continue
 		}
 		info, err := e.Info()

@@ -8,9 +8,9 @@ import (
 	"math"
 	"os"
 	"path/filepath"
-	"sort"
 
 	"pclouds/internal/comm"
+	"pclouds/internal/durable"
 	"pclouds/internal/record"
 	"pclouds/internal/tree"
 )
@@ -25,10 +25,10 @@ import (
 // The state is identical on every rank (that is the engine's core
 // invariant), but each rank writes its own copy so recovery never depends
 // on a shared file being written by the rank that died. On (re)start the
-// ranks agree collectively on the newest window every rank still has
-// (all-reduce min over each rank's newest loadable checkpoint, the same
-// newest-common agreement as the batch layer's level checkpoints) and all
-// load that window; a minimum of zero means a collective fresh start.
+// ranks agree collectively on the newest window every rank still holds and
+// can load (durable.Resume, the same agreement as the batch layer's level
+// checkpoints, so a hole on one rank is routed around) and all load that
+// window; no common window means a collective fresh start.
 // Because the commit protocol keeps ranks within one window of each other,
 // keeping keepWindows >= 2 checkpoints guarantees the agreed window is
 // still on every disk.
@@ -116,6 +116,13 @@ func ckptPath(dir string, rank, window int) string {
 	return filepath.Join(rankDir(dir, rank), fmt.Sprintf("window-%06d.ck", window))
 }
 
+// listWindows lists, ascending, the windows this rank holds a checkpoint
+// file for. An unreadable directory holds nothing to resume from.
+func listWindows(dir string, rank int) []int {
+	windows, _ := durable.Epochs(rankDir(dir, rank), "window-%d.ck")
+	return windows
+}
+
 func encodeCkpt(fp, srcCRC uint32, st *ckptState) []byte {
 	var treeBytes []byte
 	if st.tree != nil {
@@ -148,7 +155,7 @@ func encodeCkpt(fp, srcCRC uint32, st *ckptState) []byte {
 	out = binary.LittleEndian.AppendUint32(out, uint32(st.lastPubWin))
 	out = binary.LittleEndian.AppendUint32(out, uint32(len(lastPubBytes)))
 	out = append(out, lastPubBytes...)
-	return binary.LittleEndian.AppendUint32(out, record.Checksum(out))
+	return binary.LittleEndian.AppendUint32(out, durable.Checksum(out))
 }
 
 // VerifyCheckpointBytes checks a window checkpoint's envelope — magic and
@@ -160,7 +167,7 @@ func VerifyCheckpointBytes(raw []byte) error {
 		return fmt.Errorf("stream: not a window checkpoint")
 	}
 	body, foot := raw[:len(raw)-4], binary.LittleEndian.Uint32(raw[len(raw)-4:])
-	if got := record.Checksum(body); got != foot {
+	if got := durable.Checksum(body); got != foot {
 		return fmt.Errorf("stream: checkpoint checksum mismatch (want %08x got %08x)", foot, got)
 	}
 	return nil
@@ -243,151 +250,71 @@ func decodeCkpt(schema *record.Schema, fp, srcCRC uint32, src []byte) (*ckptStat
 	return st, nil
 }
 
-// writeCkpt persists st atomically (temp + fsync + rename, the
-// tree.SaveFile discipline) into this rank's checkpoint directory and
-// prunes checkpoints older than the keep horizon.
+// writeCkpt persists st atomically (durable.WriteFile) into this rank's
+// checkpoint directory and prunes checkpoints older than the keep horizon.
 func writeCkpt(dir string, rank int, fp, srcCRC uint32, st *ckptState) error {
-	rd := rankDir(dir, rank)
-	if err := os.MkdirAll(rd, 0o755); err != nil {
+	if err := os.MkdirAll(rankDir(dir, rank), 0o755); err != nil {
 		return err
 	}
-	final := ckptPath(dir, rank, st.window)
-	tmp, err := os.CreateTemp(rd, ".tmp-window-")
-	if err != nil {
+	if err := durable.WriteFile(ckptPath(dir, rank, st.window), encodeCkpt(fp, srcCRC, st)); err != nil {
 		return err
 	}
-	defer os.Remove(tmp.Name())
-	if _, err := tmp.Write(encodeCkpt(fp, srcCRC, st)); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		return err
-	}
-	if err := os.Rename(tmp.Name(), final); err != nil {
-		return err
-	}
-	pruneCkpts(rd, st.window)
+	pruneCkpts(dir, rank, st.window)
 	return nil
 }
 
 // pruneCkpts removes this rank's checkpoints older than the keep horizon.
 // Best-effort: pruning failures leave garbage, never break correctness.
-func pruneCkpts(rd string, newest int) {
-	entries, err := os.ReadDir(rd)
-	if err != nil {
-		return
-	}
-	for _, e := range entries {
-		var w int
-		if _, err := fmt.Sscanf(e.Name(), "window-%d.ck", &w); err != nil {
-			continue
-		}
+func pruneCkpts(dir string, rank, newest int) {
+	for _, w := range listWindows(dir, rank) {
 		if w <= newest-keepWindows {
-			os.Remove(filepath.Join(rd, e.Name()))
+			os.Remove(ckptPath(dir, rank, w))
 		}
 	}
 }
 
-// newestCkpt scans this rank's checkpoint directory and returns the newest
-// loadable state (nil when there is none). Unreadable, checksum-failing or
-// fingerprint-mismatched files are skipped, so one corrupt checkpoint
-// degrades to the previous window instead of wedging recovery — with one
-// exception: a checkpoint bound to a *different dataset* surfaces as an
-// ErrSourceMismatch error instead of being skipped, because every older
-// window would carry the same binding and a silent fresh start would mask a
-// swapped input file.
-func newestCkpt(dir string, rank int, schema *record.Schema, fp, srcCRC uint32) (*ckptState, error) {
-	rd := rankDir(dir, rank)
-	entries, err := os.ReadDir(rd)
-	if err != nil {
-		return nil, nil
-	}
-	var windows []int
-	for _, e := range entries {
-		var w int
-		if _, err := fmt.Sscanf(e.Name(), "window-%d.ck", &w); err == nil {
-			windows = append(windows, w)
-		}
-	}
-	sort.Sort(sort.Reverse(sort.IntSlice(windows)))
-	for _, w := range windows {
-		raw, err := os.ReadFile(ckptPath(dir, rank, w))
+// agreeResume runs durable.Resume over this rank's retained windows that
+// load under the current configuration (a corrupt checkpoint degrades to an
+// older window) and returns the agreed window's state. A window bound to a
+// different dataset ends the resume with ErrSourceMismatch: every older
+// window carries the same binding, and a fresh start would mask a swapped
+// input file. With no common window every rank wipes its own checkpoints,
+// so stale state cannot resurface after the replayed stream diverges.
+func agreeResume(cfg *Config, c comm.Communicator) (*ckptState, error) {
+	fp := cfg.fingerprint()
+	states := map[int]*ckptState{}
+	swapped := map[int]error{}
+	var have []int
+	for _, w := range listWindows(cfg.CheckpointDir, c.Rank()) {
+		raw, err := os.ReadFile(ckptPath(cfg.CheckpointDir, c.Rank(), w))
 		if err != nil {
 			continue
 		}
-		st, err := decodeCkpt(schema, fp, srcCRC, raw)
-		if errors.Is(err, ErrSourceMismatch) {
-			return nil, err
-		}
-		if err != nil || st.window != w {
+		st, err := decodeCkpt(cfg.Schema, fp, cfg.SourceChecksum, raw)
+		switch {
+		case errors.Is(err, ErrSourceMismatch):
+			swapped[w] = err
+		case err != nil || st.window != w:
 			continue
+		default:
+			states[w] = st
 		}
-		return st, nil
+		have = append(have, w)
 	}
-	return nil, nil
-}
-
-// loadCkpt loads this rank's checkpoint for one specific window.
-func loadCkpt(dir string, rank, window int, schema *record.Schema, fp, srcCRC uint32) (*ckptState, error) {
-	raw, err := os.ReadFile(ckptPath(dir, rank, window))
-	if err != nil {
-		return nil, err
-	}
-	st, err := decodeCkpt(schema, fp, srcCRC, raw)
-	if err != nil {
-		return nil, err
-	}
-	if st.window != window {
-		return nil, fmt.Errorf("stream: checkpoint window %d in file for window %d", st.window, window)
-	}
-	return st, nil
-}
-
-// agreeResume runs the collective resume agreement: every rank reports its
-// newest loadable checkpoint window, the group all-reduces the minimum, and
-// every rank loads exactly that window. A minimum of zero (some rank has
-// nothing) is a collective fresh start: every rank wipes its own
-// checkpoints so stale state can never resurface after the replayed stream
-// diverges from it.
-func agreeResume(cfg *Config, c comm.Communicator) (*ckptState, error) {
-	fp := cfg.fingerprint()
-	newest := 0
-	local, err := newestCkpt(cfg.CheckpointDir, c.Rank(), cfg.Schema, fp, cfg.SourceChecksum)
-	if err != nil {
-		return nil, err
-	}
-	if local != nil {
-		newest = local.window
-	}
-	agreed, err := comm.AllReduceInt64(c, []int64{int64(newest)}, minI64)
-	if err != nil {
-		return nil, err
-	}
-	w := int(agreed[0])
-	if w <= 0 {
+	w, err := durable.Resume(c, have, func(w int) error {
+		if err := swapped[w]; err != nil {
+			return durable.Fatal(err)
+		}
+		return nil
+	})
+	if errors.Is(err, durable.ErrNoEpoch) {
 		if err := os.RemoveAll(rankDir(cfg.CheckpointDir, c.Rank())); err != nil {
 			return nil, fmt.Errorf("stream: clearing stale checkpoints: %w", err)
 		}
 		return nil, nil
 	}
-	if local != nil && local.window == w {
-		return local, nil
-	}
-	st, err := loadCkpt(cfg.CheckpointDir, c.Rank(), w, cfg.Schema, fp, cfg.SourceChecksum)
 	if err != nil {
-		return nil, fmt.Errorf("stream: rank %d cannot load agreed window %d: %w", c.Rank(), w, err)
+		return nil, err
 	}
-	return st, nil
-}
-
-func minI64(a, b int64) int64 {
-	if a < b {
-		return a
-	}
-	return b
+	return states[w], nil
 }

@@ -9,6 +9,8 @@ import (
 	"testing"
 	"time"
 
+	"pclouds/internal/comm"
+	"pclouds/internal/costmodel"
 	"pclouds/internal/datagen"
 	"pclouds/internal/record"
 )
@@ -146,25 +148,31 @@ func TestCheckpointSourceBinding(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	schema := g.Schema()
-	dir := t.TempDir()
-	const fp = 0x1111
+	cfg := Config{Schema: g.Schema(), CheckpointDir: t.TempDir()}
 	st := &ckptState{window: 3, nextIdx: 999}
-	if err := writeCkpt(dir, 0, fp, 0xAAAA0001, st); err != nil {
+	if err := writeCkpt(cfg.CheckpointDir, 0, cfg.fingerprint(), 0xAAAA0001, st); err != nil {
 		t.Fatal(err)
 	}
 
-	got, err := newestCkpt(dir, 0, schema, fp, 0xAAAA0001)
+	cfg.SourceChecksum = 0xAAAA0001
+	got, err := resumeAlone(cfg)
 	if err != nil || got == nil || got.window != 3 {
 		t.Fatalf("matching fingerprint: st=%+v err=%v", got, err)
 	}
-	got, err = newestCkpt(dir, 0, schema, fp, 0) // unbound run accepts
+	cfg.SourceChecksum = 0 // unbound run accepts
+	got, err = resumeAlone(cfg)
 	if err != nil || got == nil {
 		t.Fatalf("unbound resume: st=%+v err=%v", got, err)
 	}
-	if _, err = newestCkpt(dir, 0, schema, fp, 0xBBBB0002); !errors.Is(err, ErrSourceMismatch) {
+	cfg.SourceChecksum = 0xBBBB0002
+	if _, err = resumeAlone(cfg); !errors.Is(err, ErrSourceMismatch) {
 		t.Fatalf("swapped dataset: want ErrSourceMismatch, got %v", err)
 	}
+}
+
+// resumeAlone runs the resume agreement on a one-rank group.
+func resumeAlone(cfg Config) (*ckptState, error) {
+	return agreeResume(&cfg, comm.NewGroup(1, costmodel.Zero())[0])
 }
 
 // TestCheckpointEveryBitFlipDetected: the whole-file checksum rejects any
@@ -186,14 +194,15 @@ func TestCheckpointEveryBitFlipDetected(t *testing.T) {
 		}
 	}
 
-	dir := t.TempDir()
-	if err := writeCkpt(dir, 1, fp, src, &ckptState{window: 1, nextIdx: 50}); err != nil {
+	cfg := Config{Schema: schema, CheckpointDir: t.TempDir(), SourceChecksum: src}
+	dir, cfp := cfg.CheckpointDir, cfg.fingerprint()
+	if err := writeCkpt(dir, 0, cfp, src, &ckptState{window: 1, nextIdx: 50}); err != nil {
 		t.Fatal(err)
 	}
-	if err := writeCkpt(dir, 1, fp, src, &ckptState{window: 2, nextIdx: 123}); err != nil {
+	if err := writeCkpt(dir, 0, cfp, src, &ckptState{window: 2, nextIdx: 123}); err != nil {
 		t.Fatal(err)
 	}
-	p := ckptPath(dir, 1, 2)
+	p := ckptPath(dir, 0, 2)
 	raw, err := os.ReadFile(p)
 	if err != nil {
 		t.Fatal(err)
@@ -202,7 +211,7 @@ func TestCheckpointEveryBitFlipDetected(t *testing.T) {
 	if err := os.WriteFile(p, raw, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	got, err := newestCkpt(dir, 1, schema, fp, src)
+	got, err := resumeAlone(cfg)
 	if err != nil || got == nil {
 		t.Fatalf("st=%+v err=%v", got, err)
 	}

@@ -10,9 +10,10 @@
 //
 // The window state machine, per rank:
 //
-//	resume    collective agreement on the newest window checkpoint every
-//	          rank still has (all-reduce min); replay the source to the
-//	          agreed high-water mark, or fresh-start from record 0.
+//	resume    collective agreement (durable.Resume) on the newest window
+//	          checkpoint every rank still holds and can load; replay the
+//	          source to the agreed high-water mark, or fresh-start from
+//	          record 0.
 //	ingest    scan the global stream; own records with index % p == rank;
 //	          accumulate owned records into per-frontier-leaf sketches and
 //	          a 1-in-SampleEvery reservoir sample.
@@ -22,7 +23,7 @@
 //	          or grow: merge all frontier sketches in one all-reduce
 //	          (histogram.MergeCount) and apply the same split decisions
 //	          everywhere.
-//	commit    validate the model and all-reduce an ok flag (min): all
+//	commit    validate the model and all-reduce the ok votes (sum): all
 //	          ranks agree window N is good before model N publishes.
 //	publish   rank 0 writes the model atomically (tree.SaveFile) into
 //	          PublishDir; every rank checkpoints its replicated state.

@@ -234,6 +234,80 @@ func TestResumeContinuesSequence(t *testing.T) {
 	}
 }
 
+// TestResumeAcrossCheckpointHole: ranks missing different windows (a
+// degraded-mode write failure on each) must agree on the newest window
+// every rank holds, not fail on one rank and leave the other blocked in the
+// next collective, and the resumed run must still publish the
+// uninterrupted run's sequence byte for byte.
+func TestResumeAcrossCheckpointHole(t *testing.T) {
+	const p, total = 2, 6
+
+	refDir := t.TempDir()
+	ref := testConfig(t)
+	ref.PublishDir = refDir
+	ref.MaxWindows = total
+	runRanks(t, p, ref, synthetic(t, 0))
+	want := publishedModels(t, refDir)
+
+	dir, ckpt := t.TempDir(), t.TempDir()
+	cfg := testConfig(t)
+	cfg.PublishDir, cfg.CheckpointDir = dir, ckpt
+	cfg.MaxWindows = 4
+	runRanks(t, p, cfg, synthetic(t, 0))
+	for _, hole := range []struct{ rank, window int }{{0, 3}, {1, 4}} {
+		if err := os.Remove(ckptPath(ckpt, hole.rank, hole.window)); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	cfg.MaxWindows = total
+	done := make(chan []*Result, 1)
+	errc := make(chan error, 1)
+	go func() {
+		results := make([]*Result, p)
+		err := comm.Run(p, costmodel.Zero(), func(c *comm.ChannelComm) error {
+			src := synthetic(t, 0)(c.Rank())
+			if src == nil {
+				return fmt.Errorf("rank %d: no source", c.Rank())
+			}
+			defer src.Close()
+			res, err := Run(cfg, c, src)
+			if err != nil {
+				return fmt.Errorf("rank %d: %w", c.Rank(), err)
+			}
+			results[c.Rank()] = res
+			return nil
+		})
+		if err != nil {
+			errc <- err
+			return
+		}
+		done <- results
+	}()
+	var res []*Result
+	select {
+	case res = <-done:
+	case err := <-errc:
+		t.Fatalf("resume across the hole failed: %v", err)
+	case <-time.After(15 * time.Second):
+		t.Fatal("resume across the hole hung")
+	}
+	for r, rr := range res {
+		if rr.Stats.ResumedAt != 2 {
+			t.Fatalf("rank %d resumed at window %d, want the newest common window 2", r, rr.Stats.ResumedAt)
+		}
+	}
+	got := publishedModels(t, dir)
+	if fmt.Sprint(sortedNames(got)) != fmt.Sprint(sortedNames(want)) {
+		t.Fatalf("published names differ: got %v, want %v", sortedNames(got), sortedNames(want))
+	}
+	for name, blob := range want {
+		if !bytes.Equal(got[name], blob) {
+			t.Errorf("model %s differs from uninterrupted run", name)
+		}
+	}
+}
+
 // TestConfigFingerprintRefusesResume: a checkpoint written under one window
 // configuration must not be resumable under another.
 func TestConfigFingerprintRefusesResume(t *testing.T) {

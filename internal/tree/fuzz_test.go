@@ -46,6 +46,38 @@ func FuzzModelRead(f *testing.F) {
 	})
 }
 
+// FuzzDecodePartial: the batch-checkpoint partial-tree reader (footer check,
+// then partial decode) must never panic, and accepted bytes must re-encode
+// identically, footer included when there was one.
+func FuzzDecodePartial(f *testing.F) {
+	s := testSchemaForFuzz()
+	partial := EncodePartial(&Tree{Schema: s, Root: &Node{
+		Splitter:    &Splitter{Kind: NumericSplit, Attr: 0, Threshold: 1.5},
+		ClassCounts: []int64{3, 4}, N: 7,
+		Left: &Node{ClassCounts: []int64{3, 0}, N: 3},
+	}})
+	f.Add(AppendChecksum(partial))
+	f.Add(partial)
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		payload, hadFooter, err := StripChecksum(data)
+		if err != nil {
+			return
+		}
+		tr, err := DecodePartial(s, payload)
+		if err != nil {
+			return
+		}
+		re := EncodePartial(tr)
+		if hadFooter {
+			re = AppendChecksum(re)
+		}
+		if !bytes.Equal(re, data) {
+			t.Fatalf("accepted partial tree does not round-trip")
+		}
+	})
+}
+
 func testSchemaForFuzz() *record.Schema {
 	return record.MustSchema([]record.Attribute{
 		{Name: "x", Kind: record.Numeric},

@@ -1,14 +1,14 @@
 package tree
 
 import (
+	"bytes"
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"os"
-	"path/filepath"
 
+	"pclouds/internal/durable"
 	"pclouds/internal/record"
 )
 
@@ -33,14 +33,16 @@ const ModelMagic = modelMagic
 // footerMagic tags the 8-byte checksum footer.
 const footerMagic = "pCMF"
 
-var modelCRCTable = crc32.MakeTable(crc32.Castagnoli)
+// FooterMagic is footerMagic for scrubbers: the 4 bytes that open the
+// footer AppendChecksum ends a model or partial-tree file with.
+const FooterMagic = footerMagic
 
 // AppendChecksum appends the integrity footer ("pCMF" + CRC-32C of body)
 // to body and returns it. Paired with StripChecksum.
 func AppendChecksum(body []byte) []byte {
 	var f [8]byte
 	copy(f[:], footerMagic)
-	binary.LittleEndian.PutUint32(f[4:], crc32.Checksum(body, modelCRCTable))
+	binary.LittleEndian.PutUint32(f[4:], durable.Checksum(body))
 	return append(body, f[:]...)
 }
 
@@ -54,7 +56,7 @@ func StripChecksum(body []byte) (payload []byte, hadFooter bool, err error) {
 	}
 	payload = body[:len(body)-8]
 	want := binary.LittleEndian.Uint32(body[len(body)-4:])
-	if got := crc32.Checksum(payload, modelCRCTable); got != want {
+	if got := durable.Checksum(payload); got != want {
 		return nil, true, fmt.Errorf("tree: model checksum mismatch (want %08x got %08x)", want, got)
 	}
 	return payload, true, nil
@@ -149,39 +151,15 @@ func Read(r io.Reader) (*Tree, error) {
 	return Decode(schema, body[8+hdrLen:])
 }
 
-// SaveFile writes the model to path atomically: the bytes go to a
-// temporary file in the destination directory, are fsynced, and only then
-// renamed over path. A concurrent reader (e.g. the serving registry's
-// hot-reload poller) therefore sees either the old complete model or the
-// new complete model, never a torn file; a failed write leaves path
-// untouched and removes the temporary.
+// SaveFile writes the model to path atomically (durable.WriteFile): a
+// concurrent reader such as the serving registry's hot-reload poller sees
+// either the old complete model or the new one, never a torn file.
 func SaveFile(t *Tree, path string) error {
-	dir := filepath.Dir(path)
-	f, err := os.CreateTemp(dir, filepath.Base(path)+".tmp-*")
-	if err != nil {
+	var buf bytes.Buffer
+	if err := Write(&buf, t); err != nil {
 		return err
 	}
-	tmp := f.Name()
-	fail := func(err error) error {
-		f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if err := Write(f, t); err != nil {
-		return fail(err)
-	}
-	if err := f.Sync(); err != nil {
-		return fail(err)
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	return nil
+	return durable.WriteFile(path, buf.Bytes())
 }
 
 // LoadFile reads a model written by SaveFile.

@@ -18,9 +18,10 @@ import (
 	"bufio"
 	"encoding/binary"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"math"
+
+	"pclouds/internal/durable"
 )
 
 // Magic is the frame marker.
@@ -32,10 +33,6 @@ const MaxFrame = 1 << 30
 
 // headerSize is the fixed frame header length in bytes.
 const headerSize = 4 + 4 + 8 + 8 + 4
-
-// crcTable is the Castagnoli polynomial table (hardware-accelerated on
-// amd64/arm64).
-var crcTable = crc32.MakeTable(crc32.Castagnoli)
 
 // Frame is one decoded message.
 type Frame struct {
@@ -51,7 +48,7 @@ func Write(w io.Writer, f Frame) error {
 	binary.LittleEndian.PutUint32(hdr[4:], uint32(f.Tag))
 	binary.LittleEndian.PutUint64(hdr[8:], math.Float64bits(f.SentAt))
 	binary.LittleEndian.PutUint64(hdr[16:], uint64(len(f.Payload)))
-	binary.LittleEndian.PutUint32(hdr[24:], crc32.Checksum(f.Payload, crcTable))
+	binary.LittleEndian.PutUint32(hdr[24:], durable.Checksum(f.Payload))
 	if _, err := w.Write(hdr[:]); err != nil {
 		return fmt.Errorf("wire: writing header: %w", err)
 	}
@@ -87,7 +84,7 @@ func Read(r io.Reader) (Frame, error) {
 		}
 	}
 	want := binary.LittleEndian.Uint32(hdr[24:])
-	if got := crc32.Checksum(f.Payload, crcTable); got != want {
+	if got := durable.Checksum(f.Payload); got != want {
 		return Frame{}, fmt.Errorf("wire: payload checksum mismatch (got %#x, want %#x): frame corrupt", got, want)
 	}
 	return f, nil
