@@ -1,19 +1,15 @@
 GO ?= go
 
-.PHONY: all check build vet vet-concurrency test race chaos chaos-quick fuzz bench bench-quick bench-trajectory experiments examples cover scrub clean
-
-# BENCH_INDEX numbers the trajectory snapshot bench-trajectory writes;
-# "auto" picks one past the newest BENCH_<n>.json, tracking the
-# stacked-PR sequence without manual bumps.
-BENCH_INDEX ?= auto
+.PHONY: all check build vet vet-concurrency test race chaos chaos-quick fuzz experiments examples cover scrub outputs clean
 
 all: build vet test
 
-# check is the full pre-commit gate: compile, vet, tests, the
+# check is the full pre-commit gate: compile, vet, tests (among them the
+# exact cost-model counters of TestCostModelCounters and a quick pass of
+# every benchmark workload with its correctness gates), the
 # concurrency-heavy packages (the async I/O pipeline, transports and the
-# SPMD driver) under the race detector, the quick self-healing subset, and
-# a benchmark smoke run that validates the trajectory schema.
-check: build vet test race chaos-quick bench-quick
+# SPMD driver) under the race detector, and the quick self-healing subset.
+check: build vet test race chaos-quick
 
 build:
 	$(GO) build ./...
@@ -69,7 +65,8 @@ chaos-quick: vet
 # (malformed JSON/binary rows must get a 4xx, never a panic), the v2
 # record-block decoder (corrupt blocks must fail their CRC, never decode
 # silently), the wire frame reader, the ooc frame-stream verifier, the
-# stream window checkpoint and batch partial-tree checkpoint decoders,
+# stream window checkpoint and batch partial-tree and level-manifest
+# checkpoint decoders,
 # and the level-batched point-bucket, alive-descriptor and candidate-vector
 # decoders of the parallel build (garbage must error, accepted bytes must
 # re-encode identically).
@@ -81,29 +78,6 @@ fuzz:
 			$(GO) test -run='^$$' -fuzz="^$$target\$$" -fuzztime=10s ./$$(dirname $$file); \
 		done; \
 	done
-
-# -run='^$' keeps the benchmark pass from re-running the unit-test suite.
-bench:
-	$(GO) test -run='^$$' -bench=. -benchmem ./...
-
-# bench-quick is the smoke half of the trajectory workflow: a short
-# fixed-seed benchrun into a scratch directory, schema-validated and thrown
-# away — it proves the benchmarks and the BENCH_<n>.json format work without
-# touching the repo's trajectory or gating on performance. Quick mode
-# includes one hist-protocol build (split/hist/p4), so make check always
-# exercises the quantized split path end to end.
-bench-quick:
-	@dir=$$(mktemp -d) && \
-	$(GO) run ./cmd/benchrun -quick -out $$dir && \
-	$(GO) run ./cmd/benchrun -validate $$dir/BENCH_1.json && \
-	rm -rf $$dir
-
-# bench-trajectory is the full run: write BENCH_$(BENCH_INDEX).json at the
-# repo root and fail if a gated metric regressed against the previous
-# snapshot.
-bench-trajectory:
-	$(GO) run ./cmd/benchrun -out . -index $(BENCH_INDEX)
-	$(GO) run ./cmd/benchdiff -dir .
 
 # Offline integrity scrub: verify every checksum in the artifact
 # directories named by SCRUB_PATHS (out-of-core stores, checkpoint trees,
@@ -128,8 +102,7 @@ examples:
 # The capture files referenced by EXPERIMENTS.md.
 outputs:
 	$(GO) test ./... 2>&1 | tee test_output.txt
-	$(GO) test -bench=. -benchmem ./... 2>&1 | tee bench_output.txt
 
 clean:
 	$(GO) clean ./...
-	rm -f test_output.txt bench_output.txt
+	rm -f test_output.txt

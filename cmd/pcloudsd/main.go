@@ -200,12 +200,7 @@ func childArgs(rank int, gen uint32) []string {
 			args = append(args, "-"+f.Name+"="+f.Value.String())
 		}
 	})
-	return append(args,
-		fmt.Sprintf("-rank=%d", rank),
-		fmt.Sprintf("-generation=%d", gen),
-		fmt.Sprintf("-max-restarts=%d", *maxRestart),
-		fmt.Sprintf("-restart-backoff=%s", *backoff),
-	)
+	return append(args, fmt.Sprintf("-rank=%d", rank), fmt.Sprintf("-generation=%d", gen))
 }
 
 // rankPath makes path rank-private: "trace.json" -> "trace.rank2.json".

@@ -190,12 +190,7 @@ func childArgs(rank int, gen uint32) []string {
 			args = append(args, "-"+f.Name+"="+f.Value.String())
 		}
 	})
-	return append(args,
-		fmt.Sprintf("-rank=%d", rank),
-		fmt.Sprintf("-generation=%d", gen),
-		fmt.Sprintf("-max-restarts=%d", *maxRestart),
-		fmt.Sprintf("-restart-backoff=%s", *backoff),
-	)
+	return append(args, fmt.Sprintf("-rank=%d", rank), fmt.Sprintf("-generation=%d", gen))
 }
 
 // openSource opens a fresh source. The engine replays from record 0 after

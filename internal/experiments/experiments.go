@@ -49,10 +49,6 @@ type Harness struct {
 	// write-behind). It changes wall time only: simulated costs and page
 	// counts are identical either way, so experiment shape is unaffected.
 	Pipeline ooc.Pipeline
-	// Integrity frames every store page with a verified CRC-32C checksum
-	// (the production -integrity data plane). Trees are identical either
-	// way; the wall-time delta is the checksum overhead benchmarks track.
-	Integrity bool
 }
 
 // DefaultHarness returns the paper's configuration scaled for one host.
@@ -105,7 +101,6 @@ type RunResult struct {
 	// TotalSplitComm is the subset of TotalComm spent deriving splitting
 	// points — the traffic the hist and vote protocols exist to shrink.
 	TotalSplitComm comm.Stats
-	TotalIO        ooc.IOStats
 }
 
 // Run executes pCLOUDS on p simulated ranks over data (round-robin
@@ -117,9 +112,6 @@ func (h Harness) Run(data *record.Dataset, sample []record.Record, p int) (*RunR
 	for r := 0; r < p; r++ {
 		stores[r] = ooc.NewMemStore(data.Schema, h.Params, comms[r].Clock())
 		stores[r].SetPipeline(h.Pipeline)
-		if h.Integrity {
-			stores[r].EnableIntegrity(ooc.IntegrityOptions{})
-		}
 		w, err := stores[r].CreateWriter("root")
 		if err != nil {
 			return nil, err
@@ -142,9 +134,8 @@ func (h Harness) Run(data *record.Dataset, sample []record.Record, p int) (*RunR
 	}
 
 	cfg := pclouds.Config{
-		Clouds:    h.cloudsConfig(),
-		Boundary:  h.Boundary,
-		Integrity: h.Integrity,
+		Clouds:   h.cloudsConfig(),
+		Boundary: h.Boundary,
 		// One record touch per attribute per pass, charged live.
 		CPUPerRecord: h.Params.CPURecord * float64(1+data.Schema.NumNumeric()+data.Schema.NumCategorical()),
 	}
@@ -186,16 +177,8 @@ func (h Harness) Run(data *record.Dataset, sample []record.Record, p int) (*RunR
 		}
 		res.TotalComm.Add(stats[r].Comm)
 		res.TotalSplitComm.Add(stats[r].SplitComm)
-		res.TotalIO.Add(stats[r].IO)
 	}
 	return res, nil
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // writeHeader prints an experiment banner.

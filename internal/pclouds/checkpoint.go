@@ -4,8 +4,10 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
+	"strings"
 
 	"pclouds/internal/clouds"
 	"pclouds/internal/comm"
@@ -104,6 +106,51 @@ type ckptManifest struct {
 	DataCRC uint32     `json:"data_crc,omitempty"`
 	Pending []ckptTask `json:"pending"`
 	Small   []ckptTask `json:"small"`
+}
+
+// decodeManifest parses one rank's level manifest and checks what restoring
+// its tasks relies on: a task ID is the root marker 'n' followed by one 'L'
+// or 'R' per level, a task's class counts have one non-negative entry per
+// class and sum to its size n, and its local share lies in [0, n]. A
+// manifest that fails is a per-level failure, so one flipped byte in one
+// rank's file steps the resume down a level instead of restoring that
+// rank's task under the other child.
+func decodeManifest(data []byte, numClasses int) (ckptManifest, error) {
+	var m ckptManifest
+	if err := json.Unmarshal(data, &m); err != nil {
+		return m, fmt.Errorf("corrupt manifest: %w", err)
+	}
+	for _, tasks := range [][]ckptTask{m.Pending, m.Small} {
+		for _, ct := range tasks {
+			if err := ct.check(numClasses); err != nil {
+				return m, fmt.Errorf("corrupt manifest: task %q: %w", ct.ID, err)
+			}
+		}
+	}
+	return m, nil
+}
+
+func (ct ckptTask) check(numClasses int) error {
+	if len(ct.ID) < 2 || ct.ID[0] != 'n' || strings.Trim(ct.ID[1:], "LR") != "" {
+		return errors.New("malformed id")
+	}
+	if len(ct.ClassCounts) != numClasses {
+		return fmt.Errorf("%d class counts, want %d", len(ct.ClassCounts), numClasses)
+	}
+	var sum int64
+	for _, k := range ct.ClassCounts {
+		if k < 0 || k > math.MaxInt64-sum {
+			return fmt.Errorf("class count %d out of range", k)
+		}
+		sum += k
+	}
+	if sum != ct.N {
+		return fmt.Errorf("class counts sum to %d, n is %d", sum, ct.N)
+	}
+	if ct.LocalCount < 0 || ct.LocalCount > ct.N {
+		return fmt.Errorf("local count %d outside [0, %d]", ct.LocalCount, ct.N)
+	}
+	return nil
 }
 
 func levelDir(dir string, level int) string {
@@ -387,8 +434,8 @@ func restoreLevel(cfg Config, c comm.Communicator, b *pbuilder, rootSample []rec
 	data, err := os.ReadFile(manifestPath(dir, lvl, c.Rank()))
 	if err != nil {
 		localErr = fmt.Errorf("pclouds: resume: %w", err)
-	} else if err := json.Unmarshal(data, &m); err != nil {
-		localErr = fmt.Errorf("pclouds: resume: corrupt manifest: %w", err)
+	} else if m, err = decodeManifest(data, b.schema.NumClasses); err != nil {
+		localErr = fmt.Errorf("pclouds: resume: %w", err)
 	}
 	if localErr == nil {
 		// Configuration mismatches are symmetric — every rank's manifest was
@@ -517,10 +564,7 @@ func restoreTask(b *pbuilder, root *tree.Node, rootSample []record.Record, ct ck
 		return nil, fmt.Errorf("pclouds: resume: task %s: store %q holds %d records, manifest says %d",
 			ct.ID, ct.File, n, ct.LocalCount)
 	}
-	if len(ct.ID) < 2 || ct.ID[0] != 'n' {
-		return nil, fmt.Errorf("pclouds: resume: malformed task id %q", ct.ID)
-	}
-	path := ct.ID[1:] // 'L'/'R' steps from the root
+	path := ct.ID[1:] // 'L'/'R' steps from the root (decodeManifest checked)
 
 	// Re-derive the sample: the uninterrupted build partitioned the shared
 	// root sample once per split along this path; replaying those exact

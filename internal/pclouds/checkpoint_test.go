@@ -1,6 +1,7 @@
 package pclouds
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -205,6 +206,71 @@ func TestResumePicksNewestCommonLevel(t *testing.T) {
 		}
 		if !tree.Equal(ref, trees[r]) {
 			t.Fatalf("rank %d's fallback-resumed tree differs from the uninterrupted build", r)
+		}
+	}
+}
+
+// TestResumeRejectsFlippedTaskID: one flipped letter in a task ID of rank
+// 1's newest manifest ('L' to 'M') would restore that task under the right
+// child on rank 1 alone while its peers restore it under the left. The
+// manifest decoder rejects the level instead, so the resume steps down to
+// the previous one and still builds the reference tree.
+func TestResumeRejectsFlippedTaskID(t *testing.T) {
+	const p = 4
+	data := makeData(t, 4000, 2, 42)
+	cfg := testConfig(clouds.SSE)
+	sample := cfg.Clouds.SampleFor(data)
+	ref, _ := buildParallel(t, cfg, data, sample, p)
+
+	cfg.CheckpointDir = t.TempDir()
+	cfg.StopAfterLevel = 2
+	comms := comm.NewGroup(p, costmodel.Zero())
+	stores := distribute(t, data, p, costmodel.Zero(), comms)
+	_, _, errs := buildWithStores(cfg, comms, stores, sample)
+	for r, err := range errs {
+		if !errors.Is(err, ErrStopped) {
+			t.Fatalf("rank %d: %v", r, err)
+		}
+	}
+	path := manifestPath(cfg.CheckpointDir, 2, 1)
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	flipped := false
+	for rest := raw; !flipped; {
+		const key = `"id": "n`
+		at := bytes.Index(rest, []byte(key))
+		if at < 0 {
+			t.Fatal("rank 1's level-2 manifest has no task ID with an 'L'")
+		}
+		rest = rest[at+len(key):]
+		id := rest[:bytes.IndexByte(rest, '"')]
+		if l := bytes.IndexByte(id, 'L'); l >= 0 {
+			id[l] = 'M' // rest aliases raw
+			flipped = true
+		}
+	}
+	if err := os.WriteFile(path, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	cfg.StopAfterLevel = 0
+	cfg.Resume = true
+	var trees []*tree.Tree
+	var stats []*Stats
+	watchdog(t, "resume", func() {
+		trees, stats, errs = buildWithStores(cfg, comm.NewGroup(p, costmodel.Zero()), stores, sample)
+	})
+	for r := 0; r < p; r++ {
+		if errs[r] != nil {
+			t.Fatalf("rank %d: %v", r, errs[r])
+		}
+		if stats[r].ResumedLevel != 1 {
+			t.Fatalf("rank %d resumed from level %d, want 1 below the corrupt manifest", r, stats[r].ResumedLevel)
+		}
+		if !tree.Equal(ref, trees[r]) {
+			t.Fatalf("rank %d's resumed tree differs from the uninterrupted build", r)
 		}
 	}
 }

@@ -3,7 +3,9 @@ package pclouds
 import (
 	"bytes"
 	"encoding/binary"
+	"encoding/json"
 	"math"
+	"reflect"
 	"testing"
 
 	"pclouds/internal/clouds"
@@ -58,6 +60,51 @@ func FuzzAliveList(f *testing.F) {
 		}
 		if again := encodeAliveList(list, classes); !bytes.Equal(again, src) {
 			t.Fatalf("accepted %x, re-encoded %x", src, again)
+		}
+	})
+}
+
+// FuzzDecodeManifest: a level manifest is read back from disk. Garbage must
+// error, never panic; an accepted manifest satisfies every invariant that
+// restoring its tasks relies on and survives a json.Marshal round trip.
+func FuzzDecodeManifest(f *testing.F) {
+	const classes = 2
+	seed, err := json.MarshalIndent(ckptManifest{
+		Version: ckptVersion, Level: 2, Rank: 1, Size: 4, NRoot: 40, NextID: 3, Split: "sse",
+		Pending: []ckptTask{{ID: "nLL", File: "root-2L", N: 12, ClassCounts: []int64{5, 7}, LocalCount: 3}},
+		Small:   []ckptTask{{ID: "nR", File: "root-1R", N: 9, ClassCounts: []int64{9, 0}}},
+	}, "", "  ")
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(seed)
+	f.Add(bytes.Replace(seed, []byte(`"nLL"`), []byte(`"nLM"`), 1))
+	f.Add([]byte(`{"pending":[{"id":"n","class_counts":[1]}]}`))
+	f.Fuzz(func(t *testing.T, src []byte) {
+		m, err := decodeManifest(src, classes)
+		if err != nil {
+			return
+		}
+		for _, ct := range append(append([]ckptTask(nil), m.Pending...), m.Small...) {
+			if len(ct.ID) < 2 || ct.ID[0] != 'n' {
+				t.Fatalf("accepted task id %q", ct.ID)
+			}
+			for _, step := range []byte(ct.ID[1:]) {
+				if step != 'L' && step != 'R' {
+					t.Fatalf("accepted task id %q", ct.ID)
+				}
+			}
+			if len(ct.ClassCounts) != classes || ct.ClassCounts[0] < 0 || ct.ClassCounts[1] < 0 ||
+				ct.ClassCounts[0]+ct.ClassCounts[1] != ct.N || ct.LocalCount < 0 || ct.LocalCount > ct.N {
+				t.Fatalf("accepted task %+v", ct)
+			}
+		}
+		again, err := json.Marshal(m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if back, err := decodeManifest(again, classes); err != nil || !reflect.DeepEqual(back, m) {
+			t.Fatalf("round trip of %+v: %+v, %v", m, back, err)
 		}
 	})
 }

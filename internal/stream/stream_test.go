@@ -101,6 +101,45 @@ func sortedNames(m map[string][]byte) []string {
 	return names
 }
 
+// TestSketchMergeBytes pins, exactly, the sketch all-reduce traffic of a
+// fixed 4-rank stream: six 512-record windows of the seed-42 function-2
+// generator, summed over ranks. The bytes are a deterministic function of
+// the frontier the windows grow and of the sketch encoding, so a change to
+// either shows here at 0% tolerance.
+func TestSketchMergeBytes(t *testing.T) {
+	for _, row := range []struct {
+		procs, windows int
+		want           int64
+	}{
+		{4, 6, 540128},
+	} {
+		cfg := Config{
+			Schema: datagen.Schema(),
+			Clouds: clouds.Config{
+				Split:       clouds.SplitHist,
+				HistBins:    8,
+				MaxDepth:    8,
+				MinNodeSize: 2,
+				Seed:        1,
+			},
+			WindowRecords:  512,
+			SampleEvery:    4,
+			ReservoirCap:   2048,
+			RefreshEvery:   3,
+			GrowMinRecords: 32,
+			MaxWindows:     row.windows,
+			PublishDir:     t.TempDir(),
+		}
+		var got int64
+		for _, res := range runRanks(t, row.procs, cfg, synthetic(t, 0)) {
+			got += res.Stats.SketchBytes
+		}
+		if got != row.want {
+			t.Errorf("p=%d, %d windows: sketch bytes %d, want %d", row.procs, row.windows, got, row.want)
+		}
+	}
+}
+
 // TestPublishedSequenceDeterministicAcrossRankCounts is the tentpole
 // acceptance test: the same seed and window configuration must publish a
 // bit-identical model sequence at 1 and 4 ranks, with every model valid.
