@@ -25,13 +25,14 @@ test:
 # deterministic injector from concurrent ranks, the serve tests drive
 # the hot-swap registry and batching engine under concurrent clients, and
 # the pclouds/clouds tests run every split-finding protocol (sse, hist,
-# vote) across concurrent simulated ranks, so every build exercises the
-# concurrency under the race detector.
+# vote) across concurrent simulated ranks, and one compiled tree is shared
+# read-only by every serving engine worker across registry swaps, so every
+# build exercises the concurrency under the race detector.
 race: vet-concurrency
-	$(GO) test -race ./internal/ooc/... ./internal/comm/... ./internal/fault/... ./internal/pclouds/... ./internal/clouds/... ./internal/serve/... ./internal/driver/... ./internal/stream/... ./internal/record/... ./internal/scrub/... ./internal/durable/...
+	$(GO) test -race ./internal/ooc/... ./internal/comm/... ./internal/fault/... ./internal/pclouds/... ./internal/clouds/... ./internal/serve/... ./internal/driver/... ./internal/stream/... ./internal/record/... ./internal/scrub/... ./internal/durable/... ./internal/tree/... ./internal/metrics/...
 
 vet-concurrency:
-	$(GO) vet ./internal/ooc/... ./internal/comm/tcp/... ./internal/fault/... ./internal/pclouds/... ./internal/clouds/... ./internal/serve/... ./internal/driver/... ./internal/stream/... ./internal/record/... ./internal/scrub/... ./internal/durable/...
+	$(GO) vet ./internal/ooc/... ./internal/comm/tcp/... ./internal/fault/... ./internal/pclouds/... ./internal/clouds/... ./internal/serve/... ./internal/driver/... ./internal/stream/... ./internal/record/... ./internal/scrub/... ./internal/durable/... ./internal/tree/... ./internal/metrics/...
 
 # Fault-injection acceptance suite: killed/wedged ranks, dropped and
 # corrupted frames, slow and failing storage — every scenario must end in
@@ -64,7 +65,8 @@ chaos-quick: vet
 # tree and model-file decoders, the prediction-server request decoders
 # (malformed JSON/binary rows must get a 4xx, never a panic), the v2
 # record-block decoder (corrupt blocks must fail their CRC, never decode
-# silently), the wire frame reader, the ooc frame-stream verifier, the
+# silently), the compiled tree against the pointer walk (every row must
+# reach the same leaf), the wire frame reader, the ooc frame-stream verifier, the
 # stream window checkpoint and batch partial-tree and level-manifest
 # checkpoint decoders,
 # and the level-batched point-bucket, alive-descriptor and candidate-vector

@@ -120,20 +120,26 @@ type fatalError struct{ err error }
 func (e fatalError) Error() string { return e.err.Error() }
 func (e fatalError) Unwrap() error { return e.err }
 
-// Fatal marks a restore error as ending Resume at once, with no vote and no
-// step-down: a configuration mismatch or a checkpoint bound to different
-// input, which every rank sees identically and no older epoch could fix.
+// Fatal marks a restore error as ending Resume, with no step-down to an
+// older epoch: a configuration mismatch or a checkpoint bound to different
+// input, which no older epoch could fix.
 func Fatal(err error) error { return fatalError{err} }
+
+// ErrPeerFatal is returned by Resume on a rank whose own restore did not
+// fail fatally when another rank's did.
+var ErrPeerFatal = errors.New("durable: a peer rank's checkpoint restore failed fatally")
 
 // Resume is the collective resume agreement. Every rank passes the distinct
 // epochs (tree levels, stream windows) it holds; one AllGather lets every
 // rank compute the same candidates, the epochs all ranks hold, newest first,
 // so any rank's holes are routed around. Per candidate every rank runs
-// restore and the group takes one AllReduce-min vote; a candidate any rank
-// failed to restore is abandoned everywhere. The first unanimous candidate
-// is returned on every rank. A restore error wrapped with Fatal returns at
-// once, before the vote. With no candidate left Resume returns ErrNoEpoch,
-// wrapping this rank's newest restore failure when there was one.
+// restore and the group takes one AllReduce-min vote: 1 restored, 0 failed,
+// -1 failed with an error wrapped by Fatal. A candidate any rank failed to
+// restore is abandoned everywhere; the first unanimous candidate is returned
+// on every rank. A fatal vote ends Resume on every rank in that same round:
+// the rank that cast it returns its own error, every other rank
+// ErrPeerFatal. With no candidate left Resume returns ErrNoEpoch, wrapping
+// this rank's newest restore failure when there was one.
 func Resume(c comm.Communicator, have []int, restore func(epoch int) error) (int, error) {
 	own := make([]int64, len(have))
 	for i, e := range have {
@@ -165,20 +171,27 @@ func Resume(c comm.Communicator, have []int, restore func(epoch int) error) (int
 	for _, epoch := range common {
 		rerr := restore(epoch)
 		var fatal fatalError
-		if errors.As(rerr, &fatal) {
-			return 0, fatal.err
-		}
-		ok := int64(1)
-		if rerr != nil {
-			ok = 0
+		isFatal := errors.As(rerr, &fatal)
+		vote := int64(1)
+		switch {
+		case isFatal:
+			vote = -1
+		case rerr != nil:
+			vote = 0
 		}
 		// All-or-nothing: a rank that went ahead alone on an epoch another
-		// rank could not restore would block forever in its next collective.
-		all, err := comm.AllReduceInt64(c, []int64{ok}, func(a, b int64) int64 { return min(a, b) })
+		// rank could not restore, or that returned on its own fatal error,
+		// would leave its peers blocked in their next collective.
+		all, err := comm.AllReduceInt64(c, []int64{vote}, func(a, b int64) int64 { return min(a, b) })
 		if err != nil {
 			return 0, err
 		}
-		if all[0] == 1 {
+		switch {
+		case isFatal:
+			return 0, fatal.err
+		case all[0] == -1:
+			return 0, fmt.Errorf("%w (epoch %d)", ErrPeerFatal, epoch)
+		case all[0] == 1:
 			return epoch, nil
 		}
 		if cause == nil {

@@ -8,6 +8,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"testing"
+	"time"
 
 	"pclouds/internal/comm"
 	"pclouds/internal/costmodel"
@@ -72,6 +73,45 @@ func TestResumeAgreement(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestResumeFatalOnOneRank: a fatal restore error on one rank ends Resume
+// on every rank in the same vote. That rank returns its own error and its
+// peers ErrPeerFatal; none is left waiting in the vote.
+func TestResumeFatalOnOneRank(t *testing.T) {
+	mismatch := errors.New("configuration mismatch")
+	const p = 3
+	errs := make([]error, p)
+	done := make(chan error, 1)
+	go func() {
+		done <- comm.Run(p, costmodel.Zero(), func(c *comm.ChannelComm) error {
+			r := c.Rank()
+			_, errs[r] = Resume(c, []int{1, 2}, func(epoch int) error {
+				if r == 1 {
+					return Fatal(mismatch)
+				}
+				return nil
+			})
+			return nil
+		})
+	}()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("Resume did not return on every rank after one rank's fatal restore error")
+	}
+	for r, err := range errs {
+		want := ErrPeerFatal
+		if r == 1 {
+			want = mismatch
+		}
+		if !errors.Is(err, want) {
+			t.Errorf("rank %d: err %v, want %v", r, err, want)
+		}
 	}
 }
 

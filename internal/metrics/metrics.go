@@ -93,12 +93,21 @@ func (c *Confusion) String() string {
 	return b.String()
 }
 
-// Evaluate classifies every record of data with t and returns the confusion
-// matrix.
+// evalChunk is how many rows Evaluate classifies per ClassifyBatch call.
+const evalChunk = 1024
+
+// Evaluate classifies every record of data with t, compiled once, and
+// returns the confusion matrix.
 func Evaluate(t *tree.Tree, data *record.Dataset) *Confusion {
 	c := NewConfusion(data.Schema.NumClasses)
-	for _, r := range data.Records {
-		c.Add(r.Class, t.Classify(r))
+	flat := tree.Compile(t)
+	var out [evalChunk]int32
+	for lo := 0; lo < len(data.Records); lo += evalChunk {
+		recs := data.Records[lo:min(lo+evalChunk, len(data.Records))]
+		flat.ClassifyBatch(recs, out[:])
+		for i, r := range recs {
+			c.Add(r.Class, out[i])
+		}
 	}
 	return c
 }

@@ -438,26 +438,25 @@ func restoreLevel(cfg Config, c comm.Communicator, b *pbuilder, rootSample []rec
 		localErr = fmt.Errorf("pclouds: resume: %w", err)
 	}
 	if localErr == nil {
-		// Configuration mismatches are symmetric — every rank's manifest was
-		// written by the same build — so failing before the collectives is
-		// safe, and stepping down a level could not fix them anyway.
-		if m.Version != ckptVersion {
-			return nil, m, durable.Fatal(fmt.Errorf("pclouds: resume: manifest version %d, want %d", m.Version, ckptVersion))
-		}
-		if m.Rank != c.Rank() || m.Size != c.Size() {
-			return nil, m, durable.Fatal(fmt.Errorf("pclouds: resume: manifest is for rank %d of %d, this group is rank %d of %d",
-				m.Rank, m.Size, c.Rank(), c.Size()))
-		}
+		// A configuration mismatch cannot be fixed by stepping down a level.
+		// It is usually symmetric, but a flipped manifest field makes it one
+		// rank's alone, so this rank still joins the Broadcast below and
+		// durable.Resume's vote, which ends the resume on every rank.
 		ckptSplit := m.Split
 		if ckptSplit == "" {
 			ckptSplit = clouds.SplitSSE.String()
 		}
-		if got := cfg.Clouds.Split.String(); ckptSplit != got {
-			return nil, m, durable.Fatal(fmt.Errorf("pclouds: resume: checkpoint was written with -split-method %s, this build uses %s",
+		switch got := cfg.Clouds.Split.String(); {
+		case m.Version != ckptVersion:
+			localErr = durable.Fatal(fmt.Errorf("pclouds: resume: manifest version %d, want %d", m.Version, ckptVersion))
+		case m.Rank != c.Rank() || m.Size != c.Size():
+			localErr = durable.Fatal(fmt.Errorf("pclouds: resume: manifest is for rank %d of %d, this group is rank %d of %d",
+				m.Rank, m.Size, c.Rank(), c.Size()))
+		case ckptSplit != got:
+			localErr = durable.Fatal(fmt.Errorf("pclouds: resume: checkpoint was written with -split-method %s, this build uses %s",
 				ckptSplit, got))
-		}
-		if m.DataCRC != 0 && cfg.DataChecksum != 0 && m.DataCRC != cfg.DataChecksum {
-			return nil, m, durable.Fatal(fmt.Errorf("pclouds: resume: checkpoint was written against dataset fingerprint %08x, this build reads %08x — refusing to resume on different data",
+		case m.DataCRC != 0 && cfg.DataChecksum != 0 && m.DataCRC != cfg.DataChecksum:
+			localErr = durable.Fatal(fmt.Errorf("pclouds: resume: checkpoint was written against dataset fingerprint %08x, this build reads %08x — refusing to resume on different data",
 				m.DataCRC, cfg.DataChecksum))
 		}
 	}

@@ -184,8 +184,11 @@ func (d *Dataset) WriteBinaryV2(w io.Writer, fileID uint64) error {
 	return bw.Flush()
 }
 
-// readBinaryV2 consumes a v2 stream after the magic has been sniffed.
-func readBinaryV2(s *Schema, br *bufio.Reader) (*Dataset, error) {
+// readBinaryV2 consumes a v2 stream after the magic has been sniffed,
+// appending to d. Each block's checksum is verified before any of its rows
+// is decoded.
+func readBinaryV2(d *Dataset, br *bufio.Reader) (*Dataset, error) {
+	s := d.Schema
 	hb := make([]byte, V2HeaderSize)
 	if _, err := io.ReadFull(br, hb); err != nil {
 		return nil, fmt.Errorf("record: reading v2 header: %w", err)
@@ -198,7 +201,6 @@ func readBinaryV2(s *Schema, br *bufio.Reader) (*Dataset, error) {
 	if hdr.RecordBytes != uint32(rb) {
 		return nil, fmt.Errorf("record: v2 file record width %d does not match schema width %d", hdr.RecordBytes, rb)
 	}
-	d := NewDataset(s)
 	var bh [V2BlockHeaderSize]byte
 	var payload []byte
 	for block := 0; ; block++ {
@@ -222,13 +224,7 @@ func readBinaryV2(s *Schema, br *bufio.Reader) (*Dataset, error) {
 		if err := VerifyV2Block(bh[:], payload); err != nil {
 			return nil, fmt.Errorf("record: v2 block %d: %w", block, err)
 		}
-		for off := 0; off < len(payload); off += rb {
-			var rec Record
-			if _, err := rec.Decode(s, payload[off:]); err != nil {
-				return nil, fmt.Errorf("record: v2 block %d: %w", block, err)
-			}
-			d.Records = append(d.Records, rec)
-		}
+		d.Records = decodeBlock(s, d.Records, payload, rb)
 	}
 }
 

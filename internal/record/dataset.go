@@ -109,26 +109,31 @@ func (d *Dataset) WriteBinary(w io.Writer) error {
 // are accepted: the v2 checksummed block layout (sniffed by magic, every
 // block verified) and the legacy raw fixed-width stream.
 func ReadBinary(s *Schema, r io.Reader) (*Dataset, error) {
+	return readBinary(NewDataset(s), r)
+}
+
+// v1ChunkRecords is how many legacy fixed-width records ReadBinary reads
+// and decodes at a time.
+const v1ChunkRecords = 4096
+
+// readBinary is ReadBinary appending to d, whose Records may have been
+// presized.
+func readBinary(d *Dataset, r io.Reader) (*Dataset, error) {
 	br := bufio.NewReaderSize(r, 1<<16)
 	if head, err := br.Peek(len(V2Magic)); err == nil && string(head) == V2Magic {
-		return readBinaryV2(s, br)
+		return readBinaryV2(d, br)
 	}
-	rb := s.RecordBytes()
-	buf := make([]byte, rb)
-	d := NewDataset(s)
+	rb := d.Schema.RecordBytes()
+	buf := make([]byte, v1ChunkRecords*rb)
 	for {
-		_, err := io.ReadFull(br, buf)
-		if err == io.EOF {
+		n, err := io.ReadFull(br, buf)
+		d.Records = decodeBlock(d.Schema, d.Records, buf[:n-n%rb], rb)
+		if err == io.EOF || (err == io.ErrUnexpectedEOF && n%rb == 0) {
 			return d, nil
 		}
 		if err != nil {
 			return nil, fmt.Errorf("record: reading binary dataset: %w", err)
 		}
-		var rec Record
-		if _, err := rec.Decode(s, buf); err != nil {
-			return nil, err
-		}
-		d.Records = append(d.Records, rec)
 	}
 }
 
@@ -152,7 +157,13 @@ func LoadFile(s *Schema, path string) (*Dataset, error) {
 		return nil, err
 	}
 	defer f.Close()
-	return ReadBinary(s, f)
+	d := NewDataset(s)
+	// The size bounds the record count (a v2 file also holds its framing),
+	// so it presizes Records; the count itself still comes from the blocks.
+	if fi, err := f.Stat(); err == nil {
+		d.Records = make([]Record, 0, fi.Size()/int64(s.RecordBytes()))
+	}
+	return readBinary(d, f)
 }
 
 // WriteCSV writes the dataset as comma-separated text with a header row.

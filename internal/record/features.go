@@ -69,15 +69,5 @@ func DecodeAllFeatures(s *Schema, src []byte) ([]Record, error) {
 	if len(src)%fb != 0 {
 		return nil, fmt.Errorf("record: buffer length %d not a multiple of feature row size %d", len(src), fb)
 	}
-	n := len(src) / fb
-	recs := make([]Record, n)
-	off := 0
-	for i := range recs {
-		m, err := recs[i].DecodeFeatures(s, src[off:])
-		if err != nil {
-			return nil, err
-		}
-		off += m
-	}
-	return recs, nil
+	return decodeBlock(s, make([]Record, 0, len(src)/fb), src, fb), nil
 }

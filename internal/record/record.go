@@ -258,15 +258,42 @@ func DecodeAll(s *Schema, src []byte) ([]Record, error) {
 	if len(src)%rb != 0 {
 		return nil, fmt.Errorf("record: buffer length %d not a multiple of record size %d", len(src), rb)
 	}
-	n := len(src) / rb
-	recs := make([]Record, n)
-	off := 0
-	for i := range recs {
-		m, err := recs[i].Decode(s, src[off:])
-		if err != nil {
-			return nil, err
+	return decodeBlock(s, make([]Record, 0, len(src)/rb), src, rb), nil
+}
+
+// decodeBlock appends the len(src)/stride fixed-width rows of src to dst.
+// A row of stride RecordBytes ends in its class; a feature row (stride
+// FeatureBytes) has none and decodes with class 0. Every row's values land
+// in one fresh []float64 and one fresh []int32 for the whole block, and
+// each record gets three-index slices of them (cap == len), so an append to
+// one record reallocates instead of overwriting its neighbour. The records
+// equal what Decode or DecodeFeatures gives row by row.
+func decodeBlock(s *Schema, dst []Record, src []byte, stride int) []Record {
+	nn, nc := s.NumNumeric(), s.NumCategorical()
+	n := len(src) / stride
+	nums := make([]float64, n*nn)
+	cats := make([]int32, n*nc)
+	withClass := stride == s.RecordBytes()
+	for i := 0; i < n; i++ {
+		row := src[i*stride : (i+1)*stride]
+		var r Record
+		if nn > 0 {
+			r.Num = nums[i*nn : (i+1)*nn : (i+1)*nn]
+			for j := range r.Num {
+				r.Num[j] = math.Float64frombits(binary.LittleEndian.Uint64(row[8*j:]))
+			}
 		}
-		off += m
+		if nc > 0 {
+			r.Cat = cats[i*nc : (i+1)*nc : (i+1)*nc]
+			off := 8 * nn
+			for j := range r.Cat {
+				r.Cat[j] = int32(binary.LittleEndian.Uint32(row[off+4*j:]))
+			}
+		}
+		if withClass {
+			r.Class = int32(binary.LittleEndian.Uint32(row[stride-4:]))
+		}
+		dst = append(dst, r)
 	}
-	return recs, nil
+	return dst
 }

@@ -191,9 +191,7 @@ func (e *Engine) worker() {
 				bt.err = ErrNoModel
 			} else {
 				bt.version = m.Info.Version
-				for i := range bt.recs {
-					bt.out[i] = m.Tree.Classify(bt.recs[i])
-				}
+				m.flat.ClassifyBatch(bt.recs, bt.out)
 			}
 			close(bt.done)
 		}

@@ -217,13 +217,20 @@ func (s *Server) handleClassifyBin(w http.ResponseWriter, r *http.Request) {
 		s.badRequest(w, errors.New("empty body"))
 		return
 	}
+	// The row cap is checked from the length alone, before any row is
+	// decoded.
+	fb := schema.FeatureBytes()
+	if len(body)%fb != 0 {
+		s.badRequest(w, fmt.Errorf("body length %d not a multiple of feature row size %d", len(body), fb))
+		return
+	}
+	if rows := len(body) / fb; rows > s.cfg.MaxRows {
+		s.tooLarge(w, rows)
+		return
+	}
 	recs, err := record.DecodeAllFeatures(schema, body)
 	if err != nil {
 		s.badRequest(w, err)
-		return
-	}
-	if len(recs) > s.cfg.MaxRows {
-		s.tooLarge(w, len(recs))
 		return
 	}
 	out, version, err := s.classify(r.Context(), recs)

@@ -117,6 +117,7 @@ func TestHTTPClassifyBinary(t *testing.T) {
 func TestHTTPBadRequests(t *testing.T) {
 	m, _ := trainedModel(t, 1000, "v1")
 	s, hs := newTestServer(t, NewStaticRegistry(m), ServerConfig{MaxRows: 4})
+	fb := m.Tree.Schema.FeatureBytes()
 
 	cases := []struct {
 		name, path, body string
@@ -128,6 +129,9 @@ func TestHTTPBadRequests(t *testing.T) {
 		{"row cap", "/v1/classify", `{"records":[{"num":[]},{"num":[]},{"num":[]},{"num":[]},{"num":[]}]}`, http.StatusRequestEntityTooLarge},
 		{"empty bin", "/v1/classify.bin", "", http.StatusBadRequest},
 		{"ragged bin", "/v1/classify.bin", "abc", http.StatusBadRequest},
+		// The binary row cap is judged from the length, before decoding.
+		{"bin row cap", "/v1/classify.bin", strings.Repeat("\x00", 5*fb), http.StatusRequestEntityTooLarge},
+		{"ragged bin past the row cap", "/v1/classify.bin", strings.Repeat("\x00", 5*fb-1), http.StatusBadRequest},
 	}
 	for _, c := range cases {
 		resp, err := http.Post(hs.URL+c.path, "application/octet-stream", strings.NewReader(c.body))

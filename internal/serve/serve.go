@@ -61,21 +61,27 @@ type ModelInfo struct {
 	Depth     int       `json:"depth"`
 }
 
-// Model is an immutable, validated tree plus its metadata. Once published
-// through a Registry it is never mutated, so readers may use it without
+// Model is an immutable, validated tree plus its metadata and its compiled
+// routing form. Once published through a Registry it is never mutated, so
+// readers (every engine worker, across registry swaps) may use it without
 // locks.
 type Model struct {
 	Tree *tree.Tree
 	Info ModelInfo
+	// flat is Tree compiled once per model version, so a registry reload
+	// pays for the compile and requests do not.
+	flat *tree.Compiled
 }
 
-// NewModel validates t and wraps it as a servable model version.
+// NewModel validates t, compiles it, and wraps it as a servable model
+// version. t must not be changed afterwards.
 func NewModel(t *tree.Tree, version string) (*Model, error) {
 	if err := t.Validate(); err != nil {
 		return nil, fmt.Errorf("serve: model %q invalid: %w", version, err)
 	}
 	return &Model{
 		Tree: t,
+		flat: tree.Compile(t),
 		Info: ModelInfo{
 			Version: version,
 			Loaded:  time.Now(),

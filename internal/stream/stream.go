@@ -237,8 +237,12 @@ type engine struct {
 	tree      *tree.Tree
 	reservoir []record.Record
 
-	frontier []*frontierLeaf
-	leafOf   map[*tree.Node]int
+	// frontier lists the tree's leaves in preorder; flat is the tree
+	// compiled when the frontier was built, and frontierOf maps each of its
+	// leaf indices to that leaf's frontier position.
+	frontier   []*frontierLeaf
+	flat       *tree.Compiled
+	frontierOf []int32
 
 	// winSampleIdx/winSample accumulate this rank's owned reservoir
 	// candidates for the current window; cleared by mergeSamples.
@@ -257,6 +261,8 @@ type engine struct {
 	driftPending bool
 	lastPub      *tree.Tree
 	lastPubWin   int
+	// lastPubFlat is lastPub compiled, once per publish or resume.
+	lastPubFlat *tree.Compiled
 
 	stats   Stats
 	pubHist *obs.Histogram
@@ -322,6 +328,9 @@ func (e *engine) resume() error {
 	e.window, e.nextIdx, e.tree, e.reservoir = st.window, st.nextIdx, st.tree, st.reservoir
 	e.det, e.driftPending = st.det, st.driftPending
 	e.lastPub, e.lastPubWin = st.lastPub, st.lastPubWin
+	if e.lastPub != nil {
+		e.lastPubFlat = tree.Compile(e.lastPub)
+	}
 	e.stats.ResumedAt = st.window
 	e.live.set(e)
 	var rec record.Record
@@ -351,7 +360,7 @@ func (e *engine) loop() error {
 		if !willRefresh {
 			e.buildFrontier()
 		} else {
-			e.frontier, e.leafOf = nil, nil
+			e.frontier, e.flat, e.frontierOf = nil, nil, nil
 		}
 		scanned, streamEnd, err := e.ingestWindow()
 		if err != nil {
@@ -461,54 +470,41 @@ func (e *engine) ingestWindow() (scanned int64, streamEnd bool, err error) {
 	return scanned, false, nil
 }
 
-// route descends the current tree and returns the frontier index of the
-// leaf rec lands in.
+// route returns the frontier index of the leaf rec lands in.
 func (e *engine) route(rec record.Record) int {
-	n := e.tree.Root
-	for !n.IsLeaf() {
-		if n.Splitter.GoesLeft(e.cfg.Schema, rec) {
-			n = n.Left
-		} else {
-			n = n.Right
-		}
-	}
-	return e.leafOf[n]
+	return int(e.frontierOf[e.flat.Leaf(rec)])
 }
 
-// buildFrontier enumerates the tree's leaves in preorder and allocates a
-// window sketch per leaf. Each leaf's bin edges are its reservoir
-// partition's quantile cuts merged (histogram.Merge) with the global
+// buildFrontier compiles the tree, enumerates its leaves in preorder and
+// allocates a window sketch per leaf. Each leaf's bin edges are its
+// reservoir share's quantile cuts merged (histogram.Merge) with the global
 // attribute grid, so a leaf whose reservoir share is tiny still has
-// candidate boundaries. Everything here is a deterministic function of
+// candidate boundaries. A leaf's share is the reservoir records routed to
+// it, in reservoir order. Everything here is a deterministic function of
 // replicated state, so all ranks build identical shapes — the precondition
 // for the flat sketch all-reduce.
 func (e *engine) buildFrontier() {
 	grid := clouds.BuildIntervals(e.cfg.Schema, e.reservoir, e.cfg.Clouds.HistBins)
-	e.frontier = e.frontier[:0]
-	e.leafOf = make(map[*tree.Node]int)
-	var walk func(n *tree.Node, depth int, sample []record.Record)
-	walk = func(n *tree.Node, depth int, sample []record.Record) {
-		if !n.IsLeaf() {
-			var left, right []record.Record
-			for _, r := range sample {
-				if n.Splitter.GoesLeft(e.cfg.Schema, r) {
-					left = append(left, r)
-				} else {
-					right = append(right, r)
-				}
-			}
-			walk(n.Left, depth+1, left)
-			walk(n.Right, depth+1, right)
-			return
-		}
-		leafIv := clouds.BuildIntervals(e.cfg.Schema, sample, e.cfg.Clouds.HistBins)
-		for j := range leafIv {
-			leafIv[j] = histogram.Merge(leafIv[j], grid[j])
-		}
-		e.leafOf[n] = len(e.frontier)
-		e.frontier = append(e.frontier, &frontierLeaf{node: n, depth: depth, stats: clouds.NewNodeStats(e.cfg.Schema, leafIv)})
+	e.flat = tree.Compile(e.tree)
+	shares := make([][]record.Record, e.flat.NumNodes())
+	for _, r := range e.reservoir {
+		leaf := e.flat.Leaf(r)
+		shares[leaf] = append(shares[leaf], r)
 	}
-	walk(e.tree.Root, 0, e.reservoir)
+	e.frontier = e.frontier[:0]
+	e.frontierOf = make([]int32, len(shares))
+	i := 0 // the preorder index Walk is at, the compiled node index
+	e.tree.Walk(func(n *tree.Node, depth int) {
+		if n.IsLeaf() {
+			leafIv := clouds.BuildIntervals(e.cfg.Schema, shares[i], e.cfg.Clouds.HistBins)
+			for j := range leafIv {
+				leafIv[j] = histogram.Merge(leafIv[j], grid[j])
+			}
+			e.frontierOf[i] = int32(len(e.frontier))
+			e.frontier = append(e.frontier, &frontierLeaf{node: n, depth: depth, stats: clouds.NewNodeStats(e.cfg.Schema, leafIv)})
+		}
+		i++
+	})
 }
 
 // closeWindow runs the collective close: sample exchange, grow-or-refresh,
@@ -548,13 +544,9 @@ func (e *engine) closeWindow(refresh bool) error {
 	var candErr, lastErr int64
 	score := e.cfg.HoldoutEvery > 0 && e.tree != nil
 	if score {
-		for _, r := range holdout {
-			if e.tree.Classify(r) != r.Class {
-				candErr++
-			}
-			if e.lastPub != nil && e.lastPub.Classify(r) != r.Class {
-				lastErr++
-			}
+		candErr = misclassified(tree.Compile(e.tree), holdout)
+		if e.lastPubFlat != nil {
+			lastErr = misclassified(e.lastPubFlat, holdout)
 		}
 	}
 	sums, err := comm.AllReduceInt64(e.c, []int64{ok, candErr, lastErr, int64(len(holdout))}, sumI64)
@@ -616,7 +608,7 @@ func (e *engine) closeWindow(refresh bool) error {
 		if err != nil {
 			return fmt.Errorf("stream: snapshotting published model: %w", err)
 		}
-		e.lastPub, e.lastPubWin = snap, e.window
+		e.lastPub, e.lastPubWin, e.lastPubFlat = snap, e.window, tree.Compile(snap)
 	}
 	if e.cfg.CheckpointDir != "" {
 		st := &ckptState{
@@ -795,6 +787,20 @@ func (e *engine) publish() error {
 	e.stats.Published++
 	e.live.published.Add(1)
 	return nil
+}
+
+// misclassified counts the records of recs that flat does not classify as
+// their class.
+func misclassified(flat *tree.Compiled, recs []record.Record) int64 {
+	out := make([]int32, len(recs))
+	flat.ClassifyBatch(recs, out)
+	var n int64
+	for i, r := range recs {
+		if out[i] != r.Class {
+			n++
+		}
+	}
+	return n
 }
 
 // intervalsOf extracts the interval structures of a NodeStats, preserving

@@ -109,7 +109,9 @@ type Tree struct {
 	Root   *Node
 }
 
-// Classify routes record r to a leaf and returns its majority class.
+// Classify routes record r to a leaf and returns its majority class. It is
+// the reference walk over the pointer nodes: the oracle Compile is tested
+// against. Code that scores many rows compiles the tree instead.
 func (t *Tree) Classify(r record.Record) int32 {
 	n := t.Root
 	for !n.IsLeaf() {
@@ -122,7 +124,8 @@ func (t *Tree) Classify(r record.Record) int32 {
 	return n.Class
 }
 
-// Leaf returns the leaf node record r is routed to.
+// Leaf returns the leaf node record r is routed to, by the reference walk
+// (see Classify).
 func (t *Tree) Leaf(r record.Record) *Node {
 	n := t.Root
 	for !n.IsLeaf() {
