@@ -61,17 +61,18 @@ chaos-quick: vet
 	$(GO) test -race -timeout 300s -run 'TestResume' ./internal/stream/
 
 # Short fuzz passes over every fuzz target in the tree, found by name — a
-# new decoder's target is picked up without touching this file. Today: the
-# tree and model-file decoders, the prediction-server request decoders
-# (malformed JSON/binary rows must get a 4xx, never a panic), the v2
-# record-block decoder (corrupt blocks must fail their CRC, never decode
-# silently), the compiled tree against the pointer walk (every row must
-# reach the same leaf), the wire frame reader, the ooc frame-stream verifier, the
-# stream window checkpoint and batch partial-tree and level-manifest
-# checkpoint decoders,
-# and the level-batched point-bucket, alive-descriptor and candidate-vector
-# decoders of the parallel build (garbage must error, accepted bytes must
-# re-encode identically).
+# new target is picked up without touching this file. Two kinds today.
+# Differential kernel targets, where a fast path must equal its reference:
+# histogram.Locate against sort.SearchFloat64s, and the compiled tree
+# against the pointer walk (every row must reach the same leaf). Decoder
+# targets, where garbage must error and accepted bytes must re-encode
+# identically: the tree and model-file decoders, the prediction-server
+# request decoders (malformed JSON/binary rows must get a 4xx, never a
+# panic), the v2 record-block decoder (corrupt blocks must fail their CRC,
+# never decode silently), the wire frame reader, the ooc frame-stream
+# verifier, the stream window checkpoint and batch partial-tree and
+# level-manifest checkpoint decoders, and the level-batched point-bucket,
+# alive-descriptor and candidate-vector decoders of the parallel build.
 fuzz:
 	@set -e; \
 	for file in $$(grep -rlE '^func Fuzz[A-Za-z0-9_]*\(f \*testing\.F\)' --include='*_test.go' internal); do \

@@ -24,7 +24,70 @@ import (
 // iff v <= Cuts[i]; this makes boundary i the candidate splitter "attr <=
 // Cuts[i]".
 type Intervals struct {
+	// Cuts is read-only after construction: FromSample and Merge also build
+	// a guide index over it that lets Locate skip most of its search, and
+	// editing or reslicing Cuts would leave the index describing cuts that
+	// are no longer there. A structure written as a literal has no index
+	// and is searched in full.
 	Cuts []float64
+	g    guide
+}
+
+// guideFactor is the number of guide buckets per cut: over evenly spread
+// cuts three buckets in four are empty, so most searches end at the
+// bracket itself, and at q = 1000 the index is 16 kB per attribute.
+const guideFactor = 4
+
+// minGuideCuts is the fewest cuts worth indexing. Below it the plain search
+// takes at most five probes, and building the index costs about as much
+// as twenty lookups save: more than a streaming window's per-leaf sketches
+// (at most 30 cuts, a few dozen records per leaf) ever recover.
+const minGuideCuts = 32
+
+// guide cuts the span [lo, hi] of the cuts into equal-width buckets;
+// start[k] counts the cuts in buckets below k. bucket is monotone in v (IEEE
+// rounding of v-lo and of the product never reorders two values), so every
+// cut in a lower bucket than v is below v and every cut in a higher one is
+// above it: the first cut >= v lies in [start[k], start[k+1]] for
+// k = bucket(v). A nil start means no index.
+type guide struct {
+	lo, hi, scale float64
+	start         []int32
+}
+
+// newIntervals wraps cuts and indexes them unless they are fewer than
+// minGuideCuts, fail Validate, or span a range the buckets cannot scale: an
+// infinite end cut or a span past MaxFloat64 makes hi-lo infinite, a
+// subnormal span overflows the scale.
+func newIntervals(cuts []float64) *Intervals {
+	iv := &Intervals{Cuts: cuts}
+	n := len(cuts)
+	if n < minGuideCuts || iv.Validate() != nil {
+		return iv
+	}
+	lo, hi := cuts[0], cuts[n-1]
+	scale := float64(guideFactor*n) / (hi - lo)
+	if math.IsInf(hi-lo, 0) || math.IsInf(scale, 0) {
+		return iv
+	}
+	g := guide{lo: lo, hi: hi, scale: scale, start: make([]int32, guideFactor*n+1)}
+	k := 0
+	for i, c := range cuts {
+		for b := g.bucket(c); k <= b; k++ {
+			g.start[k] = int32(i)
+		}
+	}
+	for ; k < len(g.start); k++ {
+		g.start[k] = int32(n)
+	}
+	iv.g = g
+	return iv
+}
+
+// bucket maps v in [lo, hi] to its bucket; rounding can carry hi one past
+// the last bucket.
+func (g *guide) bucket(v float64) int {
+	return min(int((v-g.lo)*g.scale), len(g.start)-2)
 }
 
 // NumIntervals returns the number of intervals (len(Cuts)+1); an empty
@@ -44,8 +107,29 @@ func (iv *Intervals) Locate(v float64) int {
 	if math.IsNaN(v) {
 		return len(iv.Cuts)
 	}
-	// First cut >= v; records at a cut belong to the interval left of it.
-	return sort.SearchFloat64s(iv.Cuts, v)
+	// The first cut >= v, searched for within the bracket that must hold it
+	// (all cuts without an index); records at a cut belong to the interval
+	// left of it.
+	lo, hi := 0, len(iv.Cuts)
+	if g := &iv.g; g.start != nil {
+		switch {
+		case v <= g.lo:
+			return 0
+		case v > g.hi:
+			return hi
+		}
+		k := g.bucket(v)
+		lo, hi = int(g.start[k]), int(g.start[k+1])
+	}
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if iv.Cuts[m] < v {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	return lo
 }
 
 // Validate checks that cuts are strictly increasing and finite-comparable:
@@ -84,7 +168,7 @@ func FromSample(sample []float64, q int) *Intervals {
 		}
 	}
 	if len(s) == 0 || q == 1 {
-		return &Intervals{}
+		return newIntervals(nil)
 	}
 	sort.Float64s(s)
 	cuts := make([]float64, 0, q-1)
@@ -106,19 +190,5 @@ func FromSample(sample []float64, q int) *Intervals {
 	if len(cuts) > 0 && cuts[len(cuts)-1] >= s[len(s)-1] {
 		cuts = cuts[:len(cuts)-1]
 	}
-	return &Intervals{Cuts: cuts}
-}
-
-// Sub builds a refined interval structure covering only interval idx of iv,
-// using the subset of the (sorted or unsorted) sample values that fall into
-// that interval, with at most q sub-intervals. Used when a node's interval
-// count shrinks with node size.
-func (iv *Intervals) Sub(sample []float64, idx, q int) *Intervals {
-	var inside []float64
-	for _, v := range sample {
-		if iv.Locate(v) == idx {
-			inside = append(inside, v)
-		}
-	}
-	return FromSample(inside, q)
+	return newIntervals(cuts)
 }

@@ -3,7 +3,6 @@ package histogram
 import (
 	"math"
 	"math/rand"
-	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -250,26 +249,5 @@ func TestValidateRejectsUnsorted(t *testing.T) {
 	iv = &Intervals{Cuts: []float64{2, 2}}
 	if err := iv.Validate(); err == nil {
 		t.Fatal("duplicate cuts should fail validation")
-	}
-}
-
-func TestSub(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
-	sample := make([]float64, 1000)
-	for i := range sample {
-		sample[i] = rng.Float64() * 100
-	}
-	iv := FromSample(sample, 5)
-	sub := iv.Sub(sample, 2, 4)
-	if err := sub.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	// All sub-cuts must lie inside interval 2 of the parent.
-	sorted := append([]float64(nil), sample...)
-	sort.Float64s(sorted)
-	for _, c := range sub.Cuts {
-		if iv.Locate(c) != 2 {
-			t.Fatalf("sub-cut %v outside parent interval 2", c)
-		}
 	}
 }

@@ -1,7 +1,5 @@
 package histogram
 
-import "fmt"
-
 // Merge unions the cut sets of two interval structures into one structure
 // whose cuts are the sorted, deduplicated union — the coarsest structure
 // refining both inputs. Merging is commutative and associative, and
@@ -35,25 +33,9 @@ func Merge(a, b *Intervals) *Intervals {
 	cuts = append(cuts, a.Cuts[i:]...)
 	cuts = append(cuts, b.Cuts[j:]...)
 	if len(cuts) == 0 {
-		return &Intervals{}
+		return newIntervals(nil)
 	}
-	return &Intervals{Cuts: cuts}
-}
-
-// MergeCounts sums two per-interval count vectors of identical shape — the
-// associative combine of fixed-bin histogram shards. It is the merge the
-// hist/vote split protocols apply element-wise inside their single
-// all-reduce; exported so other layers (the streaming frontier sketches)
-// reuse the exact same operation.
-func MergeCounts(a, b []int64) ([]int64, error) {
-	if len(a) != len(b) {
-		return nil, fmt.Errorf("histogram: merging count vectors of length %d and %d", len(a), len(b))
-	}
-	out := make([]int64, len(a))
-	for i := range a {
-		out[i] = a[i] + b[i]
-	}
-	return out, nil
+	return newIntervals(cuts)
 }
 
 // MergeCount is the scalar histogram-count combine, shaped for
