@@ -29,10 +29,10 @@ test:
 # read-only by every serving engine worker across registry swaps, so every
 # build exercises the concurrency under the race detector.
 race: vet-concurrency
-	$(GO) test -race ./internal/ooc/... ./internal/comm/... ./internal/fault/... ./internal/pclouds/... ./internal/clouds/... ./internal/serve/... ./internal/driver/... ./internal/stream/... ./internal/record/... ./internal/scrub/... ./internal/durable/... ./internal/tree/... ./internal/metrics/...
+	$(GO) test -race ./internal/ooc/... ./internal/comm/... ./internal/fault/... ./internal/pclouds/... ./internal/clouds/... ./internal/serve/... ./internal/driver/... ./internal/stream/... ./internal/record/... ./internal/scrub/... ./internal/durable/... ./internal/tree/... ./internal/metrics/... ./internal/cli/...
 
 vet-concurrency:
-	$(GO) vet ./internal/ooc/... ./internal/comm/tcp/... ./internal/fault/... ./internal/pclouds/... ./internal/clouds/... ./internal/serve/... ./internal/driver/... ./internal/stream/... ./internal/record/... ./internal/scrub/... ./internal/durable/... ./internal/tree/... ./internal/metrics/...
+	$(GO) vet ./internal/ooc/... ./internal/comm/tcp/... ./internal/fault/... ./internal/pclouds/... ./internal/clouds/... ./internal/serve/... ./internal/driver/... ./internal/stream/... ./internal/record/... ./internal/scrub/... ./internal/durable/... ./internal/tree/... ./internal/metrics/... ./internal/cli/...
 
 # Fault-injection acceptance suite: killed/wedged ranks, dropped and
 # corrupted frames, slow and failing storage — every scenario must end in

@@ -31,9 +31,8 @@ import (
 	"os"
 	"strings"
 
+	"pclouds/internal/cli"
 	"pclouds/internal/experiments"
-	"pclouds/internal/obs"
-	"pclouds/internal/ooc"
 )
 
 // experiment is one -exp target. run writes the experiment's table, or its
@@ -51,38 +50,29 @@ func main() {
 		qroot   = flag.Int("qroot", 100, "root interval count (paper: 10000 at scale 1.0)")
 		seed    = flag.Int64("seed", 1, "data seed")
 		format  = flag.String("format", "table", "output format: table or csv (table1, fig1, fig2, fig3 only)")
-		cpuprof = flag.String("cpuprofile", "", "write a CPU profile to this path")
-		memprof = flag.String("memprofile", "", "write a heap profile to this path at exit")
-		ioPipe  = flag.Bool("io-pipeline", false, "overlap disk I/O with computation (async read-ahead/write-behind)")
-		ioDepth = flag.Int("io-depth", ooc.DefaultPipelineDepth, "pages in flight per stream when -io-pipeline is on")
+		profile cli.Profile
+		ioPipe  cli.IOPipeline
 	)
+	profile.Register(flag.CommandLine)
+	ioPipe.Register(flag.CommandLine)
 	flag.Parse()
 
 	h := experiments.DefaultHarness()
 	h.QRoot = *qroot
 	h.Seed = *seed
-	h.Pipeline = ooc.Pipeline{Enabled: *ioPipe, Depth: *ioDepth}
+	h.Pipeline = ioPipe.Pipeline()
 	todo, err := selectExperiments(catalog(h, *scale), *exp, *format)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "experiments:", err)
 		os.Exit(2)
 	}
 
-	if *cpuprof != "" {
-		stop, err := obs.StartCPUProfile(*cpuprof)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "experiments:", err)
-			os.Exit(1)
-		}
-		defer stop()
+	stopProfile, err := profile.Start("experiments")
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "experiments:", err)
+		os.Exit(1)
 	}
-	if *memprof != "" {
-		defer func() {
-			if err := obs.WriteHeapProfile(*memprof); err != nil {
-				fmt.Fprintln(os.Stderr, "experiments:", err)
-			}
-		}()
-	}
+	defer stopProfile()
 
 	for _, e := range todo {
 		if err := e.run(os.Stdout, *format == "csv"); err != nil {

@@ -15,6 +15,7 @@ import (
 	"math/rand"
 	"os"
 
+	"pclouds/internal/cli"
 	"pclouds/internal/clouds"
 	"pclouds/internal/comm"
 	"pclouds/internal/costmodel"
@@ -30,50 +31,36 @@ import (
 
 func main() {
 	var (
-		trainPath   = flag.String("train", "", "binary training file (datagen schema)")
-		testPath    = flag.String("test", "", "optional binary test file")
-		procs       = flag.Int("procs", 1, "simulated processor count (1 = sequential CLOUDS)")
-		method      = flag.String("method", "sse", "splitting method: ss or sse")
-		splitMethod = flag.String("split-method", "sse", "split-finding protocol: sse (exact), hist (fixed-bin histograms), or vote (top-k attribute voting)")
-		histBins    = flag.Int("hist-bins", 0, "fixed bin count for -split-method hist/vote (0 = 16)")
-		voteTopK    = flag.Int("vote-top-k", 0, "attributes each rank nominates for -split-method vote (0 = 2)")
-		qroot       = flag.Int("qroot", 200, "intervals per numeric attribute at the root")
-		small       = flag.Int("small", 10, "small-node switch threshold (intervals)")
-		sampleSz    = flag.Int("sample", 0, "pre-drawn sample size (0 = 10*qroot)")
-		maxDepth    = flag.Int("maxdepth", 0, "depth cap (0 = unlimited)")
-		seed        = flag.Int64("seed", 1, "sampling seed")
-		prune       = flag.Bool("prune", false, "apply MDL pruning")
-		printTree   = flag.Bool("print-tree", false, "dump the finished tree")
-		boundary    = flag.String("boundary", "attribute", "boundary scheme: attribute, replicate, interval, or hybrid")
-		saveModel   = flag.String("save-model", "", "write the finished model to this path")
-		loadModel   = flag.String("load-model", "", "skip training: load a saved model and evaluate/classify")
-		dotPath     = flag.String("dot", "", "write the finished tree as Graphviz dot to this path")
-		inFormat    = flag.String("in", "binary", "training/test file format: binary, csv, or csv-auto (schema inferred; string categories allowed)")
-		holdout     = flag.Float64("holdout", 0.2, "held-out fraction for csv-auto evaluation")
-		traceOut    = flag.String("trace-out", "", "write a Chrome trace_event JSON of the parallel build to this path")
-		progressOut = flag.String("progress-out", "", "write per-level progress records (all ranks) as JSON lines to this path")
-		showStats   = flag.Bool("stats", false, "print the merged per-phase report and per-rank comm/I/O tables")
-		ioPipe      = flag.Bool("io-pipeline", false, "overlap disk I/O with computation (async read-ahead/write-behind)")
-		ioDepth     = flag.Int("io-depth", ooc.DefaultPipelineDepth, "pages in flight per stream when -io-pipeline is on")
-		cpuprof     = flag.String("cpuprofile", "", "write a CPU profile to this path")
-		memprof     = flag.String("memprofile", "", "write a heap profile to this path at exit")
+		build     cli.Build
+		trace     cli.Trace
+		profile   cli.Profile
+		ioPipe    cli.IOPipeline
+		trainPath = flag.String("train", "", "binary training file (datagen schema)")
+		testPath  = flag.String("test", "", "optional binary test file")
+		procs     = flag.Int("procs", 1, "simulated processor count (1 = sequential CLOUDS)")
+		method    = flag.String("method", "sse", "splitting method: ss or sse")
+		sampleSz  = flag.Int("sample", 0, "pre-drawn sample size (0 = 10*qroot)")
+		prune     = flag.Bool("prune", false, "apply MDL pruning")
+		printTree = flag.Bool("print-tree", false, "dump the finished tree")
+		boundary  = flag.String("boundary", "attribute", "boundary scheme: attribute, replicate, interval, or hybrid")
+		saveModel = flag.String("save-model", "", "write the finished model to this path")
+		loadModel = flag.String("load-model", "", "skip training: load a saved model and evaluate/classify")
+		dotPath   = flag.String("dot", "", "write the finished tree as Graphviz dot to this path")
+		inFormat  = flag.String("in", "binary", "training/test file format: binary, csv, or csv-auto (schema inferred; string categories allowed)")
+		holdout   = flag.Float64("holdout", 0.2, "held-out fraction for csv-auto evaluation")
+		showStats = flag.Bool("stats", false, "print the merged per-phase report and per-rank comm/I/O tables")
 	)
+	build.Register(flag.CommandLine)
+	trace.Register(flag.CommandLine)
+	profile.Register(flag.CommandLine)
+	ioPipe.Register(flag.CommandLine)
 	flag.Parse()
 
-	if *cpuprof != "" {
-		stop, err := obs.StartCPUProfile(*cpuprof)
-		if err != nil {
-			fatal(err)
-		}
-		defer stop()
+	stopProfile, err := profile.Start("pclouds")
+	if err != nil {
+		fatal(err)
 	}
-	if *memprof != "" {
-		defer func() {
-			if err := obs.WriteHeapProfile(*memprof); err != nil {
-				fmt.Fprintln(os.Stderr, "pclouds:", err)
-			}
-		}()
-	}
+	defer stopProfile()
 
 	if *loadModel != "" {
 		if err := classifyOnly(*loadModel, *testPath, *printTree); err != nil {
@@ -85,7 +72,7 @@ func main() {
 		fatal(fmt.Errorf("-train is required (or use -load-model)"))
 	}
 	if *inFormat == "csv-auto" {
-		if err := trainInferred(*trainPath, *holdout, *qroot, *small, *maxDepth, *seed, *prune, *printTree, *saveModel, *dotPath); err != nil {
+		if err := trainInferred(*trainPath, *holdout, build.Clouds, *prune, *printTree, *saveModel, *dotPath); err != nil {
 			fatal(err)
 		}
 		return
@@ -96,26 +83,17 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	cfg := clouds.Config{
-		QRoot:       *qroot,
-		SmallNodeQ:  *small,
-		SampleSize:  *sampleSz,
-		MaxDepth:    *maxDepth,
-		MinNodeSize: 2,
-		Seed:        *seed,
-		HistBins:    *histBins,
-		VoteTopK:    *voteTopK,
+	cfg, err := build.Config()
+	if err != nil {
+		fatal(err)
 	}
+	cfg.SampleSize = *sampleSz
 	switch *method {
 	case "ss":
 		cfg.Method = clouds.SS
 	case "sse":
-		cfg.Method = clouds.SSE
 	default:
 		fatal(fmt.Errorf("unknown method %q", *method))
-	}
-	if cfg.Split, err = clouds.ParseSplitMethod(*splitMethod); err != nil {
-		fatal(err)
 	}
 
 	var t *tree.Tree
@@ -129,8 +107,7 @@ func main() {
 		fmt.Printf("  record reads: %d, survival ratio: %.4f, large/small nodes: %d/%d\n",
 			st.RecordReads, st.SurvivalRatio(), st.LargeNodes, st.SmallNodes)
 	} else {
-		pipe := ooc.Pipeline{Enabled: *ioPipe, Depth: *ioDepth}
-		t, err = runParallel(cfg, *boundary, train, *procs, *traceOut, *progressOut, *showStats, pipe)
+		t, err = runParallel(cfg, *boundary, train, *procs, trace, *showStats, ioPipe.Pipeline())
 		if err != nil {
 			fatal(err)
 		}
@@ -203,7 +180,7 @@ func classifyOnly(modelPath, testPath string, printTree bool) error {
 	return nil
 }
 
-func runParallel(cfg clouds.Config, boundary string, train *record.Dataset, p int, traceOut, progressOut string, showStats bool, pipe ooc.Pipeline) (*tree.Tree, error) {
+func runParallel(cfg clouds.Config, boundary string, train *record.Dataset, p int, trace cli.Trace, showStats bool, pipe ooc.Pipeline) (*tree.Tree, error) {
 	pcfg := pclouds.Config{Clouds: cfg}
 	switch boundary {
 	case "attribute":
@@ -224,7 +201,7 @@ func runParallel(cfg clouds.Config, boundary string, train *record.Dataset, p in
 	trees := make([]*tree.Tree, p)
 	stats := make([]*pclouds.Stats, p)
 	var recs []*obs.Recorder
-	if traceOut != "" || showStats {
+	if trace.Out != "" || showStats {
 		recs = make([]*obs.Recorder, p)
 		for r := range recs {
 			recs[r] = obs.New(r)
@@ -233,9 +210,9 @@ func runParallel(cfg clouds.Config, boundary string, train *record.Dataset, p in
 	// One progress writer is shared by every simulated rank: ProgressWriter
 	// serialises lines, so the stream interleaves ranks but never tears.
 	var prog *obs.ProgressWriter
-	if progressOut != "" {
+	if trace.Progress != "" {
 		var err error
-		prog, err = obs.CreateProgressFile(progressOut)
+		prog, err = obs.CreateProgressFile(trace.Progress)
 		if err != nil {
 			return nil, fmt.Errorf("progress output: %w", err)
 		}
@@ -283,14 +260,14 @@ func runParallel(cfg clouds.Config, boundary string, train *record.Dataset, p in
 	if err := prog.Close(); err != nil {
 		return nil, fmt.Errorf("progress output: %w", err)
 	}
-	if progressOut != "" {
-		fmt.Printf("per-level progress written to %s\n", progressOut)
+	if trace.Progress != "" {
+		fmt.Printf("per-level progress written to %s\n", trace.Progress)
 	}
-	if traceOut != "" {
-		if err := obs.WriteChromeTraceFile(traceOut, recs); err != nil {
+	if trace.Out != "" {
+		if err := obs.WriteChromeTraceFile(trace.Out, recs); err != nil {
 			return nil, fmt.Errorf("writing trace: %w", err)
 		}
-		fmt.Printf("Chrome trace written to %s\n", traceOut)
+		fmt.Printf("Chrome trace written to %s\n", trace.Out)
 	}
 	for r := 1; r < p; r++ {
 		if !tree.Equal(trees[0], trees[r]) {
@@ -324,7 +301,7 @@ func runParallel(cfg clouds.Config, boundary string, train *record.Dataset, p in
 
 // trainInferred handles csv-auto mode: infer the schema (string categories
 // allowed), hold out a fraction for evaluation, train, prune, report.
-func trainInferred(path string, holdout float64, qroot, small, maxDepth int, seed int64, prune, printTree bool, saveModel, dotPath string) error {
+func trainInferred(path string, holdout float64, base clouds.Config, prune, printTree bool, saveModel, dotPath string) error {
 	f, err := os.Open(path)
 	if err != nil {
 		return err
@@ -336,14 +313,14 @@ func trainInferred(path string, holdout float64, qroot, small, maxDepth int, see
 	}
 	fmt.Print(inf.Summarize())
 	data := inf.Data
-	data.Shuffle(rand.New(rand.NewSource(seed)))
+	data.Shuffle(rand.New(rand.NewSource(base.Seed)))
 	test, train := data.Split(holdout)
 	if train.Len() == 0 || test.Len() == 0 {
 		train, test = data, data
 	}
 	cfg := clouds.Config{
-		Method: clouds.SSE, QRoot: qroot, SmallNodeQ: small,
-		MaxDepth: maxDepth, MinNodeSize: 2, Seed: seed,
+		Method: clouds.SSE, QRoot: base.QRoot, SmallNodeQ: base.SmallNodeQ,
+		MaxDepth: base.MaxDepth, MinNodeSize: 2, Seed: base.Seed,
 	}
 	t, st, err := clouds.BuildInCore(cfg, train, nil)
 	if err != nil {

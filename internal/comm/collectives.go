@@ -311,89 +311,6 @@ func AllToAll(c Communicator, parts [][]byte) ([][]byte, error) {
 	return out, nil
 }
 
-// Scatter distributes root's per-rank payloads: parts[i] reaches rank i.
-// Only the root's parts argument is read; every rank returns its own
-// payload. Implemented as a binomial tree carrying shrinking block sets
-// (the inverse of Gather): O(ts·log p + tw·m·p).
-func Scatter(c Communicator, root int, parts [][]byte) ([]byte, error) {
-	countCall(c, OpScatter)
-	p, r := c.Size(), c.Rank()
-	if root < 0 || root >= p {
-		return nil, fmt.Errorf("comm: scatter: bad root %d", root)
-	}
-	if r == root && len(parts) != p {
-		return nil, fmt.Errorf("comm: scatter: got %d parts, want %d", len(parts), p)
-	}
-	if p == 1 {
-		return parts[0], nil
-	}
-	vr := (r - root + p) % p
-	// Each virtual rank owns the range [vr, min(vr+span, p)) where span is
-	// the largest power of two not exceeding the distance to the next
-	// sibling; the root starts owning everything.
-	var ranks []int
-	var blocks [][]byte
-	if vr == 0 {
-		for i := 0; i < p; i++ {
-			rk := (i + root) % p
-			ranks = append(ranks, rk)
-			blocks = append(blocks, parts[rk])
-		}
-	} else {
-		parent := (vr&(vr-1) + root) % p
-		raw, err := c.Recv(parent, tagScatter)
-		if err != nil {
-			return nil, fmt.Errorf("comm: scatter recv: %w", err)
-		}
-		var rs []int
-		var bs [][]byte
-		if rs, bs, err = unpackBlocks(raw); err != nil {
-			return nil, err
-		}
-		ranks, blocks = rs, bs
-	}
-	// Forward the sub-ranges to children (masks below vr's lowest set bit).
-	top := 1
-	for top < p {
-		top <<= 1
-	}
-	low := vr & (-vr)
-	if vr == 0 {
-		low = top
-	}
-	for mask := low >> 1; mask >= 1; mask >>= 1 {
-		child := vr + mask
-		if child >= p {
-			continue
-		}
-		// The child takes the virtual range [child, child+mask).
-		var cr []int
-		var cb [][]byte
-		var kr []int
-		var kb [][]byte
-		for i, rk := range ranks {
-			v := (rk - root + p) % p
-			if v >= child && v < child+mask {
-				cr = append(cr, rk)
-				cb = append(cb, blocks[i])
-			} else {
-				kr = append(kr, rk)
-				kb = append(kb, blocks[i])
-			}
-		}
-		if err := c.Send((child+root)%p, tagScatter, packBlocks(cr, cb)); err != nil {
-			return nil, fmt.Errorf("comm: scatter send: %w", err)
-		}
-		ranks, blocks = kr, kb
-	}
-	for i, rk := range ranks {
-		if rk == r {
-			return blocks[i], nil
-		}
-	}
-	return nil, fmt.Errorf("comm: scatter: rank %d missing its own payload", r)
-}
-
 // Int64sToBytes encodes a []int64 little-endian.
 func Int64sToBytes(v []int64) []byte {
 	out := make([]byte, 8*len(v))
@@ -411,27 +328,6 @@ func BytesToInt64s(b []byte) ([]int64, error) {
 	out := make([]int64, len(b)/8)
 	for i := range out {
 		out[i] = int64(binary.LittleEndian.Uint64(b[8*i:]))
-	}
-	return out, nil
-}
-
-// Float64sToBytes encodes a []float64 little-endian IEEE-754.
-func Float64sToBytes(v []float64) []byte {
-	out := make([]byte, 8*len(v))
-	for i, x := range v {
-		binary.LittleEndian.PutUint64(out[8*i:], math.Float64bits(x))
-	}
-	return out
-}
-
-// BytesToFloat64s decodes Float64sToBytes output.
-func BytesToFloat64s(b []byte) ([]float64, error) {
-	if len(b)%8 != 0 {
-		return nil, fmt.Errorf("comm: float64 payload length %d not multiple of 8", len(b))
-	}
-	out := make([]float64, len(b)/8)
-	for i := range out {
-		out[i] = math.Float64frombits(binary.LittleEndian.Uint64(b[8*i:]))
 	}
 	return out, nil
 }
@@ -465,32 +361,6 @@ func AllReduceInt64(c Communicator, v []int64, op func(a, b int64) int64) ([]int
 	return BytesToInt64s(res)
 }
 
-// AllReduceFloat64 is AllReduceInt64 for float64 vectors.
-func AllReduceFloat64(c Communicator, v []float64, op func(a, b float64) float64) ([]float64, error) {
-	countCall(c, OpReduce)
-	res, err := allReduceRaw(c, Float64sToBytes(v), func(a, b []byte) ([]byte, error) {
-		av, err := BytesToFloat64s(a)
-		if err != nil {
-			return nil, err
-		}
-		bv, err := BytesToFloat64s(b)
-		if err != nil {
-			return nil, err
-		}
-		if len(av) != len(bv) {
-			return nil, fmt.Errorf("comm: allreduce length mismatch %d vs %d", len(av), len(bv))
-		}
-		for i := range av {
-			av[i] = op(av[i], bv[i])
-		}
-		return Float64sToBytes(av), nil
-	}, 8)
-	if err != nil {
-		return nil, err
-	}
-	return BytesToFloat64s(res)
-}
-
 // allReduceRaw combines byte vectors whose element size is elem bytes.
 // combine must be associative and commutative on aligned vectors.
 func allReduceRaw(c Communicator, data []byte, combine func(a, b []byte) ([]byte, error), elem int) ([]byte, error) {
@@ -514,49 +384,6 @@ func AllReduceBytes(c Communicator, data []byte, combine func(a, b []byte) ([]by
 		return data, nil
 	}
 	return allReduceTree(c, data, combine, tagReduce)
-}
-
-// ReduceInt64 combines vectors element-wise with op at the root rank; the
-// root returns the combined vector, other ranks return nil. This is the
-// "assign an attribute's statistics to one processor" primitive of the
-// attribute-based replication method.
-func ReduceInt64(c Communicator, root int, v []int64, op func(a, b int64) int64) ([]int64, error) {
-	countCall(c, OpReduce)
-	p, r := c.Size(), c.Rank()
-	if root < 0 || root >= p {
-		return nil, fmt.Errorf("comm: reduce: bad root %d", root)
-	}
-	if p == 1 {
-		return v, nil
-	}
-	vr := (r - root + p) % p
-	acc := append([]int64(nil), v...)
-	for mask := 1; mask < p; mask <<= 1 {
-		if vr&mask != 0 {
-			parent := (vr - mask + root) % p
-			if err := c.Send(parent, tagReduce, Int64sToBytes(acc)); err != nil {
-				return nil, err
-			}
-			return nil, nil
-		}
-		if vr+mask < p {
-			raw, err := c.Recv((vr+mask+root)%p, tagReduce)
-			if err != nil {
-				return nil, err
-			}
-			other, err := BytesToInt64s(raw)
-			if err != nil {
-				return nil, err
-			}
-			if len(other) != len(acc) {
-				return nil, fmt.Errorf("comm: reduce length mismatch %d vs %d", len(other), len(acc))
-			}
-			for i := range acc {
-				acc[i] = op(acc[i], other[i])
-			}
-		}
-	}
-	return acc, nil
 }
 
 // allReduceTree: binomial reduce to rank 0, then broadcast, all on the

@@ -103,7 +103,6 @@ const (
 	tagReduce
 	tagScan
 	tagMinLoc
-	tagScatter
 	// TagUser is the first tag free for application messages.
 	TagUser Tag = 100
 )
@@ -124,7 +123,6 @@ const (
 	OpReduce
 	OpScan
 	OpMinLoc
-	OpScatter
 	// NumOpClasses sizes per-class arrays.
 	NumOpClasses
 )
@@ -149,8 +147,6 @@ func (cl OpClass) String() string {
 		return "scan"
 	case OpMinLoc:
 		return "minloc"
-	case OpScatter:
-		return "scatter"
 	default:
 		return fmt.Sprintf("OpClass(%d)", int(cl))
 	}
@@ -175,8 +171,6 @@ func ClassOf(tag Tag) OpClass {
 		return OpScan
 	case tagMinLoc:
 		return OpMinLoc
-	case tagScatter:
-		return OpScatter
 	default:
 		return OpP2P
 	}
@@ -284,11 +278,11 @@ func (s *Stats) Add(o Stats) {
 // Sub returns s - o field-wise: the traffic between two snapshots.
 func (s Stats) Sub(o Stats) Stats {
 	d := Stats{
-		MsgsSent:       s.MsgsSent - o.MsgsSent,
-		BytesSent:      s.BytesSent - o.BytesSent,
-		MsgsRecv:       s.MsgsRecv - o.MsgsRecv,
-		BytesRecv:      s.BytesRecv - o.BytesRecv,
-		WaitSec:        s.WaitSec - o.WaitSec,
+		MsgsSent:          s.MsgsSent - o.MsgsSent,
+		BytesSent:         s.BytesSent - o.BytesSent,
+		MsgsRecv:          s.MsgsRecv - o.MsgsRecv,
+		BytesRecv:         s.BytesRecv - o.BytesRecv,
+		WaitSec:           s.WaitSec - o.WaitSec,
 		HeartbeatsSent:    s.HeartbeatsSent - o.HeartbeatsSent,
 		HeartbeatsRecv:    s.HeartbeatsRecv - o.HeartbeatsRecv,
 		SendRetries:       s.SendRetries - o.SendRetries,

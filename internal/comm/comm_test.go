@@ -264,27 +264,6 @@ func TestAllReduceInt64Max(t *testing.T) {
 	}
 }
 
-func TestAllReduceFloat64Min(t *testing.T) {
-	for _, p := range groupSizes {
-		runGroup(t, p, func(c *ChannelComm) error {
-			v := []float64{float64(c.Rank()) + 0.5}
-			got, err := AllReduceFloat64(c, v, func(a, b float64) float64 {
-				if a < b {
-					return a
-				}
-				return b
-			})
-			if err != nil {
-				return err
-			}
-			if got[0] != 0.5 {
-				return fmt.Errorf("got %v want 0.5", got[0])
-			}
-			return nil
-		})
-	}
-}
-
 func TestPrefixSumInt64(t *testing.T) {
 	for _, p := range groupSizes {
 		runGroup(t, p, func(c *ChannelComm) error {
@@ -336,31 +315,6 @@ func TestMinLocTieBreaksLowRank(t *testing.T) {
 		}
 		return nil
 	})
-}
-
-func TestReduceInt64(t *testing.T) {
-	for _, p := range groupSizes {
-		for root := 0; root < p; root += max(1, p/2) {
-			runGroup(t, p, func(c *ChannelComm) error {
-				v := []int64{int64(c.Rank() + 1)}
-				got, err := ReduceInt64(c, root, v, func(a, b int64) int64 { return a + b })
-				if err != nil {
-					return err
-				}
-				if c.Rank() != root {
-					if got != nil {
-						return fmt.Errorf("non-root should get nil")
-					}
-					return nil
-				}
-				want := int64(p * (p + 1) / 2)
-				if got[0] != want {
-					return fmt.Errorf("got %d want %d", got[0], want)
-				}
-				return nil
-			})
-		}
-	}
 }
 
 func TestBarrier(t *testing.T) {
@@ -489,62 +443,4 @@ func max(a, b int) int {
 		return a
 	}
 	return b
-}
-
-func TestScatter(t *testing.T) {
-	for _, p := range groupSizes {
-		for root := 0; root < p; root += max(1, p/2) {
-			runGroup(t, p, func(c *ChannelComm) error {
-				var parts [][]byte
-				if c.Rank() == root {
-					parts = make([][]byte, p)
-					for i := range parts {
-						parts[i] = []byte(fmt.Sprintf("for-rank-%d", i))
-					}
-				}
-				got, err := Scatter(c, root, parts)
-				if err != nil {
-					return err
-				}
-				want := fmt.Sprintf("for-rank-%d", c.Rank())
-				if string(got) != want {
-					return fmt.Errorf("rank %d got %q want %q", c.Rank(), got, want)
-				}
-				return nil
-			})
-		}
-	}
-}
-
-func TestScatterValidation(t *testing.T) {
-	runGroup(t, 2, func(c *ChannelComm) error {
-		if c.Rank() != 0 {
-			return nil
-		}
-		if _, err := Scatter(c, 9, nil); err == nil {
-			return fmt.Errorf("bad root accepted")
-		}
-		if _, err := Scatter(c, 0, make([][]byte, 1)); err == nil {
-			return fmt.Errorf("wrong part count accepted")
-		}
-		return nil
-	})
-}
-
-func TestScatterInverseOfGather(t *testing.T) {
-	runGroup(t, 8, func(c *ChannelComm) error {
-		mine := []byte(fmt.Sprintf("payload-%d", c.Rank()))
-		gathered, err := Gather(c, 0, mine)
-		if err != nil {
-			return err
-		}
-		back, err := Scatter(c, 0, gathered)
-		if err != nil {
-			return err
-		}
-		if !bytes.Equal(back, mine) {
-			return fmt.Errorf("scatter(gather(x)) != x: %q vs %q", back, mine)
-		}
-		return nil
-	})
 }

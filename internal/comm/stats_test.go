@@ -35,13 +35,6 @@ func TestPerCollectiveCounts(t *testing.T) {
 		if _, err := AllToAll(c, parts); err != nil {
 			return err
 		}
-		var sparts [][]byte
-		if c.Rank() == 0 {
-			sparts = parts
-		}
-		if _, err := Scatter(c, 0, sparts); err != nil {
-			return err
-		}
 		if _, err := AllReduceInt64(c, []int64{1, 2}, func(a, b int64) int64 { return a + b }); err != nil {
 			return err
 		}
@@ -61,7 +54,7 @@ func TestPerCollectiveCounts(t *testing.T) {
 
 	want := map[OpClass]int64{
 		OpBarrier: 1, OpBroadcast: 1, OpGather: 1, OpAllGather: 1,
-		OpAllToAll: 1, OpScatter: 1, OpReduce: 1, OpScan: 1, OpMinLoc: 1,
+		OpAllToAll: 1, OpReduce: 1, OpScan: 1, OpMinLoc: 1,
 	}
 	var group Stats
 	ranks := 0
@@ -100,7 +93,7 @@ func TestPerCollectiveCounts(t *testing.T) {
 	}
 
 	table := group.Table()
-	for _, name := range []string{"barrier", "bcast", "gather", "allgather", "alltoall", "scatter", "reduce", "scan", "minloc", "total"} {
+	for _, name := range []string{"barrier", "bcast", "gather", "allgather", "alltoall", "reduce", "scan", "minloc", "total"} {
 		if !strings.Contains(table, name) {
 			t.Errorf("Table() missing %q:\n%s", name, table)
 		}
@@ -139,7 +132,6 @@ func TestClassOf(t *testing.T) {
 		tagReduce:    OpReduce,
 		tagScan:      OpScan,
 		tagMinLoc:    OpMinLoc,
-		tagScatter:   OpScatter,
 	}
 	for tag, want := range cases {
 		if got := ClassOf(tag); got != want {

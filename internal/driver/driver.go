@@ -33,8 +33,8 @@ import (
 	"pclouds/internal/tree"
 )
 
-// ErrStopped is returned by RunRank when Config.Stop was closed between
-// recovery attempts.
+// ErrStopped is returned by Loop (and RunRank) when LoopConfig.Stop was
+// closed.
 var ErrStopped = errors.New("driver: stopped")
 
 // Vars holds live recovery counters, safe for concurrent reads (e.g. an
@@ -68,55 +68,25 @@ func (v *Vars) Register(reg *obs.Registry, rank int) {
 		Func(func() float64 { return float64(v.Adoptions.Load()) }, r)
 }
 
-// Config parameterises one rank's supervised run.
+// Config parameterises one rank's supervised batch build: the rendezvous
+// loop's mesh identity and recovery knobs, plus the build itself.
 type Config struct {
-	// Rank and Addrs identify this rank in the mesh.
-	Rank  int
-	Addrs []string
-	// Generation is the starting build generation. It grows over the run:
-	// +1 per recovery round, and adopted upward whenever the transport
-	// reports a peer already at a newer generation.
-	Generation uint32
-	// MaxRestarts bounds the recovery attempts after the first build
-	// (default 5; 0 uses the default, negative disables recovery). When the
-	// budget is exhausted RunRank fails with an error wrapping the first
-	// comm.PeerDown observed, naming the root cause.
-	MaxRestarts int
-	// Backoff is the initial delay before a recovery attempt (default
-	// 500ms; doubles per attempt, capped at 30s). It gives the dead rank's
-	// supervisor time to respawn it and the surviving ranks time to tear
-	// down to the rendezvous barrier.
-	Backoff time.Duration
-	// Comm is the transport template: timeouts and heartbeat settings are
-	// taken from it; Rank, Addrs and Generation are overwritten per attempt.
-	Comm tcpcomm.Config
+	// LoopConfig drives the rendezvous loop; its Stage (re)writes the staged
+	// root partition into Store and runs before every attempt (partitioning
+	// consumes the frontier, so a retry needs the root re-staged; staging
+	// is deterministic and overwrites in place).
+	LoopConfig
 	// Build is the build template. With CheckpointDir set the driver turns
 	// on ResumeAuto so every attempt restores from the newest complete
 	// checkpoint; a caller-set strict Resume is honoured on the first
 	// attempt only.
 	Build pclouds.Config
-	// Store is the rank's out-of-core store; Stage (re)writes the staged
-	// root partition into it and runs before every attempt (partitioning
-	// consumes the frontier, so a retry needs the root re-staged; staging
-	// is deterministic and overwrites in place).
+	// Store is the rank's out-of-core store.
 	Store *ooc.Store
-	Stage func(store *ooc.Store) error
 	// RootName is the staged root file's store name (default "root");
 	// Sample is the shared pre-drawn sample, identical on every rank.
 	RootName string
 	Sample   []record.Record
-	// Stop, when non-nil, aborts the run when closed (RunRank returns
-	// ErrStopped). An in-flight build is unblocked by closing its
-	// communicator, so the abort is prompt.
-	Stop <-chan struct{}
-	// Logf reports recovery progress (nil disables); Vars, when non-nil,
-	// receives live counters.
-	Logf func(format string, args ...any)
-	Vars *Vars
-	// OnAttempt, when non-nil, is called with the freshly connected
-	// communicator at the start of every build attempt — e.g. to repoint
-	// live debug counters at the current mesh.
-	OnAttempt func(c *tcpcomm.Comm)
 }
 
 // RankResult is a successful RunRank outcome.
@@ -131,24 +101,6 @@ type RankResult struct {
 	Generation uint32
 }
 
-func (cfg *Config) withDefaults() {
-	if cfg.MaxRestarts == 0 {
-		cfg.MaxRestarts = 5
-	}
-	if cfg.Backoff == 0 {
-		cfg.Backoff = 500 * time.Millisecond
-	}
-	if cfg.RootName == "" {
-		cfg.RootName = "root"
-	}
-	if cfg.Logf == nil {
-		cfg.Logf = func(string, ...any) {}
-	}
-	if cfg.Vars == nil {
-		cfg.Vars = &Vars{}
-	}
-}
-
 // adoptionCap bounds consecutive generation adoptions between two build
 // attempts. Adoptions terminate on their own — each strictly raises the
 // generation, and peers only raise theirs on real failures that burn their
@@ -161,16 +113,25 @@ const adoptionCap = 100
 // (cmd/pcloudsstream). It carries the mesh identity and recovery knobs; the
 // workload itself is the body passed to Loop.
 type LoopConfig struct {
-	// Rank, Addrs and Generation identify this rank in the mesh; Generation
-	// grows over the run exactly as documented on Config.
-	Rank       int
-	Addrs      []string
+	// Rank and Addrs identify this rank in the mesh.
+	Rank  int
+	Addrs []string
+	// Generation is the starting build generation. It grows over the run:
+	// +1 per recovery round, and adopted upward whenever the transport
+	// reports a peer already at a newer generation.
 	Generation uint32
-	// MaxRestarts and Backoff follow Config's semantics and defaults.
+	// MaxRestarts bounds the recovery attempts after the first body
+	// (default 5; 0 uses the default, negative disables recovery). When the
+	// budget is exhausted Loop fails with an error wrapping the first
+	// comm.PeerDown observed, naming the root cause.
 	MaxRestarts int
-	Backoff     time.Duration
-	// Comm is the transport template; Rank, Addrs and Generation are
-	// overwritten per attempt.
+	// Backoff is the initial delay before a recovery attempt (default
+	// 500ms; doubles per attempt, capped at 30s). It gives the dead rank's
+	// supervisor time to respawn it and the surviving ranks time to tear
+	// down to the rendezvous barrier.
+	Backoff time.Duration
+	// Comm is the transport template: timeouts and heartbeat settings are
+	// taken from it; Rank, Addrs and Generation are overwritten per attempt.
 	Comm tcpcomm.Config
 	// Stage, when non-nil, runs before every attempt to (re-)prepare local
 	// state (e.g. restage the root partition). attempt is 1-based and counts
@@ -364,22 +325,12 @@ func Loop(cfg LoopConfig, body func(c *tcpcomm.Comm, attempt int) error) (*LoopR
 // recovery budget is exhausted. It is the batch-build body on top of the
 // generic rendezvous Loop.
 func RunRank(cfg Config) (*RankResult, error) {
-	cfg.withDefaults()
+	if cfg.RootName == "" {
+		cfg.RootName = "root"
+	}
 	var tr *tree.Tree
 	var stats *pclouds.Stats
-	res, err := Loop(LoopConfig{
-		Rank:        cfg.Rank,
-		Addrs:       cfg.Addrs,
-		Generation:  cfg.Generation,
-		MaxRestarts: cfg.MaxRestarts,
-		Backoff:     cfg.Backoff,
-		Comm:        cfg.Comm,
-		Stage:       func(int) error { return cfg.Stage(cfg.Store) },
-		Stop:        cfg.Stop,
-		Logf:        cfg.Logf,
-		Vars:        cfg.Vars,
-		OnAttempt:   cfg.OnAttempt,
-	}, func(c *tcpcomm.Comm, attempt int) error {
+	res, err := Loop(cfg.LoopConfig, func(c *tcpcomm.Comm, attempt int) error {
 		bc := cfg.Build
 		if bc.CheckpointDir != "" && !bc.Resume {
 			bc.ResumeAuto = true

@@ -64,10 +64,10 @@ func chaosData() *record.Dataset {
 	return g.Generate(4000)
 }
 
-// stageShare writes rank's round-robin share of data into the store's
-// "root" file; this is the Stage callback everywhere in this file.
-func stageShare(data *record.Dataset, rank, p int) func(*ooc.Store) error {
-	return func(store *ooc.Store) error {
+// stageShare writes rank's round-robin share of data into store's "root"
+// file; this is the Stage callback everywhere in this file.
+func stageShare(store *ooc.Store, data *record.Dataset, rank, p int) func(attempt int) error {
+	return func(int) error {
 		w, err := store.CreateWriter("root")
 		if err != nil {
 			return err
@@ -96,7 +96,7 @@ func referenceTree(t *testing.T, cfg clouds.Config, data *record.Dataset, sample
 		go func(r int) {
 			defer wg.Done()
 			store := ooc.NewMemStore(data.Schema, costmodel.Zero(), comms[r].Clock())
-			if err := stageShare(data, r, p)(store); err != nil {
+			if err := stageShare(store, data, r, p)(1); err != nil {
 				errs[r] = err
 				return
 			}
@@ -203,16 +203,22 @@ func rankMain() int {
 	}
 
 	res, err := driver.RunRank(driver.Config{
-		Rank:        rank,
-		Addrs:       addrs,
-		Generation:  uint32(gen),
-		MaxRestarts: 6,
-		Backoff:     100 * time.Millisecond,
-		Comm: tcpcomm.Config{
-			Params:            costmodel.Zero(),
-			DialTimeout:       20 * time.Second,
-			HeartbeatInterval: 100 * time.Millisecond,
-			PeerTimeout:       2 * time.Second,
+		LoopConfig: driver.LoopConfig{
+			Rank:        rank,
+			Addrs:       addrs,
+			Generation:  uint32(gen),
+			MaxRestarts: 6,
+			Backoff:     100 * time.Millisecond,
+			Comm: tcpcomm.Config{
+				Params:            costmodel.Zero(),
+				DialTimeout:       20 * time.Second,
+				HeartbeatInterval: 100 * time.Millisecond,
+				PeerTimeout:       2 * time.Second,
+			},
+			Stage: stageShare(store, data, rank, len(addrs)),
+			Logf: func(format string, args ...any) {
+				fmt.Fprintf(os.Stderr, format+"\n", args...)
+			},
 		},
 		Build: pclouds.Config{
 			Clouds:        cfg,
@@ -220,11 +226,7 @@ func rankMain() int {
 			LevelHook:     hook,
 		},
 		Store:  store,
-		Stage:  stageShare(data, rank, len(addrs)),
 		Sample: sample,
-		Logf: func(format string, args ...any) {
-			fmt.Fprintf(os.Stderr, format+"\n", args...)
-		},
 	})
 	if err != nil {
 		return fail(err)
@@ -335,16 +337,18 @@ func TestRunRankNoFaults(t *testing.T) {
 					return
 				}
 				results[r], errs[r] = driver.RunRank(driver.Config{
-					Rank: r, Addrs: addrs,
-					Comm: tcpcomm.Config{
-						Params:            costmodel.Zero(),
-						DialTimeout:       15 * time.Second,
-						HeartbeatInterval: 100 * time.Millisecond,
-						PeerTimeout:       2 * time.Second,
+					LoopConfig: driver.LoopConfig{
+						Rank: r, Addrs: addrs,
+						Comm: tcpcomm.Config{
+							Params:            costmodel.Zero(),
+							DialTimeout:       15 * time.Second,
+							HeartbeatInterval: 100 * time.Millisecond,
+							PeerTimeout:       2 * time.Second,
+						},
+						Stage: stageShare(store, data, r, p),
 					},
 					Build:  pclouds.Config{Clouds: cfg},
 					Store:  store,
-					Stage:  stageShare(data, r, p),
 					Sample: sample,
 				})
 			}(r)
@@ -391,18 +395,20 @@ func TestRunRankBudgetExhaustedNamesRootCause(t *testing.T) {
 					return
 				}
 				_, errs[r] = driver.RunRank(driver.Config{
-					Rank: r, Addrs: addrs,
-					MaxRestarts: 1,
-					Backoff:     50 * time.Millisecond,
-					Comm: tcpcomm.Config{
-						Params:            costmodel.Zero(),
-						DialTimeout:       3 * time.Second,
-						HeartbeatInterval: 100 * time.Millisecond,
-						PeerTimeout:       1500 * time.Millisecond,
+					LoopConfig: driver.LoopConfig{
+						Rank: r, Addrs: addrs,
+						MaxRestarts: 1,
+						Backoff:     50 * time.Millisecond,
+						Comm: tcpcomm.Config{
+							Params:            costmodel.Zero(),
+							DialTimeout:       3 * time.Second,
+							HeartbeatInterval: 100 * time.Millisecond,
+							PeerTimeout:       1500 * time.Millisecond,
+						},
+						Stage: stageShare(store, data, r, p),
 					},
 					Build:  pclouds.Config{Clouds: cfg},
 					Store:  store,
-					Stage:  stageShare(data, r, p),
 					Sample: sample,
 				})
 			}(r)
@@ -417,7 +423,7 @@ func TestRunRankBudgetExhaustedNamesRootCause(t *testing.T) {
 				errs[3] = err
 				return
 			}
-			if err := stageShare(data, 3, p)(store); err != nil {
+			if err := stageShare(store, data, 3, p)(1); err != nil {
 				errs[3] = err
 				return
 			}
