@@ -50,21 +50,26 @@ chaos:
 	$(GO) test -race ./internal/scrub/
 
 # chaos-quick is the self-healing subset that gates every commit: the
-# supervised kill-and-respawn acceptance test, generation fencing, and the
+# supervised kill-and-respawn acceptance test, generation fencing, the
 # checkpoint GC/auto-resume tests of the batch build and the resume
-# agreement of the streaming engine, under the race detector with a tight
-# overall deadline so a hang fails fast instead of eating the gate.
+# agreement of the streaming engine, and the ooc page lifecycle with
+# poisoned pages (the prefetch and write-behind goroutines give pages back
+# across goroutines), under the race detector with a tight overall deadline
+# so a hang fails fast instead of eating the gate.
 chaos-quick: vet
 	$(GO) test -race -timeout 300s -run 'TestSupervised|TestRunRank|TestSupervise' ./internal/driver/
 	$(GO) test -race -timeout 300s -run 'TestGeneration|TestDoorman|TestStale' ./internal/comm/tcp/
 	$(GO) test -race -timeout 300s -run 'TestCheckpointGC|TestAutoResume|TestDegraded|TestResume' ./internal/pclouds/
 	$(GO) test -race -timeout 300s -run 'TestResume' ./internal/stream/
+	$(GO) test -race -timeout 300s -run 'TestPage|TestPoison|TestPipeline|TestWriteBehind|TestPrefetch|TestIntegrity' ./internal/ooc/
+	$(GO) test -race -timeout 300s -run 'TestPipelineParityFileBackend|TestFileCreatesCounted|TestCorruptionDetectedAttributed' ./internal/pclouds/
 
 # Short fuzz passes over every fuzz target in the tree, found by name — a
 # new target is picked up without touching this file. Two kinds today.
 # Differential kernel targets, where a fast path must equal its reference:
-# histogram.Locate against sort.SearchFloat64s, and the compiled tree
-# against the pointer walk (every row must reach the same leaf). Decoder
+# histogram.Locate against sort.SearchFloat64s, the compiled tree against
+# the pointer walk (every row must reach the same leaf), and the presorted
+# builder against the per-node sort (same tree bytes, same stats). Decoder
 # targets, where garbage must error and accepted bytes must re-encode
 # identically: the tree and model-file decoders, the prediction-server
 # request decoders (malformed JSON/binary rows must get a 4xx, never a

@@ -265,7 +265,7 @@ func BuildInCore(cfg Config, data *record.Dataset, sample []record.Record) (*tre
 	}
 	b := &builder{cfg: cfg, schema: data.Schema, nRoot: int64(data.Len())}
 	span := cfg.Trace.Start("incore-build")
-	root := b.build(data.Records, sample, 0)
+	root := b.build(data.Records, Presort(data.Schema, sample), 0)
 	span.End()
 	t := &tree.Tree{Schema: data.Schema, Root: root}
 	st := b.stats
@@ -274,9 +274,11 @@ func BuildInCore(cfg Config, data *record.Dataset, sample []record.Record) (*tre
 
 // BuildSubtree builds a subtree over in-memory records starting at the
 // given depth, with nRoot the *global* root size so that interval counts
-// and small-node decisions match a full build. pCLOUDS uses it to solve
-// shipped small nodes on their assigned processor.
-func BuildSubtree(cfg Config, schema *record.Schema, recs, sample []record.Record, depth int, nRoot int64) (*tree.Node, *BuildStats) {
+// and small-node decisions match a full build. sample is the node's
+// presorted sample; the builder splits it and the node must not be used
+// afterwards. pCLOUDS uses it to solve shipped small nodes on their
+// assigned processor.
+func BuildSubtree(cfg Config, schema *record.Schema, recs []record.Record, sample *Presorted, depth int, nRoot int64) (*tree.Node, *BuildStats) {
 	cfg = cfg.withDefaults()
 	b := &builder{cfg: cfg, schema: schema, nRoot: nRoot}
 	span := cfg.Trace.Start("small-subtree")
@@ -317,7 +319,11 @@ func (b *builder) shouldStop(classCounts []int64, n int64, depth int) bool {
 	return b.cfg.ShouldStop(classCounts, n, depth)
 }
 
-func (b *builder) build(recs []record.Record, sample []record.Record, depth int) *tree.Node {
+// build constructs the subtree of a node whose records are recs and whose
+// presorted sample is sample. A small node is presorted once here and its
+// whole subtree is built from the sorted columns (splitSmall); children of
+// a small node are small too.
+func (b *builder) build(recs []record.Record, sample *Presorted, depth int) *tree.Node {
 	if depth > b.stats.MaxDepth {
 		b.stats.MaxDepth = depth
 	}
@@ -329,16 +335,12 @@ func (b *builder) build(recs []record.Record, sample []record.Record, depth int)
 	if b.shouldStop(classCounts, n, depth) {
 		return b.leaf(classCounts, n)
 	}
-
-	var cand Candidate
 	if b.cfg.IsSmall(n, b.nRoot) {
-		b.stats.SmallNodes++
-		b.stats.RecordReads += n
-		cand = DirectSplit(b.schema, recs)
-	} else {
-		b.stats.LargeNodes++
-		cand = b.largeNodeSplit(recs, sample, n)
+		return b.splitSmall(Presort(b.schema, recs), classCounts, depth)
 	}
+
+	b.stats.LargeNodes++
+	cand := b.largeNodeSplit(recs, sample, n)
 	if !cand.Valid {
 		return b.leaf(classCounts, n)
 	}
@@ -349,7 +351,7 @@ func (b *builder) build(recs []record.Record, sample []record.Record, depth int)
 	if len(leftRecs) == 0 || len(rightRecs) == 0 {
 		return b.leaf(classCounts, n)
 	}
-	leftSample, rightSample := PartitionRecords(b.schema, sample, sp)
+	leftSample, rightSample := sample.Split(b.schema, sp)
 
 	nd := &tree.Node{Splitter: sp, ClassCounts: classCounts, N: n}
 	nd.Class = nd.Majority()
@@ -359,11 +361,49 @@ func (b *builder) build(recs []record.Record, sample []record.Record, depth int)
 	return nd
 }
 
+// buildSmall constructs the subtree of a small node from its presorted
+// columns.
+func (b *builder) buildSmall(p *Presorted, depth int) *tree.Node {
+	if depth > b.stats.MaxDepth {
+		b.stats.MaxDepth = depth
+	}
+	classCounts := p.classCounts(b.schema.NumClasses)
+	if b.shouldStop(classCounts, int64(p.Len()), depth) {
+		return b.leaf(classCounts, int64(p.Len()))
+	}
+	return b.splitSmall(p, classCounts, depth)
+}
+
+// splitSmall splits a small node that did not stop with the direct method
+// and builds its children from the split columns: the paper's direct
+// method with one sort per small task instead of one per node.
+func (b *builder) splitSmall(p *Presorted, classCounts []int64, depth int) *tree.Node {
+	n := int64(p.Len())
+	b.stats.SmallNodes++
+	b.stats.RecordReads += n
+	cand := p.directSplit(b.schema)
+	if !cand.Valid {
+		return b.leaf(classCounts, n)
+	}
+	sp := cand.Splitter()
+	left, right := p.Split(b.schema, sp)
+	b.stats.RecordReads += n
+	if left.Len() == 0 || right.Len() == 0 {
+		return b.leaf(classCounts, n)
+	}
+	nd := &tree.Node{Splitter: sp, ClassCounts: classCounts, N: n}
+	nd.Class = nd.Majority()
+	b.stats.Nodes++
+	nd.Left = b.buildSmall(left, depth+1)
+	nd.Right = b.buildSmall(right, depth+1)
+	return nd
+}
+
 // fixedBinStats accumulates the node's records over the fixed-bin quantized
 // histograms of the hist/vote split methods: HistBins quantile bins per
 // numeric attribute, built from the node's sample regardless of node size.
-func (b *builder) fixedBinStats(recs, sample []record.Record, n int64) *NodeStats {
-	ns := NewNodeStats(b.schema, BuildIntervals(b.schema, sample, b.cfg.HistBins))
+func (b *builder) fixedBinStats(recs []record.Record, sample *Presorted, n int64) *NodeStats {
+	ns := NewNodeStats(b.schema, sample.Intervals(b.cfg.HistBins))
 	for _, r := range recs {
 		ns.Add(r)
 	}
@@ -374,7 +414,7 @@ func (b *builder) fixedBinStats(recs, sample []record.Record, n int64) *NodeStat
 // largeNodeSplit runs the configured split-finding protocol over in-memory
 // records: the SS/SSE method (default), or the fixed-bin hist/vote
 // evaluation the parallel communication-efficient modes are built on.
-func (b *builder) largeNodeSplit(recs, sample []record.Record, n int64) Candidate {
+func (b *builder) largeNodeSplit(recs []record.Record, sample *Presorted, n int64) Candidate {
 	switch b.cfg.Split {
 	case SplitHist:
 		return BestBoundarySplit(b.fixedBinStats(recs, sample, n))
@@ -388,9 +428,7 @@ func (b *builder) largeNodeSplit(recs, sample []record.Record, n int64) Candidat
 	// An empty sample partition degenerates to a single interval per
 	// attribute; the SSE alive search then covers the whole range. The
 	// parallel build behaves identically, keeping the two deterministic.
-	q := b.cfg.QForNode(n, b.nRoot)
-	intervals := BuildIntervals(b.schema, sample, q)
-	ns := NewNodeStats(b.schema, intervals)
+	ns := NewNodeStats(b.schema, sample.Intervals(b.cfg.QForNode(n, b.nRoot)))
 	for _, r := range recs {
 		ns.Add(r)
 	}

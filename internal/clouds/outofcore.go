@@ -45,7 +45,7 @@ func BuildOutOfCore(cfg Config, store *ooc.Store, rootName string, sample []reco
 		mem:     mem,
 	}
 	b.stats.RecordReads += n
-	root, err := b.build(rootName, sample, 0, rootCounts, n, nil)
+	root, err := b.build(rootName, Presort(schema, sample), 0, rootCounts, n, nil)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -86,7 +86,7 @@ func scan(store *ooc.Store, name string, fn func(*record.Record) error) error {
 // file name. fusedStats, when non-nil, holds the node's statistics
 // accumulated by the parent's partition pass (the paper's fused
 // partitioning), saving this node's statistics scan.
-func (b *oocBuilder) build(name string, sample []record.Record, depth int, classCounts []int64, n int64, fusedStats *NodeStats) (*tree.Node, error) {
+func (b *oocBuilder) build(name string, sample *Presorted, depth int, classCounts []int64, n int64, fusedStats *NodeStats) (*tree.Node, error) {
 	if depth > b.stats.MaxDepth {
 		b.stats.MaxDepth = depth
 	}
@@ -146,15 +146,13 @@ func (b *oocBuilder) build(name string, sample []record.Record, depth int, class
 		b.store.Remove(name)
 		return b.leaf(classCounts, n), nil
 	}
-	leftSample, rightSample := PartitionRecords(b.schema, sample, sp)
+	leftSample, rightSample := sample.Split(b.schema, sp)
 	var leftStats, rightStats *NodeStats
 	if b.oocLargeChild(leftCounts, nl, depth+1) {
-		q := b.cfg.QForNode(nl, b.nRoot)
-		leftStats = NewNodeStats(b.schema, BuildIntervals(b.schema, leftSample, q))
+		leftStats = NewNodeStats(b.schema, leftSample.Intervals(b.cfg.QForNode(nl, b.nRoot)))
 	}
 	if b.oocLargeChild(rightCounts, nr, depth+1) {
-		q := b.cfg.QForNode(nr, b.nRoot)
-		rightStats = NewNodeStats(b.schema, BuildIntervals(b.schema, rightSample, q))
+		rightStats = NewNodeStats(b.schema, rightSample.Intervals(b.cfg.QForNode(nr, b.nRoot)))
 	}
 
 	b.nextID++
@@ -222,13 +220,11 @@ func (b *oocBuilder) oocLargeChild(counts []int64, n int64, depth int) bool {
 // streamSplit derives the splitting point of a disk-resident node with the
 // SS or SSE method, streaming the file for each required pass. fusedStats,
 // when non-nil, replaces the statistics scan.
-func (b *oocBuilder) streamSplit(name string, sample []record.Record, n int64, fusedStats *NodeStats) (Candidate, error) {
+func (b *oocBuilder) streamSplit(name string, sample *Presorted, n int64, fusedStats *NodeStats) (Candidate, error) {
 	b.stats.LargeNodes++
 	ns := fusedStats
 	if ns == nil {
-		q := b.cfg.QForNode(n, b.nRoot)
-		intervals := BuildIntervals(b.schema, sample, q)
-		ns = NewNodeStats(b.schema, intervals)
+		ns = NewNodeStats(b.schema, sample.Intervals(b.cfg.QForNode(n, b.nRoot)))
 		if err := scan(b.store, name, func(r *record.Record) error {
 			ns.Add(*r)
 			return nil

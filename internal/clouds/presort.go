@@ -1,0 +1,189 @@
+package clouds
+
+import (
+	"cmp"
+	"math"
+	"slices"
+
+	"pclouds/internal/gini"
+	"pclouds/internal/histogram"
+	"pclouds/internal/record"
+	"pclouds/internal/tree"
+)
+
+// Presorted is a node's rows together with, for every numeric attribute,
+// the same rows ordered by that attribute's value, NaN last: the attribute
+// lists of SPRINT (Shafer, Agrawal & Mehta, VLDB 1996), which the paper
+// calls the attribute-based approach. It is built once — for a small
+// task's records, for a build's sample — and Split divides it with a stable
+// partition at every node, so each child inherits sorted columns without
+// sorting again. The direct method scans the columns, and a node's
+// interval structures are read off them (Intervals).
+type Presorted struct {
+	recs []record.Record // every row of the presorted root; never modified
+	rows []int32         // this node's rows (indices into recs), in root order
+	cols [][]Point       // cols[j]: this node's rows by Num[j], NaN last
+	sc   *presortScratch // shared by every node split from the same root
+}
+
+// presortScratch is the working space of Split. A node and its descendants
+// are split one at a time, so one buffer per root serves them all.
+type presortScratch struct {
+	left []bool // by root row: the row goes left at the split being made
+	rows []int32
+	pts  []Point
+}
+
+// Presort sorts recs once along every numeric attribute. recs is read, never
+// modified, and must outlive the result and every node split from it.
+func Presort(schema *record.Schema, recs []record.Record) *Presorted {
+	n, nn := len(recs), schema.NumNumeric()
+	p := &Presorted{
+		recs: recs,
+		rows: make([]int32, n),
+		cols: make([][]Point, nn),
+		sc:   &presortScratch{left: make([]bool, n)},
+	}
+	for i := range p.rows {
+		p.rows[i] = int32(i)
+	}
+	// A column entry carries the value and class, so the direct method's
+	// scan is sequential; Row finds the record when the node is split.
+	flat := make([]Point, n*nn)
+	for j := range p.cols {
+		col := flat[j*n : (j+1)*n : (j+1)*n]
+		// NaNs go to the tail unsorted (they never split left, and their
+		// order is never read); the numbers before them sort by value.
+		numbers, nans := 0, n
+		for i := range recs {
+			e := Point{V: recs[i].Num[j], Class: recs[i].Class, Row: int32(i)}
+			if e.V != e.V {
+				nans--
+				col[nans] = e
+			} else {
+				col[numbers] = e
+				numbers++
+			}
+		}
+		slices.SortFunc(col[:numbers], func(a, b Point) int { return cmp.Compare(a.V, b.V) })
+		p.cols[j] = col
+	}
+	return p
+}
+
+// Len returns the node's row count.
+func (p *Presorted) Len() int { return len(p.rows) }
+
+// classCounts returns the node's class-count vector.
+func (p *Presorted) classCounts(numClasses int) []int64 {
+	counts := make([]int64, numClasses)
+	if len(p.cols) > 0 {
+		for _, e := range p.cols[0] {
+			counts[e.Class]++
+		}
+		return counts
+	}
+	for _, r := range p.rows {
+		counts[p.recs[r].Class]++
+	}
+	return counts
+}
+
+// Split divides the node's rows by sp into its two children, keeping every
+// column's order: each child's columns are already sorted. The children
+// take over the node's storage, so the node must not be used afterwards.
+func (p *Presorted) Split(schema *record.Schema, sp *tree.Splitter) (left, right *Presorted) {
+	goes := p.sc.left
+	if j := schema.NumericPos(sp.Attr); sp.Kind == tree.NumericSplit && j >= 0 {
+		for _, e := range p.cols[j] {
+			goes[e.Row] = e.V <= sp.Threshold
+		}
+	} else {
+		for _, r := range p.rows {
+			goes[r] = sp.GoesLeft(schema, p.recs[r])
+		}
+	}
+	n := len(p.rows)
+	if cap(p.sc.rows) < n {
+		p.sc.rows = make([]int32, n)
+		p.sc.pts = make([]Point, n)
+	}
+
+	// Stable partition: left rows are compacted in place (the write index
+	// never passes the read index), right rows wait in scratch and are
+	// copied in after them.
+	nl, spill := 0, p.sc.rows[:0]
+	for _, r := range p.rows {
+		if goes[r] {
+			p.rows[nl] = r
+			nl++
+		} else {
+			spill = append(spill, r)
+		}
+	}
+	copy(p.rows[nl:], spill)
+	left = &Presorted{recs: p.recs, rows: p.rows[:nl:nl], cols: make([][]Point, len(p.cols)), sc: p.sc}
+	right = &Presorted{recs: p.recs, rows: p.rows[nl:], cols: make([][]Point, len(p.cols)), sc: p.sc}
+	for j, col := range p.cols {
+		k, spill := 0, p.sc.pts[:0]
+		for _, e := range col {
+			if goes[e.Row] {
+				col[k] = e
+				k++
+			} else {
+				spill = append(spill, e)
+			}
+		}
+		copy(col[k:], spill)
+		left.cols[j], right.cols[j] = col[:k:k], col[k:]
+	}
+	return left, right
+}
+
+// Intervals builds the node's interval structures, q intervals per numeric
+// attribute, from its sorted columns: BuildIntervals without the sort, and
+// the same cuts.
+func (p *Presorted) Intervals(q int) []*histogram.Intervals {
+	out := make([]*histogram.Intervals, len(p.cols))
+	vals := make([]float64, 0, len(p.rows))
+	for j, col := range p.cols {
+		vals = vals[:0]
+		for _, e := range col {
+			if e.V != e.V {
+				break // NaN sorts last
+			}
+			vals = append(vals, e.V)
+		}
+		out[j] = histogram.FromSorted(vals, q)
+	}
+	return out
+}
+
+// directSplit is the direct method over the node's presorted columns: the
+// exact search over every numeric attribute's whole column, and the best
+// subset of every categorical one. The candidate obeys the deterministic
+// total order.
+func (p *Presorted) directSplit(schema *record.Schema) Candidate {
+	best := Candidate{Valid: false, Gini: math.Inf(1)}
+	if len(p.rows) == 0 {
+		return best
+	}
+	total := p.classCounts(schema.NumClasses)
+	nTotal := int64(len(p.rows))
+	zero := make([]int64, schema.NumClasses)
+	for j, attr := range schema.NumericIndices() {
+		if cand := searchSorted(attr, zero, total, p.cols[j]); cand.Better(best) {
+			best = cand
+		}
+	}
+	for j, attr := range schema.CategoricalIndices() {
+		cm := gini.NewCountMatrix(schema.Attrs[attr].Cardinality, schema.NumClasses)
+		for _, r := range p.rows {
+			cm.Add(p.recs[r].Cat[j], p.recs[r].Class)
+		}
+		if cand := BestCategorical(cm, attr, total, nTotal); cand.Better(best) {
+			best = cand
+		}
+	}
+	return best
+}

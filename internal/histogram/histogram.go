@@ -148,29 +148,37 @@ func (iv *Intervals) Validate() error {
 }
 
 // FromSample builds at most q equal-mass intervals from sample values. The
-// sample is copied and sorted; cut points are sample quantiles. Duplicate
-// quantile values are merged, so the result may have fewer than q intervals
-// (e.g. for heavily repeated values). A sample smaller than q yields one
-// interval per distinct adjacent pair. NaN sample values are dropped before
-// the quantiles are taken: sort.Float64s orders NaN ahead of every number,
-// so a NaN quantile would both violate the strictly-increasing invariant
-// itself and — because c > NaN is false for every c — suppress all later
-// cuts. NaN records are instead routed by Locate's explicit last-interval
-// rule.
+// sample is copied and sorted, then handed to FromSorted. NaN sample values
+// are dropped first: sort.Float64s orders NaN ahead of every number, so a
+// NaN quantile would both violate the strictly-increasing invariant itself
+// and — because c > NaN is false for every c — suppress all later cuts.
+// NaN records are instead routed by Locate's explicit last-interval rule.
 func FromSample(sample []float64, q int) *Intervals {
-	if q < 1 {
-		q = 1
-	}
 	s := make([]float64, 0, len(sample))
 	for _, v := range sample {
 		if !math.IsNaN(v) {
 			s = append(s, v)
 		}
 	}
+	sort.Float64s(s)
+	return FromSorted(s, q)
+}
+
+// FromSorted builds at most q equal-mass intervals from sample values s
+// that are already sorted ascending and hold no NaN; cut points are sample
+// quantiles. Duplicate quantile values are merged, so the result may have
+// fewer than q intervals (e.g. for heavily repeated values). A sample
+// smaller than q yields one interval per distinct adjacent pair. A cut
+// equal to zero is stored as +0: -0 and +0 tie, so which of the two a
+// quantile lands on depends on the sample's order, and the cut's bytes
+// must not. s is not retained.
+func FromSorted(s []float64, q int) *Intervals {
+	if q < 1 {
+		q = 1
+	}
 	if len(s) == 0 || q == 1 {
 		return newIntervals(nil)
 	}
-	sort.Float64s(s)
 	cuts := make([]float64, 0, q-1)
 	for k := 1; k < q; k++ {
 		idx := k*len(s)/q - 1
@@ -181,6 +189,9 @@ func FromSample(sample []float64, q int) *Intervals {
 		// keeps heavily tied samples from emitting equal, invariant-breaking
 		// cuts and the empty intervals they imply.
 		c := s[idx]
+		if c == 0 {
+			c = 0 // -0 becomes +0
+		}
 		if len(cuts) == 0 || c > cuts[len(cuts)-1] {
 			cuts = append(cuts, c)
 		}

@@ -251,3 +251,27 @@ func TestValidateRejectsUnsorted(t *testing.T) {
 		t.Fatal("duplicate cuts should fail validation")
 	}
 }
+
+// TestFromSampleSignedZeroOrderFree: -0 and +0 tie in the sort, so which
+// one a quantile lands on depends on the sample's order. Every order must
+// give bit-identical cuts, the zero stored as +0.
+func TestFromSampleSignedZeroOrderFree(t *testing.T) {
+	negZero := math.Copysign(0, -1)
+	vals := []float64{-1, negZero, 0, 1, 2, negZero, 0}
+	for q := 2; q <= len(vals); q++ {
+		want := FromSample([]float64{-1, 0, 0, 0, 0, 1, 2}, q).Cuts
+		rng := rand.New(rand.NewSource(int64(q)))
+		for trial := 0; trial < 200; trial++ {
+			rng.Shuffle(len(vals), func(i, j int) { vals[i], vals[j] = vals[j], vals[i] })
+			got := FromSample(vals, q).Cuts
+			if len(got) != len(want) {
+				t.Fatalf("q=%d order %v: cuts %v, want %v", q, vals, got, want)
+			}
+			for i := range got {
+				if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+					t.Fatalf("q=%d order %v: cut %d is %v (bits %#x), want %v", q, vals, i, got[i], math.Float64bits(got[i]), want[i])
+				}
+			}
+		}
+	}
+}

@@ -199,8 +199,9 @@ func (b *VerifyingBackend) metaOf(name string) (fileMeta, error) {
 // checksum, and returns the logical payload size and frame count. It is the
 // scrubber's entry point for ooc store files.
 func VerifyFrames(name string, r io.Reader) (logical int64, frames uint32, err error) {
-	hdr := make([]byte, FrameHeaderSize)
-	payload := make([]byte, PageSize)
+	page := getPage()
+	defer putPage(page)
+	hdr, payload := page[:FrameHeaderSize], page[FrameHeaderSize:FrameHeaderSize+PageSize]
 	var off int64
 	var seq uint32
 	for {
@@ -260,7 +261,7 @@ func (b *VerifyingBackend) Create(name string) (io.WriteCloser, error) {
 		return nil, err
 	}
 	b.setMeta(name, fileMeta{})
-	return &verifyWriter{b: b, name: name, inner: wc, buf: make([]byte, 0, PageSize)}, nil
+	return &verifyWriter{b: b, name: name, inner: wc, frame: getPage()[:FrameHeaderSize]}, nil
 }
 
 // Append implements Backend: the writer continues the existing frame
@@ -277,7 +278,7 @@ func (b *VerifyingBackend) Append(name string) (io.WriteCloser, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &verifyWriter{b: b, name: name, inner: wc, buf: make([]byte, 0, PageSize), seq: m.frames, baseLogical: m.logical}, nil
+	return &verifyWriter{b: b, name: name, inner: wc, frame: getPage()[:FrameHeaderSize], seq: m.frames, baseLogical: m.logical}, nil
 }
 
 // Open implements Backend.
@@ -286,7 +287,7 @@ func (b *VerifyingBackend) Open(name string) (io.ReadCloser, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &verifyReader{b: b, name: name, inner: rc, frame: make([]byte, FrameHeaderSize+PageSize)}, nil
+	return &verifyReader{b: b, name: name, inner: rc, frame: getPage()[:FrameHeaderSize+PageSize]}, nil
 }
 
 // Size implements Backend, reporting the file's *logical* (payload) size so
@@ -328,13 +329,14 @@ func (b *VerifyingBackend) List() ([]string, error) { return b.inner.List() }
 func (b *VerifyingBackend) Sync(name string) error { return b.inner.Sync(name) }
 
 // verifyWriter buffers logical bytes and emits one checksummed frame per
-// PageSize of payload (plus a final partial frame on Close).
+// PageSize of payload (plus a final partial frame on Close). The payload is
+// buffered in place behind the frame header, so a frame goes out without
+// being copied.
 type verifyWriter struct {
 	b           *VerifyingBackend
 	name        string
 	inner       io.WriteCloser
-	buf         []byte
-	frame       []byte
+	frame       []byte // pooled page: header, then the payload so far
 	seq         uint32
 	baseLogical int64
 	written     int64
@@ -343,18 +345,18 @@ type verifyWriter struct {
 }
 
 func (w *verifyWriter) Write(p []byte) (int, error) {
+	if w.closed {
+		return 0, fmt.Errorf("ooc: writing %q: writer closed", w.name)
+	}
 	if w.err != nil {
 		return 0, w.err
 	}
 	total := len(p)
 	for len(p) > 0 {
-		n := PageSize - len(w.buf)
-		if n > len(p) {
-			n = len(p)
-		}
-		w.buf = append(w.buf, p[:n]...)
+		n := min(FrameHeaderSize+PageSize-len(w.frame), len(p))
+		w.frame = append(w.frame, p[:n]...)
 		p = p[n:]
-		if len(w.buf) == PageSize {
+		if len(w.frame) == FrameHeaderSize+PageSize {
 			if err := w.emit(); err != nil {
 				return 0, err
 			}
@@ -364,23 +366,19 @@ func (w *verifyWriter) Write(p []byte) (int, error) {
 }
 
 func (w *verifyWriter) emit() error {
-	if cap(w.frame) < FrameHeaderSize+len(w.buf) {
-		w.frame = make([]byte, 0, FrameHeaderSize+PageSize)
-	}
-	f := w.frame[:FrameHeaderSize]
+	f, payload := w.frame, w.frame[FrameHeaderSize:]
 	copy(f, FrameMagic)
 	binary.LittleEndian.PutUint32(f[4:], w.seq)
-	binary.LittleEndian.PutUint32(f[8:], uint32(len(w.buf)))
-	crc := durable.Update(durable.Checksum(f[:12]), w.buf)
+	binary.LittleEndian.PutUint32(f[8:], uint32(len(payload)))
+	crc := durable.Update(durable.Checksum(f[:12]), payload)
 	binary.LittleEndian.PutUint32(f[12:], crc)
-	f = append(f, w.buf...)
 	if _, err := w.inner.Write(f); err != nil {
 		w.err = err
 		return err
 	}
 	w.seq++
-	w.written += int64(len(w.buf))
-	w.buf = w.buf[:0]
+	w.written += int64(len(payload))
+	w.frame = w.frame[:FrameHeaderSize]
 	w.b.addStats(func(s *IntegrityStats) { s.FramesWritten++ })
 	return nil
 }
@@ -391,9 +389,10 @@ func (w *verifyWriter) Close() error {
 	}
 	w.closed = true
 	var ferr error
-	if w.err == nil && len(w.buf) > 0 {
+	if w.err == nil && len(w.frame) > FrameHeaderSize {
 		ferr = w.emit()
 	}
+	putPage(w.frame)
 	cerr := w.inner.Close()
 	if w.err == nil && ferr == nil && cerr == nil {
 		w.b.setMeta(w.name, fileMeta{logical: w.baseLogical + w.written, frames: w.seq})
@@ -511,7 +510,17 @@ func (r *verifyReader) readFrame() error {
 	return nil
 }
 
-func (r *verifyReader) Close() error { return r.inner.Close() }
+// Close releases the stream and gives the frame buffer back; closing twice
+// is a no-op.
+func (r *verifyReader) Close() error {
+	if r.frame == nil {
+		return nil
+	}
+	putPage(r.frame)
+	r.frame, r.payload = nil, nil
+	r.sticky = fmt.Errorf("ooc: reading %q: reader closed", r.name)
+	return r.inner.Close()
+}
 
 type nopReadCloser struct{}
 

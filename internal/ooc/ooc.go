@@ -38,6 +38,11 @@ type IOStats struct {
 	// synchronous stores (Pipeline disabled): there the whole transfer is
 	// inline, and inline time is attributed to the enclosing compute span.
 	WaitSec float64
+	// Creates counts files created with CreateWriter, and CreateSec the
+	// wall-clock seconds the backend spent creating them: the per-file
+	// metadata cost a build pays once per node file.
+	Creates   int64
+	CreateSec float64
 }
 
 // Add accumulates o into s.
@@ -47,6 +52,8 @@ func (s *IOStats) Add(o IOStats) {
 	s.WriteOps += o.WriteOps
 	s.WriteBytes += o.WriteBytes
 	s.WaitSec += o.WaitSec
+	s.Creates += o.Creates
+	s.CreateSec += o.CreateSec
 }
 
 // Sub returns s minus o, field by field.
@@ -57,6 +64,8 @@ func (s IOStats) Sub(o IOStats) IOStats {
 		WriteOps:   s.WriteOps - o.WriteOps,
 		WriteBytes: s.WriteBytes - o.WriteBytes,
 		WaitSec:    s.WaitSec - o.WaitSec,
+		Creates:    s.Creates - o.Creates,
+		CreateSec:  s.CreateSec - o.CreateSec,
 	}
 }
 
@@ -64,6 +73,9 @@ func (s IOStats) String() string {
 	out := fmt.Sprintf("read %d ops/%d B, write %d ops/%d B", s.ReadOps, s.ReadBytes, s.WriteOps, s.WriteBytes)
 	if s.WaitSec > 0 {
 		out += fmt.Sprintf(", io-wait %.6fs", s.WaitSec)
+	}
+	if s.Creates > 0 {
+		out += fmt.Sprintf(", create %d files/%.6fs", s.Creates, s.CreateSec)
 	}
 	return out
 }
@@ -229,7 +241,7 @@ type Writer struct {
 }
 
 func (s *Store) newWriter(wc io.WriteCloser, name string) *Writer {
-	w := &Writer{s: s, buf: make([]byte, 0, PageSize), name: name}
+	w := &Writer{s: s, buf: getPage()[:0], name: name}
 	if pl := s.Pipeline(); pl.Enabled {
 		w.wb = startWriteBehind(wc, pl.depth())
 	} else {
@@ -240,10 +252,15 @@ func (s *Store) newWriter(wc io.WriteCloser, name string) *Writer {
 
 // CreateWriter creates (truncates) a named file for appending records.
 func (s *Store) CreateWriter(name string) (*Writer, error) {
+	t0 := time.Now()
 	wc, err := s.b.Create(name)
 	if err != nil {
 		return nil, fmt.Errorf("ooc: creating %q: %w", name, err)
 	}
+	s.statsMu.Lock()
+	s.stats.Creates++
+	s.stats.CreateSec += time.Since(t0).Seconds()
+	s.statsMu.Unlock()
 	return s.newWriter(wc, name), nil
 }
 
@@ -303,12 +320,7 @@ func (w *Writer) handoff() error {
 		w.wb.ch <- item
 		w.s.addIOWait(time.Since(t0).Seconds())
 	}
-	select {
-	case b := <-w.wb.free:
-		w.buf = b
-	default:
-		w.buf = make([]byte, 0, PageSize)
-	}
+	w.buf = getPage()[:0]
 	return nil
 }
 
@@ -334,10 +346,18 @@ func (w *Writer) Flush() error {
 	return nil
 }
 
-// Close flushes and closes the file. With write-behind active it is the
-// final barrier: it waits for the background goroutine to drain the queue
-// and release the stream, and reports any write error still pending.
+// Close flushes and closes the file and gives the writer's page back. With
+// write-behind active it is the final barrier: it waits for the background
+// goroutine to drain the queue and release the stream, and reports any
+// write error still pending. Closing twice is a no-op.
 func (w *Writer) Close() error {
+	if w.buf == nil {
+		return nil
+	}
+	defer func() {
+		putPage(w.buf)
+		w.buf = nil
+	}()
 	if w.wb == nil {
 		if err := w.flush(); err != nil {
 			w.wc.Close()
@@ -382,7 +402,7 @@ func (s *Store) OpenReader(name string) (*Reader, error) {
 	if err != nil {
 		return nil, fmt.Errorf("ooc: opening %q: %w", name, err)
 	}
-	r := &Reader{s: s, buf: make([]byte, PageSize), name: name, rb: s.schema.RecordBytes()}
+	r := &Reader{s: s, buf: getPage()[:PageSize], name: name, rb: s.schema.RecordBytes()}
 	// Records wider than a page cannot be streamed; keep the synchronous
 	// path so the existing diagnostics fire unchanged.
 	if pl := s.Pipeline(); pl.Enabled && r.rb > 0 && r.rb <= PageSize {
@@ -395,6 +415,9 @@ func (s *Store) OpenReader(name string) (*Reader, error) {
 
 // Next reads the next record into rec. It returns false at end of file.
 func (r *Reader) Next(rec *record.Record) (bool, error) {
+	if r.buf == nil {
+		return false, fmt.Errorf("ooc: reading %q: reader closed", r.name)
+	}
 	if r.end-r.off < r.rb {
 		if err := r.fill(); err != nil {
 			return false, err
@@ -424,7 +447,7 @@ func (r *Reader) fill() error {
 	if r.pf != nil {
 		return r.fillPrefetched()
 	}
-	n, err := io.ReadFull(r.rc, r.buf[r.end:cap(r.buf)])
+	n, err := io.ReadFull(r.rc, r.buf[r.end:])
 	if n > 0 {
 		r.s.chargeRead(n)
 		r.end += n
@@ -460,23 +483,26 @@ func (r *Reader) fillPrefetched() error {
 		r.eof = true
 		return fmt.Errorf("ooc: reading %q: %w", r.name, c.err)
 	}
-	n := copy(r.buf[r.end:cap(r.buf)], c.data)
+	n := copy(r.buf[r.end:], c.data)
+	putPage(c.data)
 	if n != len(c.data) {
-		return fmt.Errorf("ooc: reading %q: prefetched page of %d bytes overflows %d-byte window", r.name, len(c.data), cap(r.buf)-r.end)
+		return fmt.Errorf("ooc: reading %q: prefetched page of %d bytes overflows %d-byte window", r.name, len(c.data), len(r.buf)-r.end)
 	}
 	r.s.chargeRead(n)
 	r.end += n
-	select {
-	case r.pf.free <- c.data[:0]:
-	default:
-	}
 	return nil
 }
 
-// Close releases the underlying file. With the prefetcher active it also
-// cancels the background read-ahead — abandoning a scan mid-stream leaks
-// no goroutine — and waits for the stream to be released.
+// Close releases the underlying file and gives the reader's pages back.
+// With the prefetcher active it also cancels the background read-ahead —
+// abandoning a scan mid-stream leaks no goroutine and no page — and waits
+// for the stream to be released. Closing twice is a no-op.
 func (r *Reader) Close() error {
+	if r.buf == nil {
+		return nil
+	}
+	putPage(r.buf)
+	r.buf = nil
 	if r.pf != nil {
 		return r.pf.stop()
 	}

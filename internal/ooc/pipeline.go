@@ -64,8 +64,7 @@ type pfChunk struct {
 // transfer sizes of the synchronous Reader so that the consumer can charge
 // identical per-page costs as it drains them.
 type prefetcher struct {
-	ch   chan pfChunk
-	free chan []byte
+	ch chan pfChunk
 	// cancel stops the goroutine early (scan abandoned mid-stream); stopped
 	// closes once it has exited and released the backend stream.
 	cancel     chan struct{}
@@ -78,7 +77,6 @@ type prefetcher struct {
 func startPrefetch(rc io.ReadCloser, rb, depth int) *prefetcher {
 	p := &prefetcher{
 		ch:      make(chan pfChunk, depth),
-		free:    make(chan []byte, depth+1),
 		cancel:  make(chan struct{}),
 		stopped: make(chan struct{}),
 	}
@@ -91,7 +89,9 @@ func startPrefetch(rc io.ReadCloser, rb, depth int) *prefetcher {
 // the partial-record tail the previous page left behind (a constant,
 // PageSize mod recordBytes). Keeping the sizes identical keeps ReadOps and
 // per-op byte counts — and therefore the simulated disk charges — exactly
-// those of the synchronous path.
+// those of the synchronous path. Every page it reads into goes to the
+// consumer, which gives it back once copied; a page it cannot hand over
+// (empty read, cancelled scan) it gives back itself.
 func (p *prefetcher) run(rc io.ReadCloser, rb int) {
 	defer func() {
 		p.closeErr = rc.Close()
@@ -100,18 +100,15 @@ func (p *prefetcher) run(rc io.ReadCloser, rb int) {
 	size := PageSize
 	next := PageSize - PageSize%rb
 	for {
-		var buf []byte
-		select {
-		case buf = <-p.free:
-			buf = buf[:cap(buf)]
-		default:
-			buf = make([]byte, PageSize)
-		}
+		buf := getPage()
 		n, err := io.ReadFull(rc, buf[:size])
-		if n > 0 {
+		if n == 0 {
+			putPage(buf)
+		} else {
 			select {
 			case p.ch <- pfChunk{data: buf[:n]}:
 			case <-p.cancel:
+				putPage(buf)
 				return
 			}
 		}
@@ -133,13 +130,26 @@ func (p *prefetcher) run(rc io.ReadCloser, rb int) {
 }
 
 // stop cancels the background reader (idempotent), waits for it to release
-// the backend stream, and returns the stream's close error. Safe to call
-// whether the scan finished or was abandoned mid-stream; no goroutine is
-// leaked either way.
+// the backend stream, gives back the pages read ahead and never consumed,
+// and returns the stream's close error. Safe to call whether the scan
+// finished or was abandoned mid-stream; no goroutine or page is leaked
+// either way.
 func (p *prefetcher) stop() error {
 	p.cancelOnce.Do(func() { close(p.cancel) })
 	<-p.stopped
-	return p.closeErr
+	for {
+		select {
+		case c, ok := <-p.ch:
+			if !ok {
+				return p.closeErr
+			}
+			if c.data != nil {
+				putPage(c.data)
+			}
+		default:
+			return p.closeErr
+		}
+	}
 }
 
 // wbItem is one page handed to the write-behind goroutine; a nil-data item
@@ -153,10 +163,10 @@ type wbItem struct {
 // The producing rank charges each page's cost at hand-off (the same logical
 // point the synchronous writer charges its flush), so accounting is
 // unchanged; only the physical write is deferred. A background write error
-// is sticky and surfaces on the next Write, Flush or Close.
+// is sticky and surfaces on the next Write, Flush or Close. The goroutine
+// gives back every page it is handed, written or dropped.
 type writeBehind struct {
 	ch      chan wbItem
-	free    chan []byte
 	stopped chan struct{}
 	mu      sync.Mutex
 	err     error
@@ -167,7 +177,6 @@ type writeBehind struct {
 func startWriteBehind(wc io.WriteCloser, depth int) *writeBehind {
 	w := &writeBehind{
 		ch:      make(chan wbItem, depth),
-		free:    make(chan []byte, depth+1),
 		stopped: make(chan struct{}),
 	}
 	go w.run(wc)
@@ -193,10 +202,7 @@ func (w *writeBehind) run(wc io.WriteCloser) {
 				w.mu.Unlock()
 			}
 		}
-		select {
-		case w.free <- item.data[:0]:
-		default:
-		}
+		putPage(item.data)
 	}
 }
 

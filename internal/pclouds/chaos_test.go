@@ -99,6 +99,7 @@ func watchdog(t *testing.T, name string, fn func()) {
 // ranks resumes from the checkpoint and must produce the bit-identical tree
 // of an uninterrupted build.
 func TestChaosKilledRankThenResume(t *testing.T) {
+	poisonPages(t)
 	const p = 4
 	data := makeData(t, 4000, 2, 42)
 	cfg := testConfig(clouds.SSE)

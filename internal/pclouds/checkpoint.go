@@ -537,10 +537,12 @@ func gcAfterRestore(b *pbuilder, dir string, levels []int, lvl int, m ckptManife
 	b.stats.CheckpointsKept = 1
 }
 
+// restoreTasks rebuilds the frontier tasks of a manifest list, in order.
 func restoreTasks(b *pbuilder, root *tree.Node, rootSample []record.Record, ck []ckptTask) ([]*nodeTask, error) {
+	samples := taskSamples(b.schema, root, rootSample, ck)
 	out := make([]*nodeTask, 0, len(ck))
 	for _, ct := range ck {
-		t, err := restoreTask(b, root, rootSample, ct)
+		t, err := restoreTask(b, root, samples[ct.ID], ct)
 		if err != nil {
 			return nil, err
 		}
@@ -549,12 +551,43 @@ func restoreTasks(b *pbuilder, root *tree.Node, rootSample []record.Record, ck [
 	return out, nil
 }
 
+// taskSamples re-derives the samples of the given tasks. The uninterrupted
+// build presorted the shared root sample once and split it at every node;
+// one walk down the partial tree replays those splits, descending only
+// towards a task, and yields identical samples. A task whose path is broken
+// gets none; restoreTask reports it.
+func taskSamples(schema *record.Schema, root *tree.Node, rootSample []record.Record, ck []ckptTask) map[string]*clouds.Presorted {
+	isTask := make(map[string]bool)
+	for _, ct := range ck {
+		for i := 1; i < len(ct.ID); i++ {
+			if _, ok := isTask[ct.ID[:i]]; !ok {
+				isTask[ct.ID[:i]] = false
+			}
+		}
+		isTask[ct.ID] = true
+	}
+	out := make(map[string]*clouds.Presorted, len(ck))
+	var walk func(id string, nd *tree.Node, sample *clouds.Presorted)
+	walk = func(id string, nd *tree.Node, sample *clouds.Presorted) {
+		task, onPath := isTask[id]
+		switch {
+		case task:
+			out[id] = sample
+		case onPath && nd != nil && nd.Splitter != nil:
+			l, r := sample.Split(schema, nd.Splitter)
+			walk(id+"L", nd.Left, l)
+			walk(id+"R", nd.Right, r)
+		}
+	}
+	walk("n", root, clouds.Presort(schema, rootSample))
+	return out
+}
+
 // restoreTask rebuilds one frontier task from its manifest entry: verify
-// the store still holds exactly the records the checkpoint recorded,
-// re-derive the task's sample by routing the root sample down its tree
-// path, and point its attach closure at the pending slot in the partial
-// tree.
-func restoreTask(b *pbuilder, root *tree.Node, rootSample []record.Record, ct ckptTask) (*nodeTask, error) {
+// the store still holds exactly the records the checkpoint recorded, check
+// that its tree path leads to a pending slot in the partial tree, and point
+// its attach closure at that slot. sample is the task's re-derived sample.
+func restoreTask(b *pbuilder, root *tree.Node, sample *clouds.Presorted, ct ckptTask) (*nodeTask, error) {
 	n, err := b.store.Count(ct.File)
 	if err != nil {
 		return nil, fmt.Errorf("pclouds: resume: task %s: %w", ct.ID, err)
@@ -564,35 +597,25 @@ func restoreTask(b *pbuilder, root *tree.Node, rootSample []record.Record, ct ck
 			ct.ID, ct.File, n, ct.LocalCount)
 	}
 	path := ct.ID[1:] // 'L'/'R' steps from the root (decodeManifest checked)
-
-	// Re-derive the sample: the uninterrupted build partitioned the shared
-	// root sample once per split along this path; replaying those exact
-	// splitters yields the identical slice.
-	sample := rootSample
 	cur := root
 	for i := 0; i < len(path)-1; i++ {
 		if cur == nil || cur.Splitter == nil {
 			return nil, fmt.Errorf("pclouds: resume: task %s: tree path broken at step %d", ct.ID, i)
 		}
-		l, r := clouds.PartitionRecords(b.schema, sample, cur.Splitter)
 		if path[i] == 'L' {
-			sample, cur = l, cur.Left
+			cur = cur.Left
 		} else {
-			sample, cur = r, cur.Right
+			cur = cur.Right
 		}
 	}
 	parent := cur
 	if parent == nil || parent.Splitter == nil {
 		return nil, fmt.Errorf("pclouds: resume: task %s: parent node missing from partial tree", ct.ID)
 	}
-	l, r := clouds.PartitionRecords(b.schema, sample, parent.Splitter)
-	last := path[len(path)-1]
 	var attach func(*tree.Node)
-	if last == 'L' {
-		sample = l
+	if path[len(path)-1] == 'L' {
 		attach = func(nd *tree.Node) { parent.Left = nd }
 	} else {
-		sample = r
 		attach = func(nd *tree.Node) { parent.Right = nd }
 	}
 	return &nodeTask{

@@ -54,6 +54,7 @@ func stageIntegrityStore(dir string, rank, p int, data *record.Dataset) (*ooc.St
 // step back to level 1 (level 2 references the quarantined file) and
 // rebuild — producing the bit-identical tree of an undisturbed build.
 func TestChaosCorruptionRecovered(t *testing.T) {
+	poisonPages(t)
 	const p = 4
 	data := makeData(t, 4000, 2, 42)
 	cfg := testConfig(clouds.SSE)
@@ -178,6 +179,7 @@ func TestChaosCorruptionRecovered(t *testing.T) {
 // surface on every rank as the same attributed DataCorruptError — never as
 // a silently wrong tree, and never as a hang.
 func TestCorruptionDetectedAttributed(t *testing.T) {
+	poisonPages(t)
 	const p = 4
 	data := makeData(t, 2000, 1, 7)
 	cfg := testConfig(clouds.SS)

@@ -167,12 +167,12 @@ func (b *pbuilder) deriveSplits(nodes []*levelNode) error {
 // nodeIntervals builds the interval structures a node's statistics
 // accumulate over: the size-proportional QForNode count under SSE, the
 // fixed HistBins count under hist/vote.
-func (b *pbuilder) nodeIntervals(sample []record.Record, n int64) []*histogram.Intervals {
+func (b *pbuilder) nodeIntervals(sample *clouds.Presorted, n int64) []*histogram.Intervals {
 	q := b.cfg.Clouds.QForNode(n, b.nRoot)
 	if b.cfg.Clouds.Split != clouds.SplitSSE {
 		q = b.cfg.Clouds.HistBins
 	}
-	return clouds.BuildIntervals(b.schema, sample, q)
+	return sample.Intervals(q)
 }
 
 // intervalsOf extracts the interval structures from a NodeStats.
@@ -237,7 +237,7 @@ func (b *pbuilder) partitionLevel(nodes []*levelNode) ([]*nodeTask, error) {
 		for i := range rightCounts {
 			rightCounts[i] = t.classCounts[i] - leftCounts[i]
 		}
-		leftSample, rightSample := clouds.PartitionRecords(b.schema, t.sample, sp)
+		leftSample, rightSample := t.sample.Split(b.schema, sp)
 		var leftStats, rightStats *clouds.NodeStats
 		if !b.cfg.Clouds.IsSmall(nl, b.nRoot) && !b.cfg.Clouds.ShouldStop(leftCounts, nl, t.depth+1) {
 			leftStats = clouds.NewNodeStats(b.schema, b.nodeIntervals(leftSample, nl))

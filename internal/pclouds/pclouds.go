@@ -219,7 +219,7 @@ type Stats struct {
 type nodeTask struct {
 	id          string
 	file        string
-	sample      []record.Record
+	sample      *clouds.Presorted // the node's share of the shared sample
 	depth       int
 	n           int64   // global record count
 	classCounts []int64 // global class counts
@@ -405,7 +405,7 @@ func buildAttempt(cfg Config, c comm.Communicator, store *ooc.Store, rootName st
 			b.cleanOwnCheckpoints()
 		}
 		queue = []*nodeTask{{
-			id: "n", file: rootName, sample: sample, depth: 0,
+			id: "n", file: rootName, sample: clouds.Presort(schema, sample), depth: 0,
 			n: n, classCounts: globalCounts,
 			attach: func(nd *tree.Node) { root = nd },
 		}}

@@ -15,11 +15,27 @@ import (
 	"pclouds/internal/tree"
 )
 
+// poisonPages switches ooc page poisoning on for the rest of the test, so
+// a page the build uses after giving it back garbles records or frames,
+// and checks at the end that every page the test took went back.
+func poisonPages(t *testing.T) {
+	t.Helper()
+	prev := ooc.SetPagePoison(true)
+	before := ooc.PagesInUse()
+	t.Cleanup(func() {
+		ooc.SetPagePoison(prev)
+		if after := ooc.PagesInUse(); after != before {
+			t.Errorf("%d ooc pages taken and not given back", after-before)
+		}
+	})
+}
+
 // buildFileBacked runs a p-rank build over file-backed stores, optionally
 // with the async I/O pipeline, and returns rank 0's tree, all ranks' stats
-// and the rank-0 merged phase report.
+// and the rank-0 merged phase report. Pages are poisoned (poisonPages).
 func buildFileBacked(t *testing.T, data *record.Dataset, sample []record.Record, p int, pipe ooc.Pipeline) (*tree.Tree, []*Stats, string) {
 	t.Helper()
+	poisonPages(t)
 	dir := t.TempDir()
 	comms := comm.NewGroup(p, costmodel.Default())
 	stores := make([]*ooc.Store, p)
@@ -114,5 +130,27 @@ func TestPipelineParityFileBackend(t *testing.T) {
 	}
 	if !strings.Contains(report, "io-wait") {
 		t.Fatalf("merged phase report lacks the io-wait column:\n%s", report)
+	}
+}
+
+// TestFileCreatesCounted pins the file creates of a fixed 2-rank build:
+// each rank creates two child files for every large node it splits — 4
+// here — and none for leaves or small tasks. The staged root file is
+// counted before the build starts. Level-segmented frontier files would
+// bring the count from O(nodes) to O(depth).
+func TestFileCreatesCounted(t *testing.T) {
+	data := makeData(t, 6000, 2, 3)
+	cfg := clouds.Config{Method: clouds.SSE, QRoot: 40, SmallNodeQ: 10, MinNodeSize: 2, Seed: 1}
+	_, stats, _ := buildFileBacked(t, data, cfg.WithDefaults().SampleFor(data), 2, ooc.Pipeline{Enabled: true})
+	for r, st := range stats {
+		if got, want := st.IO.Creates, int64(1+2*4); got != want || st.LargeNodes != 4 {
+			t.Errorf("rank %d: %d creates over %d large nodes, want %d over 4", r, got, st.LargeNodes, want)
+		}
+		if st.IO.CreateSec <= 0 {
+			t.Errorf("rank %d: create time %v not measured", r, st.IO.CreateSec)
+		}
+		if !strings.Contains(st.IO.String(), "create ") {
+			t.Errorf("rank %d: IOStats %q does not print the creates", r, st.IO)
+		}
 	}
 }

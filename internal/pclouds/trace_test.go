@@ -86,11 +86,7 @@ func TestTracedBuild(t *testing.T) {
 		if build.Comm != stats[r].Comm {
 			t.Errorf("rank %d build span comm %+v != stats %+v", r, build.Comm, stats[r].Comm)
 		}
-		wantIO := stats[r].IO
-		wantIO.ReadOps -= staged[r].ReadOps
-		wantIO.ReadBytes -= staged[r].ReadBytes
-		wantIO.WriteOps -= staged[r].WriteOps
-		wantIO.WriteBytes -= staged[r].WriteBytes
+		wantIO := stats[r].IO.Sub(staged[r])
 		if build.IO != wantIO {
 			t.Errorf("rank %d build span IO %+v != stats minus staging %+v", r, build.IO, wantIO)
 		}

@@ -206,7 +206,12 @@ func (d *decoder) node() (*Node, error) {
 				if err != nil {
 					return nil, err
 				}
-				sp.InLeft[i] = b != 0
+				// Encode writes 0 or 1; anything else would not
+				// re-encode to the bytes that were accepted.
+				if b > 1 {
+					return nil, fmt.Errorf("tree: subset byte %d not 0 or 1", b)
+				}
+				sp.InLeft[i] = b == 1
 			}
 		}
 		node.Splitter = sp
