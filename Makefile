@@ -51,15 +51,15 @@ chaos:
 
 # chaos-quick is the self-healing subset that gates every commit: the
 # supervised kill-and-respawn acceptance test, generation fencing, the
-# checkpoint GC/auto-resume tests of the batch build and the resume
-# agreement of the streaming engine, and the ooc page lifecycle with
-# poisoned pages (the prefetch and write-behind goroutines give pages back
-# across goroutines), under the race detector with a tight overall deadline
+# checkpoint GC, resume-policy and end-of-build vote tests of the batch
+# build and the resume agreement of the streaming engine, and the ooc page
+# lifecycle with poisoned pages (the prefetch and write-behind goroutines
+# give pages back across goroutines), under the race detector with a tight overall deadline
 # so a hang fails fast instead of eating the gate.
 chaos-quick: vet
 	$(GO) test -race -timeout 300s -run 'TestSupervised|TestRunRank|TestSupervise' ./internal/driver/
 	$(GO) test -race -timeout 300s -run 'TestGeneration|TestDoorman|TestStale' ./internal/comm/tcp/
-	$(GO) test -race -timeout 300s -run 'TestCheckpointGC|TestAutoResume|TestDegraded|TestResume' ./internal/pclouds/
+	$(GO) test -race -timeout 300s -run 'TestCheckpointGC|TestDegraded|TestResume|TestChaosFinalExchange' ./internal/pclouds/
 	$(GO) test -race -timeout 300s -run 'TestResume' ./internal/stream/
 	$(GO) test -race -timeout 300s -run 'TestPage|TestPoison|TestPipeline|TestWriteBehind|TestPrefetch|TestIntegrity' ./internal/ooc/
 	$(GO) test -race -timeout 300s -run 'TestPipelineParityFileBackend|TestFileCreatesCounted|TestCorruptionDetectedAttributed' ./internal/pclouds/

@@ -37,9 +37,9 @@ func (d *Pcloudsd) Command(run func(d *Pcloudsd, r *Rank) error) *Command {
 			d.IOPipeline.Register(fs)
 			fs.StringVar(&d.Train, "train", "", "binary training file (datagen schema)")
 			fs.StringVar(&d.WorkDir, "workdir", "", "scratch directory for the rank's store (default: temp)")
-			fs.StringVar(&d.CheckpointDir, "checkpoint-dir", "", "persist a checkpoint after every completed tree level to this directory")
+			fs.StringVar(&d.CheckpointDir, "checkpoint-dir", "", "persist a checkpoint after every completed tree level to this directory and resume from the newest level every rank holds")
 			fs.BoolVar(&d.Integrity, "integrity", false, "checksum the on-disk store, vote on corruption collectively, quarantine corrupt files and recover from checkpoints")
-			fs.BoolVar(&d.Resume, "resume", false, "resume from the checkpoint in -checkpoint-dir instead of starting fresh")
+			fs.BoolVar(&d.Resume, "resume", false, "fail when -checkpoint-dir holds no level every rank can resume from, instead of starting fresh")
 		},
 		Validate: func() error {
 			if d.Train == "" {

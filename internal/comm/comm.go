@@ -63,33 +63,6 @@ func AsPeerDown(err error) (*PeerDown, bool) {
 	return nil, false
 }
 
-// transientErr marks an error as transient: the failed operation did not
-// change any transport state, so retrying it is safe.
-type transientErr struct{ err error }
-
-func (t *transientErr) Error() string   { return t.err.Error() }
-func (t *transientErr) Unwrap() error   { return t.err }
-func (t *transientErr) Transient() bool { return true }
-
-// MarkTransient wraps err as transient: the caller guarantees the failed
-// operation left the transport unchanged (nothing was written to the wire),
-// so a bounded retry is safe. Fault injectors use it to model recoverable
-// send failures; nil stays nil.
-func MarkTransient(err error) error {
-	if err == nil {
-		return nil
-	}
-	return &transientErr{err: err}
-}
-
-// IsTransient reports whether err is marked transient (see MarkTransient).
-// Errors from a partially transmitted frame must never be marked: retrying
-// them would desynchronise the stream.
-func IsTransient(err error) bool {
-	var t interface{ Transient() bool }
-	return errors.As(err, &t) && t.Transient()
-}
-
 // Tag identifies the protocol context of a message. Collectives reserve the
 // tags below; applications should use tags >= TagUser.
 type Tag int
@@ -244,14 +217,12 @@ type Stats struct {
 	// WaitSec is the total wall time spent blocked in Recv.
 	WaitSec float64
 	// Fault-tolerance counters (nonzero only on transports with failure
-	// detection, i.e. TCP): out-of-band heartbeat frames exchanged,
-	// transient send failures that were retried, peers this rank has
-	// declared down, and connection attempts fenced off because they
+	// detection, i.e. TCP): out-of-band heartbeat frames exchanged, peers
+	// this rank has declared down, and connection attempts fenced off because they
 	// carried a stale build generation. Heartbeats are control traffic and
 	// are deliberately excluded from the message/byte counters above.
 	HeartbeatsSent    int64
 	HeartbeatsRecv    int64
-	SendRetries       int64
 	PeerDowns         int64
 	GenerationRejects int64
 	// Ops is the per-collective breakdown, indexed by OpClass.
@@ -267,7 +238,6 @@ func (s *Stats) Add(o Stats) {
 	s.WaitSec += o.WaitSec
 	s.HeartbeatsSent += o.HeartbeatsSent
 	s.HeartbeatsRecv += o.HeartbeatsRecv
-	s.SendRetries += o.SendRetries
 	s.PeerDowns += o.PeerDowns
 	s.GenerationRejects += o.GenerationRejects
 	for i := range s.Ops {
@@ -285,7 +255,6 @@ func (s Stats) Sub(o Stats) Stats {
 		WaitSec:           s.WaitSec - o.WaitSec,
 		HeartbeatsSent:    s.HeartbeatsSent - o.HeartbeatsSent,
 		HeartbeatsRecv:    s.HeartbeatsRecv - o.HeartbeatsRecv,
-		SendRetries:       s.SendRetries - o.SendRetries,
 		PeerDowns:         s.PeerDowns - o.PeerDowns,
 		GenerationRejects: s.GenerationRejects - o.GenerationRejects,
 	}
@@ -337,9 +306,9 @@ func (s Stats) Table() string {
 	}
 	fmt.Fprintf(&b, "%-10s %8s %10d %14d %10d %14d %12.6f\n",
 		"total", "", s.MsgsSent, s.BytesSent, s.MsgsRecv, s.BytesRecv, s.WaitSec)
-	if s.HeartbeatsSent != 0 || s.HeartbeatsRecv != 0 || s.SendRetries != 0 || s.PeerDowns != 0 || s.GenerationRejects != 0 {
-		fmt.Fprintf(&b, "fault: heartbeats %d sent/%d recv, send retries %d, peers down %d, generation rejects %d\n",
-			s.HeartbeatsSent, s.HeartbeatsRecv, s.SendRetries, s.PeerDowns, s.GenerationRejects)
+	if s.HeartbeatsSent != 0 || s.HeartbeatsRecv != 0 || s.PeerDowns != 0 || s.GenerationRejects != 0 {
+		fmt.Fprintf(&b, "fault: heartbeats %d sent/%d recv, peers down %d, generation rejects %d\n",
+			s.HeartbeatsSent, s.HeartbeatsRecv, s.PeerDowns, s.GenerationRejects)
 	}
 	return b.String()
 }

@@ -255,75 +255,6 @@ func waitUntil(t *testing.T, cond func() bool) {
 	}
 }
 
-// TestSendRetriesTransient: a send failure marked transient (nothing was
-// written to the wire) is retried with backoff and counted; the message is
-// ultimately delivered.
-func TestSendRetriesTransient(t *testing.T) {
-	comms := dialGroup(t, 2)
-	var mu sync.Mutex
-	fails := 2
-	comms[0].sendFault = func(to int) error {
-		mu.Lock()
-		defer mu.Unlock()
-		if fails > 0 {
-			fails--
-			return comm.MarkTransient(fmt.Errorf("injected transient send fault"))
-		}
-		return nil
-	}
-	if err := comms[0].Send(1, comm.TagUser, []byte("eventually")); err != nil {
-		t.Fatalf("transient faults should be retried: %v", err)
-	}
-	b, err := comms[1].Recv(0, comm.TagUser)
-	if err != nil || string(b) != "eventually" {
-		t.Fatalf("recv after retries: %q, %v", b, err)
-	}
-	if s := comms[0].Stats(); s.SendRetries != 2 {
-		t.Fatalf("SendRetries = %d, want 2", s.SendRetries)
-	}
-}
-
-// TestSendPermanentFailureNotRetried: an unmarked error surfaces on the
-// first attempt — retrying a possibly part-written frame would
-// desynchronise the stream.
-func TestSendPermanentFailureNotRetried(t *testing.T) {
-	comms := dialGroup(t, 2)
-	calls := 0
-	comms[0].sendFault = func(to int) error {
-		calls++
-		return fmt.Errorf("injected permanent send fault")
-	}
-	if err := comms[0].Send(1, comm.TagUser, []byte("x")); err == nil {
-		t.Fatal("permanent fault should surface")
-	}
-	if calls != 1 {
-		t.Fatalf("permanent fault attempted %d times, want 1", calls)
-	}
-	if s := comms[0].Stats(); s.SendRetries != 0 {
-		t.Fatalf("SendRetries = %d, want 0", s.SendRetries)
-	}
-}
-
-// TestSendRetriesExhausted: a fault that never clears consumes the retry
-// budget and then surfaces.
-func TestSendRetriesExhausted(t *testing.T) {
-	comms := dialGroupCfg(t, 2, func(r int, cfg *Config) {
-		cfg.SendRetries = 2
-		cfg.SendBackoff = time.Millisecond
-	})
-	calls := 0
-	comms[0].sendFault = func(to int) error {
-		calls++
-		return comm.MarkTransient(fmt.Errorf("injected persistent fault"))
-	}
-	if err := comms[0].Send(1, comm.TagUser, []byte("x")); err == nil {
-		t.Fatal("exhausted retries should surface")
-	}
-	if calls != 3 { // initial attempt + 2 retries
-		t.Fatalf("attempted %d times, want 3", calls)
-	}
-}
-
 // TestHeartbeatsExcludedFromTraffic: heartbeats are control frames and must
 // never leak into the message/byte counters the parity tests compare
 // against the channel transport.

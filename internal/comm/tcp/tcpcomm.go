@@ -29,9 +29,9 @@
 //   - Config.RecvTimeout optionally bounds any single blocked Recv even
 //     while heartbeats keep arriving, catching peers that are alive but
 //     wedged (or injected frame loss).
-//   - Transient send failures (errors marked with comm.MarkTransient, i.e.
-//     guaranteed to have left no bytes on the wire) are retried with bounded
-//     exponential backoff before surfacing.
+//   - A failed write on an open connection declares the peer down: a
+//     partly written frame cannot be retried without desynchronising the
+//     stream, so every send error surfaces on its first attempt.
 //
 // Once a peer is declared down every pending and future Recv from it fails
 // promptly with the same comm.PeerDown; the deployment is expected to abort
@@ -181,13 +181,6 @@ type Config struct {
 	// positive if a rank legitimately computes longer than this between
 	// sends. 0 (the default) disables it.
 	RecvTimeout time.Duration
-	// SendRetries is the number of times a transient send failure (see
-	// comm.MarkTransient) is retried with exponential backoff before
-	// surfacing (default 3; negative disables retry).
-	SendRetries int
-	// SendBackoff is the initial retry backoff (default 2ms; doubles per
-	// attempt).
-	SendBackoff time.Duration
 }
 
 func (cfg *Config) withDefaults() {
@@ -202,12 +195,6 @@ func (cfg *Config) withDefaults() {
 	}
 	if cfg.PeerTimeout == 0 {
 		cfg.PeerTimeout = 10 * time.Second
-	}
-	if cfg.SendRetries == 0 {
-		cfg.SendRetries = 3
-	}
-	if cfg.SendBackoff == 0 {
-		cfg.SendBackoff = 2 * time.Millisecond
 	}
 }
 
@@ -269,11 +256,6 @@ type Comm struct {
 	// cause is broadcast once; re-gossiping gossip-derived downs would only
 	// echo the same rank.
 	gossipOnce sync.Once
-	// sendFault, when non-nil, is consulted before each physical frame
-	// write; a non-nil return is treated as that attempt's send error.
-	// In-package tests use it to exercise the transient-retry path without
-	// a faulty network.
-	sendFault func(to int) error
 }
 
 var _ comm.Communicator = (*Comm)(nil)
@@ -947,11 +929,13 @@ func (c *Comm) attribute(peerRank int, err error) error {
 	return fmt.Errorf("tcpcomm: rank %d: connection to rank %d failed: %w", c.cfg.Rank, peerRank, err)
 }
 
-// Send implements comm.Communicator. Failures marked transient (see
-// comm.MarkTransient: the attempt is guaranteed to have written nothing to
-// the wire) are retried up to Config.SendRetries times with exponential
-// backoff; all other errors surface immediately, because retrying a
-// partially written frame would desynchronise the stream.
+// Send implements comm.Communicator. A write that fails on an established
+// connection means the peer is gone (its process died, or it left and the
+// write lost the race with the reader's EOF): the peer is declared down, so
+// the caller gets a comm.PeerDown it can recover from — unless the write
+// failed because Close is tearing this rank down. If the connection was
+// already declared dead, that first declaration (and the cascade's root
+// cause) is what is reported.
 func (c *Comm) Send(to int, tag comm.Tag, data []byte) error {
 	if to < 0 || to >= len(c.peers) || to == c.cfg.Rank {
 		return fmt.Errorf("tcpcomm: rank %d: invalid send target %d", c.cfg.Rank, to)
@@ -961,53 +945,22 @@ func (c *Comm) Send(to int, tag comm.Tag, data []byte) error {
 		return fmt.Errorf("tcpcomm: rank %d: no connection to rank %d", c.cfg.Rank, to)
 	}
 	c.clock.Advance(c.cfg.Params.MessageCost(len(data)))
-	f := wire.Frame{Tag: int32(tag), SentAt: c.clock.Time(), Payload: data}
-	backoff := c.cfg.SendBackoff
-	for attempt := 0; ; attempt++ {
-		wrote, err := c.trySend(pe, f)
-		if err == nil {
-			break
+	pe.sendM.Lock()
+	err := pe.fr.Send(wire.Frame{Tag: int32(tag), SentAt: c.clock.Time(), Payload: data})
+	pe.sendM.Unlock()
+	if err != nil {
+		if !c.closing() {
+			pe.fail(&comm.PeerDown{Rank: pe.rank, Addr: pe.addr, Cause: fmt.Sprintf("send failed: %v", err)})
 		}
-		if attempt >= c.cfg.SendRetries || !comm.IsTransient(err) {
-			// A write that fails on an established connection means the peer
-			// is gone (its process died, or it left and the write lost the
-			// race with the reader's EOF): declare it, so the caller gets a
-			// comm.PeerDown it can recover from — unless the write failed
-			// because Close is tearing this rank down. If the connection was
-			// already declared dead, that first declaration (and the
-			// cascade's root cause) is what is reported.
-			if wrote && !c.closing() {
-				pe.fail(&comm.PeerDown{Rank: pe.rank, Addr: pe.addr, Cause: fmt.Sprintf("send failed: %v", err)})
-			}
-			if ferr := pe.failure(); ferr != nil {
-				return c.attribute(to, ferr)
-			}
-			return fmt.Errorf("tcpcomm: rank %d send to %d: %w", c.cfg.Rank, to, err)
+		if ferr := pe.failure(); ferr != nil {
+			return c.attribute(to, ferr)
 		}
-		c.statsMu.Lock()
-		c.stats.SendRetries++
-		c.statsMu.Unlock()
-		time.Sleep(backoff)
-		backoff *= 2
+		return fmt.Errorf("tcpcomm: rank %d send to %d: %w", c.cfg.Rank, to, err)
 	}
 	c.statsMu.Lock()
 	c.stats.RecordSend(tag, len(data))
 	c.statsMu.Unlock()
 	return nil
-}
-
-// trySend makes one attempt to put f on the wire; wrote reports whether the
-// error (if any) came from the connection rather than the test hook.
-func (c *Comm) trySend(pe *peer, f wire.Frame) (wrote bool, err error) {
-	if hook := c.sendFault; hook != nil {
-		if err := hook(pe.rank); err != nil {
-			return false, err
-		}
-	}
-	pe.sendM.Lock()
-	err = pe.fr.Send(f)
-	pe.sendM.Unlock()
-	return true, err
 }
 
 // Recv implements comm.Communicator. When the peer is dead, wedged past

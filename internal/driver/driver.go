@@ -12,9 +12,10 @@
 // generation; generation fencing in the transport keeps any not-quite-dead
 // previous incarnation from reaching the new mesh, and ranks that disagree
 // about the generation converge by adopting the larger one (the transport's
-// GenerationError names it). Once the mesh is back, pclouds.ResumeAuto
-// restores the build from the newest checkpoint level complete on every
-// rank — or starts over if the job died before its first checkpoint.
+// GenerationError names it). Once the mesh is back, a build with
+// pclouds.Config.CheckpointDir set restores from the newest checkpoint level
+// complete on every rank — or starts over if the job died before its first
+// checkpoint.
 package driver
 
 import (
@@ -76,9 +77,9 @@ type Config struct {
 	// consumes the frontier, so a retry needs the root re-staged; staging
 	// is deterministic and overwrites in place).
 	LoopConfig
-	// Build is the build template. With CheckpointDir set the driver turns
-	// on ResumeAuto so every attempt restores from the newest complete
-	// checkpoint; a caller-set strict Resume is honoured on the first
+	// Build is the build template. With CheckpointDir set every attempt
+	// restores from the newest complete checkpoint, or starts fresh when
+	// there is none; a caller-set strict Resume is honoured on the first
 	// attempt only.
 	Build pclouds.Config
 	// Store is the rank's out-of-core store.
@@ -332,14 +333,10 @@ func RunRank(cfg Config) (*RankResult, error) {
 	var stats *pclouds.Stats
 	res, err := Loop(cfg.LoopConfig, func(c *tcpcomm.Comm, attempt int) error {
 		bc := cfg.Build
-		if bc.CheckpointDir != "" && !bc.Resume {
-			bc.ResumeAuto = true
-		}
 		if attempt > 1 {
 			// The strict Resume (if any) applied to the first attempt; a
 			// recovery attempt must tolerate "no checkpoint yet".
 			bc.Resume = false
-			bc.ResumeAuto = bc.CheckpointDir != ""
 		}
 		t, s, err := pclouds.Build(bc, c, cfg.Store, cfg.RootName, cfg.Sample)
 		if err != nil {

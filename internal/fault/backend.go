@@ -40,7 +40,7 @@ func (b *Backend) fileOp(op Op) error {
 		time.Sleep(r.Delay)
 		return nil
 	case Error:
-		return b.inj.injectedErr(r, b.rank, op)
+		return injectedErr(b.rank, op)
 	}
 	return nil
 }
@@ -120,7 +120,7 @@ func (w *faultWriter) Write(p []byte) (int, error) {
 		case Slow, Delay:
 			time.Sleep(r.Delay)
 		case Error:
-			return 0, w.b.inj.injectedErr(r, w.b.rank, OpWrite)
+			return 0, injectedErr(w.b.rank, OpWrite)
 		case Corrupt:
 			// Persist the buffer with one deterministically-chosen bit
 			// flipped; the caller's slice stays untouched and the write
@@ -164,7 +164,7 @@ func (r *faultReader) Read(p []byte) (int, error) {
 		case Slow, Delay:
 			time.Sleep(ru.Delay)
 		case Error:
-			return 0, r.b.inj.injectedErr(ru, r.b.rank, OpRead)
+			return 0, injectedErr(r.b.rank, OpRead)
 		case ShortRead:
 			// Legal io.Reader behaviour: deliver a prefix. io.ReadFull
 			// callers must loop; sloppy ones lose records.

@@ -66,7 +66,7 @@ func (c *Comm) Send(to int, tag comm.Tag, data []byte) error {
 		}
 		return c.inner.Send(to, tag, cp)
 	case Error:
-		return c.inj.injectedErr(r, c.inner.Rank(), OpSend)
+		return injectedErr(c.inner.Rank(), OpSend)
 	default:
 		return c.inner.Send(to, tag, data)
 	}
@@ -80,7 +80,7 @@ func (c *Comm) Recv(from int, tag comm.Tag) ([]byte, error) {
 		case Delay:
 			time.Sleep(r.Delay)
 		case Error:
-			return nil, c.inj.injectedErr(r, c.inner.Rank(), OpRecv)
+			return nil, injectedErr(c.inner.Rank(), OpRecv)
 		}
 	}
 	return c.inner.Recv(from, tag)

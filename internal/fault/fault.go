@@ -83,8 +83,7 @@ const (
 	// Corrupt flips one bit of the payload before transmission (OpSend
 	// only); the wire checksum turns it into a receive-side framing error.
 	Corrupt
-	// Error fails the operation with ErrInjected (marked transient for
-	// OpSend when Rule.Transient is set).
+	// Error fails the operation with ErrInjected.
 	Error
 	// ShortRead makes a byte-level read return fewer bytes than asked
 	// (OpRead only) — legal io.Reader behaviour that sloppy callers
@@ -154,9 +153,6 @@ type Rule struct {
 	Prob float64
 	// Delay is the sleep for Delay/Slow actions.
 	Delay time.Duration
-	// Transient marks injected OpSend errors with comm.MarkTransient, so
-	// the transport's bounded retry path is exercised.
-	Transient bool
 }
 
 func (r Rule) matches(rank int, op Op, class comm.OpClass) bool {
@@ -301,10 +297,6 @@ func mix(x uint64) uint64 {
 	return x ^ (x >> 31)
 }
 
-func (in *Injector) injectedErr(r *Rule, rank int, op Op) error {
-	err := fmt.Errorf("%w: rank %d %s", ErrInjected, rank, op)
-	if r.Transient && op == OpSend {
-		return comm.MarkTransient(err)
-	}
-	return err
+func injectedErr(rank int, op Op) error {
+	return fmt.Errorf("%w: rank %d %s", ErrInjected, rank, op)
 }

@@ -151,21 +151,14 @@ func TestCommCorruptAltersPayload(t *testing.T) {
 	}
 }
 
-// TestCommErrorTransient: injected transient send errors carry the marker
-// the transport's retry path keys on; permanent ones do not.
-func TestCommErrorTransient(t *testing.T) {
+// TestCommErrorInjected: an injected send error surfaces to the caller as
+// ErrInjected.
+func TestCommErrorInjected(t *testing.T) {
 	comms := comm.NewGroup(2, costmodel.Zero())
-	in := NewInjector(1,
-		Rule{Rank: 0, Op: OpSend, Class: AnyClass, Action: Error, Count: 1, Transient: true},
-		Rule{Rank: 0, Op: OpSend, Class: AnyClass, Action: Error, Count: 1})
+	in := NewInjector(1, Rule{Rank: 0, Op: OpSend, Class: AnyClass, Action: Error, Count: 1})
 	c0 := WrapComm(comms[0], in)
-	err := c0.Send(1, comm.TagUser, nil)
-	if !errors.Is(err, ErrInjected) || !comm.IsTransient(err) {
-		t.Fatalf("first error should be injected+transient: %v", err)
-	}
-	err = c0.Send(1, comm.TagUser, nil)
-	if !errors.Is(err, ErrInjected) || comm.IsTransient(err) {
-		t.Fatalf("second error should be injected+permanent: %v", err)
+	if err := c0.Send(1, comm.TagUser, nil); !errors.Is(err, ErrInjected) {
+		t.Fatalf("send should fail with the injected error: %v", err)
 	}
 }
 

@@ -8,10 +8,10 @@ import (
 // RegisterCommStats wires a live comm.Stats source (typically
 // Communicator.Stats, or a closure over an atomically repointed transport)
 // onto reg as pclouds_comm_* series: aggregate message/byte/wait counters,
-// the fault-tolerance counters (heartbeats, send retries, peer downs,
-// generation-fencing rejects), and the per-collective breakdown. Values are
-// read at scrape time, so the series track a build live. Registration is
-// idempotent; the latest source wins.
+// the fault-tolerance counters (heartbeats, peer downs, generation-fencing
+// rejects), and the per-collective breakdown. Values are read at scrape
+// time, so the series track a build live. Registration is idempotent; the
+// latest source wins.
 func RegisterCommStats(reg *Registry, fn func() comm.Stats) {
 	get := func(sel func(comm.Stats) float64) func() float64 {
 		return func() float64 { return sel(fn()) }
@@ -32,8 +32,6 @@ func RegisterCommStats(reg *Registry, fn func() comm.Stats) {
 	hb.Func(get(func(s comm.Stats) float64 { return float64(s.HeartbeatsSent) }), "sent")
 	hb.Func(get(func(s comm.Stats) float64 { return float64(s.HeartbeatsRecv) }), "recv")
 
-	reg.Counter("pclouds_comm_send_retries_total", "Transient send failures that were retried.").
-		Func(get(func(s comm.Stats) float64 { return float64(s.SendRetries) }))
 	reg.Counter("pclouds_comm_peer_downs_total", "Peers this rank declared down.").
 		Func(get(func(s comm.Stats) float64 { return float64(s.PeerDowns) }))
 	reg.Counter("pclouds_comm_generation_rejects_total", "Connections fenced off for carrying a stale build generation.").

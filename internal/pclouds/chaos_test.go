@@ -432,3 +432,174 @@ func TestChaosDelaysAndSlowIOIdenticalTree(t *testing.T) {
 		}
 	})
 }
+
+// gatherTap wraps one rank's communicator: it counts the rank's receives
+// and remembers the ordinal of the latest all-gather one, so a fault rule
+// can target it, and it closes sent once the rank has sent its last-th
+// all-gather frame.
+type gatherTap struct {
+	comm.Communicator
+	recvs, lastGather int64
+	gathers, last     int64
+	sent              chan struct{}
+}
+
+func (g *gatherTap) Recv(from int, tag comm.Tag) ([]byte, error) {
+	g.recvs++
+	if comm.ClassOf(tag) == comm.OpAllGather {
+		g.lastGather = g.recvs
+	}
+	return g.Communicator.Recv(from, tag)
+}
+
+func (g *gatherTap) Send(to int, tag comm.Tag, data []byte) error {
+	err := g.Communicator.Send(to, tag, data)
+	if comm.ClassOf(tag) == comm.OpAllGather {
+		if g.gathers++; g.gathers == g.last {
+			close(g.sent)
+		}
+	}
+	return err
+}
+
+// TestChaosFinalExchangeKeepsCheckpoints: rank 0's last receive of the
+// small phase's subtree all-gather fails after rank 1 has finished the
+// exchange. Rank 1 holds the whole tree, rank 0 does not, so no rank may
+// delete a checkpoint level: both fail, every rank keeps its last level,
+// and a restart on a fresh mesh resumes from it to the bit-identical tree.
+func TestChaosFinalExchangeKeepsCheckpoints(t *testing.T) {
+	const p = 2
+	data := makeData(t, 4000, 2, 42)
+	cfg := testConfig(clouds.SSE)
+	sample := cfg.Clouds.SampleFor(data)
+	ref, _ := buildParallel(t, cfg, data, sample, p)
+
+	// A fault-free checkpointed run finds the ordinal of rank 0's final
+	// all-gather receive and the number of rank 1's all-gather sends; the
+	// message sequence does not depend on the transport.
+	dry := []*gatherTap{{}, {}}
+	{
+		dcfg := cfg
+		dcfg.CheckpointDir = t.TempDir()
+		comms := comm.NewGroup(p, costmodel.Zero())
+		stores := distribute(t, data, p, costmodel.Zero(), comms)
+		var wg sync.WaitGroup
+		errs := make([]error, p)
+		for r := 0; r < p; r++ {
+			dry[r].Communicator = comms[r]
+			wg.Add(1)
+			go func(r int) {
+				defer wg.Done()
+				_, _, errs[r] = Build(dcfg, dry[r], stores[r], "root", sample)
+			}(r)
+		}
+		wg.Wait()
+		for r, err := range errs {
+			if err != nil {
+				t.Fatalf("fault-free run rank %d: %v", r, err)
+			}
+		}
+		if dry[0].lastGather == 0 || dry[1].gathers == 0 {
+			t.Fatal("the build issued no all-gather")
+		}
+	}
+
+	cfg.CheckpointDir = t.TempDir()
+	storeRoot := t.TempDir()
+	stores := make([]*ooc.Store, p)
+	for r := 0; r < p; r++ {
+		st, err := stageFileStore(filepath.Join(storeRoot, fmt.Sprintf("rank%d", r)), r, p, data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		stores[r] = st
+	}
+
+	lastLevel := make([]int, p)
+	watchdog(t, "failed final exchange", func() {
+		inj := fault.NewInjector(1, fault.Rule{
+			Rank: 0, Op: fault.OpRecv, Class: comm.OpAllGather, Action: fault.Error,
+			After: dry[0].lastGather - 1, Count: 1,
+		})
+		// Rank 0 keeps its transport open until rank 1 has sent its last
+		// all-gather frame, so rank 1 always finishes the exchange.
+		tap := &gatherTap{last: dry[1].gathers, sent: make(chan struct{})}
+		addrs := reservePorts(t, p)
+		var wg sync.WaitGroup
+		errs := make([]error, p)
+		for r := 0; r < p; r++ {
+			wg.Add(1)
+			go func(r int) {
+				defer wg.Done()
+				c, err := chaosComm(r, addrs)
+				if err != nil {
+					errs[r] = err
+					return
+				}
+				fcfg := cfg
+				fcfg.LevelHook = func(level int) { lastLevel[r] = level }
+				if r == 0 {
+					_, _, errs[r] = Build(fcfg, fault.WrapComm(c, inj), stores[r], "root", sample)
+					<-tap.sent
+				} else {
+					tap.Communicator = c
+					_, _, errs[r] = Build(fcfg, tap, stores[r], "root", sample)
+				}
+				c.Close()
+			}(r)
+		}
+		wg.Wait()
+		if !errors.Is(errs[0], fault.ErrInjected) {
+			t.Errorf("rank 0: want the injected receive error, got %v", errs[0])
+		}
+		if errs[1] == nil {
+			t.Error("rank 1 finished the build although rank 0 never assembled the tree")
+		}
+	})
+	for r := 0; r < p; r++ {
+		levels, err := listLevels(cfg.CheckpointDir, r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(levels) == 0 || levels[len(levels)-1] != lastLevel[r] {
+			t.Errorf("rank %d kept levels %v, want its last level %d", r, levels, lastLevel[r])
+		}
+	}
+	if t.Failed() {
+		t.FailNow()
+	}
+
+	watchdog(t, "restart", func() {
+		addrs := reservePorts(t, p)
+		var wg sync.WaitGroup
+		errs := make([]error, p)
+		trees := make([]*tree.Tree, p)
+		stats := make([]*Stats, p)
+		for r := 0; r < p; r++ {
+			wg.Add(1)
+			go func(r int) {
+				defer wg.Done()
+				c, err := chaosComm(r, addrs)
+				if err != nil {
+					errs[r] = err
+					return
+				}
+				defer c.Close()
+				trees[r], stats[r], errs[r] = Build(cfg, c, stores[r], "root", sample)
+			}(r)
+		}
+		wg.Wait()
+		for r := 0; r < p; r++ {
+			if errs[r] != nil {
+				t.Errorf("restart rank %d: %v", r, errs[r])
+				continue
+			}
+			if stats[r].ResumedLevel != lastLevel[r] {
+				t.Errorf("restart rank %d resumed from level %d, want %d", r, stats[r].ResumedLevel, lastLevel[r])
+			}
+			if !tree.Equal(ref, trees[r]) {
+				t.Errorf("restart rank %d: tree differs from the uninterrupted build", r)
+			}
+		}
+	})
+}

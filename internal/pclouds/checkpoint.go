@@ -68,11 +68,10 @@ const keepLevels = 2
 // deterministic, rank-synchronised "kill".
 var ErrStopped = errors.New("pclouds: build stopped after checkpointed level")
 
-// ErrNoCheckpoint is returned by a resume when no checkpoint level is
-// complete on every rank. With Config.ResumeAuto the build falls back to a
-// fresh start; with the strict Config.Resume it surfaces to the caller.
-// The decision is the result of a collective, so all ranks take the same
-// branch.
+// ErrNoCheckpoint is returned by a strict resume (Config.Resume) when no
+// checkpoint level is complete on every rank; without Resume the build
+// starts fresh instead. The decision is the result of a collective, so all
+// ranks take the same branch.
 var ErrNoCheckpoint = errors.New("pclouds: no usable checkpoint")
 
 // ckptTask is one frontier task in a manifest. Depth and the sample are
@@ -403,7 +402,10 @@ func loadCheckpoint(cfg Config, c comm.Communicator, b *pbuilder, rootSample []r
 	dir := cfg.CheckpointDir
 	levels, err := listLevels(dir, c.Rank())
 	if err != nil {
-		return nil, fmt.Errorf("pclouds: resume: %w", err)
+		// An unreadable directory holds no level this rank can restore. Like
+		// a failed checkpoint write it is a warning: returning here alone
+		// would leave the other ranks blocked in the agreement below.
+		b.warnf("pclouds: rank %d: resume: %v", c.Rank(), err)
 	}
 	var st *resumeState
 	var m ckptManifest

@@ -494,63 +494,74 @@ func TestDegradedCheckpointingContinues(t *testing.T) {
 	t.Fatalf("no warning names the failed checkpoint level: %v", warns)
 }
 
-// TestAutoResume: ResumeAuto restores from a checkpoint when one exists and
-// falls back to a fresh build when none does — both paths reaching the
-// reference tree.
-func TestAutoResume(t *testing.T) {
-	const p = 2
+// TestResumePolicy pins the one resume policy of a checkpointed build: with
+// only CheckpointDir set, every rank restores from the newest level every
+// rank holds, or starts fresh together when there is none; the strict
+// Resume instead fails with ErrNoCheckpoint on every rank. Each case checks
+// every rank's resumed level and tree bytes.
+func TestResumePolicy(t *testing.T) {
 	data := makeData(t, 2000, 2, 9)
-	cfg := testConfig(clouds.SSE)
-	sample := cfg.Clouds.SampleFor(data)
-	ref, _ := buildParallel(t, cfg, data, sample, p)
-
-	// Fresh fallback: no checkpoint anywhere.
-	cfg.CheckpointDir = t.TempDir()
-	cfg.ResumeAuto = true
-	comms := comm.NewGroup(p, costmodel.Zero())
-	stores := distribute(t, data, p, costmodel.Zero(), comms)
-	trees, stats, errs := buildWithStores(cfg, comms, stores, sample)
-	for r, err := range errs {
-		if err != nil {
-			t.Fatalf("auto-fresh rank %d: %v", r, err)
-		}
+	cases := []struct {
+		name   string
+		stopAt int // 0: no earlier run; else a run stopped after this level
+		hole   int // the last rank never wrote this level's manifest (0: none)
+		strict bool
+		want   int // resumed level; -1: ErrNoCheckpoint
+	}{
+		{name: "empty dir builds fresh", want: 0},
+		{name: "stopped run resumes from its last level", stopAt: 2, want: 2},
+		{name: "hole resumes from the newest common level", stopAt: 2, hole: 2, want: 1},
+		{name: "no common level builds fresh", stopAt: 1, hole: 1, want: 0},
+		{name: "strict resume without a level fails", strict: true, want: -1},
 	}
-	for r := 0; r < p; r++ {
-		if stats[r].ResumedLevel != 0 {
-			t.Fatalf("auto-fresh rank %d claims resume from level %d", r, stats[r].ResumedLevel)
-		}
-		if !tree.Equal(ref, trees[r]) {
-			t.Fatalf("auto-fresh rank %d tree differs", r)
-		}
-	}
-
-	// Restore path: stop a checkpointed build, then ResumeAuto picks it up.
-	cfg2 := testConfig(clouds.SSE)
-	cfg2.CheckpointDir = t.TempDir()
-	cfg2.StopAfterLevel = 2
-	commsA := comm.NewGroup(p, costmodel.Zero())
-	storesA := distribute(t, data, p, costmodel.Zero(), commsA)
-	_, _, errsA := buildWithStores(cfg2, commsA, storesA, sample)
-	for r, err := range errsA {
-		if !errors.Is(err, ErrStopped) {
-			t.Fatalf("rank %d: %v", r, err)
-		}
-	}
-	cfg2.StopAfterLevel = 0
-	cfg2.ResumeAuto = true
-	commsB := comm.NewGroup(p, costmodel.Zero())
-	treesB, statsB, errsB := buildWithStores(cfg2, commsB, storesA, sample)
-	for r, err := range errsB {
-		if err != nil {
-			t.Fatalf("auto-resume rank %d: %v", r, err)
-		}
-	}
-	for r := 0; r < p; r++ {
-		if statsB[r].ResumedLevel != 2 {
-			t.Fatalf("auto-resume rank %d resumed from level %d, want 2", r, statsB[r].ResumedLevel)
-		}
-		if !tree.Equal(ref, treesB[r]) {
-			t.Fatalf("auto-resume rank %d tree differs", r)
+	for _, p := range []int{1, 3} {
+		cfg := testConfig(clouds.SSE)
+		sample := cfg.Clouds.SampleFor(data)
+		ref, _ := buildParallel(t, cfg, data, sample, p)
+		refBytes := tree.Encode(ref)
+		for _, tc := range cases {
+			t.Run(fmt.Sprintf("p=%d/%s", p, tc.name), func(t *testing.T) {
+				cfg := cfg
+				cfg.CheckpointDir = t.TempDir()
+				comms := comm.NewGroup(p, costmodel.Zero())
+				stores := distribute(t, data, p, costmodel.Zero(), comms)
+				if tc.stopAt > 0 {
+					scfg := cfg
+					scfg.StopAfterLevel = tc.stopAt
+					_, _, errs := buildWithStores(scfg, comms, stores, sample)
+					for r, err := range errs {
+						if !errors.Is(err, ErrStopped) {
+							t.Fatalf("stopped run rank %d: %v", r, err)
+						}
+					}
+					comms = comm.NewGroup(p, costmodel.Zero())
+				}
+				if tc.hole > 0 {
+					if err := os.Remove(manifestPath(cfg.CheckpointDir, tc.hole, p-1)); err != nil {
+						t.Fatal(err)
+					}
+				}
+				cfg.Resume = tc.strict
+				trees, stats, errs := buildWithStores(cfg, comms, stores, sample)
+				for r := 0; r < p; r++ {
+					if tc.want < 0 {
+						if !errors.Is(errs[r], ErrNoCheckpoint) {
+							t.Errorf("rank %d: want ErrNoCheckpoint, got %v", r, errs[r])
+						}
+						continue
+					}
+					if errs[r] != nil {
+						t.Errorf("rank %d: %v", r, errs[r])
+						continue
+					}
+					if stats[r].ResumedLevel != tc.want {
+						t.Errorf("rank %d resumed from level %d, want %d", r, stats[r].ResumedLevel, tc.want)
+					}
+					if !bytes.Equal(tree.Encode(trees[r]), refBytes) {
+						t.Errorf("rank %d: tree bytes differ from the uninterrupted build", r)
+					}
+				}
+			})
 		}
 	}
 }

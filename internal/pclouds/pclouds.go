@@ -102,24 +102,15 @@ type Config struct {
 	// report is a collective. A nil Trace costs one pointer comparison per
 	// phase boundary.
 	Trace *obs.Recorder
-	// CheckpointDir, when non-empty, enables per-level checkpointing: after
-	// each completed tree level this rank writes its frontier manifest (and
-	// rank 0 the partial tree) atomically under this directory. See
-	// checkpoint.go for the recovery guarantees.
+	// CheckpointDir, when non-empty, enables per-level checkpointing and
+	// resume: the build continues from the newest level every rank can
+	// restore, or with none every rank starts fresh and clears its own
+	// stale levels. See checkpoint.go for the recovery guarantees.
 	CheckpointDir string
-	// Resume restarts the build from the checkpoint in CheckpointDir
-	// instead of from rootName: the staged root file is not consulted, and
-	// the build continues from the newest checkpoint level complete on
-	// every rank, producing the identical tree. It fails with
-	// ErrNoCheckpoint when no such level exists.
+	// Resume makes the resume strict: with no checkpoint level common to
+	// every rank the build fails with ErrNoCheckpoint instead of starting
+	// fresh. It requires CheckpointDir.
 	Resume bool
-	// ResumeAuto is the self-healing variant of Resume: restore from the
-	// newest checkpoint level complete on every rank if one exists,
-	// otherwise fall back to a fresh build from the staged root file. The
-	// decision is collective, so all ranks take the same branch. The
-	// supervisor's respawned ranks use it — a crash before the first
-	// checkpoint simply starts over.
-	ResumeAuto bool
 	// StopAfterLevel, when positive, aborts the build with ErrStopped right
 	// after checkpointing that many levels (if frontier work remains). It
 	// exists for crash-recovery tests: all ranks stop at the same
@@ -293,6 +284,9 @@ func Build(cfg Config, c comm.Communicator, store *ooc.Store, rootName string, s
 	if cfg.Warnf != nil {
 		warnf = cfg.Warnf
 	}
+	// A retry resumes from whatever level is still clean, or starts over:
+	// the strict Resume check applied to the first attempt only.
+	cfg.Resume = false
 	for errors.Is(err, ErrDataCorrupt) && recoveries < maxCorruptionRecoveries {
 		var dce *DataCorruptError
 		if errors.As(err, &dce) && dce.Report.Rank == c.Rank() && dce.Report.File != "" {
@@ -308,9 +302,7 @@ func Build(cfg Config, c comm.Communicator, store *ooc.Store, rootName string, s
 		recoveries++
 		warnf("pclouds: rank %d: data corruption detected (%v); recovery attempt %d/%d from newest clean checkpoint",
 			c.Rank(), err, recoveries, maxCorruptionRecoveries)
-		rcfg := cfg
-		rcfg.ResumeAuto = true
-		t, st, err = buildAttempt(rcfg, c, store, rootName, sample)
+		t, st, err = buildAttempt(cfg, c, store, rootName, sample)
 	}
 	if st != nil {
 		st.Recoveries = recoveries
@@ -345,14 +337,14 @@ func buildAttempt(cfg Config, c comm.Communicator, store *ooc.Store, rootName st
 		level int
 	)
 	resumed := false
-	if cfg.Resume || cfg.ResumeAuto {
+	if cfg.Resume && cfg.CheckpointDir == "" {
+		return nil, nil, fmt.Errorf("pclouds: Resume requires CheckpointDir")
+	}
+	if cfg.CheckpointDir != "" {
 		// Restart from the newest level complete on every rank: the
 		// frontier comes from the checkpoint manifest, the nodes above it
 		// from the persisted partial tree, and the staged root file is not
 		// consulted.
-		if cfg.CheckpointDir == "" {
-			return nil, nil, fmt.Errorf("pclouds: Resume requires CheckpointDir")
-		}
 		b = &pbuilder{cfg: cfg, c: c, store: store, schema: schema, rec: rec, consumed: map[int][]string{}}
 		rs, err := loadCheckpoint(cfg, c, b, sample)
 		switch {
@@ -362,9 +354,9 @@ func buildAttempt(cfg Config, c comm.Communicator, store *ooc.Store, rootName st
 			b.stats.ResumedLevel = level
 			b.rec.Count("resumed-level", int64(level))
 			resumed = true
-		case errors.Is(err, ErrNoCheckpoint) && cfg.ResumeAuto:
-			// No usable checkpoint anywhere: fall back to a fresh build.
-			// durable.Resume is collective, so every rank falls back together.
+		case errors.Is(err, ErrNoCheckpoint) && !cfg.Resume:
+			// No usable checkpoint anywhere: start a fresh build.
+			// durable.Resume is collective, so every rank starts over together.
 		default:
 			return nil, nil, err
 		}
@@ -399,9 +391,9 @@ func buildAttempt(cfg Config, c comm.Communicator, store *ooc.Store, rootName st
 		b.chargeCPU(localN)
 		if cfg.CheckpointDir != "" {
 			// A fresh build invalidates whatever this rank checkpointed
-			// before (e.g. the ResumeAuto fallback after a crash with no
-			// usable checkpoint): remove it so stale levels can never look
-			// newer than the ones this build is about to write.
+			// before (levels no other rank can match): remove it so stale
+			// levels can never look newer than the ones this build is about
+			// to write.
 			b.cleanOwnCheckpoints()
 		}
 		queue = []*nodeTask{{

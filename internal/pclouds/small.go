@@ -2,6 +2,7 @@ package pclouds
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"sort"
 
@@ -189,15 +190,47 @@ func (a *recordArena) copyOf(r *record.Record) record.Record {
 	return c
 }
 
+// errNotAssembled is every rank's error when some rank of a checkpointed
+// build could not attach every finished subtree: no rank deletes its
+// checkpoint levels, so the restarted group resumes from the last one.
+var errNotAssembled = errors.New("pclouds: finished tree not assembled on every rank; checkpoints kept")
+
 // exchangeSubtrees all-gathers the encoded subtrees (results[i] is non-nil
 // on the rank that solved small[i]) and attaches every one of them on every
-// rank, so all ranks finish with the same tree.
+// rank, so all ranks finish with the same tree. A checkpointed build then
+// votes: the build deletes its checkpoint levels once it returns the tree,
+// which a rank may do only when every rank holds that tree. A transport
+// error returns at once, and the rank that saw it never votes, so its
+// peers' vote fails too.
 func (b *pbuilder) exchangeSubtrees(small []*nodeTask, results [][]byte) error {
 	defer b.rec.Start("small-exchange").End()
 	gathered, err := comm.AllGather(b.c, encodeSubtrees(results))
 	if err != nil {
 		return err
 	}
+	err = b.attachSubtrees(small, gathered)
+	if b.cfg.CheckpointDir == "" {
+		return err
+	}
+	ok := int64(1)
+	if err != nil {
+		ok = 0
+	}
+	all, verr := comm.AllReduceInt64(b.c, []int64{ok}, func(a, b int64) int64 { return min(a, b) })
+	switch {
+	case verr != nil:
+		return verr
+	case err != nil:
+		return fmt.Errorf("%w: %w", errNotAssembled, err)
+	case all[0] == 0:
+		return errNotAssembled
+	}
+	return nil
+}
+
+// attachSubtrees decodes the gathered subtrees and attaches each to its
+// small task; every task must receive exactly one.
+func (b *pbuilder) attachSubtrees(small []*nodeTask, gathered [][]byte) error {
 	attached := 0
 	for _, raw := range gathered {
 		pairs, err := decodeSubtrees(raw)
