@@ -54,7 +54,10 @@ chaos:
 # checkpoint GC, resume-policy and end-of-build vote tests of the batch
 # build and the resume agreement of the streaming engine, and the ooc page
 # lifecycle with poisoned pages (the prefetch and write-behind goroutines
-# give pages back across goroutines), under the race detector with a tight overall deadline
+# give pages back across goroutines), and the resident-against-streamed
+# differential (resident ranks split presorted columns through one scratch
+# per rank while streaming ranks take and return pool pages in the same
+# process), under the race detector with a tight overall deadline
 # so a hang fails fast instead of eating the gate.
 chaos-quick: vet
 	$(GO) test -race -timeout 300s -run 'TestSupervised|TestRunRank|TestSupervise' ./internal/driver/
@@ -62,14 +65,16 @@ chaos-quick: vet
 	$(GO) test -race -timeout 300s -run 'TestCheckpointGC|TestDegraded|TestResume|TestChaosFinalExchange' ./internal/pclouds/
 	$(GO) test -race -timeout 300s -run 'TestResume' ./internal/stream/
 	$(GO) test -race -timeout 300s -run 'TestPage|TestPoison|TestPipeline|TestWriteBehind|TestPrefetch|TestIntegrity' ./internal/ooc/
-	$(GO) test -race -timeout 300s -run 'TestPipelineParityFileBackend|TestFileCreatesCounted|TestCorruptionDetectedAttributed' ./internal/pclouds/
+	$(GO) test -race -timeout 300s -run 'TestPipelineParityFileBackend|TestFileCreatesCounted|TestResidentMatchesStreamed|TestCorruptionDetectedAttributed' ./internal/pclouds/
 
 # Short fuzz passes over every fuzz target in the tree, found by name — a
 # new target is picked up without touching this file. Two kinds today.
 # Differential kernel targets, where a fast path must equal its reference:
 # histogram.Locate against sort.SearchFloat64s, the compiled tree against
 # the pointer walk (every row must reach the same leaf), and the presorted
-# builder against the per-node sort (same tree bytes, same stats). Decoder
+# builder against the per-node sort (same tree bytes, same stats), and
+# resident ranks against streamed builds (same tree bytes, traffic and
+# counts). Decoder
 # targets, where garbage must error and accepted bytes must re-encode
 # identically: the tree and model-file decoders, the prediction-server
 # request decoders (malformed JSON/binary rows must get a 4xx, never a

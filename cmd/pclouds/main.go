@@ -293,7 +293,7 @@ func runParallel(cfg clouds.Config, boundary string, train *record.Dataset, p in
 		fmt.Println("per-collective traffic (all ranks summed):")
 		fmt.Print(cs.Table())
 		for r, s := range stats {
-			fmt.Printf("rank %d I/O: %s\n", r, s.IO)
+			fmt.Printf("rank %d I/O: %s; resident %d B\n", r, s.IO, s.ResidentBytes)
 		}
 	}
 	return trees[0], nil

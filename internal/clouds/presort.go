@@ -1,9 +1,8 @@
 package clouds
 
 import (
-	"cmp"
 	"math"
-	"slices"
+	"sort"
 
 	"pclouds/internal/gini"
 	"pclouds/internal/histogram"
@@ -15,10 +14,11 @@ import (
 // the same rows ordered by that attribute's value, NaN last: the attribute
 // lists of SPRINT (Shafer, Agrawal & Mehta, VLDB 1996), which the paper
 // calls the attribute-based approach. It is built once — for a small
-// task's records, for a build's sample — and Split divides it with a stable
-// partition at every node, so each child inherits sorted columns without
-// sorting again. The direct method scans the columns, and a node's
-// interval structures are read off them (Intervals).
+// task's records, for a build's sample, for a resident pCLOUDS rank's
+// share — and Split divides it with a stable partition at every node, so
+// each child inherits sorted columns without sorting again. The direct
+// method scans the columns, and a node's interval structures are read off
+// them (Intervals).
 type Presorted struct {
 	recs []record.Record // every row of the presorted root; never modified
 	rows []int32         // this node's rows (indices into recs), in root order
@@ -52,20 +52,10 @@ func Presort(schema *record.Schema, recs []record.Record) *Presorted {
 	flat := make([]Point, n*nn)
 	for j := range p.cols {
 		col := flat[j*n : (j+1)*n : (j+1)*n]
-		// NaNs go to the tail unsorted (they never split left, and their
-		// order is never read); the numbers before them sort by value.
-		numbers, nans := 0, n
 		for i := range recs {
-			e := Point{V: recs[i].Num[j], Class: recs[i].Class, Row: int32(i)}
-			if e.V != e.V {
-				nans--
-				col[nans] = e
-			} else {
-				col[numbers] = e
-				numbers++
-			}
+			col[i] = Point{V: recs[i].Num[j], Class: recs[i].Class, Row: int32(i)}
 		}
-		slices.SortFunc(col[:numbers], func(a, b Point) int { return cmp.Compare(a.V, b.V) })
+		SortPoints(col)
 		p.cols[j] = col
 	}
 	return p
@@ -172,7 +162,7 @@ func (p *Presorted) directSplit(schema *record.Schema) Candidate {
 	nTotal := int64(len(p.rows))
 	zero := make([]int64, schema.NumClasses)
 	for j, attr := range schema.NumericIndices() {
-		if cand := searchSorted(attr, zero, total, p.cols[j]); cand.Better(best) {
+		if cand := EvaluateSorted(attr, zero, total, p.cols[j]); cand.Better(best) {
 			best = cand
 		}
 	}
@@ -186,4 +176,61 @@ func (p *Presorted) directSplit(schema *record.Schema) Candidate {
 		}
 	}
 	return best
+}
+
+// AccumulateStats adds the node's rows to ns, with exactly the integers
+// NodeStats.Add would count row by row. Numeric frequencies come from the
+// sorted columns: a monotone walk over the interval cuts replaces Locate
+// (a value falls in the interval whose index is the number of cuts below
+// it, NaN in the last). Class and categorical counts are taken by row.
+func (p *Presorted) AccumulateStats(ns *NodeStats) {
+	ns.N += int64(len(p.rows))
+	for _, r := range p.rows {
+		rec := &p.recs[r]
+		ns.Class[rec.Class]++
+		for j, cm := range ns.Cat {
+			cm.Add(rec.Cat[j], rec.Class)
+		}
+	}
+	for j, nst := range ns.Numeric {
+		cuts, k := nst.Intervals.Cuts, 0
+		for _, e := range p.cols[j] {
+			if e.V != e.V {
+				k = len(cuts) // NaN sorts last and locates to the last interval
+			}
+			for k < len(cuts) && cuts[k] < e.V {
+				k++
+			}
+			nst.Freq[k][e.Class]++
+		}
+	}
+}
+
+// Range returns the node's points of numeric attribute j that locate to
+// interval i of iv: one contiguous run of the sorted column, in value order.
+// The last interval also holds the NaN tail. The slice aliases the column
+// and must not be modified.
+func (p *Presorted) Range(j int, iv *histogram.Intervals, i int) []Point {
+	col := p.cols[j]
+	// upper is the index of the first point that does not satisfy v <= c.
+	upper := func(c float64) int {
+		return sort.Search(len(col), func(x int) bool { return !(col[x].V <= c) })
+	}
+	lo, hi := 0, len(col)
+	if i > 0 {
+		lo = upper(iv.Cuts[i-1])
+	}
+	if i < len(iv.Cuts) {
+		hi = upper(iv.Cuts[i])
+	}
+	return col[lo:hi]
+}
+
+// AppendRecords appends the node's rows to dst in root order. The records
+// share their value slices with the presorted records.
+func (p *Presorted) AppendRecords(dst []record.Record) []record.Record {
+	for _, r := range p.rows {
+		dst = append(dst, p.recs[r])
+	}
+	return dst
 }

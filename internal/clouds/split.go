@@ -352,20 +352,21 @@ func DetermineAlive(ns *NodeStats, giniMin float64) *AliveSet {
 // given the class counts of everything below the interval (leftBefore), the
 // node totals, and the interval's points, it evaluates the gini at every
 // distinct point value and returns the best candidate for splitting at
-// "attr <= v". pts are sorted canonically first, and a zero threshold is
-// stored as +0; the result is independent of input order.
+// "attr <= v". pts are sorted by value first (SortPoints), and a zero
+// threshold is stored as +0; the result is independent of input order.
 func EvaluateInterval(attr int, leftBefore, total []int64, pts []Point) Candidate {
 	SortPoints(pts)
-	return searchSorted(attr, leftBefore, total, pts)
+	return EvaluateSorted(attr, leftBefore, total, pts)
 }
 
-// searchSorted is the exact search over points already in value order, NaN
-// last: the gini at the last point of every distinct value. It serves
-// EvaluateInterval and, over a whole presorted column, the direct method.
+// EvaluateSorted is the exact search over points already in value order,
+// NaN last: the gini at the last point of every distinct value. It serves
+// EvaluateInterval, the parallel build's merged alive runs and, over a
+// whole presorted column, the direct method.
 // A zero threshold is stored as +0: -0 and +0 tie, so the last point of a
 // tie is either one depending on input order, and the threshold's bytes
 // must not depend on it (both route every record the same way).
-func searchSorted(attr int, leftBefore, total []int64, pts []Point) Candidate {
+func EvaluateSorted(attr int, leftBefore, total []int64, pts []Point) Candidate {
 	best := Candidate{Valid: false, Gini: math.Inf(1)}
 	if len(pts) == 0 {
 		return best

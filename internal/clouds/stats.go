@@ -9,9 +9,7 @@
 package clouds
 
 import (
-	"cmp"
 	"fmt"
-	"slices"
 
 	"pclouds/internal/gini"
 	"pclouds/internal/histogram"
@@ -266,30 +264,4 @@ type Point struct {
 	V     float64
 	Class int32
 	Row   int32
-}
-
-// SortPoints orders points by value then class; a canonical order that makes
-// in-interval evaluation deterministic regardless of collection order. The
-// order is total: NaN values sort after every number (they satisfy no
-// "attr <= v" test, so the exact search stops at the first one).
-func SortPoints(pts []Point) { slices.SortFunc(pts, comparePoints) }
-
-func comparePoints(a, b Point) int {
-	switch {
-	case a.V < b.V:
-		return -1
-	case a.V > b.V:
-		return 1
-	case a.V == b.V:
-		return cmp.Compare(a.Class, b.Class)
-	}
-	// At least one side is NaN.
-	switch aNaN, bNaN := a.V != a.V, b.V != b.V; {
-	case aNaN && bNaN:
-		return cmp.Compare(a.Class, b.Class)
-	case aNaN:
-		return 1
-	default:
-		return -1
-	}
 }

@@ -1,14 +1,25 @@
 package ooc
 
-import "fmt"
+import (
+	"fmt"
+	"unsafe"
 
-// MemLimit is the memory-budget ledger: the amount of main memory one
-// processor may devote to record data. pCLOUDS consults it to decide
-// whether a node's records fit in-core (small-node processing, direct
-// method) or must be streamed from disk (large-node processing).
+	"pclouds/internal/record"
+)
+
+// MemLimit is the memory-budget ledger: the bytes of training rows one
+// processor may hold in main memory, matching the paper's per-processor
+// memory. The sequential out-of-core builder (clouds.BuildOutOfCore)
+// charges a node's records to it before it loads the node and solves it
+// in-core. pCLOUDS charges it once per rank, in the preprocessing pass:
+// when the rank's whole root share fits (rows × ResidentRowBytes), the
+// rank holds that share presorted in memory for the rest of the build and
+// every large node of the rank works on sorted columns; otherwise every
+// large node streams from disk, as in the paper. Small nodes are solved
+// in-core either way.
 //
 // MemLimit is owned by one rank goroutine and is not safe for concurrent
-// use, matching the paper's per-processor memory.
+// use.
 type MemLimit struct {
 	limit int64
 	used  int64
@@ -55,4 +66,20 @@ func (m *MemLimit) Release(n int64) {
 	if m.used < 0 {
 		m.used = 0
 	}
+}
+
+// DefaultMemLimit is pCLOUDS's per-rank budget when its configuration
+// leaves the budget at zero: 32 MiB, the byte size of the bound the alive
+// exchange already sets on its points (2^21 points of 16 B).
+const DefaultMemLimit int64 = 32 << 20
+
+// ResidentRowBytes is what one training row costs a rank that holds its
+// share in memory: the record header, its values in the arena, one
+// presorted column entry per numeric attribute, its row index and its
+// partition flag. For the Agrawal schema (6 numeric, 3 categorical
+// attributes) that is 56 + 60 + 96 + 4 + 1 = 217 bytes.
+func ResidentRowBytes(s *record.Schema) int64 {
+	const columnEntry = 16 // a presorted (value, class, row) entry
+	nn, nc := int64(s.NumNumeric()), int64(s.NumCategorical())
+	return int64(unsafe.Sizeof(record.Record{})) + 8*nn + 4*nc + columnEntry*nn + 4 + 1
 }

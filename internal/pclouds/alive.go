@@ -55,10 +55,11 @@ func assignIntervals(alive []levelAlive, p int) []int {
 
 // evaluateAlive runs the single-assignment exact search for every node of
 // the level that has alive intervals: each interval is assigned to one
-// processor; each rank streams its local node data once, shipping the points
-// of every alive interval to the interval's assignee in one all-to-all;
-// assignees sort and evaluate their intervals, and a final min-combine over
-// the per-node candidate vector yields every node's best split overall.
+// processor; each rank gathers its local points of every alive interval as
+// one value-sorted run and ships it to the interval's assignee in one
+// all-to-all; assignees merge their intervals' runs and evaluate them, and
+// a final min-combine over the per-node candidate vector yields every
+// node's best split overall.
 func (b *pbuilder) evaluateAlive(nodes []*levelNode) error {
 	mine := make([]clouds.Candidate, len(nodes))
 	for start := 0; start < len(nodes); {
@@ -91,7 +92,7 @@ func (b *pbuilder) evaluateAlive(nodes []*levelNode) error {
 	return nil
 }
 
-// aliveBatch collects, exchanges and searches the alive intervals of one
+// aliveBatch gathers, exchanges and searches the alive intervals of one
 // batch of nodes; out[i] receives this rank's best exact candidate for
 // batch[i].
 func (b *pbuilder) aliveBatch(batch []*levelNode, out []clouds.Candidate) error {
@@ -104,16 +105,19 @@ func (b *pbuilder) aliveBatch(batch []*levelNode, out []clouds.Candidate) error 
 	}
 	owner := assignIntervals(list, p)
 
-	// Collection pass, node file by node file. The statistics pass already
-	// counted this rank's points per interval, so every slot is sized up
-	// front: a slot this rank will search itself gets room for the
-	// interval's global count (the peers' points are appended to it), any
-	// other slot exactly the local points it will ship.
+	// This rank's points of every alive interval, as one value-sorted run
+	// each. The statistics pass already counted them per interval, so every
+	// slot is sized up front: a slot this rank will search itself gets room
+	// for the interval's global count (the peers' runs are appended to it),
+	// any other slot exactly the local points it will ship. A resident
+	// node's run is a range of its sorted column; a streaming node's runs
+	// are collected in one pass over its file and sorted.
 	pass := &scanPass{b: b}
-	cols := make([]*clouds.AliveCollector, len(batch))
+	runs := make([][]clouds.Point, len(list))
 	sendBytes := make([]int, p)
 	g := 0
-	for i, n := range batch {
+	for _, n := range batch {
+		first := g
 		capacity := make([]int64, len(n.alive))
 		for s, ai := range n.alive {
 			if owner[g] == rank {
@@ -124,39 +128,52 @@ func (b *pbuilder) aliveBatch(batch []*levelNode, out []clouds.Candidate) error 
 			}
 			g++
 		}
-		cols[i] = clouds.NewAliveCollector(intervalsOf(n.local), n.alive, capacity)
-		col := cols[i]
+		if d := n.t.data; d != nil {
+			for s, ai := range n.alive {
+				nst := n.local.Numeric[ai.AttrJ]
+				run := d.Range(ai.AttrJ, nst.Intervals, ai.Interval)
+				if localN := gini.Sum(nst.Freq[ai.Interval]); int64(len(run)) != localN {
+					pass.fail("", fmt.Errorf("pclouds: node %s: alive interval %d of attribute %d holds %d resident points, its statistics %d",
+						n.t.id, ai.Interval, ai.AttrJ, len(run), localN))
+				}
+				if owner[first+s] == rank {
+					run = append(make([]clouds.Point, 0, capacity[s]), run...)
+				}
+				runs[first+s] = run
+			}
+			continue
+		}
+		col := clouds.NewAliveCollector(intervalsOf(n.local), n.alive, capacity)
 		if !pass.scan(n.t.file, func(r *record.Record) error {
 			col.Add(r)
 			return nil
 		}) {
 			break
 		}
+		for s := range n.alive {
+			runs[first+s] = col.Points(s)
+			b.sorter.Sort(runs[first+s])
+		}
 	}
 	if err := pass.finish(); err != nil {
 		return err
 	}
 
-	// One all-to-all ships every point to its interval's assignee; the
-	// points this rank keeps are never encoded.
-	mine := make([][]clouds.Point, len(list))
+	// One all-to-all ships every run to its interval's assignee; the run
+	// this rank keeps is never encoded.
 	parts := make([][]byte, p)
 	for d := range parts {
 		if d != rank {
 			parts[d] = make([]byte, 0, sendBytes[d])
 		}
 	}
-	g = 0
-	for i, n := range batch {
-		for s := range n.alive {
-			pts := cols[i].Points(s)
-			if d := owner[g]; d == rank {
-				mine[g] = pts
-			} else if len(pts) > 0 {
-				parts[d] = appendPointBucket(parts[d], g, pts)
-				b.stats.RecordsShipped += int64(len(pts))
-			}
-			g++
+	ends := make([][]int, len(list))
+	for g, run := range runs {
+		if d := owner[g]; d == rank {
+			ends[g] = append(make([]int, 0, p), len(run))
+		} else if len(run) > 0 {
+			parts[d] = appendPointBucket(parts[d], g, run)
+			b.stats.RecordsShipped += int64(len(run))
 		}
 	}
 	recv, err := comm.AllToAll(b.c, parts)
@@ -167,21 +184,28 @@ func (b *pbuilder) aliveBatch(batch []*levelNode, out []clouds.Candidate) error 
 		if src == rank {
 			continue
 		}
-		if err := decodePointBuckets(raw, mine, owner, rank, b.schema.NumClasses); err != nil {
+		if err := decodePointBuckets(raw, runs, owner, rank, b.schema.NumClasses); err != nil {
 			return err
+		}
+		// Each peer's bucket is one more sorted run of the slot (an empty
+		// one where the peer sent nothing).
+		for g := range runs {
+			if owner[g] == rank {
+				ends[g] = append(ends[g], len(runs[g]))
+			}
 		}
 	}
 
-	// Exact evaluation of owned intervals; EvaluateInterval sorts
-	// canonically, so merge order does not matter.
+	// Exact evaluation of owned intervals over their merged runs.
 	numIdx := b.schema.NumericIndices()
 	for g, la := range list {
 		if owner[g] != rank {
 			continue
 		}
-		// Sorting and scanning the interval costs ~2 touches per point.
-		b.chargeCPU(2 * int64(len(mine[g])))
-		cand := clouds.EvaluateInterval(numIdx[la.AttrJ], la.LeftBefore, batch[la.node].t.classCounts, mine[g])
+		// Ordering and scanning the interval costs ~2 touches per point.
+		b.chargeCPU(2 * int64(len(runs[g])))
+		pts := b.sorter.Merge(runs[g], ends[g])
+		cand := clouds.EvaluateSorted(numIdx[la.AttrJ], la.LeftBefore, batch[la.node].t.classCounts, pts)
 		if cand.Better(out[la.node]) {
 			out[la.node] = cand
 		}

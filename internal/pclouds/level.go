@@ -59,12 +59,18 @@ func (p *scanPass) scan(file string, fn func(*record.Record) error) bool {
 		n++
 		return fn(r)
 	})
-	p.b.stats.Build.RecordReads += n
-	p.b.chargeCPU(n)
+	p.touch(n)
 	if err != nil {
 		p.file, p.err = file, err
 	}
 	return err == nil
+}
+
+// touch counts n records the pass worked on, read from a file or from a
+// resident node's columns.
+func (p *scanPass) touch(n int64) {
+	p.b.stats.Build.RecordReads += n
+	p.b.chargeCPU(n)
 }
 
 // fail records a local failure that is not a scan error (a writer that
@@ -185,7 +191,8 @@ func intervalsOf(ns *clouds.NodeStats) []*histogram.Intervals {
 }
 
 // statsPass gives every node that has no fused statistics from its parent
-// (the root and resumed frontier tasks) one streaming pass.
+// (the root and resumed frontier tasks) one pass: over its file, or over
+// its sorted columns when the node is resident.
 func (b *pbuilder) statsPass(nodes []*levelNode) error {
 	var todo []*levelNode
 	for _, n := range nodes {
@@ -201,6 +208,11 @@ func (b *pbuilder) statsPass(nodes []*levelNode) error {
 	for _, n := range todo {
 		local := clouds.NewNodeStats(b.schema, b.nodeIntervals(n.t.sample, n.t.n))
 		n.local = local
+		if d := n.t.data; d != nil {
+			d.AccumulateStats(local)
+			pass.touch(int64(d.Len()))
+			continue
+		}
 		if !pass.scan(n.t.file, func(r *record.Record) error {
 			local.Add(*r)
 			return nil
@@ -212,10 +224,11 @@ func (b *pbuilder) statsPass(nodes []*levelNode) error {
 }
 
 // partitionLevel splits every node that found a valid split into its two
-// child files. Fused partitioning (Sections 4.2 and 5.2): while a node
-// streams into its children, each large child's local statistics are
-// accumulated on the child's own interval structures — the statistics pass
-// the child would otherwise need is saved.
+// children: two child files, or a resident node's split columns. Fused
+// partitioning (Sections 4.2 and 5.2): while a node streams into its
+// children, each large child's local statistics are accumulated on the
+// child's own interval structures — the statistics pass the child would
+// otherwise need is saved.
 func (b *pbuilder) partitionLevel(nodes []*levelNode) ([]*nodeTask, error) {
 	var children []*nodeTask
 	pass := &scanPass{b: b}
@@ -247,10 +260,16 @@ func (b *pbuilder) partitionLevel(nodes []*levelNode) ([]*nodeTask, error) {
 		}
 
 		b.nextID++
-		leftFile := fmt.Sprintf("%s-%dL", t.file, b.nextID)
-		rightFile := fmt.Sprintf("%s-%dR", t.file, b.nextID)
-		if pass.err == nil {
-			pass.fail(t.file, b.partitionNode(pass, t.file, sp, leftFile, rightFile, leftStats, rightStats))
+		var leftFile, rightFile string
+		var leftData, rightData *clouds.Presorted
+		if t.data != nil {
+			leftData, rightData = b.partitionResident(pass, t.data, sp, leftStats, rightStats)
+		} else {
+			leftFile = fmt.Sprintf("%s-%dL", t.file, b.nextID)
+			rightFile = fmt.Sprintf("%s-%dR", t.file, b.nextID)
+			if pass.err == nil {
+				pass.fail(t.file, b.partitionNode(pass, t.file, sp, leftFile, rightFile, leftStats, rightStats))
+			}
 		}
 
 		nd := &tree.Node{Splitter: sp, ClassCounts: gini.Clone(t.classCounts), N: t.n}
@@ -259,12 +278,12 @@ func (b *pbuilder) partitionLevel(nodes []*levelNode) ([]*nodeTask, error) {
 		split = append(split, n)
 		children = append(children,
 			&nodeTask{
-				id: t.id + "L", file: leftFile, sample: leftSample, depth: t.depth + 1,
+				id: t.id + "L", file: leftFile, data: leftData, sample: leftSample, depth: t.depth + 1,
 				n: nl, classCounts: leftCounts, localStats: leftStats,
 				attach: func(x *tree.Node) { nd.Left = x },
 			},
 			&nodeTask{
-				id: t.id + "R", file: rightFile, sample: rightSample, depth: t.depth + 1,
+				id: t.id + "R", file: rightFile, data: rightData, sample: rightSample, depth: t.depth + 1,
 				n: nr, classCounts: rightCounts, localStats: rightStats,
 				attach: func(x *tree.Node) { nd.Right = x },
 			})
@@ -279,6 +298,26 @@ func (b *pbuilder) partitionLevel(nodes []*levelNode) ([]*nodeTask, error) {
 		b.removeFile(n.t.file)
 	}
 	return children, nil
+}
+
+// partitionResident splits a resident node's rows into its children with
+// Presorted.Split — the children take over the node's storage, and no file
+// is created — and fills the large children's statistics from their sorted
+// columns.
+func (b *pbuilder) partitionResident(pass *scanPass, data *clouds.Presorted, sp *tree.Splitter, leftStats, rightStats *clouds.NodeStats) (left, right *clouds.Presorted) {
+	localN := int64(data.Len())
+	pass.touch(localN)
+	left, right = data.Split(b.schema, sp)
+	if leftStats != nil {
+		left.AccumulateStats(leftStats)
+	}
+	if rightStats != nil {
+		right.AccumulateStats(rightStats)
+	}
+	if leftStats != nil || rightStats != nil {
+		b.chargeCPU(localN)
+	}
+	return left, right
 }
 
 // partitionNode streams one node's file into its two child files. A scan

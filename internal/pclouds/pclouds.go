@@ -17,7 +17,10 @@
 //     single-assignment approach (each alive interval shipped to exactly
 //     one processor, chosen by sorting cost); and a partition pass that
 //     splits the local data and sample, piggy-backing the child class
-//     counts.
+//     counts. A rank whose whole share fits its memory budget
+//     (Config.MemLimit) holds it presorted in memory and runs these passes
+//     over sorted columns instead of frontier files; it sends exactly what
+//     a streaming rank sends.
 //
 //   - Small nodes — nodes whose interval count would drop below the switch
 //     threshold — are deferred until every large node is done, then
@@ -96,6 +99,17 @@ type Config struct {
 	// compute accounting (disk and network costs are charged by the store
 	// and communicator regardless).
 	CPUPerRecord float64
+	// MemLimit is the bytes of training rows one rank may hold in memory
+	// during the large-node phase (see ooc.MemLimit): a rank whose whole
+	// root share fits, at ooc.ResidentRowBytes per row, reads its root file
+	// once, presorts it, and builds every large node from the sorted
+	// columns without reading, writing or creating a frontier file. 0 means
+	// ooc.DefaultMemLimit; a negative value means none, so every large node
+	// streams from disk as in the paper. A build with CheckpointDir holds
+	// nothing in memory: its level manifests name frontier files. The
+	// choice is each rank's own and changes no message, so resident and
+	// streaming ranks mix freely.
+	MemLimit int64
 	// Trace, when non-nil, records per-phase spans, communication and I/O
 	// attribution for this rank (see package obs). It must be enabled on
 	// either every rank of the group or none: the end-of-build merged
@@ -204,12 +218,19 @@ type Stats struct {
 	// Integrity carries the verifying backend's frame counters when the
 	// store has one (ooc.Store.EnableIntegrity); zero otherwise.
 	Integrity ooc.IntegrityStats
+	// ResidentBytes is what this rank charged to its memory budget for
+	// holding its root share presorted in memory (Config.MemLimit): rows ×
+	// ooc.ResidentRowBytes, or 0 when the rank streamed.
+	ResidentBytes int64
 }
 
 // nodeTask is one pending tree node, tracked identically on every rank.
 type nodeTask struct {
-	id          string
-	file        string
+	id   string
+	file string // this rank's share on disk; "" for a resident node below the root
+	// data, when non-nil, holds this rank's share of the node's rows in
+	// memory, presorted (a resident rank, Config.MemLimit).
+	data        *clouds.Presorted
 	sample      *clouds.Presorted // the node's share of the shared sample
 	depth       int
 	n           int64   // global record count
@@ -231,6 +252,9 @@ type pbuilder struct {
 	stats  Stats
 	nextID int
 	rec    *obs.Recorder // nil when tracing is off
+	// sorter orders alive points and merges their runs (aliveBatch),
+	// reusing its scratch across intervals and levels.
+	sorter clouds.PointSorter
 	// Deferred frontier-file removal (checkpointed builds only): files the
 	// build has consumed since the last checkpoint (curConsumed) and the
 	// batches sealed at each checkpoint level (consumed), physically
@@ -254,6 +278,9 @@ func (b *pbuilder) warnf(format string, args ...any) {
 // deferred until every checkpoint level referencing the file has been
 // pruned, so a restart can fall back to an earlier level's frontier.
 func (b *pbuilder) removeFile(name string) {
+	if name == "" {
+		return // a resident node has no file
+	}
 	if b.cfg.CheckpointDir == "" {
 		b.store.Remove(name)
 		return
@@ -362,13 +389,16 @@ func buildAttempt(cfg Config, c comm.Communicator, store *ooc.Store, rootName st
 		}
 	}
 	if !resumed {
-		// Global root class counts (one counting pass + one combine).
+		// Global root class counts (one counting pass + one combine). A
+		// rank whose share fits its memory budget keeps the rows it scans.
 		pre := rec.Start("preprocess")
 		localCounts := make([]int64, schema.NumClasses)
 		var localN int64
+		res := residentShare(cfg, store, rootName)
 		scanErr := scanStore(store, rootName, func(r *record.Record) error {
 			localCounts[r.Class]++
 			localN++
+			res.add(r)
 			return nil
 		})
 		if cfg.Integrity {
@@ -378,6 +408,10 @@ func buildAttempt(cfg Config, c comm.Communicator, store *ooc.Store, rootName st
 			return nil, nil, scanErr
 		}
 		globalCounts, err := comm.AllReduceInt64(c, localCounts, addI64)
+		var data *clouds.Presorted
+		if err == nil {
+			data = res.presort()
+		}
 		pre.End()
 		if err != nil {
 			return nil, nil, err
@@ -389,6 +423,7 @@ func buildAttempt(cfg Config, c comm.Communicator, store *ooc.Store, rootName st
 		b = &pbuilder{cfg: cfg, c: c, store: store, schema: schema, nRoot: n, rec: rec, consumed: map[int][]string{}}
 		b.stats.Build.RecordReads += localN
 		b.chargeCPU(localN)
+		b.stats.ResidentBytes = res.charged
 		if cfg.CheckpointDir != "" {
 			// A fresh build invalidates whatever this rank checkpointed
 			// before (levels no other rank can match): remove it so stale
@@ -397,7 +432,7 @@ func buildAttempt(cfg Config, c comm.Communicator, store *ooc.Store, rootName st
 			b.cleanOwnCheckpoints()
 		}
 		queue = []*nodeTask{{
-			id: "n", file: rootName, sample: clouds.Presort(schema, sample), depth: 0,
+			id: "n", file: rootName, data: data, sample: clouds.Presort(schema, sample), depth: 0,
 			n: n, classCounts: globalCounts,
 			attach: func(nd *tree.Node) { root = nd },
 		}}
@@ -471,6 +506,7 @@ func buildAttempt(cfg Config, c comm.Communicator, store *ooc.Store, rootName st
 		// Surface the split-derivation traffic in the merged report's
 		// counters line — the number the -split-method comparison reads.
 		rec.Count("split-comm-bytes", b.stats.SplitComm.BytesSent)
+		rec.Count("resident-bytes", b.stats.ResidentBytes)
 		// Surface the checkpoint lifecycle counters in the merged report's
 		// counters line, next to the comm/io columns of the phase table.
 		if cfg.CheckpointDir != "" {
@@ -496,6 +532,58 @@ func (b *pbuilder) chargeCPU(n int64) {
 	if b.cfg.CPUPerRecord > 0 {
 		b.c.Clock().Advance(float64(n) * b.cfg.CPUPerRecord)
 	}
+}
+
+// residentRoot gathers a rank's root share while the preprocessing pass
+// scans it, when the share fits the rank's memory budget.
+type residentRoot struct {
+	keep    bool
+	charged int64 // bytes charged to the budget
+	arena   recordArena
+	recs    []record.Record
+}
+
+// residentShare decides from the root file's record count whether this
+// rank holds its share in memory: never under checkpointing or a negative
+// budget, otherwise when rows × ooc.ResidentRowBytes fits the budget.
+func residentShare(cfg Config, store *ooc.Store, rootName string) *residentRoot {
+	res := &residentRoot{}
+	budget := cfg.MemLimit
+	if budget == 0 {
+		budget = ooc.DefaultMemLimit
+	}
+	if budget < 0 || cfg.CheckpointDir != "" {
+		return res
+	}
+	rows, err := store.Count(rootName)
+	if err != nil {
+		return res // the scan reports what is wrong with the file
+	}
+	charge := rows * ooc.ResidentRowBytes(store.Schema())
+	if ooc.NewMemLimit(budget).Acquire(charge) != nil {
+		return res
+	}
+	res.keep, res.charged = true, charge
+	res.arena = recordArena{schema: store.Schema()}
+	res.arena.reserve(int(rows))
+	res.recs = make([]record.Record, 0, rows)
+	return res
+}
+
+// add keeps a copy of one scanned record.
+func (res *residentRoot) add(r *record.Record) {
+	if res.keep {
+		res.recs = append(res.recs, res.arena.copyOf(r))
+	}
+}
+
+// presort sorts the kept rows once along every numeric attribute; nil when
+// the rank streams.
+func (res *residentRoot) presort() *clouds.Presorted {
+	if !res.keep {
+		return nil
+	}
+	return clouds.Presort(res.arena.schema, res.recs)
 }
 
 // scanStore streams every record of a store file through fn.

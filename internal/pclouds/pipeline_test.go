@@ -31,9 +31,10 @@ func poisonPages(t *testing.T) {
 }
 
 // buildFileBacked runs a p-rank build over file-backed stores, optionally
-// with the async I/O pipeline, and returns rank 0's tree, all ranks' stats
-// and the rank-0 merged phase report. Pages are poisoned (poisonPages).
-func buildFileBacked(t *testing.T, data *record.Dataset, sample []record.Record, p int, pipe ooc.Pipeline) (*tree.Tree, []*Stats, string) {
+// with the async I/O pipeline, under the memory budget memLimit
+// (Config.MemLimit), and returns rank 0's tree, all ranks' stats and the
+// rank-0 merged phase report. Pages are poisoned (poisonPages).
+func buildFileBacked(t *testing.T, data *record.Dataset, sample []record.Record, p int, pipe ooc.Pipeline, memLimit int64) (*tree.Tree, []*Stats, string) {
 	t.Helper()
 	poisonPages(t)
 	dir := t.TempDir()
@@ -71,8 +72,9 @@ func buildFileBacked(t *testing.T, data *record.Dataset, sample []record.Record,
 			defer func() { done <- struct{}{} }()
 			recs[r] = obs.New(r)
 			cfg := Config{
-				Clouds: clouds.Config{Method: clouds.SSE, QRoot: 40, SmallNodeQ: 10, MinNodeSize: 2, Seed: 1},
-				Trace:  recs[r],
+				Clouds:   clouds.Config{Method: clouds.SSE, QRoot: 40, SmallNodeQ: 10, MinNodeSize: 2, Seed: 1},
+				Trace:    recs[r],
+				MemLimit: memLimit,
 			}
 			trees[r], stats[r], errs[r] = Build(cfg, comms[r], stores[r], "root", sample)
 		}(r)
@@ -104,8 +106,10 @@ func TestPipelineParityFileBackend(t *testing.T) {
 	cfg := clouds.Config{Method: clouds.SSE, QRoot: 40, SmallNodeQ: 10, MinNodeSize: 2, Seed: 1}
 	sample := cfg.WithDefaults().SampleFor(data)
 
-	syncTree, syncStats, _ := buildFileBacked(t, data, sample, p, ooc.Pipeline{})
-	asyncTree, asyncStats, report := buildFileBacked(t, data, sample, p, ooc.Pipeline{Enabled: true, Depth: 4})
+	// Every large node streams, so the frontier files go through the
+	// pipeline too.
+	syncTree, syncStats, _ := buildFileBacked(t, data, sample, p, ooc.Pipeline{}, -1)
+	asyncTree, asyncStats, report := buildFileBacked(t, data, sample, p, ooc.Pipeline{Enabled: true, Depth: 4}, -1)
 
 	if !bytes.Equal(tree.Encode(syncTree), tree.Encode(asyncTree)) {
 		t.Fatal("pipelined build produced a different tree than the synchronous build")
@@ -133,24 +137,41 @@ func TestPipelineParityFileBackend(t *testing.T) {
 	}
 }
 
-// TestFileCreatesCounted pins the file creates of a fixed 2-rank build:
-// each rank creates two child files for every large node it splits — 4
-// here — and none for leaves or small tasks. The staged root file is
-// counted before the build starts. Level-segmented frontier files would
-// bring the count from O(nodes) to O(depth).
+// TestFileCreatesCounted pins the file creates of a fixed 2-rank build.
+// Streaming (no memory budget), each rank creates two child files for
+// every large node it splits — 4 here — and none for leaves or small
+// tasks. Resident (the default budget), a rank creates no file at all and
+// writes nothing. The staged root file is counted before the build starts,
+// and so are its bytes.
 func TestFileCreatesCounted(t *testing.T) {
 	data := makeData(t, 6000, 2, 3)
 	cfg := clouds.Config{Method: clouds.SSE, QRoot: 40, SmallNodeQ: 10, MinNodeSize: 2, Seed: 1}
-	_, stats, _ := buildFileBacked(t, data, cfg.WithDefaults().SampleFor(data), 2, ooc.Pipeline{Enabled: true})
-	for r, st := range stats {
-		if got, want := st.IO.Creates, int64(1+2*4); got != want || st.LargeNodes != 4 {
-			t.Errorf("rank %d: %d creates over %d large nodes, want %d over 4", r, got, st.LargeNodes, want)
-		}
-		if st.IO.CreateSec <= 0 {
-			t.Errorf("rank %d: create time %v not measured", r, st.IO.CreateSec)
-		}
-		if !strings.Contains(st.IO.String(), "create ") {
-			t.Errorf("rank %d: IOStats %q does not print the creates", r, st.IO)
-		}
+	for _, c := range []struct {
+		name     string
+		memLimit int64
+		creates  int64
+	}{
+		{"streamed", -1, 1 + 2*4},
+		{"resident", 0, 1},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			_, stats, _ := buildFileBacked(t, data, cfg.WithDefaults().SampleFor(data), 2, ooc.Pipeline{Enabled: true}, c.memLimit)
+			for r, st := range stats {
+				if got := st.IO.Creates; got != c.creates || st.LargeNodes != 4 {
+					t.Errorf("rank %d: %d creates over %d large nodes, want %d over 4", r, got, st.LargeNodes, c.creates)
+				}
+				if st.IO.CreateSec <= 0 {
+					t.Errorf("rank %d: create time %v not measured", r, st.IO.CreateSec)
+				}
+				if !strings.Contains(st.IO.String(), "create ") {
+					t.Errorf("rank %d: IOStats %q does not print the creates", r, st.IO)
+				}
+				// The staging write is the rank's whole share of the records.
+				staged := int64(data.Len()/2) * int64(data.Schema.RecordBytes())
+				if c.memLimit == 0 && st.IO.WriteBytes != staged {
+					t.Errorf("rank %d: %d bytes written, want the %d-byte staging write alone", r, st.IO.WriteBytes, staged)
+				}
+			}
+		})
 	}
 }

@@ -59,21 +59,24 @@ func (b *pbuilder) smallNodePhase(small []*nodeTask) error {
 // redistributeSmall ships every record of every small node to its owner,
 // batched into one exchange, and returns the records of the tasks this rank
 // owns (indexed like small). The rank's own share of its tasks goes from the
-// scan straight into memory; it is never encoded.
+// scan straight into memory; it is never encoded. A resident task's rows
+// are read from memory, and the ones this rank keeps reach BuildSubtree
+// sharing the resident values, which are not copied.
 func (b *pbuilder) redistributeSmall(small []*nodeTask, owner []int) ([][]record.Record, error) {
 	defer b.rec.Start("small-redistribute").End()
 	p, rank := b.c.Size(), b.c.Rank()
 	rb := b.schema.RecordBytes()
 
-	// The store knows each file's record count, which sizes every frame.
+	// The store knows each file's record count, and a resident task its
+	// row count, which sizes every frame.
 	counts := make([]int, len(small))
 	sendBytes := make([]int, p)
 	for i, t := range small {
-		n, err := b.store.Count(t.file)
-		if err != nil {
-			n = 0 // the scan below reports what is wrong with the file
-		}
-		counts[i] = int(n)
+		if t.data != nil {
+			counts[i] = t.data.Len()
+		} else if n, err := b.store.Count(t.file); err == nil {
+			counts[i] = int(n)
+		} // else the scan below reports what is wrong with the file
 		if d := owner[i]; d != rank {
 			sendBytes[d] += 8 + counts[i]*rb
 		}
@@ -88,9 +91,24 @@ func (b *pbuilder) redistributeSmall(small []*nodeTask, owner []int) ([][]record
 	pass := &scanPass{b: b}
 	arena := recordArena{schema: b.schema}
 	own := make([][]record.Record, len(small))
+	var rows []record.Record // a shipped resident task's rows
 	for i, t := range small {
 		d := owner[i]
 		mine := d == rank
+		if t.data != nil {
+			pass.touch(int64(counts[i]))
+			if mine {
+				continue // assembled straight from t.data below
+			}
+			parts[d] = binary.LittleEndian.AppendUint32(parts[d], uint32(i))
+			parts[d] = binary.LittleEndian.AppendUint32(parts[d], uint32(counts[i]))
+			rows = t.data.AppendRecords(rows[:0])
+			for k := range rows {
+				parts[d] = rows[k].Encode(parts[d])
+			}
+			b.stats.RecordsShipped += int64(counts[i])
+			continue
+		}
 		if mine {
 			arena.reserve(counts[i])
 			own[i] = make([]record.Record, 0, counts[i])
@@ -138,8 +156,15 @@ func (b *pbuilder) redistributeSmall(small []*nodeTask, owner []int) ([][]record
 	}
 	for src, raw := range recv {
 		if src == rank {
-			for i := range own {
-				taskRecs[i] = append(taskRecs[i], own[i]...)
+			for i, t := range small {
+				if owner[i] != rank {
+					continue
+				}
+				if t.data != nil {
+					taskRecs[i] = t.data.AppendRecords(taskRecs[i])
+				} else {
+					taskRecs[i] = append(taskRecs[i], own[i]...)
+				}
 			}
 			continue
 		}
