@@ -52,7 +52,8 @@ chaos:
 # chaos-quick is the self-healing subset that gates every commit: the
 # supervised kill-and-respawn acceptance test, generation fencing, the
 # checkpoint GC, resume-policy and end-of-build vote tests of the batch
-# build and the resume agreement of the streaming engine, and the ooc page
+# build, the resume agreement and degraded-mode retention of the streaming
+# engine, and the ooc page
 # lifecycle with poisoned pages (the prefetch and write-behind goroutines
 # give pages back across goroutines), and the resident-against-streamed
 # differential (resident ranks split presorted columns through one scratch
@@ -63,7 +64,7 @@ chaos-quick: vet
 	$(GO) test -race -timeout 300s -run 'TestSupervised|TestRunRank|TestSupervise' ./internal/driver/
 	$(GO) test -race -timeout 300s -run 'TestGeneration|TestDoorman|TestStale' ./internal/comm/tcp/
 	$(GO) test -race -timeout 300s -run 'TestCheckpointGC|TestDegraded|TestResume|TestChaosFinalExchange' ./internal/pclouds/
-	$(GO) test -race -timeout 300s -run 'TestResume' ./internal/stream/
+	$(GO) test -race -timeout 300s -run 'TestResume|TestDegraded' ./internal/stream/
 	$(GO) test -race -timeout 300s -run 'TestPage|TestPoison|TestPipeline|TestWriteBehind|TestPrefetch|TestIntegrity' ./internal/ooc/
 	$(GO) test -race -timeout 300s -run 'TestPipelineParityFileBackend|TestFileCreatesCounted|TestResidentMatchesStreamed|TestCorruptionDetectedAttributed' ./internal/pclouds/
 
@@ -107,8 +108,6 @@ experiments:
 	$(GO) run ./cmd/experiments -exp all
 
 examples:
-	$(GO) run ./examples/quickstart
-	$(GO) run ./examples/outofcore
 	$(GO) run ./examples/distributed
 	$(GO) run ./examples/customschema
 

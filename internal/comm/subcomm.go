@@ -51,9 +51,6 @@ func (s *SubComm) Size() int { return len(s.ranks) }
 // Parent returns the underlying communicator.
 func (s *SubComm) Parent() Communicator { return s.parent }
 
-// ParentRank translates a subgroup rank to the parent rank.
-func (s *SubComm) ParentRank(sub int) int { return s.ranks[sub] }
-
 // Send implements Communicator.
 func (s *SubComm) Send(to int, tag Tag, data []byte) error {
 	if to < 0 || to >= len(s.ranks) {

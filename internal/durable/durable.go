@@ -2,8 +2,11 @@
 // persists state goes through: the CRC-32C checksum every on-disk and
 // on-wire format carries, the temp+fsync+rename write that makes a file
 // appear whole or not at all, the naming rule that sets aside corrupt files
-// and marks interrupted writes, and the collective agreement that resumes a
-// group of ranks from the newest checkpoint epoch all of them can restore.
+// and marks interrupted writes, and the checkpoint lifecycle every ladder
+// of epochs (tree levels, stream windows) shares: the all-or-nothing vote
+// that commits an epoch, the collective agreement that resumes a group of
+// ranks from the newest epoch all of them can restore, and the one
+// retention policy that removes epochs.
 package durable
 
 import (
@@ -109,6 +112,42 @@ func Epochs(dir, format string) ([]int, error) {
 	}
 	sort.Ints(epochs)
 	return epochs, nil
+}
+
+// Agree is the all-or-nothing vote: one AllReduce-min of "this rank
+// succeeded". It returns true on every rank when every rank passed ok, and
+// false on every rank otherwise, so all ranks take the same branch.
+func Agree(c comm.Communicator, ok bool) (bool, error) {
+	vote := int64(0)
+	if ok {
+		vote = 1
+	}
+	all, err := comm.AllReduceInt64(c, []int64{vote}, func(a, b int64) int64 { return min(a, b) })
+	if err != nil {
+		return false, err
+	}
+	return all[0] == 1, nil
+}
+
+// Prune is the one retention policy of a checkpoint ladder, and the only
+// way an epoch is removed. It runs once the group agreed on epoch newest —
+// a unanimous commit (Agree) or the resume agreement (Resume) — and keeps
+// the keep epochs newest-keep+1 … newest of have, calling remove for every
+// other one: older epochs are superseded, newer ones are orphans no peer
+// holds. keep = 0 removes every epoch, for a collective fresh start or a
+// finished build. It returns the kept epochs, ascending when have is.
+// Each rank prunes only its own artifacts, so ranks sharing one directory
+// never race.
+func Prune(have []int, newest, keep int, remove func(epoch int)) []int {
+	var kept []int
+	for _, e := range have {
+		if e > newest-keep && e <= newest {
+			kept = append(kept, e)
+			continue
+		}
+		remove(e)
+	}
+	return kept
 }
 
 // ErrNoEpoch is returned by Resume, on every rank, when no epoch held by

@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"testing"
 	"time"
 
@@ -122,6 +123,55 @@ func TestResumeNoEpochWrapsCause(t *testing.T) {
 	_, err := Resume(c, []int{1}, func(int) error { return errBroken })
 	if !errors.Is(err, ErrNoEpoch) || !errors.Is(err, errBroken) {
 		t.Fatalf("err %v, want ErrNoEpoch wrapping the restore failure", err)
+	}
+}
+
+// TestAgreeIsAllOrNothing: the vote is true on every rank only when every
+// rank passed true.
+func TestAgreeIsAllOrNothing(t *testing.T) {
+	for _, votes := range [][]bool{{true, true, true}, {true, false, true}, {false, false, false}} {
+		want := !slices.Contains(votes, false)
+		got := make([]bool, len(votes))
+		err := comm.Run(len(votes), costmodel.Zero(), func(c *comm.ChannelComm) error {
+			var err error
+			got[c.Rank()], err = Agree(c, votes[c.Rank()])
+			return err
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for r, g := range got {
+			if g != want {
+				t.Errorf("votes %v: rank %d got %v, want %v", votes, r, g, want)
+			}
+		}
+	}
+}
+
+// TestPrunePolicy pins the one retention policy: the keep epochs up to the
+// agreed one survive, older and newer epochs are removed, keep 0 removes
+// everything.
+func TestPrunePolicy(t *testing.T) {
+	cases := []struct {
+		name          string
+		have          []int
+		newest, keep  int
+		kept, removed []int
+	}{
+		{name: "commit keeps the horizon", have: []int{1, 2, 3, 4}, newest: 4, keep: 2, kept: []int{3, 4}, removed: []int{1, 2}},
+		{name: "resume removes newer orphans", have: []int{1, 2, 3, 4, 5}, newest: 3, keep: 3, kept: []int{1, 2, 3}, removed: []int{4, 5}},
+		{name: "holes inside the horizon", have: []int{1, 4, 6}, newest: 6, keep: 3, kept: []int{4, 6}, removed: []int{1}},
+		{name: "keep zero removes all", have: []int{2, 3}, newest: 0, keep: 0, removed: []int{2, 3}},
+		{name: "nothing held", newest: 5, keep: 2},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			var removed []int
+			kept := Prune(tc.have, tc.newest, tc.keep, func(e int) { removed = append(removed, e) })
+			if !slices.Equal(kept, tc.kept) || !slices.Equal(removed, tc.removed) {
+				t.Fatalf("kept %v removed %v, want kept %v removed %v", kept, removed, tc.kept, tc.removed)
+			}
+		})
 	}
 }
 

@@ -10,6 +10,9 @@
 // given operation faults depends only on the seed and that rank's own
 // operation sequence — never on goroutine interleaving across ranks. A
 // chaos test that fails replays identically under the same seed.
+//
+// The package is test infrastructure: only _test.go files import it, and
+// no command or library path wraps a real communicator or backend with it.
 package fault
 
 import (

@@ -31,20 +31,21 @@ import (
 //
 // Checkpoints live in per-level directories (level-0001, level-0002, …)
 // under Config.CheckpointDir. Levels are written independently by each
-// rank; a commit collective after every level tells all ranks whether the
-// level is complete everywhere, gating garbage collection. Because a crash
-// can land between two ranks' checkpoint writes, ranks may legitimately
-// disagree by one level; resume therefore agrees (durable.Resume) on the
-// newest level complete and restorable on *every* rank and restores from
-// that. To make the one-level fallback possible, a consumed frontier file
-// is not deleted when the build partitions it — its removal is deferred
-// until every checkpoint level referencing it has been pruned (keepLevels
-// bounds the retained window, so disk stays bounded).
+// rank; the all-or-nothing vote after every level (durable.Agree) tells all
+// ranks whether the level is complete everywhere, and only a committed
+// level prunes (durable.Prune, keepLevels). Because a crash can land
+// between two ranks' checkpoint writes, ranks may legitimately disagree by
+// one level; resume therefore agrees (durable.Resume) on the newest level
+// complete and restorable on *every* rank and restores from that. To make
+// the one-level fallback possible, a consumed frontier file is not deleted
+// when the build partitions it: a file lives while a retained level's
+// manifest names it (level 0, the fresh start, names the staged root file),
+// so disk stays bounded by the retained levels.
 //
 // Degraded mode: a storage error during a checkpoint write is a warning,
-// not a build failure — the rank reports the level unusable in the commit
-// collective, every rank skips that level's GC, and the build carries on.
-// Resume routes around the incomplete level.
+// not a build failure — the rank votes the level uncommitted, nobody
+// prunes, and the build carries on. Resume routes around the incomplete
+// level.
 //
 // What is NOT checkpointed: progress inside a level or inside the deferred
 // small-node phase. A crash there resumes from the preceding level
@@ -56,10 +57,10 @@ import (
 // into per-level directories with deferred frontier-file removal.
 const ckptVersion = 2
 
-// keepLevels is the retained checkpoint window: committing level L prunes
-// levels <= L-keepLevels. Two levels suffice — the commit collective after
-// every level bounds inter-rank skew to one level, so the newest level
-// complete on every rank is always L or L-1.
+// keepLevels is the retained checkpoint window: committing level L (or
+// resuming from it) prunes every other level but L-1. Two levels suffice —
+// the vote after every level bounds inter-rank skew to one level, so the
+// newest level complete on every rank is always L or L-1.
 const keepLevels = 2
 
 // ErrStopped is returned by Build when Config.StopAfterLevel ended the
@@ -127,6 +128,15 @@ func decodeManifest(data []byte, numClasses int) (ckptManifest, error) {
 		}
 	}
 	return m, nil
+}
+
+// readManifest reads and decodes one rank's manifest of one level.
+func readManifest(dir string, lvl, rank, numClasses int) (ckptManifest, error) {
+	data, err := os.ReadFile(manifestPath(dir, lvl, rank))
+	if err != nil {
+		return ckptManifest{}, err
+	}
+	return decodeManifest(data, numClasses)
 }
 
 func (ct ckptTask) check(numClasses int) error {
@@ -212,7 +222,7 @@ func taskManifest(b *pbuilder, tasks []*nodeTask) ([]ckptTask, error) {
 
 // writeCheckpoint persists one completed level into its level directory:
 // this rank's manifest, and on rank 0 the partial tree. Every rank writes
-// independently; completeness is established by the commit collective in
+// independently; completeness is established by the vote in
 // checkpointLevel.
 func (b *pbuilder) writeCheckpoint(dir string, level int, root *tree.Node, pending, small []*nodeTask) error {
 	if err := os.MkdirAll(levelDir(dir, level), 0o755); err != nil {
@@ -253,130 +263,88 @@ func (b *pbuilder) writeCheckpoint(dir string, level int, root *tree.Node, pendi
 }
 
 // checkpointLevel writes this rank's checkpoint for the just-completed
-// level, then runs the commit collective: every rank learns whether the
-// level is complete everywhere. Only a globally complete level triggers
-// garbage collection of superseded levels; a rank whose write failed logs
-// the failure and the build continues without that level (degraded mode).
-// The only fatal errors here are communication failures.
+// level, then commits it with the all-or-nothing vote (durable.Agree). Only
+// a level complete on every rank prunes; a rank whose write failed logs the
+// failure and the build continues without that level (degraded mode). The
+// only fatal errors here are communication failures.
 func (b *pbuilder) checkpointLevel(level int, root *tree.Node, pending, small []*nodeTask) error {
-	ok := int64(1)
-	if werr := b.writeCheckpoint(b.cfg.CheckpointDir, level, root, pending, small); werr != nil {
-		ok = 0
+	werr := b.writeCheckpoint(b.cfg.CheckpointDir, level, root, pending, small)
+	if werr != nil {
 		b.stats.CheckpointFailures++
 		b.rec.Count("checkpoint-failures", 1)
 		b.warnf("pclouds: rank %d: checkpoint level %d failed, continuing without it: %v", b.c.Rank(), level, werr)
 	}
-	allOK, err := comm.AllReduceInt64(b.c, []int64{ok}, func(a, b int64) int64 { return min(a, b) })
-	if err != nil {
+	committed, err := durable.Agree(b.c, werr == nil)
+	if err != nil || !committed {
+		// An uncommitted level prunes nothing, so the newest level complete
+		// on every rank — and every file its restore needs — survives for
+		// the next resume.
 		return err
 	}
-	// Seal the batch of frontier files consumed while building this level:
-	// they are referenced by manifests of level-1 and older, so they become
-	// deletable once level-1 is pruned, whether or not this level's own
-	// checkpoint is usable.
-	if len(b.curConsumed) > 0 {
-		b.consumed[level] = b.curConsumed
-		b.curConsumed = nil
-	}
-	if allOK[0] == 0 {
-		// The level is unusable on some rank. Nobody prunes, so the newest
-		// globally complete level — and every file its restore needs —
-		// survives for the next resume.
-		return nil
-	}
-	b.gcCheckpoints(level)
+	b.pruneLevels(level, keepLevels)
 	return nil
 }
 
-// gcCheckpoints prunes checkpoint state superseded by the globally
-// committed level: level directories <= level-keepLevels (each rank removes
-// only its own files, so concurrent ranks sharing one checkpoint directory
-// never race), and the deferred frontier-file removals whose referencing
-// manifests are now all gone. GC errors are warnings — leaking a stale
-// level never corrupts a build.
-func (b *pbuilder) gcCheckpoints(level int) {
-	dir := b.cfg.CheckpointDir
-	levels, err := listLevels(dir, b.c.Rank())
+// pruneLevels applies the retention policy (durable.Prune) to this rank's
+// checkpoint levels once the group agreed on level newest, then deletes the
+// store files no retained level needs: the files this build consumed
+// (removeFile) and the files a pruned level's manifest named, unless a kept
+// level's manifest names them too. Level 0 names the staged root file, so
+// the root outlives the first commit. GC errors are warnings — leaking a
+// stale level never corrupts a build.
+func (b *pbuilder) pruneLevels(newest, keep int) {
+	dir, rank := b.cfg.CheckpointDir, b.c.Rank()
+	levels, err := listLevels(dir, rank)
 	if err != nil {
-		b.warnf("pclouds: rank %d: checkpoint GC: %v", b.c.Rank(), err)
+		b.warnf("pclouds: rank %d: checkpoint GC: %v", rank, err)
 		return
 	}
-	kept := 0
-	for _, lvl := range levels {
-		if lvl > level-keepLevels {
-			kept++
-			continue
+	kept := durable.Prune(levels, newest, keep, func(lvl int) {
+		for _, f := range b.levelFiles(lvl) {
+			b.consumed[f] = true
 		}
-		b.removeLevel(lvl)
-		b.stats.CheckpointsPruned++
-		b.rec.Count("checkpoints-pruned", 1)
+		os.Remove(manifestPath(dir, lvl, rank))
+		if rank == 0 {
+			os.Remove(treePath(dir, lvl))
+		}
+		// Succeeds only for the last rank out; earlier ranks' attempts fail
+		// with ENOTEMPTY, which is fine.
+		os.Remove(levelDir(dir, lvl))
+	})
+	pruned := len(levels) - len(kept)
+	b.stats.CheckpointsPruned += pruned
+	b.rec.Count("checkpoints-pruned", int64(pruned))
+	b.stats.CheckpointsKept = len(kept)
+
+	live := map[string]bool{}
+	if newest-keep < 0 {
+		live[b.rootFile] = true
 	}
-	b.stats.CheckpointsKept = kept
-	// A consumed batch sealed at level M is referenced by manifests M-1 and
-	// older; all of those are pruned once M-1 <= level-keepLevels.
-	for m, files := range b.consumed {
-		if m-1 > level-keepLevels {
-			continue
+	for _, lvl := range kept {
+		for _, f := range b.levelFiles(lvl) {
+			live[f] = true
 		}
-		for _, f := range files {
+	}
+	for f := range b.consumed {
+		if !live[f] {
 			b.store.Remove(f)
-		}
-		delete(b.consumed, m)
-	}
-}
-
-// removeLevel deletes this rank's artifacts of one checkpoint level (its
-// manifest; on rank 0 also the partial tree) and removes the level
-// directory once it is empty.
-func (b *pbuilder) removeLevel(lvl int) {
-	dir := b.cfg.CheckpointDir
-	os.Remove(manifestPath(dir, lvl, b.c.Rank()))
-	if b.c.Rank() == 0 {
-		os.Remove(treePath(dir, lvl))
-	}
-	// Succeeds only for the last rank out; earlier ranks' attempts fail
-	// with ENOTEMPTY, which is fine.
-	os.Remove(levelDir(dir, lvl))
-}
-
-// cleanOwnCheckpoints removes this rank's manifests from every checkpoint
-// level before a fresh build starts writing level 1. Without it, levels
-// left over from an earlier run could look newer than the fresh build's
-// own checkpoints and poison a later resume.
-func (b *pbuilder) cleanOwnCheckpoints() {
-	levels, err := listLevels(b.cfg.CheckpointDir, b.c.Rank())
-	if err != nil {
-		b.warnf("pclouds: rank %d: cleaning stale checkpoints: %v", b.c.Rank(), err)
-		return
-	}
-	for _, lvl := range levels {
-		b.removeLevel(lvl)
-	}
-}
-
-// finishCheckpoints is called after a successful build: the tree exists, so
-// every checkpoint level and every deferred frontier file is garbage.
-func (b *pbuilder) finishCheckpoints() {
-	for _, files := range b.consumed {
-		for _, f := range files {
-			b.store.Remove(f)
+			delete(b.consumed, f)
 		}
 	}
-	b.consumed = map[int][]string{}
-	for _, f := range b.curConsumed {
-		b.store.Remove(f)
-	}
-	b.curConsumed = nil
-	levels, err := listLevels(b.cfg.CheckpointDir, b.c.Rank())
+}
+
+// levelFiles lists the store files this rank's manifest of a level names;
+// an unreadable manifest names none.
+func (b *pbuilder) levelFiles(lvl int) []string {
+	m, err := readManifest(b.cfg.CheckpointDir, lvl, b.c.Rank(), b.schema.NumClasses)
 	if err != nil {
-		b.warnf("pclouds: rank %d: checkpoint cleanup: %v", b.c.Rank(), err)
-		return
+		return nil
 	}
-	for _, lvl := range levels {
-		b.removeLevel(lvl)
-		b.stats.CheckpointsPruned++
+	var files []string
+	for _, ct := range append(m.Pending, m.Small...) {
+		files = append(files, ct.File)
 	}
-	b.stats.CheckpointsKept = 0
+	return files
 }
 
 // resumeState is a loaded checkpoint, ready to re-enter the level loop.
@@ -393,8 +361,9 @@ type resumeState struct {
 // restore (durable.Resume): it reads this rank's manifest for the level,
 // rebuilds the partial tree from rank 0's blob, reconstitutes the frontier
 // tasks — samples re-derived from the shared root sample, attach closures
-// re-pointed into the decoded tree — and finally garbage-collects every
-// other (older or orphaned) checkpoint level. A level whose restore fails
+// re-pointed into the decoded tree — and finally prunes around the agreed
+// level (pruneLevels): older levels beyond keepLevels and every newer
+// orphan, which the resumed build rewrites. A level whose restore fails
 // anywhere (a quarantined or missing frontier file, a checksum-failing
 // partial tree, an unreadable manifest) is stepped past collectively; with
 // no level left the error is ErrNoCheckpoint wrapping the cause.
@@ -408,10 +377,9 @@ func loadCheckpoint(cfg Config, c comm.Communicator, b *pbuilder, rootSample []r
 		b.warnf("pclouds: rank %d: resume: %v", c.Rank(), err)
 	}
 	var st *resumeState
-	var m ckptManifest
 	lvl, err := durable.Resume(c, levels, func(lvl int) error {
 		var err error
-		st, m, err = restoreLevel(cfg, c, b, rootSample, dir, lvl)
+		st, err = restoreLevel(cfg, c, b, rootSample, dir, lvl)
 		return err
 	})
 	if errors.Is(err, durable.ErrNoEpoch) {
@@ -420,7 +388,7 @@ func loadCheckpoint(cfg Config, c comm.Communicator, b *pbuilder, rootSample []r
 	if err != nil {
 		return nil, err
 	}
-	gcAfterRestore(b, dir, levels, lvl, m)
+	b.pruneLevels(lvl, keepLevels)
 	return st, nil
 }
 
@@ -430,16 +398,11 @@ func loadCheckpoint(cfg Config, c comm.Communicator, b *pbuilder, rootSample []r
 // failure durable.Resume steps past. Every rank reaches the Broadcast no
 // matter where its local restore failed, so a partially-corrupt level can
 // never deadlock the group.
-func restoreLevel(cfg Config, c comm.Communicator, b *pbuilder, rootSample []record.Record, dir string, lvl int) (*resumeState, ckptManifest, error) {
-	var m ckptManifest
-	var localErr error
-	data, err := os.ReadFile(manifestPath(dir, lvl, c.Rank()))
-	if err != nil {
-		localErr = fmt.Errorf("pclouds: resume: %w", err)
-	} else if m, err = decodeManifest(data, b.schema.NumClasses); err != nil {
-		localErr = fmt.Errorf("pclouds: resume: %w", err)
-	}
-	if localErr == nil {
+func restoreLevel(cfg Config, c comm.Communicator, b *pbuilder, rootSample []record.Record, dir string, lvl int) (*resumeState, error) {
+	m, localErr := readManifest(dir, lvl, c.Rank(), b.schema.NumClasses)
+	if localErr != nil {
+		localErr = fmt.Errorf("pclouds: resume: %w", localErr)
+	} else {
 		// A configuration mismatch cannot be fixed by stepping down a level.
 		// It is usually symmetric, but a flipped manifest field makes it one
 		// rank's alone, so this rank still joins the Broadcast below and
@@ -478,9 +441,9 @@ func restoreLevel(cfg Config, c comm.Communicator, b *pbuilder, rootSample []rec
 			blob = tb
 		}
 	}
-	blob, err = comm.Broadcast(c, 0, blob)
+	blob, err := comm.Broadcast(c, 0, blob)
 	if err != nil {
-		return nil, m, durable.Fatal(err)
+		return nil, durable.Fatal(err)
 	}
 	st := &resumeState{level: m.Level, nRoot: m.NRoot, nextID: m.NextID}
 	if localErr == nil {
@@ -501,42 +464,9 @@ func restoreLevel(cfg Config, c comm.Communicator, b *pbuilder, rootSample []rec
 	}
 	if localErr != nil {
 		b.warnf("pclouds: rank %d: resume from checkpoint level %d failed: %v", c.Rank(), lvl, localErr)
-		return nil, m, localErr
+		return nil, localErr
 	}
-	return st, m, nil
-}
-
-// gcAfterRestore runs once the restore is committed; every other
-// checkpoint level is garbage. Older levels were superseded; newer ones are
-// orphans — incomplete on some rank (this rank possibly ahead of a crashed
-// peer). The resumed build rewrites them. Frontier files referenced only by
-// a pruned orphan (not by the restored level) are deleted with it.
-func gcAfterRestore(b *pbuilder, dir string, levels []int, lvl int, m ckptManifest) {
-	c := b.c
-	keep := make(map[string]bool, len(m.Pending)+len(m.Small))
-	for _, ct := range m.Pending {
-		keep[ct.File] = true
-	}
-	for _, ct := range m.Small {
-		keep[ct.File] = true
-	}
-	for _, other := range levels {
-		if other == lvl {
-			continue
-		}
-		var om ckptManifest
-		if data, err := os.ReadFile(manifestPath(dir, other, c.Rank())); err == nil && json.Unmarshal(data, &om) == nil {
-			for _, ct := range append(om.Pending, om.Small...) {
-				if !keep[ct.File] {
-					b.store.Remove(ct.File)
-				}
-			}
-		}
-		b.removeLevel(other)
-		b.stats.CheckpointsPruned++
-		b.rec.Count("checkpoints-pruned", 1)
-	}
-	b.stats.CheckpointsKept = 1
+	return st, nil
 }
 
 // restoreTasks rebuilds the frontier tasks of a manifest list, in order.

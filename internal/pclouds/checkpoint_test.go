@@ -14,6 +14,7 @@ import (
 	"pclouds/internal/clouds"
 	"pclouds/internal/comm"
 	"pclouds/internal/costmodel"
+	"pclouds/internal/obs"
 	"pclouds/internal/ooc"
 	"pclouds/internal/record"
 	"pclouds/internal/tree"
@@ -492,6 +493,113 @@ func TestDegradedCheckpointingContinues(t *testing.T) {
 		}
 	}
 	t.Fatalf("no warning names the failed checkpoint level: %v", warns)
+}
+
+// blockManifests makes rank's manifest of every level in [from, to]
+// unwritable: a non-empty directory stands where its rename would land.
+func blockManifests(t *testing.T, dir string, rank, from, to int) {
+	t.Helper()
+	for lvl := from; lvl <= to; lvl++ {
+		if err := os.MkdirAll(filepath.Join(manifestPath(dir, lvl, rank), "blocker"), 0o755); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestDegradedRankResumesFromLastCommonLevel: rank 1 cannot write any
+// level from 2 on, so no level after 1 commits and nobody prunes level 1.
+// A stopped build restarted over the same directory resumes every rank
+// from level 1, builds the reference tree, and leaves no store file behind.
+func TestDegradedRankResumesFromLastCommonLevel(t *testing.T) {
+	const p = 2
+	data := makeData(t, 4000, 2, 42)
+	cfg := testConfig(clouds.SSE)
+	sample := cfg.Clouds.SampleFor(data)
+	ref, _ := buildParallel(t, cfg, data, sample, p)
+
+	cfg.CheckpointDir = t.TempDir()
+	cfg.Warnf = func(string, ...any) {}
+	blockManifests(t, cfg.CheckpointDir, 1, 2, 64)
+	cfg.StopAfterLevel = 3
+	comms := comm.NewGroup(p, costmodel.Zero())
+	stores := distribute(t, data, p, costmodel.Zero(), comms)
+	_, _, errs := buildWithStores(cfg, comms, stores, sample)
+	for r, err := range errs {
+		if !errors.Is(err, ErrStopped) {
+			t.Fatalf("rank %d: %v", r, err)
+		}
+	}
+
+	cfg.StopAfterLevel = 0
+	trees, stats, errs := buildWithStores(cfg, comm.NewGroup(p, costmodel.Zero()), stores, sample)
+	for r := 0; r < p; r++ {
+		if errs[r] != nil {
+			t.Fatalf("rank %d: %v", r, errs[r])
+		}
+		if stats[r].ResumedLevel != 1 {
+			t.Fatalf("rank %d resumed from level %d, want the last committed level 1", r, stats[r].ResumedLevel)
+		}
+		if !bytes.Equal(tree.Encode(trees[r]), tree.Encode(ref)) {
+			t.Fatalf("rank %d: tree bytes differ from the uninterrupted build", r)
+		}
+		if names, err := stores[r].List(); err != nil || len(names) != 0 {
+			t.Fatalf("rank %d: store files left after the build: %v (%v)", r, names, err)
+		}
+	}
+}
+
+// TestTracedCheckpointCountersMatchStats: every checkpoint lifecycle event
+// is counted once, so a traced checkpointed build's recorder counters equal
+// its Stats. Rank 1 cannot write level 2, so failures are counted too.
+func TestTracedCheckpointCountersMatchStats(t *testing.T) {
+	const p = 2
+	data := makeData(t, 4000, 2, 42)
+	cfg := testConfig(clouds.SSE)
+	cfg.CheckpointDir = t.TempDir()
+	cfg.Warnf = func(string, ...any) {}
+	blockManifests(t, cfg.CheckpointDir, 1, 2, 2)
+	sample := cfg.Clouds.SampleFor(data)
+	comms := comm.NewGroup(p, costmodel.Zero())
+	stores := distribute(t, data, p, costmodel.Zero(), comms)
+	recs := make([]*obs.Recorder, p)
+	stats := make([]*Stats, p)
+	errs := make([]error, p)
+	var wg sync.WaitGroup
+	for r := 0; r < p; r++ {
+		recs[r] = obs.New(r)
+		wg.Add(1)
+		go func(r int) {
+			defer wg.Done()
+			rcfg := cfg
+			rcfg.Trace = recs[r]
+			_, stats[r], errs[r] = Build(rcfg, comms[r], stores[r], "root", sample)
+		}(r)
+	}
+	wg.Wait()
+	for r := 0; r < p; r++ {
+		if errs[r] != nil {
+			t.Fatalf("rank %d: %v", r, errs[r])
+		}
+		got := recs[r].Counters()
+		st := stats[r]
+		want := map[string]int{
+			"checkpoints":         st.Checkpoints,
+			"checkpoints-pruned":  st.CheckpointsPruned,
+			"checkpoints-kept":    st.CheckpointsKept,
+			"checkpoint-failures": st.CheckpointFailures,
+		}
+		for name, n := range want {
+			if got[name] != int64(n) {
+				t.Errorf("rank %d: counter %s = %d, Stats says %d", r, name, got[name], n)
+			}
+		}
+		if st.Checkpoints == 0 || st.CheckpointsPruned == 0 {
+			t.Errorf("rank %d: %d checkpoints, %d pruned; the build should write and prune levels", r, st.Checkpoints, st.CheckpointsPruned)
+		}
+	}
+	if stats[1].CheckpointFailures != 1 {
+		t.Errorf("rank 1 counted %d checkpoint failures, want 1", stats[1].CheckpointFailures)
+	}
 }
 
 // TestResumePolicy pins the one resume policy of a checkpointed build: with

@@ -200,7 +200,8 @@ type Stats struct {
 	Checkpoints  int
 	ResumedLevel int
 	// Checkpoint garbage collection and degraded mode: levels this rank
-	// pruned (superseded, orphaned, or cleaned up after success), levels
+	// pruned (superseded, orphaned, stale at a fresh start, or cleaned up
+	// after success), levels
 	// still retained at the last commit, and checkpoint writes that failed
 	// and were skipped without failing the build.
 	CheckpointsPruned  int
@@ -255,13 +256,12 @@ type pbuilder struct {
 	// sorter orders alive points and merges their runs (aliveBatch),
 	// reusing its scratch across intervals and levels.
 	sorter clouds.PointSorter
-	// Deferred frontier-file removal (checkpointed builds only): files the
-	// build has consumed since the last checkpoint (curConsumed) and the
-	// batches sealed at each checkpoint level (consumed), physically
-	// deleted only once no retained checkpoint references them. See
-	// checkpoint.go.
-	curConsumed []string
-	consumed    map[int][]string
+	// Deferred frontier-file removal (checkpointed builds only): store
+	// files the build has let go of, deleted by pruneLevels once no
+	// retained checkpoint level names them. rootFile is the staged root,
+	// which the fresh start (level 0) names. See checkpoint.go.
+	consumed map[string]bool
+	rootFile string
 }
 
 // warnf reports a survivable degradation (see Config.Warnf).
@@ -275,8 +275,8 @@ func (b *pbuilder) warnf(format string, args ...any) {
 
 // removeFile disposes of a consumed store file. With checkpointing off it
 // is removed immediately; with checkpointing on the physical removal is
-// deferred until every checkpoint level referencing the file has been
-// pruned, so a restart can fall back to an earlier level's frontier.
+// deferred until no retained checkpoint level names the file, so a restart
+// can fall back to an earlier level's frontier.
 func (b *pbuilder) removeFile(name string) {
 	if name == "" {
 		return // a resident node has no file
@@ -285,7 +285,7 @@ func (b *pbuilder) removeFile(name string) {
 		b.store.Remove(name)
 		return
 	}
-	b.curConsumed = append(b.curConsumed, name)
+	b.consumed[name] = true
 }
 
 // Build runs pCLOUDS on this rank. The rank's partition of the training
@@ -371,8 +371,9 @@ func buildAttempt(cfg Config, c comm.Communicator, store *ooc.Store, rootName st
 		// Restart from the newest level complete on every rank: the
 		// frontier comes from the checkpoint manifest, the nodes above it
 		// from the persisted partial tree, and the staged root file is not
-		// consulted.
-		b = &pbuilder{cfg: cfg, c: c, store: store, schema: schema, rec: rec, consumed: map[int][]string{}}
+		// consulted, so it is consumed from the start (level 0 names it
+		// until the retained levels move past it).
+		b = &pbuilder{cfg: cfg, c: c, store: store, schema: schema, rec: rec, consumed: map[string]bool{rootName: true}, rootFile: rootName}
 		rs, err := loadCheckpoint(cfg, c, b, sample)
 		switch {
 		case err == nil:
@@ -420,16 +421,16 @@ func buildAttempt(cfg Config, c comm.Communicator, store *ooc.Store, rootName st
 		if n == 0 {
 			return nil, nil, fmt.Errorf("pclouds: empty global training set")
 		}
-		b = &pbuilder{cfg: cfg, c: c, store: store, schema: schema, nRoot: n, rec: rec, consumed: map[int][]string{}}
+		b = &pbuilder{cfg: cfg, c: c, store: store, schema: schema, nRoot: n, rec: rec, consumed: map[string]bool{}, rootFile: rootName}
 		b.stats.Build.RecordReads += localN
 		b.chargeCPU(localN)
 		b.stats.ResidentBytes = res.charged
 		if cfg.CheckpointDir != "" {
 			// A fresh build invalidates whatever this rank checkpointed
-			// before (levels no other rank can match): remove it so stale
-			// levels can never look newer than the ones this build is about
-			// to write.
-			b.cleanOwnCheckpoints()
+			// before (levels no other rank can match): prune every level so
+			// stale ones can never look newer than the ones this build is
+			// about to write.
+			b.pruneLevels(0, 0)
 		}
 		queue = []*nodeTask{{
 			id: "n", file: rootName, data: data, sample: clouds.Presort(schema, sample), depth: 0,
@@ -485,7 +486,7 @@ func buildAttempt(cfg Config, c comm.Communicator, store *ooc.Store, rootName st
 	if cfg.CheckpointDir != "" {
 		// The build succeeded; every checkpoint level and deferred frontier
 		// file is now garbage.
-		b.finishCheckpoints()
+		b.pruneLevels(0, 0)
 	}
 
 	t := &tree.Tree{Schema: schema, Root: root}
@@ -507,13 +508,10 @@ func buildAttempt(cfg Config, c comm.Communicator, store *ooc.Store, rootName st
 		// counters line — the number the -split-method comparison reads.
 		rec.Count("split-comm-bytes", b.stats.SplitComm.BytesSent)
 		rec.Count("resident-bytes", b.stats.ResidentBytes)
-		// Surface the checkpoint lifecycle counters in the merged report's
-		// counters line, next to the comm/io columns of the phase table.
+		// The checkpoint lifecycle events were counted as they happened;
+		// only the retained-level gauge is read at the end.
 		if cfg.CheckpointDir != "" {
-			rec.Count("checkpoints", int64(b.stats.Checkpoints))
-			rec.Count("checkpoints-pruned", int64(b.stats.CheckpointsPruned))
 			rec.Count("checkpoints-kept", int64(b.stats.CheckpointsKept))
-			rec.Count("checkpoint-failures", int64(b.stats.CheckpointFailures))
 		}
 		report, err := obs.MergedReportWith(c, rec, b.stats.Levels)
 		if err != nil {

@@ -8,6 +8,7 @@ import (
 
 	"pclouds/internal/clouds"
 	"pclouds/internal/comm"
+	"pclouds/internal/durable"
 	"pclouds/internal/record"
 	"pclouds/internal/tree"
 )
@@ -223,7 +224,7 @@ var errNotAssembled = errors.New("pclouds: finished tree not assembled on every 
 // exchangeSubtrees all-gathers the encoded subtrees (results[i] is non-nil
 // on the rank that solved small[i]) and attaches every one of them on every
 // rank, so all ranks finish with the same tree. A checkpointed build then
-// votes: the build deletes its checkpoint levels once it returns the tree,
+// votes (durable.Agree): the build deletes its checkpoint levels once it returns the tree,
 // which a rank may do only when every rank holds that tree. A transport
 // error returns at once, and the rank that saw it never votes, so its
 // peers' vote fails too.
@@ -237,17 +238,13 @@ func (b *pbuilder) exchangeSubtrees(small []*nodeTask, results [][]byte) error {
 	if b.cfg.CheckpointDir == "" {
 		return err
 	}
-	ok := int64(1)
-	if err != nil {
-		ok = 0
-	}
-	all, verr := comm.AllReduceInt64(b.c, []int64{ok}, func(a, b int64) int64 { return min(a, b) })
+	all, verr := durable.Agree(b.c, err == nil)
 	switch {
 	case verr != nil:
 		return verr
 	case err != nil:
 		return fmt.Errorf("%w: %w", errNotAssembled, err)
-	case all[0] == 0:
+	case !all:
 		return errNotAssembled
 	}
 	return nil

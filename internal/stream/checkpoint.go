@@ -29,9 +29,13 @@ import (
 // can load (durable.Resume, the same agreement as the batch layer's level
 // checkpoints, so a hole on one rank is routed around) and all load that
 // window; no common window means a collective fresh start.
-// Because the commit protocol keeps ranks within one window of each other,
-// keeping keepWindows >= 2 checkpoints guarantees the agreed window is
-// still on every disk.
+//
+// Lifecycle: after each write the ranks vote (durable.Agree), and only a
+// window every rank wrote prunes (durable.Prune) — a rank whose write
+// failed holds its peers' older windows in place, so the newest common
+// window is always still on every disk. The resume agreement prunes the
+// same way: the agreed window and the keepWindows-1 before it survive,
+// newer orphans go, and a fresh start removes every window.
 //
 // File layout (little-endian):
 //
@@ -77,8 +81,10 @@ const CheckpointMagic = ckptMagic
 var ErrSourceMismatch = errors.New("stream: checkpoint bound to a different dataset")
 
 // keepWindows is how many committed-window checkpoints each rank retains.
-// 2 suffices for the <=1 window commit skew; 3 adds one window of slack
-// against a rank whose checkpoint write failed degraded-style.
+// The vote alone keeps the newest common window; the two before it are for
+// damage after the commit — a checkpoint lost or corrupt on one rank steps
+// the agreement down one window, and holes at different windows on two
+// ranks still leave a third window they share.
 const keepWindows = 3
 
 // ckptState is the replicated engine state one checkpoint round-trips.
@@ -250,27 +256,40 @@ func decodeCkpt(schema *record.Schema, fp, srcCRC uint32, src []byte) (*ckptStat
 	return st, nil
 }
 
+// checkpoint persists the committed window's replicated state and votes
+// (durable.Agree); only a window every rank wrote prunes. A failed write is
+// degraded mode — logged and voted down, never fatal — so only a
+// communication failure is an error.
+func (e *engine) checkpoint() error {
+	dir, rank := e.cfg.CheckpointDir, e.c.Rank()
+	st := &ckptState{
+		window: e.window, nextIdx: e.nextIdx, tree: e.tree, reservoir: e.reservoir,
+		det: e.det, driftPending: e.driftPending, lastPub: e.lastPub, lastPubWin: e.lastPubWin,
+	}
+	werr := writeCkpt(dir, rank, e.fp, e.cfg.SourceChecksum, st)
+	if werr != nil {
+		e.cfg.Logf("stream: rank %d: window %d checkpoint failed (continuing): %v", rank, e.window, werr)
+	}
+	committed, err := durable.Agree(e.c, werr == nil)
+	if committed {
+		pruneWindows(dir, rank, e.window, keepWindows)
+	}
+	return err
+}
+
 // writeCkpt persists st atomically (durable.WriteFile) into this rank's
-// checkpoint directory and prunes checkpoints older than the keep horizon.
+// checkpoint directory.
 func writeCkpt(dir string, rank int, fp, srcCRC uint32, st *ckptState) error {
 	if err := os.MkdirAll(rankDir(dir, rank), 0o755); err != nil {
 		return err
 	}
-	if err := durable.WriteFile(ckptPath(dir, rank, st.window), encodeCkpt(fp, srcCRC, st)); err != nil {
-		return err
-	}
-	pruneCkpts(dir, rank, st.window)
-	return nil
+	return durable.WriteFile(ckptPath(dir, rank, st.window), encodeCkpt(fp, srcCRC, st))
 }
 
-// pruneCkpts removes this rank's checkpoints older than the keep horizon.
-// Best-effort: pruning failures leave garbage, never break correctness.
-func pruneCkpts(dir string, rank, newest int) {
-	for _, w := range listWindows(dir, rank) {
-		if w <= newest-keepWindows {
-			os.Remove(ckptPath(dir, rank, w))
-		}
-	}
+// pruneWindows applies the retention policy (durable.Prune) to this rank's
+// window checkpoints once the group agreed on window newest.
+func pruneWindows(dir string, rank, newest, keep int) {
+	durable.Prune(listWindows(dir, rank), newest, keep, func(w int) { os.Remove(ckptPath(dir, rank, w)) })
 }
 
 // agreeResume runs durable.Resume over this rank's retained windows that
@@ -278,8 +297,9 @@ func pruneCkpts(dir string, rank, newest int) {
 // older window) and returns the agreed window's state. A window bound to a
 // different dataset ends the resume with ErrSourceMismatch: every older
 // window carries the same binding, and a fresh start would mask a swapped
-// input file. With no common window every rank wipes its own checkpoints,
-// so stale state cannot resurface after the replayed stream diverges.
+// input file. The agreed window prunes (pruneWindows); with no common
+// window every rank removes all its windows, so stale state cannot
+// resurface after the replayed stream diverges.
 func agreeResume(cfg *Config, c comm.Communicator) (*ckptState, error) {
 	fp := cfg.fingerprint()
 	states := map[int]*ckptState{}
@@ -308,13 +328,12 @@ func agreeResume(cfg *Config, c comm.Communicator) (*ckptState, error) {
 		return nil
 	})
 	if errors.Is(err, durable.ErrNoEpoch) {
-		if err := os.RemoveAll(rankDir(cfg.CheckpointDir, c.Rank())); err != nil {
-			return nil, fmt.Errorf("stream: clearing stale checkpoints: %w", err)
-		}
+		pruneWindows(cfg.CheckpointDir, c.Rank(), 0, 0)
 		return nil, nil
 	}
 	if err != nil {
 		return nil, err
 	}
+	pruneWindows(cfg.CheckpointDir, c.Rank(), w, keepWindows)
 	return states[w], nil
 }

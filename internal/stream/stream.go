@@ -435,7 +435,7 @@ func (e *engine) ingestWindow() (scanned int64, streamEnd bool, err error) {
 				break
 			}
 		}
-		target, err := comm.AllReduceInt64(e.c, []int64{e.nextIdx}, maxI64)
+		target, err := comm.AllReduceInt64(e.c, []int64{e.nextIdx}, func(a, b int64) int64 { return max(a, b) })
 		if err != nil {
 			return scanned, false, err
 		}
@@ -611,15 +611,8 @@ func (e *engine) closeWindow(refresh bool) error {
 		e.lastPub, e.lastPubWin, e.lastPubFlat = snap, e.window, tree.Compile(snap)
 	}
 	if e.cfg.CheckpointDir != "" {
-		st := &ckptState{
-			window: e.window, nextIdx: e.nextIdx, tree: e.tree, reservoir: e.reservoir,
-			det: e.det, driftPending: e.driftPending, lastPub: e.lastPub, lastPubWin: e.lastPubWin,
-		}
-		if err := writeCkpt(e.cfg.CheckpointDir, e.c.Rank(), e.fp, e.cfg.SourceChecksum, st); err != nil {
-			// Degraded mode: losing durability on one rank must not kill
-			// the pipeline; resume degrades toward an older (or fresh)
-			// agreed window instead.
-			e.cfg.Logf("stream: rank %d: window %d checkpoint failed (continuing): %v", e.c.Rank(), e.window, err)
+		if err := e.checkpoint(); err != nil {
+			return err
 		}
 	}
 	e.live.set(e)
@@ -851,13 +844,6 @@ func decodeSamples(src []byte, schema *record.Schema) ([]int64, []record.Record,
 		src = src[rb:]
 	}
 	return idxs, recs, nil
-}
-
-func maxI64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 func sumI64(a, b int64) int64 { return a + b }

@@ -347,6 +347,99 @@ func TestResumeAcrossCheckpointHole(t *testing.T) {
 	}
 }
 
+// TestDegradedRankKeepsCommonWindow: a rank whose checkpoint writes fail
+// votes every window uncommitted, so no rank prunes and the last window all
+// ranks wrote survives everywhere. Rank 1 cannot write windows 2–6 (a
+// non-empty directory stands on each path); the restart must resume both
+// ranks from window 1 and still publish the uninterrupted run's sequence
+// byte for byte. Pruning right after each local write would have removed
+// rank 0's window 1 and forced a replay from the start.
+func TestDegradedRankKeepsCommonWindow(t *testing.T) {
+	const p, total = 2, 8
+
+	refDir := t.TempDir()
+	ref := testConfig(t)
+	ref.PublishDir = refDir
+	ref.MaxWindows = total
+	runRanks(t, p, ref, synthetic(t, 0))
+	want := publishedModels(t, refDir)
+
+	dir, ckpt := t.TempDir(), t.TempDir()
+	cfg := testConfig(t)
+	cfg.PublishDir, cfg.CheckpointDir = dir, ckpt
+	cfg.MaxWindows = 1
+	runRanks(t, p, cfg, synthetic(t, 0))
+	for w := 2; w <= 6; w++ {
+		if err := os.MkdirAll(filepath.Join(ckptPath(ckpt, 1, w), "blocker"), 0o755); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cfg.MaxWindows = 6
+	runRanks(t, p, cfg, synthetic(t, 0))
+
+	cfg.MaxWindows = total
+	res := runRanks(t, p, cfg, synthetic(t, 0))
+	for r, rr := range res {
+		if rr.Stats.ResumedAt != 1 {
+			t.Fatalf("rank %d resumed at window %d, want the last window every rank wrote, 1", r, rr.Stats.ResumedAt)
+		}
+	}
+	got := publishedModels(t, dir)
+	if fmt.Sprint(sortedNames(got)) != fmt.Sprint(sortedNames(want)) {
+		t.Fatalf("published names differ: got %v, want %v", sortedNames(got), sortedNames(want))
+	}
+	for name, blob := range want {
+		if !bytes.Equal(got[name], blob) {
+			t.Errorf("model %s differs from uninterrupted run", name)
+		}
+	}
+}
+
+// TestTimeWindowsAgreeAcrossRanks: time-based windows close where the
+// ranks agree, not where each rank's clock ran out. Rank 1 ingests at a
+// quarter of rank 0's pace, so their local deadlines fall at different
+// stream positions; both ranks must still commit the same windows over the
+// same records and return identical trees.
+func TestTimeWindowsAgreeAcrossRanks(t *testing.T) {
+	const p, windows = 2, 3
+	results := make([]*Result, p)
+	err := comm.Run(p, costmodel.Zero(), func(c *comm.ChannelComm) error {
+		cfg := testConfig(t)
+		cfg.WindowDuration = 30 * time.Millisecond
+		cfg.MaxWindows = windows
+		pace := time.Duration(1+3*c.Rank()) * time.Millisecond
+		cfg.RecordHook = func(_ int, idx int64) {
+			if idx%16 == 0 {
+				time.Sleep(pace)
+			}
+		}
+		src := synthetic(t, 0)(c.Rank())
+		if src == nil {
+			return fmt.Errorf("rank %d: no source", c.Rank())
+		}
+		defer src.Close()
+		res, err := Run(cfg, c, src)
+		if err != nil {
+			return fmt.Errorf("rank %d: %w", c.Rank(), err)
+		}
+		results[c.Rank()] = res
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	r0, r1 := results[0], results[1]
+	if r0.Stats.Windows != windows || r1.Stats.Windows != windows {
+		t.Fatalf("committed windows: rank 0 %d, rank 1 %d, want %d", r0.Stats.Windows, r1.Stats.Windows, windows)
+	}
+	if r0.Stats.Scanned == 0 || r0.Stats.Scanned != r1.Stats.Scanned {
+		t.Fatalf("scanned records: rank 0 %d, rank 1 %d", r0.Stats.Scanned, r1.Stats.Scanned)
+	}
+	if r0.Tree == nil || !bytes.Equal(tree.Encode(r0.Tree), tree.Encode(r1.Tree)) {
+		t.Fatal("ranks returned different trees")
+	}
+}
+
 // TestConfigFingerprintRefusesResume: a checkpoint written under one window
 // configuration must not be resumable under another.
 func TestConfigFingerprintRefusesResume(t *testing.T) {
