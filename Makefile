@@ -1,18 +1,22 @@
 GO ?= go
 
-.PHONY: all check build vet vet-concurrency test race chaos chaos-quick fuzz experiments examples cover scrub outputs clean
+.PHONY: all check build fmt vet vet-concurrency test race chaos chaos-quick fuzz experiments examples cover scrub outputs clean
 
 all: build vet test
 
-# check is the full pre-commit gate: compile, vet, tests (among them the
+# check is the full pre-commit gate: compile, gofmt, vet, tests (among them the
 # exact cost-model counters of TestCostModelCounters and a quick pass of
 # every benchmark workload with its correctness gates), the
 # concurrency-heavy packages (the async I/O pipeline, transports and the
 # SPMD driver) under the race detector, and the quick self-healing subset.
-check: build vet test race chaos-quick
+check: build fmt vet test race chaos-quick
 
 build:
 	$(GO) build ./...
+
+# fmt fails when any Go file differs from gofmt's output, and names it.
+fmt:
+	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then echo "gofmt needed:"; echo "$$out"; exit 1; fi
 
 vet:
 	$(GO) vet ./...

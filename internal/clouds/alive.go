@@ -70,6 +70,23 @@ func (c *AliveCollector) Add(rec *record.Record) {
 	}
 }
 
+// AddBatch routes a batch's rows into the alive slots they hit, one
+// located column at a time; the points reach each slot in the order Add
+// would append them row by row.
+func (c *AliveCollector) AddBatch(b *Batch) {
+	locs := scratch(&b.locs, b.Len())
+	for a := range c.attrs {
+		at := &c.attrs[a]
+		col := b.Num[at.j]
+		at.iv.LocateBatch(col, locs)
+		for i, l := range locs {
+			if s := at.slot[l]; s >= 0 {
+				c.slots[s] = append(c.slots[s], Point{V: col[i], Class: b.Class[i]})
+			}
+		}
+	}
+}
+
 // Points returns slot s's points in collection order. The slice may have
 // spare capacity (see NewAliveCollector); appending to it is safe.
 func (c *AliveCollector) Points(s int) []Point { return c.slots[s] }
@@ -77,9 +94,10 @@ func (c *AliveCollector) Points(s int) []Point { return c.slots[s] }
 // refineAlive is the SSE half of large-node splitting, shared by the in-core
 // and the streaming builder: prune with the gini lower bound, collect the
 // surviving intervals' points in one more pass over the node's records
-// (scan feeds every record to the function it is given), and search those
-// intervals exactly. best is the boundary pass's candidate (gini_min).
-func (b *builder) refineAlive(ns *NodeStats, best Candidate, n int64, scan func(add func(*record.Record)) error) (Candidate, error) {
+// (collect feeds every record to the collector it is given), and search
+// those intervals exactly. best is the boundary pass's candidate
+// (gini_min).
+func (b *builder) refineAlive(ns *NodeStats, best Candidate, n int64, collect func(*AliveCollector) error) (Candidate, error) {
 	giniMin := best.Gini
 	if !best.Valid {
 		giniMin = gini.Index(ns.Class) // any improvement counts
@@ -103,7 +121,7 @@ func (b *builder) refineAlive(ns *NodeStats, best Candidate, n int64, scan func(
 		capacity[s] = ai.Count
 	}
 	col := NewAliveCollector(intervals, alive.List, capacity)
-	if err := scan(col.Add); err != nil {
+	if err := collect(col); err != nil {
 		return Candidate{}, err
 	}
 	b.stats.RecordReads += n

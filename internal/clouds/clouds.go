@@ -439,9 +439,9 @@ func (b *builder) largeNodeSplit(recs []record.Record, sample *Presorted, n int6
 		return best
 	}
 	// SSE: the second pass collects alive-interval points from memory.
-	best, _ = b.refineAlive(ns, best, n, func(add func(*record.Record)) error {
+	best, _ = b.refineAlive(ns, best, n, func(col *AliveCollector) error {
 		for i := range recs {
-			add(&recs[i])
+			col.Add(&recs[i])
 		}
 		return nil
 	})

@@ -32,8 +32,10 @@ func BuildOutOfCore(cfg Config, store *ooc.Store, rootName string, sample []reco
 	// One counting pass for the root's class frequencies; every later node
 	// inherits its counts from the parent's partition pass.
 	rootCounts := make([]int64, schema.NumClasses)
-	if err := scan(store, rootName, func(r *record.Record) error {
-		rootCounts[r.Class]++
+	if _, err := ScanBatches(store, rootName, func(bt *Batch) error {
+		for _, c := range bt.Class {
+			rootCounts[c]++
+		}
 		return nil
 	}); err != nil {
 		return nil, nil, err
@@ -58,28 +60,6 @@ type oocBuilder struct {
 	store  *ooc.Store
 	mem    *ooc.MemLimit
 	nextID int
-}
-
-// scan streams every record of a file through fn.
-func scan(store *ooc.Store, name string, fn func(*record.Record) error) error {
-	r, err := store.OpenReader(name)
-	if err != nil {
-		return err
-	}
-	defer r.Close()
-	var rec record.Record
-	for {
-		ok, err := r.Next(&rec)
-		if err != nil {
-			return err
-		}
-		if !ok {
-			return nil
-		}
-		if err := fn(&rec); err != nil {
-			return err
-		}
-	}
 }
 
 // build constructs the subtree rooted at the node whose records live in
@@ -167,18 +147,7 @@ func (b *oocBuilder) build(name string, sample *Presorted, depth int, classCount
 		lw.Close()
 		return nil, err
 	}
-	err = scan(b.store, name, func(r *record.Record) error {
-		if sp.GoesLeft(b.schema, *r) {
-			if leftStats != nil {
-				leftStats.Add(*r)
-			}
-			return lw.Write(*r)
-		}
-		if rightStats != nil {
-			rightStats.Add(*r)
-		}
-		return rw.Write(*r)
-	})
+	_, err = Partition(b.store, name, sp, lw, rw, leftStats, rightStats)
 	b.stats.RecordReads += n
 	if err2 := lw.Close(); err == nil {
 		err = err2
@@ -225,8 +194,8 @@ func (b *oocBuilder) streamSplit(name string, sample *Presorted, n int64, fusedS
 	ns := fusedStats
 	if ns == nil {
 		ns = NewNodeStats(b.schema, sample.Intervals(b.cfg.QForNode(n, b.nRoot)))
-		if err := scan(b.store, name, func(r *record.Record) error {
-			ns.Add(*r)
+		if _, err := ScanBatches(b.store, name, func(bt *Batch) error {
+			ns.AddBatch(bt, nil)
 			return nil
 		}); err != nil {
 			return Candidate{}, err
@@ -240,10 +209,11 @@ func (b *oocBuilder) streamSplit(name string, sample *Presorted, n int64, fusedS
 	}
 	// Second streaming pass: collect alive-interval points (the paper
 	// assumes each alive interval fits in main memory).
-	return b.refineAlive(ns, best, n, func(add func(*record.Record)) error {
-		return scan(b.store, name, func(r *record.Record) error {
-			add(r)
+	return b.refineAlive(ns, best, n, func(col *AliveCollector) error {
+		_, err := ScanBatches(b.store, name, func(bt *Batch) error {
+			col.AddBatch(bt)
 			return nil
 		})
+		return err
 	})
 }

@@ -81,9 +81,9 @@ func (b *oracleBuilder) largeSplit(recs, sample []record.Record, n int64) Candid
 	if b.cfg.Method == SS {
 		return best
 	}
-	best, _ = b.refineAlive(ns, best, n, func(add func(*record.Record)) error {
+	best, _ = b.refineAlive(ns, best, n, func(col *AliveCollector) error {
 		for i := range recs {
-			add(&recs[i])
+			col.Add(&recs[i])
 		}
 		return nil
 	})

@@ -26,6 +26,9 @@ type NumericStats struct {
 	// Freq[i] is the class-frequency vector of interval i; len(Freq) ==
 	// Intervals.NumIntervals().
 	Freq [][]int64
+	// flat is the one array Freq's rows are carved from: interval i's
+	// count of class c is flat[i*classes+c].
+	flat []int64
 }
 
 // NodeStats aggregates everything one pass over a node's records produces:
@@ -53,10 +56,10 @@ func NewNodeStats(schema *record.Schema, intervals []*histogram.Intervals) *Node
 		iv := intervals[j]
 		freq := make([][]int64, iv.NumIntervals())
 		flat := make([]int64, iv.NumIntervals()*schema.NumClasses)
-		for i := range freq {
-			freq[i], flat = flat[:schema.NumClasses], flat[schema.NumClasses:]
+		for i, rest := 0, flat; i < len(freq); i++ {
+			freq[i], rest = rest[:schema.NumClasses], rest[schema.NumClasses:]
 		}
-		ns.Numeric = append(ns.Numeric, &NumericStats{Attr: attr, Intervals: iv, Freq: freq})
+		ns.Numeric = append(ns.Numeric, &NumericStats{Attr: attr, Intervals: iv, Freq: freq, flat: flat})
 	}
 	for _, attr := range schema.CategoricalIndices() {
 		ns.Cat = append(ns.Cat, gini.NewCountMatrix(schema.Attrs[attr].Cardinality, schema.NumClasses))
@@ -73,6 +76,32 @@ func (ns *NodeStats) Add(rec record.Record) {
 	}
 	for j, cm := range ns.Cat {
 		cm.Add(rec.Cat[j], rec.Class)
+	}
+}
+
+// AddBatch accumulates rows of a batch — every row when rows is nil, else
+// the listed ones — with exactly the integers Add counts record by record.
+// Each numeric column is located as a whole (Intervals.LocateBatch) and
+// counted in one loop; each categorical column in another.
+func (ns *NodeStats) AddBatch(b *Batch, rows []int32) {
+	cls := gather(&b.cls, b.Class, rows)
+	ns.N += int64(len(cls))
+	for _, c := range cls {
+		ns.Class[c]++
+	}
+	classes := len(ns.Class)
+	locs := scratch(&b.locs, len(cls))
+	for j, nst := range ns.Numeric {
+		nst.Intervals.LocateBatch(gather(&b.vals, b.Num[j], rows), locs)
+		flat := nst.flat
+		for k, l := range locs {
+			flat[int(l)*classes+int(cls[k])]++
+		}
+	}
+	for j, cm := range ns.Cat {
+		for k, v := range gather(&b.catVals, b.Cat[j], rows) {
+			cm.Counts[v][cls[k]]++
+		}
 	}
 }
 

@@ -48,9 +48,6 @@ func (s *SubComm) Rank() int { return s.myIdx }
 // Size implements Communicator.
 func (s *SubComm) Size() int { return len(s.ranks) }
 
-// Parent returns the underlying communicator.
-func (s *SubComm) Parent() Communicator { return s.parent }
-
 // Send implements Communicator.
 func (s *SubComm) Send(to int, tag Tag, data []byte) error {
 	if to < 0 || to >= len(s.ranks) {

@@ -50,9 +50,14 @@ const minGuideCuts = 32
 // cut in a lower bucket than v is below v and every cut in a higher one is
 // above it: the first cut >= v lies in [start[k], start[k+1]] for
 // k = bucket(v). A nil start means no index.
+//
+// cuts is the structure's cuts followed by a +Inf sentinel (Cuts shares
+// its array), so a bucket holding zero or one cut resolves with a single
+// compare against cuts[start[k]], the last bucket included.
 type guide struct {
 	lo, hi, scale float64
 	start         []int32
+	cuts          []float64
 }
 
 // newIntervals wraps cuts and indexes them unless they are fewer than
@@ -70,7 +75,8 @@ func newIntervals(cuts []float64) *Intervals {
 	if math.IsInf(hi-lo, 0) || math.IsInf(scale, 0) {
 		return iv
 	}
-	g := guide{lo: lo, hi: hi, scale: scale, start: make([]int32, guideFactor*n+1)}
+	g := guide{lo: lo, hi: hi, scale: scale, start: make([]int32, guideFactor*n+1), cuts: append(cuts[:n:n], math.Inf(1))}
+	iv.Cuts = g.cuts[:n:n]
 	k := 0
 	for i, c := range cuts {
 		for b := g.bucket(c); k <= b; k++ {
@@ -107,23 +113,80 @@ func (iv *Intervals) Locate(v float64) int {
 	if math.IsNaN(v) {
 		return len(iv.Cuts)
 	}
-	// The first cut >= v, searched for within the bracket that must hold it
-	// (all cuts without an index); records at a cut belong to the interval
-	// left of it.
-	lo, hi := 0, len(iv.Cuts)
-	if g := &iv.g; g.start != nil {
-		switch {
-		case v <= g.lo:
-			return 0
-		case v > g.hi:
-			return hi
+	return iv.find(v)
+}
+
+// LocateBatch stores Locate(vs[i]) in out[i] for every value of a column;
+// out must be at least as long as vs. It takes the same steps as Locate,
+// with the guide's fields held in registers across the column.
+func (iv *Intervals) LocateBatch(vs []float64, out []int32) {
+	out = out[:len(vs)]
+	n := len(iv.Cuts)
+	g := iv.g
+	if g.start == nil {
+		for i, v := range vs {
+			out[i] = int32(iv.Locate(v))
 		}
-		k := g.bucket(v)
-		lo, hi = int(g.start[k]), int(g.start[k+1])
+		return
 	}
+	for i, v := range vs {
+		l := n
+		switch {
+		case v != v || v > g.hi:
+		case v <= g.lo:
+			l = 0
+		default:
+			lo, hi := g.bracket(v)
+			l = resolve(g.cuts, lo, hi, v)
+		}
+		out[i] = int32(l)
+	}
+}
+
+// find returns the index of the first cut >= v (len(Cuts) when there is
+// none) for a v that is not NaN: records at a cut belong to the interval
+// left of it. With a guide index the search is confined to the bracket of
+// v's bucket; without one it covers every cut.
+func (iv *Intervals) find(v float64) int {
+	g := &iv.g
+	switch {
+	case g.start == nil:
+		return search(iv.Cuts, 0, len(iv.Cuts), v)
+	case v <= g.lo:
+		return 0
+	case v > g.hi:
+		return len(iv.Cuts)
+	}
+	lo, hi := g.bracket(v)
+	return resolve(g.cuts, lo, hi, v)
+}
+
+// bracket returns the cut indices [lo, hi] that hold the first cut >= v,
+// for v in (g.lo, g.hi].
+func (g *guide) bracket(v float64) (lo, hi int) {
+	k := g.bucket(v)
+	return int(g.start[k]), int(g.start[k+1])
+}
+
+// resolve returns the first cut >= v within bracket [lo, hi] of the
+// sentinel-terminated cuts: one compare when the bracket holds zero or one
+// cut, a binary search otherwise.
+func resolve(cuts []float64, lo, hi int, v float64) int {
+	if hi-lo > 1 {
+		return search(cuts, lo, hi, v)
+	}
+	if cuts[lo] < v {
+		lo++
+	}
+	return lo
+}
+
+// search returns the first index in [lo, hi] whose cut is >= v, given that
+// every cut below lo is < v and every cut from hi on is >= v.
+func search(cuts []float64, lo, hi int, v float64) int {
 	for lo < hi {
 		m := int(uint(lo+hi) >> 1)
-		if iv.Cuts[m] < v {
+		if cuts[m] < v {
 			lo = m + 1
 		} else {
 			hi = m

@@ -173,3 +173,51 @@ func FuzzLocate(f *testing.F) {
 		checkLocate(t, "Merge-all", Merge(&Intervals{Cuts: distinct}, nil), probes)
 	})
 }
+
+// FuzzLocateBatch checks that LocateBatch gives, value for value, what
+// Locate gives, for cut sets drawn as in FuzzLocate and a column of raw
+// float64 bit patterns extended by every cut and both its neighbours.
+func FuzzLocateBatch(f *testing.F) {
+	word := func(vs ...float64) []byte {
+		var b []byte
+		for _, v := range vs {
+			b = binary.LittleEndian.AppendUint64(b, math.Float64bits(v))
+		}
+		return b
+	}
+	special := word(math.NaN(), math.Inf(1), math.Inf(-1), 0, math.Copysign(0, -1), -1e300, 1e300)
+	indexed := make([]byte, 3*minGuideCuts)
+	for i := range indexed {
+		indexed[i] = byte(i * 5)
+	}
+	f.Add(indexed, uint16(2*minGuideCuts), special)
+	f.Add(indexed, uint16(minGuideCuts-1), special)        // too few cuts to index
+	f.Add([]byte{1, 2, 3, 4}, uint16(3), special)          // a handful of cuts
+	f.Add([]byte{}, uint16(10), special)                   // no cuts at all
+	f.Add(word(-1, 0, 1, 2), uint16(4), word(-1, 0, 1, 2)) // values equal to cuts
+	f.Fuzz(func(t *testing.T, data []byte, q uint16, col []byte) {
+		var sample []float64
+		for _, b := range data {
+			sample = append(sample, float64(int8(b))/4)
+		}
+		for i := 0; i+8 <= len(data); i += 8 {
+			sample = append(sample, math.Float64frombits(binary.LittleEndian.Uint64(data[i:])))
+		}
+		var vs []float64
+		for i := 0; i+8 <= len(col); i += 8 {
+			vs = append(vs, math.Float64frombits(binary.LittleEndian.Uint64(col[i:])))
+		}
+		structures := constructions(sample, int(q%512)+1)
+		structures["Merge-all"] = Merge(&Intervals{Cuts: sortedDistinct(sample)}, nil)
+		for kind, iv := range structures {
+			probes := append(probesFor(iv.Cuts), vs...)
+			out := make([]int32, len(probes))
+			iv.LocateBatch(probes, out)
+			for i, v := range probes {
+				if want := iv.Locate(v); int(out[i]) != want {
+					t.Fatalf("%s: LocateBatch gives %d for %v, Locate %d (%d cuts)", kind, out[i], v, want, len(iv.Cuts))
+				}
+			}
+		}
+	})
+}

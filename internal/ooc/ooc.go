@@ -285,6 +285,30 @@ func (w *Writer) Write(rec record.Record) error {
 	return nil
 }
 
+// WriteEncoded appends whole records given in their encoded form, as a
+// Reader's page holds them: the bytes are copied, never decoded. Pages are
+// flushed at the same record boundaries as record-by-record Write calls, so
+// the file, its write operations and its checksum frames are the same.
+func (w *Writer) WriteEncoded(enc []byte) error {
+	rb := w.s.schema.RecordBytes()
+	if len(enc)%rb != 0 {
+		return fmt.Errorf("ooc: writing %q: %d bytes are not whole %d-byte records", w.name, len(enc), rb)
+	}
+	for len(enc) > 0 {
+		// The records that reach PageSize, at least one.
+		take := min(len(enc), max(1, (PageSize-len(w.buf)+rb-1)/rb)*rb)
+		w.buf = append(w.buf, enc[:take]...)
+		w.n += int64(take / rb)
+		enc = enc[take:]
+		if len(w.buf) >= PageSize {
+			if err := w.flush(); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
+}
+
 // Count returns the number of records written so far.
 func (w *Writer) Count() int64 { return w.n }
 
@@ -415,25 +439,70 @@ func (s *Store) OpenReader(name string) (*Reader, error) {
 
 // Next reads the next record into rec. It returns false at end of file.
 func (r *Reader) Next(rec *record.Record) (bool, error) {
-	if r.buf == nil {
-		return false, fmt.Errorf("ooc: reading %q: reader closed", r.name)
-	}
-	if r.end-r.off < r.rb {
-		if err := r.fill(); err != nil {
-			return false, err
-		}
-		if r.end-r.off < r.rb {
-			if r.end != r.off {
-				return false, fmt.Errorf("ooc: %q: %d trailing bytes", r.name, r.end-r.off)
-			}
-			return false, nil
-		}
+	if ok, err := r.window(); !ok {
+		return false, err
 	}
 	if _, err := rec.Decode(r.s.schema, r.buf[r.off:r.end]); err != nil {
 		return false, err
 	}
 	r.off += r.rb
 	return true, nil
+}
+
+// window makes at least one whole record available at r.off, reading more
+// of the file when needed. It reports false at end of file.
+func (r *Reader) window() (bool, error) {
+	if r.buf == nil {
+		return false, fmt.Errorf("ooc: reading %q: reader closed", r.name)
+	}
+	if r.end-r.off >= r.rb {
+		return true, nil
+	}
+	if err := r.fill(); err != nil {
+		return false, err
+	}
+	if r.end-r.off < r.rb {
+		if r.end != r.off {
+			return false, fmt.Errorf("ooc: %q: %d trailing bytes", r.name, r.end-r.off)
+		}
+		return false, nil
+	}
+	return true, nil
+}
+
+// NextPage returns the next whole encoded records of the file, at most a
+// page of them, in the layout Record.Encode writes. The slice is the
+// reader's own window: it is valid until the next NextPage, Next or Close,
+// and must not be modified. It is empty at end of file.
+func (r *Reader) NextPage() ([]byte, error) {
+	if ok, err := r.window(); !ok {
+		return nil, err
+	}
+	n := (r.end - r.off) / r.rb * r.rb
+	page := r.buf[r.off : r.off+n]
+	r.off += n
+	return page, nil
+}
+
+// ScanPages streams a named file through fn one NextPage at a time and
+// returns the number of records it held.
+func (s *Store) ScanPages(name string, fn func(page []byte) error) (int64, error) {
+	r, err := s.OpenReader(name)
+	if err != nil {
+		return 0, err
+	}
+	defer r.Close()
+	var n int64
+	for {
+		page, err := r.NextPage()
+		if err != nil || len(page) == 0 {
+			return n, err
+		}
+		n += int64(len(page) / r.rb)
+		if err := fn(page); err != nil {
+			return n, err
+		}
+	}
 }
 
 func (r *Reader) fill() error {
@@ -528,21 +597,14 @@ func (s *Store) WriteAll(name string, recs []record.Record) error {
 // for respecting their memory budget; the tree-building code only does this
 // for small nodes and samples.
 func (s *Store) ReadAll(name string) ([]record.Record, error) {
-	r, err := s.OpenReader(name)
+	var out []record.Record
+	_, err := s.ScanPages(name, func(page []byte) error {
+		recs, err := record.DecodeAll(s.schema, page)
+		out = append(out, recs...)
+		return err
+	})
 	if err != nil {
 		return nil, err
 	}
-	defer r.Close()
-	var out []record.Record
-	for {
-		var rec record.Record
-		ok, err := r.Next(&rec)
-		if err != nil {
-			return nil, err
-		}
-		if !ok {
-			return out, nil
-		}
-		out = append(out, rec)
-	}
+	return out, nil
 }

@@ -326,3 +326,64 @@ func TestAppendWriterCreatesMissing(t *testing.T) {
 		})
 	}
 }
+
+// TestPagesCopyEncoded: copying a file as the encoded records ScanPages
+// hands out — whole pages, or one record at a time — through
+// Writer.WriteEncoded writes the same bytes with the same write operations
+// as writing its records with Writer.Write.
+func TestPagesCopyEncoded(t *testing.T) {
+	for name, st := range stores(t) {
+		t.Run(name, func(t *testing.T) {
+			recs := randRecords(5000, 3)
+			before := st.Stats()
+			if err := st.WriteAll("a", recs); err != nil {
+				t.Fatal(err)
+			}
+			want := st.Stats().Sub(before)
+			rb := st.Schema().RecordBytes()
+			for _, step := range []int{0, rb} {
+				before := st.Stats()
+				w, err := st.CreateWriter("b")
+				if err != nil {
+					t.Fatal(err)
+				}
+				n, err := st.ScanPages("a", func(page []byte) error {
+					if len(page) == 0 || len(page)%rb != 0 || len(page) > PageSize {
+						t.Fatalf("page of %d bytes", len(page))
+					}
+					if step == 0 {
+						return w.WriteEncoded(page)
+					}
+					for off := 0; off < len(page); off += step {
+						if err := w.WriteEncoded(page[off : off+step]); err != nil {
+							return err
+						}
+					}
+					return nil
+				})
+				if err != nil || n != int64(len(recs)) || w.Count() != n {
+					t.Fatalf("step %d: scanned %d, wrote %d records: %v", step, n, w.Count(), err)
+				}
+				if err := w.Close(); err != nil {
+					t.Fatal(err)
+				}
+				got := st.Stats().Sub(before)
+				if got.WriteOps != want.WriteOps || got.WriteBytes != want.WriteBytes {
+					t.Fatalf("step %d: wrote %d ops/%d B, Write wrote %d ops/%d B", step, got.WriteOps, got.WriteBytes, want.WriteOps, want.WriteBytes)
+				}
+				copied, err := st.ReadAll("b")
+				if err != nil {
+					t.Fatal(err)
+				}
+				if string(record.EncodeAll(copied)) != string(record.EncodeAll(recs)) {
+					t.Fatalf("step %d: copied file differs", step)
+				}
+			}
+			w, _ := st.CreateWriter("c")
+			defer w.Close()
+			if err := w.WriteEncoded(make([]byte, rb+1)); err == nil {
+				t.Fatal("WriteEncoded accepted a partial record")
+			}
+		})
+	}
+}

@@ -9,7 +9,6 @@ import (
 	"pclouds/internal/clouds"
 	"pclouds/internal/comm"
 	"pclouds/internal/gini"
-	"pclouds/internal/record"
 )
 
 // aliveBatchPoints bounds how many alive points (global, summed over the
@@ -144,8 +143,8 @@ func (b *pbuilder) aliveBatch(batch []*levelNode, out []clouds.Candidate) error 
 			continue
 		}
 		col := clouds.NewAliveCollector(intervalsOf(n.local), n.alive, capacity)
-		if !pass.scan(n.t.file, func(r *record.Record) error {
-			col.Add(r)
+		if !pass.scan(n.t.file, func(bt *clouds.Batch) error {
+			col.AddBatch(bt)
 			return nil
 		}) {
 			break

@@ -175,9 +175,10 @@ func treePath(dir string, level int) string {
 }
 
 // listLevels returns, ascending, the checkpoint levels under dir that hold
-// this rank's manifest (and, on rank 0, the partial tree). Levels another
-// rank wrote but this rank did not are this rank's holes — durable.Resume
-// routes around them.
+// this rank's manifest (and, on rank 0, the partial tree) as regular files:
+// anything else standing at those paths, a directory say, is not a level.
+// Levels another rank wrote but this rank did not are this rank's holes —
+// durable.Resume routes around them.
 func listLevels(dir string, rank int) ([]int, error) {
 	all, err := durable.Epochs(dir, "level-%d")
 	if err != nil {
@@ -185,17 +186,18 @@ func listLevels(dir string, rank int) ([]int, error) {
 	}
 	var levels []int
 	for _, lvl := range all {
-		if _, err := os.Stat(manifestPath(dir, lvl, rank)); err != nil {
+		if !isRegular(manifestPath(dir, lvl, rank)) || (rank == 0 && !isRegular(treePath(dir, lvl))) {
 			continue
-		}
-		if rank == 0 {
-			if _, err := os.Stat(treePath(dir, lvl)); err != nil {
-				continue
-			}
 		}
 		levels = append(levels, lvl)
 	}
 	return levels, nil
+}
+
+// isRegular reports whether path names a regular file.
+func isRegular(path string) bool {
+	fi, err := os.Stat(path)
+	return err == nil && fi.Mode().IsRegular()
 }
 
 func taskManifest(b *pbuilder, tasks []*nodeTask) ([]ckptTask, error) {

@@ -673,3 +673,71 @@ func TestResumePolicy(t *testing.T) {
 		}
 	}
 }
+
+// TestDirectoryAtManifestIsNotALevel: a directory standing where a level's
+// manifest (or rank 0's partial tree) belongs does not make that level a
+// held one. It is never listed, never resumed into and never counted as
+// pruned: a build over a directory holding such a level keeps every
+// checkpoint counter of the same build over a clean directory.
+func TestDirectoryAtManifestIsNotALevel(t *testing.T) {
+	const p, planted = 2, 40
+	data := makeData(t, 4000, 2, 42)
+	cfg := testConfig(clouds.SSE)
+	sample := cfg.Clouds.SampleFor(data)
+	ref, _ := buildParallel(t, cfg, data, sample, p)
+
+	// run stops a checkpointed build after level 2, resumes it, and
+	// returns the resumed ranks' stats.
+	run := func(dir string) []*Stats {
+		c := cfg
+		c.CheckpointDir = dir
+		c.StopAfterLevel = 2
+		comms := comm.NewGroup(p, costmodel.Zero())
+		stores := distribute(t, data, p, costmodel.Zero(), comms)
+		_, _, errs := buildWithStores(c, comms, stores, sample)
+		for r, err := range errs {
+			if !errors.Is(err, ErrStopped) {
+				t.Fatalf("rank %d: %v", r, err)
+			}
+		}
+		c.StopAfterLevel = 0
+		trees, stats, errs := buildWithStores(c, comm.NewGroup(p, costmodel.Zero()), stores, sample)
+		for r := 0; r < p; r++ {
+			if errs[r] != nil {
+				t.Fatalf("rank %d: %v", r, errs[r])
+			}
+			if stats[r].ResumedLevel != 2 {
+				t.Fatalf("rank %d resumed from level %d, want 2", r, stats[r].ResumedLevel)
+			}
+			if !bytes.Equal(tree.Encode(trees[r]), tree.Encode(ref)) {
+				t.Fatalf("rank %d: tree bytes differ from the uninterrupted build", r)
+			}
+		}
+		return stats
+	}
+
+	dir := t.TempDir()
+	for r := 0; r < p; r++ {
+		if err := os.MkdirAll(filepath.Join(manifestPath(dir, planted, r), "x"), 0o755); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := os.MkdirAll(filepath.Join(treePath(dir, planted), "x"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	for r := 0; r < p; r++ {
+		if levels, err := listLevels(dir, r); err != nil || len(levels) != 0 {
+			t.Fatalf("rank %d lists levels %v (%v) in a directory holding only directories", r, levels, err)
+		}
+	}
+	got, want := run(dir), run(t.TempDir())
+	for r := 0; r < p; r++ {
+		if got[r].CheckpointsPruned != want[r].CheckpointsPruned || got[r].CheckpointsKept != want[r].CheckpointsKept {
+			t.Fatalf("rank %d: pruned %d, kept %d beside a planted directory; %d, %d in a clean one",
+				r, got[r].CheckpointsPruned, got[r].CheckpointsKept, want[r].CheckpointsPruned, want[r].CheckpointsKept)
+		}
+	}
+	if _, err := os.Stat(manifestPath(dir, planted, 0)); err != nil {
+		t.Fatalf("the planted directory was removed: %v", err)
+	}
+}

@@ -7,7 +7,6 @@ import (
 	"pclouds/internal/comm"
 	"pclouds/internal/gini"
 	"pclouds/internal/histogram"
-	"pclouds/internal/record"
 	"pclouds/internal/tree"
 )
 
@@ -48,17 +47,29 @@ type scanPass struct {
 	err  error
 }
 
-// scan streams one file through fn, counting the records it touched. It
-// reports false once the pass has failed; callers stop scanning then.
-func (p *scanPass) scan(file string, fn func(*record.Record) error) bool {
+// scan streams one file through fn one column batch at a time, counting
+// the records it touched. It reports false once the pass has failed;
+// callers stop scanning then.
+func (p *scanPass) scan(file string, fn func(*clouds.Batch) error) bool {
 	if p.err != nil {
 		return false
 	}
-	var n int64
-	err := scanStore(p.b.store, file, func(r *record.Record) error {
-		n++
-		return fn(r)
-	})
+	n, err := clouds.ScanBatches(p.b.store, file, fn)
+	return p.done(file, n, err)
+}
+
+// pages is scan for a pass that moves records without looking inside them:
+// fn sees each page of whole encoded records.
+func (p *scanPass) pages(file string, fn func(page []byte) error) bool {
+	if p.err != nil {
+		return false
+	}
+	n, err := p.b.store.ScanPages(file, fn)
+	return p.done(file, n, err)
+}
+
+// done counts a finished scan's records and keeps its error.
+func (p *scanPass) done(file string, n int64, err error) bool {
 	p.touch(n)
 	if err != nil {
 		p.file, p.err = file, err
@@ -213,8 +224,8 @@ func (b *pbuilder) statsPass(nodes []*levelNode) error {
 			pass.touch(int64(d.Len()))
 			continue
 		}
-		if !pass.scan(n.t.file, func(r *record.Record) error {
-			local.Add(*r)
+		if !pass.scan(n.t.file, func(bt *clouds.Batch) error {
+			local.AddBatch(bt, nil)
 			return nil
 		}) {
 			break
@@ -332,20 +343,8 @@ func (b *pbuilder) partitionNode(pass *scanPass, file string, sp *tree.Splitter,
 		lw.Close()
 		return err
 	}
-	var localN int64
-	pass.scan(file, func(r *record.Record) error {
-		localN++
-		if sp.GoesLeft(b.schema, *r) {
-			if leftStats != nil {
-				leftStats.Add(*r)
-			}
-			return lw.Write(*r)
-		}
-		if rightStats != nil {
-			rightStats.Add(*r)
-		}
-		return rw.Write(*r)
-	})
+	localN, err := clouds.Partition(b.store, file, sp, lw, rw, leftStats, rightStats)
+	pass.done(file, localN, err)
 	if leftStats != nil || rightStats != nil {
 		// The fused statistics work is real compute even though the I/O
 		// pass is shared.

@@ -394,13 +394,12 @@ func buildAttempt(cfg Config, c comm.Communicator, store *ooc.Store, rootName st
 		// rank whose share fits its memory budget keeps the rows it scans.
 		pre := rec.Start("preprocess")
 		localCounts := make([]int64, schema.NumClasses)
-		var localN int64
 		res := residentShare(cfg, store, rootName)
-		scanErr := scanStore(store, rootName, func(r *record.Record) error {
-			localCounts[r.Class]++
-			localN++
-			res.add(r)
-			return nil
+		localN, scanErr := clouds.ScanBatches(store, rootName, func(bt *clouds.Batch) error {
+			for _, c := range bt.Class {
+				localCounts[c]++
+			}
+			return res.add(bt)
 		})
 		if cfg.Integrity {
 			scanErr = dataVerdict(c, rootName, scanErr)
@@ -568,11 +567,19 @@ func residentShare(cfg Config, store *ooc.Store, rootName string) *residentRoot 
 	return res
 }
 
-// add keeps a copy of one scanned record.
-func (res *residentRoot) add(r *record.Record) {
-	if res.keep {
-		res.recs = append(res.recs, res.arena.copyOf(r))
+// add keeps a copy of every row of a scanned batch.
+func (res *residentRoot) add(bt *clouds.Batch) error {
+	if !res.keep {
+		return nil
 	}
+	for i := 0; i < bt.Len(); i++ {
+		rec, err := res.arena.decode(bt.Row(i))
+		if err != nil {
+			return err
+		}
+		res.recs = append(res.recs, rec)
+	}
+	return nil
 }
 
 // presort sorts the kept rows once along every numeric attribute; nil when
@@ -582,28 +589,6 @@ func (res *residentRoot) presort() *clouds.Presorted {
 		return nil
 	}
 	return clouds.Presort(res.arena.schema, res.recs)
-}
-
-// scanStore streams every record of a store file through fn.
-func scanStore(store *ooc.Store, name string, fn func(*record.Record) error) error {
-	r, err := store.OpenReader(name)
-	if err != nil {
-		return err
-	}
-	defer r.Close()
-	var rec record.Record
-	for {
-		ok, err := r.Next(&rec)
-		if err != nil {
-			return err
-		}
-		if !ok {
-			return nil
-		}
-		if err := fn(&rec); err != nil {
-			return err
-		}
-	}
 }
 
 // leafNode attaches a leaf for task t (identically on every rank).

@@ -119,13 +119,21 @@ func (b *pbuilder) redistributeSmall(small []*nodeTask, owner []int) ([][]record
 			parts[d] = binary.LittleEndian.AppendUint32(parts[d], uint32(i))
 			parts[d] = binary.LittleEndian.AppendUint32(parts[d], 0)
 		}
+		// A shipped page goes into the frame as it was read; only the
+		// rows this rank keeps are decoded.
 		var localN int
-		ok := pass.scan(t.file, func(r *record.Record) error {
-			localN++
-			if mine {
-				own[i] = append(own[i], arena.copyOf(r))
-			} else {
-				parts[d] = r.Encode(parts[d])
+		ok := pass.pages(t.file, func(page []byte) error {
+			localN += len(page) / rb
+			if !mine {
+				parts[d] = append(parts[d], page...)
+				return nil
+			}
+			for off := 0; off < len(page); off += rb {
+				rec, err := arena.decode(page[off : off+rb])
+				if err != nil {
+					return err
+				}
+				own[i] = append(own[i], rec)
 			}
 			return nil
 		})
@@ -207,13 +215,11 @@ func (a *recordArena) next() record.Record {
 	return r
 }
 
-// copyOf returns a deep copy of r in the arena.
-func (a *recordArena) copyOf(r *record.Record) record.Record {
-	c := a.next()
-	copy(c.Num, r.Num)
-	copy(c.Cat, r.Cat)
-	c.Class = r.Class
-	return c
+// decode returns the record encoded in row, its slices in the arena.
+func (a *recordArena) decode(row []byte) (record.Record, error) {
+	rec := a.next()
+	_, err := rec.Decode(a.schema, row)
+	return rec, err
 }
 
 // errNotAssembled is every rank's error when some rank of a checkpointed
@@ -321,8 +327,8 @@ func decodeTaskRecords(schema *record.Schema, src []byte, into [][]record.Record
 		}
 		arena.reserve(n)
 		for k := 0; k < n; k++ {
-			rec := arena.next()
-			if _, err := rec.Decode(schema, r.take(rb)); err != nil {
+			rec, err := arena.decode(r.take(rb))
+			if err != nil {
 				return err
 			}
 			into[idx] = append(into[idx], rec)

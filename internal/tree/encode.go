@@ -17,6 +17,7 @@ import (
 //	leaf:        u32 class
 //	numeric:     u32 attr, f64 threshold, f64 gini
 //	categorical: u32 attr, f64 gini, u32 cardinality, that many u8 flags
+//
 // tagPending additionally marks a nil child in partial encodings
 // (EncodePartial): an internal node whose subtree had not been built yet
 // when the tree was checkpointed mid-build.
