@@ -8,8 +8,9 @@ all: build vet test
 # exact cost-model counters of TestCostModelCounters and a quick pass of
 # every benchmark workload with its correctness gates), the
 # concurrency-heavy packages (the async I/O pipeline, transports and the
-# SPMD driver) under the race detector, and the quick self-healing subset.
-check: build fmt vet test race chaos-quick
+# SPMD driver) under the race detector, the quick self-healing subset, and
+# the runnable examples, which no test runs.
+check: build fmt vet test race chaos-quick examples
 
 build:
 	$(GO) build ./...

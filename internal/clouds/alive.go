@@ -3,17 +3,17 @@ package clouds
 import (
 	"pclouds/internal/gini"
 	"pclouds/internal/histogram"
-	"pclouds/internal/record"
 )
 
-// AliveCollector is the alive-interval collection kernel shared by the
-// in-core, out-of-core and parallel builders: one pass over a node's
-// records gathers the (value, class) points of every alive interval into
-// per-interval slots. A dense [attribute][interval] → slot table replaces a
-// keyed lookup, attributes without an alive interval are never located, and
-// all slots are carved from one buffer sized up front — the per-interval
-// frequencies of the statistics pass already say how many points each slot
-// will receive.
+// AliveCollector is the alive-interval collection kernel of streamed nodes,
+// shared by the out-of-core and parallel builders: one pass over a node's
+// file gathers the (value, class) points of every alive interval into
+// per-interval slots. An in-memory node needs no pass: its alive points are
+// ranges of its sorted columns (Presorted.Range). A dense
+// [attribute][interval] → slot table replaces a keyed lookup, attributes
+// without an alive interval are never located, and all slots are carved
+// from one buffer sized up front — the per-interval frequencies of the
+// statistics pass already say how many points each slot will receive.
 type AliveCollector struct {
 	attrs []aliveAttr
 	slots [][]Point
@@ -59,20 +59,8 @@ func NewAliveCollector(intervals []*histogram.Intervals, alive []AliveInterval, 
 	return c
 }
 
-// Add routes one record's numeric values into the alive slots they hit.
-func (c *AliveCollector) Add(rec *record.Record) {
-	for a := range c.attrs {
-		at := &c.attrs[a]
-		v := rec.Num[at.j]
-		if s := at.slot[at.iv.Locate(v)]; s >= 0 {
-			c.slots[s] = append(c.slots[s], Point{V: v, Class: rec.Class})
-		}
-	}
-}
-
 // AddBatch routes a batch's rows into the alive slots they hit, one
-// located column at a time; the points reach each slot in the order Add
-// would append them row by row.
+// located column at a time; the points reach each slot in row order.
 func (c *AliveCollector) AddBatch(b *Batch) {
 	locs := scratch(&b.locs, b.Len())
 	for a := range c.attrs {
@@ -91,43 +79,52 @@ func (c *AliveCollector) AddBatch(b *Batch) {
 // spare capacity (see NewAliveCollector); appending to it is safe.
 func (c *AliveCollector) Points(s int) []Point { return c.slots[s] }
 
-// refineAlive is the SSE half of large-node splitting, shared by the in-core
-// and the streaming builder: prune with the gini lower bound, collect the
-// surviving intervals' points in one more pass over the node's records
-// (collect feeds every record to the collector it is given), and search
-// those intervals exactly. best is the boundary pass's candidate
-// (gini_min).
-func (b *builder) refineAlive(ns *NodeStats, best Candidate, n int64, collect func(*AliveCollector) error) (Candidate, error) {
+// splitLarge picks a large node's split from its statistics ns under
+// cfg.Split: the best fixed-bin boundary (hist), the best of the top-k
+// attributes a single rank nominates (vote), or the SS boundary best that
+// SSE refines — prune with the gini lower bound, then search the surviving
+// intervals exactly. alivePoints returns, for each alive interval, the
+// node's points in it in value order (SortPoints order): column ranges for
+// an in-memory node, one collecting pass for a streamed one. It is called
+// only when an interval survives.
+func (b *builder) splitLarge(ns *NodeStats, alivePoints func([]AliveInterval) ([][]Point, error)) (Candidate, error) {
+	b.stats.LargeNodes++
+	switch b.cfg.Split {
+	case SplitHist:
+		return BestBoundarySplit(ns), nil
+	case SplitVote:
+		// One builder is a single-rank vote: it nominates its top-k
+		// attributes, all of them win the election, and the best elected
+		// candidate — the global best attribute's — is chosen.
+		cands := AttributeBest(ns)
+		return BestOfAttrs(cands, TopKAttrs(cands, b.cfg.VoteTopK)), nil
+	}
+	// An empty sample partition degenerates to a single interval per
+	// attribute; the SSE alive search then covers the whole range. The
+	// parallel build behaves identically, keeping the two deterministic.
+	best := BestBoundarySplit(ns)
+	if b.cfg.Method == SS {
+		return best, nil
+	}
 	giniMin := best.Gini
 	if !best.Valid {
 		giniMin = gini.Index(ns.Class) // any improvement counts
 	}
 	alive := DetermineAlive(ns, giniMin)
-	b.stats.BoundaryEvaluated += n
+	b.stats.BoundaryEvaluated += ns.N
 	b.stats.AlivePoints += alive.Points
 	b.stats.AliveIntervals += alive.NumAlive()
-	if alive.Points > b.stats.MaxAlivePoints {
-		b.stats.MaxAlivePoints = alive.Points
-	}
+	b.stats.MaxAlivePoints = max(b.stats.MaxAlivePoints, alive.Points)
 	if alive.NumAlive() == 0 {
 		return best, nil
 	}
-	intervals := make([]*histogram.Intervals, len(ns.Numeric))
-	for j, nst := range ns.Numeric {
-		intervals[j] = nst.Intervals
-	}
-	capacity := make([]int64, len(alive.List))
-	for s, ai := range alive.List {
-		capacity[s] = ai.Count
-	}
-	col := NewAliveCollector(intervals, alive.List, capacity)
-	if err := collect(col); err != nil {
+	runs, err := alivePoints(alive.List)
+	if err != nil {
 		return Candidate{}, err
 	}
-	b.stats.RecordReads += n
+	b.stats.RecordReads += ns.N
 	for s, ai := range alive.List {
-		cand := EvaluateInterval(ns.Numeric[ai.AttrJ].Attr, ai.LeftBefore, ns.Class, col.Points(s))
-		if cand.Better(best) {
+		if cand := EvaluateSorted(ns.Numeric[ai.AttrJ].Attr, ai.LeftBefore, ns.Class, runs[s]); cand.Better(best) {
 			best = cand
 		}
 	}

@@ -151,10 +151,7 @@ func Defaults() Config {
 // WithDefaults returns c with unset fields filled from Defaults. Drivers in
 // other packages (pCLOUDS) call it so that all builders resolve parameters
 // identically.
-func (c Config) WithDefaults() Config { return c.withDefaults() }
-
-// withDefaults fills unset fields.
-func (c Config) withDefaults() Config {
+func (c Config) WithDefaults() Config {
 	d := Defaults()
 	if c.QRoot <= 0 {
 		c.QRoot = d.QRoot
@@ -188,6 +185,17 @@ func (c Config) QForNode(nNode, nRoot int64) int {
 		q = c.QMin
 	}
 	return q
+}
+
+// NodeQ returns the number of intervals per numeric attribute a large
+// node's statistics accumulate over: the size-proportional QForNode under
+// SplitSSE, the fixed HistBins under hist and vote. Every builder asks it,
+// so a node counts over the same intervals wherever it is built.
+func (c Config) NodeQ(nNode, nRoot int64) int {
+	if c.Split != SplitSSE {
+		return c.HistBins
+	}
+	return c.QForNode(nNode, nRoot)
 }
 
 // IsSmall reports whether a node of nNode records (out of nRoot at the
@@ -254,9 +262,11 @@ type builder struct {
 
 // BuildInCore constructs a CLOUDS decision tree over an in-memory dataset.
 // sample is the pre-drawn random sample used to build interval structures;
-// pass nil to let the builder draw one from cfg.Seed.
+// pass nil to let the builder draw one from cfg.Seed. The records are
+// presorted once, beside the sample, and every node is split from the
+// sorted columns.
 func BuildInCore(cfg Config, data *record.Dataset, sample []record.Record) (*tree.Tree, *BuildStats, error) {
-	cfg = cfg.withDefaults()
+	cfg = cfg.WithDefaults()
 	if data.Len() == 0 {
 		return nil, nil, fmt.Errorf("clouds: empty training set")
 	}
@@ -265,7 +275,7 @@ func BuildInCore(cfg Config, data *record.Dataset, sample []record.Record) (*tre
 	}
 	b := &builder{cfg: cfg, schema: data.Schema, nRoot: int64(data.Len())}
 	span := cfg.Trace.Start("incore-build")
-	root := b.build(data.Records, Presort(data.Schema, sample), 0)
+	root := b.build(Presort(data.Schema, data.Records), Presort(data.Schema, sample), 0)
 	span.End()
 	t := &tree.Tree{Schema: data.Schema, Root: root}
 	st := b.stats
@@ -279,10 +289,10 @@ func BuildInCore(cfg Config, data *record.Dataset, sample []record.Record) (*tre
 // afterwards. pCLOUDS uses it to solve shipped small nodes on their
 // assigned processor.
 func BuildSubtree(cfg Config, schema *record.Schema, recs []record.Record, sample *Presorted, depth int, nRoot int64) (*tree.Node, *BuildStats) {
-	cfg = cfg.withDefaults()
+	cfg = cfg.WithDefaults()
 	b := &builder{cfg: cfg, schema: schema, nRoot: nRoot}
 	span := cfg.Trace.Start("small-subtree")
-	nd := b.build(recs, sample, depth)
+	nd := b.build(Presort(schema, recs), sample, depth)
 	span.End()
 	st := b.stats
 	return nd, &st
@@ -315,157 +325,58 @@ func (c Config) ShouldStop(classCounts []int64, n int64, depth int) bool {
 	return nonzero <= 1
 }
 
-func (b *builder) shouldStop(classCounts []int64, n int64, depth int) bool {
-	return b.cfg.ShouldStop(classCounts, n, depth)
-}
-
-// build constructs the subtree of a node whose records are recs and whose
-// presorted sample is sample. A small node is presorted once here and its
-// whole subtree is built from the sorted columns (splitSmall); children of
-// a small node are small too.
-func (b *builder) build(recs []record.Record, sample *Presorted, depth int) *tree.Node {
+// build constructs the subtree of an in-memory node from its presorted
+// rows (data) and its presorted sample: the one in-core recursion. A large
+// node counts its statistics off the sorted columns and takes its alive
+// points as column ranges (splitLarge); a small node is split with the
+// direct method over the same columns. Both children inherit sorted
+// columns, and the children of a small node are small too, so their sample
+// is no longer split.
+func (b *builder) build(data, sample *Presorted, depth int) *tree.Node {
 	if depth > b.stats.MaxDepth {
 		b.stats.MaxDepth = depth
 	}
-	n := int64(len(recs))
-	classCounts := make([]int64, b.schema.NumClasses)
-	for _, r := range recs {
-		classCounts[r.Class]++
-	}
-	if b.shouldStop(classCounts, n, depth) {
+	n := int64(data.Len())
+	classCounts := data.classCounts(b.schema.NumClasses)
+	if b.cfg.ShouldStop(classCounts, n, depth) {
 		return b.leaf(classCounts, n)
 	}
-	if b.cfg.IsSmall(n, b.nRoot) {
-		return b.splitSmall(Presort(b.schema, recs), classCounts, depth)
+	small := b.cfg.IsSmall(n, b.nRoot)
+	var cand Candidate
+	if small {
+		b.stats.SmallNodes++
+		b.stats.RecordReads += n
+		cand = data.directSplit(b.schema)
+	} else {
+		ns := NewNodeStats(b.schema, sample.Intervals(b.cfg.NodeQ(n, b.nRoot)))
+		data.AccumulateStats(ns)
+		b.stats.RecordReads += n
+		// Column ranges cannot fail, so neither can the split.
+		cand, _ = b.splitLarge(ns, func(alive []AliveInterval) ([][]Point, error) {
+			runs := make([][]Point, len(alive))
+			for s, ai := range alive {
+				runs[s] = data.Range(ai.AttrJ, ns.Numeric[ai.AttrJ].Intervals, ai.Interval)
+			}
+			return runs, nil
+		})
 	}
-
-	b.stats.LargeNodes++
-	cand := b.largeNodeSplit(recs, sample, n)
 	if !cand.Valid {
 		return b.leaf(classCounts, n)
 	}
 	sp := cand.Splitter()
-
-	leftRecs, rightRecs := PartitionRecords(b.schema, recs, sp)
-	b.stats.RecordReads += n
-	if len(leftRecs) == 0 || len(rightRecs) == 0 {
-		return b.leaf(classCounts, n)
-	}
-	leftSample, rightSample := sample.Split(b.schema, sp)
-
-	nd := &tree.Node{Splitter: sp, ClassCounts: classCounts, N: n}
-	nd.Class = nd.Majority()
-	b.stats.Nodes++
-	nd.Left = b.build(leftRecs, leftSample, depth+1)
-	nd.Right = b.build(rightRecs, rightSample, depth+1)
-	return nd
-}
-
-// buildSmall constructs the subtree of a small node from its presorted
-// columns.
-func (b *builder) buildSmall(p *Presorted, depth int) *tree.Node {
-	if depth > b.stats.MaxDepth {
-		b.stats.MaxDepth = depth
-	}
-	classCounts := p.classCounts(b.schema.NumClasses)
-	if b.shouldStop(classCounts, int64(p.Len()), depth) {
-		return b.leaf(classCounts, int64(p.Len()))
-	}
-	return b.splitSmall(p, classCounts, depth)
-}
-
-// splitSmall splits a small node that did not stop with the direct method
-// and builds its children from the split columns: the paper's direct
-// method with one sort per small task instead of one per node.
-func (b *builder) splitSmall(p *Presorted, classCounts []int64, depth int) *tree.Node {
-	n := int64(p.Len())
-	b.stats.SmallNodes++
-	b.stats.RecordReads += n
-	cand := p.directSplit(b.schema)
-	if !cand.Valid {
-		return b.leaf(classCounts, n)
-	}
-	sp := cand.Splitter()
-	left, right := p.Split(b.schema, sp)
+	left, right := data.Split(b.schema, sp)
 	b.stats.RecordReads += n
 	if left.Len() == 0 || right.Len() == 0 {
 		return b.leaf(classCounts, n)
 	}
+	var leftSample, rightSample *Presorted
+	if !small {
+		leftSample, rightSample = sample.Split(b.schema, sp)
+	}
 	nd := &tree.Node{Splitter: sp, ClassCounts: classCounts, N: n}
 	nd.Class = nd.Majority()
 	b.stats.Nodes++
-	nd.Left = b.buildSmall(left, depth+1)
-	nd.Right = b.buildSmall(right, depth+1)
+	nd.Left = b.build(left, leftSample, depth+1)
+	nd.Right = b.build(right, rightSample, depth+1)
 	return nd
-}
-
-// fixedBinStats accumulates the node's records over the fixed-bin quantized
-// histograms of the hist/vote split methods: HistBins quantile bins per
-// numeric attribute, built from the node's sample regardless of node size.
-func (b *builder) fixedBinStats(recs []record.Record, sample *Presorted, n int64) *NodeStats {
-	ns := NewNodeStats(b.schema, sample.Intervals(b.cfg.HistBins))
-	for _, r := range recs {
-		ns.Add(r)
-	}
-	b.stats.RecordReads += n
-	return ns
-}
-
-// largeNodeSplit runs the configured split-finding protocol over in-memory
-// records: the SS/SSE method (default), or the fixed-bin hist/vote
-// evaluation the parallel communication-efficient modes are built on.
-func (b *builder) largeNodeSplit(recs []record.Record, sample *Presorted, n int64) Candidate {
-	switch b.cfg.Split {
-	case SplitHist:
-		return BestBoundarySplit(b.fixedBinStats(recs, sample, n))
-	case SplitVote:
-		// One in-memory builder is a single-rank vote: it nominates its
-		// top-k attributes, all of them win the election, and the best
-		// elected candidate — the global best attribute's — is chosen.
-		cands := AttributeBest(b.fixedBinStats(recs, sample, n))
-		return BestOfAttrs(cands, TopKAttrs(cands, b.cfg.VoteTopK))
-	}
-	// An empty sample partition degenerates to a single interval per
-	// attribute; the SSE alive search then covers the whole range. The
-	// parallel build behaves identically, keeping the two deterministic.
-	ns := NewNodeStats(b.schema, sample.Intervals(b.cfg.QForNode(n, b.nRoot)))
-	for _, r := range recs {
-		ns.Add(r)
-	}
-	b.stats.RecordReads += n
-
-	best := BestBoundarySplit(ns)
-	if b.cfg.Method == SS {
-		return best
-	}
-	// SSE: the second pass collects alive-interval points from memory.
-	best, _ = b.refineAlive(ns, best, n, func(col *AliveCollector) error {
-		for i := range recs {
-			col.Add(&recs[i])
-		}
-		return nil
-	})
-	return best
-}
-
-// PartitionRecords splits recs by the splitter; order within each side is
-// preserved. Both sides are allocated once, at their exact size.
-func PartitionRecords(schema *record.Schema, recs []record.Record, sp *tree.Splitter) (left, right []record.Record) {
-	goes := make([]bool, len(recs))
-	nLeft := 0
-	for i := range recs {
-		if goes[i] = sp.GoesLeft(schema, recs[i]); goes[i] {
-			nLeft++
-		}
-	}
-	left = make([]record.Record, 0, nLeft)
-	right = make([]record.Record, 0, len(recs)-nLeft)
-	for i, l := range goes {
-		if l {
-			left = append(left, recs[i])
-		} else {
-			right = append(right, recs[i])
-		}
-	}
-	return left, right
 }

@@ -365,37 +365,44 @@ func TestDetermineAliveNeverPrunesBetterSplit(t *testing.T) {
 	}
 }
 
+// TestOutOfCoreMatchesInCore builds the same data in memory and from a
+// store under memory limits from one record to unlimited: streamed nodes
+// must pick the splits in-memory nodes pick under every split protocol.
 func TestOutOfCoreMatchesInCore(t *testing.T) {
 	data := genData(t, 3000, 2, 12)
-	cfg := testCfg(SSE)
-	sample := cfg.SampleFor(data)
-	inCore, _, err := BuildInCore(cfg, data, sample)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, limRecords := range []int64{0, 100, 1000, 1 << 40} {
-		store := ooc.NewMemStore(data.Schema, costmodel.Zero(), nil)
-		if err := store.WriteAll("root", data.Records); err != nil {
-			t.Fatal(err)
-		}
-		var mem *ooc.MemLimit
-		if limRecords > 0 {
-			mem = ooc.NewMemLimit(limRecords * int64(data.Schema.RecordBytes()))
-		}
-		outCore, _, err := BuildOutOfCore(cfg, store, "root", sample, mem)
+	for _, sm := range []SplitMethod{SplitSSE, SplitHist, SplitVote} {
+		cfg := testCfg(SSE)
+		cfg.Split = sm
+		sample := cfg.SampleFor(data)
+		inCore, _, err := BuildInCore(cfg, data, sample)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !tree.Equal(inCore, outCore) {
-			t.Fatalf("mem limit %d records: out-of-core tree differs", limRecords)
-		}
-		// All intermediate node files must be cleaned up.
-		names, err := store.List()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(names) != 0 {
-			t.Fatalf("mem limit %d: leftover files %v", limRecords, names)
+		for _, limRecords := range []int64{0, 1, 100, 1000, 1 << 40} {
+			store := ooc.NewMemStore(data.Schema, costmodel.Zero(), nil)
+			if err := store.WriteAll("root", data.Records); err != nil {
+				t.Fatal(err)
+			}
+			var mem *ooc.MemLimit
+			if limRecords > 0 {
+				mem = ooc.NewMemLimit(limRecords * int64(data.Schema.RecordBytes()))
+			}
+			outCore, _, err := BuildOutOfCore(cfg, store, "root", sample, mem)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !tree.Equal(inCore, outCore) {
+				t.Fatalf("%v, mem limit %d records: out-of-core tree has %d nodes, in-core %d",
+					sm, limRecords, outCore.NumNodes(), inCore.NumNodes())
+			}
+			// All intermediate node files must be cleaned up.
+			names, err := store.List()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(names) != 0 {
+				t.Fatalf("%v, mem limit %d: leftover files %v", sm, limRecords, names)
+			}
 		}
 	}
 }

@@ -20,7 +20,7 @@ import (
 // logically alongside the data). mem bounds the record bytes loaded for
 // in-memory processing; nil or a non-positive limit means unlimited.
 func BuildOutOfCore(cfg Config, store *ooc.Store, rootName string, sample []record.Record, mem *ooc.MemLimit) (*tree.Tree, *BuildStats, error) {
-	cfg = cfg.withDefaults()
+	cfg = cfg.WithDefaults()
 	n, err := store.Count(rootName)
 	if err != nil {
 		return nil, nil, err
@@ -70,7 +70,7 @@ func (b *oocBuilder) build(name string, sample *Presorted, depth int, classCount
 	if depth > b.stats.MaxDepth {
 		b.stats.MaxDepth = depth
 	}
-	if b.shouldStop(classCounts, n, depth) {
+	if b.cfg.ShouldStop(classCounts, n, depth) {
 		b.store.Remove(name)
 		return b.leaf(classCounts, n), nil
 	}
@@ -94,7 +94,7 @@ func (b *oocBuilder) build(name string, sample *Presorted, depth int, classCount
 			return nil, err
 		}
 		b.store.Remove(name)
-		nd := b.builder.build(recs, sample, depth)
+		nd := b.builder.build(Presort(b.schema, recs), sample, depth)
 		b.mem.Release(charge)
 		return nd, nil
 	}
@@ -129,10 +129,10 @@ func (b *oocBuilder) build(name string, sample *Presorted, depth int, classCount
 	leftSample, rightSample := sample.Split(b.schema, sp)
 	var leftStats, rightStats *NodeStats
 	if b.oocLargeChild(leftCounts, nl, depth+1) {
-		leftStats = NewNodeStats(b.schema, leftSample.Intervals(b.cfg.QForNode(nl, b.nRoot)))
+		leftStats = NewNodeStats(b.schema, leftSample.Intervals(b.cfg.NodeQ(nl, b.nRoot)))
 	}
 	if b.oocLargeChild(rightCounts, nr, depth+1) {
-		rightStats = NewNodeStats(b.schema, rightSample.Intervals(b.cfg.QForNode(nr, b.nRoot)))
+		rightStats = NewNodeStats(b.schema, rightSample.Intervals(b.cfg.NodeQ(nr, b.nRoot)))
 	}
 
 	b.nextID++
@@ -176,7 +176,7 @@ func (b *oocBuilder) build(name string, sample *Presorted, depth int, classCount
 // large-node path (neither a leaf, nor small, nor in-core), i.e. whether
 // fused statistics would be used.
 func (b *oocBuilder) oocLargeChild(counts []int64, n int64, depth int) bool {
-	if b.shouldStop(counts, n, depth) {
+	if b.cfg.ShouldStop(counts, n, depth) {
 		return false
 	}
 	if b.cfg.IsSmall(n, b.nRoot) {
@@ -186,14 +186,13 @@ func (b *oocBuilder) oocLargeChild(counts []int64, n int64, depth int) bool {
 	return !b.mem.Fits(bytes)
 }
 
-// streamSplit derives the splitting point of a disk-resident node with the
-// SS or SSE method, streaming the file for each required pass. fusedStats,
-// when non-nil, replaces the statistics scan.
+// streamSplit derives the splitting point of a disk-resident node under
+// cfg.Split, streaming the file for each required pass. fusedStats, when
+// non-nil, replaces the statistics scan.
 func (b *oocBuilder) streamSplit(name string, sample *Presorted, n int64, fusedStats *NodeStats) (Candidate, error) {
-	b.stats.LargeNodes++
 	ns := fusedStats
 	if ns == nil {
-		ns = NewNodeStats(b.schema, sample.Intervals(b.cfg.QForNode(n, b.nRoot)))
+		ns = NewNodeStats(b.schema, sample.Intervals(b.cfg.NodeQ(n, b.nRoot)))
 		if _, err := ScanBatches(b.store, name, func(bt *Batch) error {
 			ns.AddBatch(bt, nil)
 			return nil
@@ -202,18 +201,25 @@ func (b *oocBuilder) streamSplit(name string, sample *Presorted, n int64, fusedS
 		}
 		b.stats.RecordReads += n
 	}
-
-	best := BestBoundarySplit(ns)
-	if b.cfg.Method == SS {
-		return best, nil
-	}
-	// Second streaming pass: collect alive-interval points (the paper
-	// assumes each alive interval fits in main memory).
-	return b.refineAlive(ns, best, n, func(col *AliveCollector) error {
-		_, err := ScanBatches(b.store, name, func(bt *Batch) error {
+	// The SSE alive points take a second streaming pass (the paper assumes
+	// each alive interval fits in main memory).
+	return b.splitLarge(ns, func(alive []AliveInterval) ([][]Point, error) {
+		capacity := make([]int64, len(alive))
+		for s, ai := range alive {
+			capacity[s] = ai.Count
+		}
+		col := NewAliveCollector(ns.Intervals(), alive, capacity)
+		if _, err := ScanBatches(b.store, name, func(bt *Batch) error {
 			col.AddBatch(bt)
 			return nil
-		})
-		return err
+		}); err != nil {
+			return nil, err
+		}
+		runs := make([][]Point, len(alive))
+		for s := range runs {
+			runs[s] = col.Points(s)
+			SortPoints(runs[s])
+		}
+		return runs, nil
 	})
 }

@@ -9,8 +9,8 @@ import (
 
 // The point-sort kernel: every sort of (value, class) points in the build —
 // presorting a sample or a rank's share (Presort), the exact search inside
-// an alive interval (EvaluateInterval), and a streaming rank's alive runs
-// before they are shipped — orders by value alone, NaN last, through one
+// an alive interval (EvaluateInterval), and a streamed node's alive runs
+// before they are searched or shipped — orders by value alone, NaN last, through one
 // LSD radix sort on order-preserving integer keys. The order of equal
 // values is unspecified: class order within a tie cannot change a
 // candidate, because the exact search evaluates only at the last point of

@@ -13,12 +13,14 @@ import (
 // Presorted is a node's rows together with, for every numeric attribute,
 // the same rows ordered by that attribute's value, NaN last: the attribute
 // lists of SPRINT (Shafer, Agrawal & Mehta, VLDB 1996), which the paper
-// calls the attribute-based approach. It is built once — for a small
-// task's records, for a build's sample, for a resident pCLOUDS rank's
-// share — and Split divides it with a stable partition at every node, so
-// each child inherits sorted columns without sorting again. The direct
-// method scans the columns, and a node's interval structures are read off
-// them (Intervals).
+// calls the attribute-based approach. It is built once — for an in-core
+// build's records, an in-memory out-of-core node's, a small task's, a
+// build's sample, a resident pCLOUDS rank's share — and Split divides it
+// with a stable partition at every node, so each child inherits sorted
+// columns without sorting again. The direct method scans the columns, a
+// large node's statistics and alive points are read off them
+// (AccumulateStats, Range), and so are its interval structures
+// (Intervals).
 type Presorted struct {
 	recs []record.Record // every row of the presorted root; never modified
 	rows []int32         // this node's rows (indices into recs), in root order
@@ -147,6 +149,17 @@ func (p *Presorted) Intervals(q int) []*histogram.Intervals {
 		out[j] = histogram.FromSorted(vals, q)
 	}
 	return out
+}
+
+// DirectSplit finds the exact best split of an in-memory record set with
+// the paper's direct method: it sorts the points along every numeric
+// attribute, computes the gini index at every distinct value, and evaluates
+// the best categorical subset per categorical attribute. It presorts this
+// one node; the builders presort an in-memory root once and split the
+// sorted columns instead (Presorted). The returned candidate obeys the
+// deterministic total order.
+func DirectSplit(schema *record.Schema, recs []record.Record) Candidate {
+	return Presort(schema, recs).directSplit(schema)
 }
 
 // directSplit is the direct method over the node's presorted columns: the

@@ -17,15 +17,16 @@ import (
 // builder, the way Tree.Classify serves the compiled walk: perNodeSortBuild
 // is the recursion the builders ran before presorting — every small node
 // sorts its records along every numeric attribute (directSplitPerNodeSort),
-// every large node builds its interval structures from a freshly sorted
-// sample (BuildIntervals), and records and samples are split with
-// PartitionRecords.
+// every large node counts its records row by row over interval structures
+// built from a freshly sorted sample (BuildIntervals) and collects its
+// alive points row by row (AliveCollector.Add), and records and samples
+// are split with PartitionRecords.
 
 type oracleBuilder struct{ builder }
 
 // perNodeSortBuild builds the subtree BuildSubtree builds, the old way.
 func perNodeSortBuild(cfg Config, schema *record.Schema, recs, sample []record.Record, depth int, nRoot int64) (*tree.Node, *BuildStats) {
-	b := &oracleBuilder{builder{cfg: cfg.withDefaults(), schema: schema, nRoot: nRoot}}
+	b := &oracleBuilder{builder{cfg: cfg.WithDefaults(), schema: schema, nRoot: nRoot}}
 	nd := b.build(recs, sample, depth)
 	return nd, &b.stats
 }
@@ -39,7 +40,7 @@ func (b *oracleBuilder) build(recs, sample []record.Record, depth int) *tree.Nod
 	for _, r := range recs {
 		classCounts[r.Class]++
 	}
-	if b.shouldStop(classCounts, n, depth) {
+	if b.cfg.ShouldStop(classCounts, n, depth) {
 		return b.leaf(classCounts, n)
 	}
 	var cand Candidate
@@ -48,7 +49,6 @@ func (b *oracleBuilder) build(recs, sample []record.Record, depth int) *tree.Nod
 		b.stats.RecordReads += n
 		cand = directSplitPerNodeSort(b.schema, recs)
 	} else {
-		b.stats.LargeNodes++
 		cand = b.largeSplit(recs, sample, n)
 	}
 	if !cand.Valid {
@@ -69,25 +69,52 @@ func (b *oracleBuilder) build(recs, sample []record.Record, depth int) *tree.Nod
 	return nd
 }
 
-// largeSplit is the SS/SSE method with the node's intervals from a freshly
-// sorted sample.
+// largeSplit counts the node's records row by row over intervals from a
+// freshly sorted sample, and collects alive points row by row.
 func (b *oracleBuilder) largeSplit(recs, sample []record.Record, n int64) Candidate {
-	ns := NewNodeStats(b.schema, BuildIntervals(b.schema, sample, b.cfg.QForNode(n, b.nRoot)))
+	ns := NewNodeStats(b.schema, BuildIntervals(b.schema, sample, b.cfg.NodeQ(n, b.nRoot)))
 	for _, r := range recs {
 		ns.Add(r)
 	}
 	b.stats.RecordReads += n
-	best := BestBoundarySplit(ns)
-	if b.cfg.Method == SS {
-		return best
-	}
-	best, _ = b.refineAlive(ns, best, n, func(col *AliveCollector) error {
+	best, _ := b.splitLarge(ns, func(alive []AliveInterval) ([][]Point, error) {
+		col := NewAliveCollector(ns.Intervals(), alive, make([]int64, len(alive)))
 		for i := range recs {
 			col.Add(&recs[i])
 		}
-		return nil
+		runs := make([][]Point, len(alive))
+		for s := range runs {
+			runs[s] = col.Points(s)
+			SortPoints(runs[s])
+		}
+		return runs, nil
 	})
 	return best
+}
+
+// Add routes one record's numeric values into the alive slots they hit:
+// the row-by-row collection AddBatch must match.
+func (c *AliveCollector) Add(rec *record.Record) {
+	for a := range c.attrs {
+		at := &c.attrs[a]
+		v := rec.Num[at.j]
+		if s := at.slot[at.iv.Locate(v)]; s >= 0 {
+			c.slots[s] = append(c.slots[s], Point{V: v, Class: rec.Class})
+		}
+	}
+}
+
+// PartitionRecords splits recs by the splitter; order within each side is
+// preserved.
+func PartitionRecords(schema *record.Schema, recs []record.Record, sp *tree.Splitter) (left, right []record.Record) {
+	for _, r := range recs {
+		if sp.GoesLeft(schema, r) {
+			left = append(left, r)
+		} else {
+			right = append(right, r)
+		}
+	}
+	return left, right
 }
 
 // directSplitPerNodeSort is the direct method with its own sort: the points

@@ -67,6 +67,16 @@ func NewNodeStats(schema *record.Schema, intervals []*histogram.Intervals) *Node
 	return ns
 }
 
+// Intervals returns the interval structures the statistics count over, one
+// per numeric attribute in schema numeric order.
+func (ns *NodeStats) Intervals() []*histogram.Intervals {
+	out := make([]*histogram.Intervals, len(ns.Numeric))
+	for j, nst := range ns.Numeric {
+		out[j] = nst.Intervals
+	}
+	return out
+}
+
 // Add accumulates one record into the statistics.
 func (ns *NodeStats) Add(rec record.Record) {
 	ns.N++

@@ -142,7 +142,7 @@ func (b *pbuilder) aliveBatch(batch []*levelNode, out []clouds.Candidate) error 
 			}
 			continue
 		}
-		col := clouds.NewAliveCollector(intervalsOf(n.local), n.alive, capacity)
+		col := clouds.NewAliveCollector(n.local.Intervals(), n.alive, capacity)
 		if !pass.scan(n.t.file, func(bt *clouds.Batch) error {
 			col.AddBatch(bt)
 			return nil

@@ -86,7 +86,7 @@ func (b *pbuilder) reduceLevelStats(nodes []*levelNode, op func(a, b int64) int6
 	}
 	global := make([]*clouds.NodeStats, len(nodes))
 	for i, n := range nodes {
-		global[i] = clouds.NewNodeStats(b.schema, intervalsOf(n.local))
+		global[i] = clouds.NewNodeStats(b.schema, n.local.Intervals())
 		if err := global[i].Unflatten(flat[:global[i].FlatLen()]); err != nil {
 			return nil, err
 		}

@@ -99,7 +99,7 @@ func (b *pbuilder) splitsVote(nodes []*levelNode) error {
 		if len(elected[i]) == 0 {
 			continue
 		}
-		global := clouds.NewNodeStats(b.schema, intervalsOf(n.local))
+		global := clouds.NewNodeStats(b.schema, n.local.Intervals())
 		global.N = n.t.n
 		copy(global.Class, n.t.classCounts)
 		size := global.AttrFlatLen(elected[i])

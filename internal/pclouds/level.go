@@ -6,7 +6,6 @@ import (
 	"pclouds/internal/clouds"
 	"pclouds/internal/comm"
 	"pclouds/internal/gini"
-	"pclouds/internal/histogram"
 	"pclouds/internal/tree"
 )
 
@@ -181,26 +180,6 @@ func (b *pbuilder) deriveSplits(nodes []*levelNode) error {
 	return err
 }
 
-// nodeIntervals builds the interval structures a node's statistics
-// accumulate over: the size-proportional QForNode count under SSE, the
-// fixed HistBins count under hist/vote.
-func (b *pbuilder) nodeIntervals(sample *clouds.Presorted, n int64) []*histogram.Intervals {
-	q := b.cfg.Clouds.QForNode(n, b.nRoot)
-	if b.cfg.Clouds.Split != clouds.SplitSSE {
-		q = b.cfg.Clouds.HistBins
-	}
-	return sample.Intervals(q)
-}
-
-// intervalsOf extracts the interval structures from a NodeStats.
-func intervalsOf(ns *clouds.NodeStats) []*histogram.Intervals {
-	out := make([]*histogram.Intervals, len(ns.Numeric))
-	for j, nst := range ns.Numeric {
-		out[j] = nst.Intervals
-	}
-	return out
-}
-
 // statsPass gives every node that has no fused statistics from its parent
 // (the root and resumed frontier tasks) one pass: over its file, or over
 // its sorted columns when the node is resident.
@@ -217,7 +196,7 @@ func (b *pbuilder) statsPass(nodes []*levelNode) error {
 	defer b.rec.Start("stats").End()
 	pass := &scanPass{b: b}
 	for _, n := range todo {
-		local := clouds.NewNodeStats(b.schema, b.nodeIntervals(n.t.sample, n.t.n))
+		local := clouds.NewNodeStats(b.schema, n.t.sample.Intervals(b.cfg.Clouds.NodeQ(n.t.n, b.nRoot)))
 		n.local = local
 		if d := n.t.data; d != nil {
 			d.AccumulateStats(local)
@@ -264,10 +243,10 @@ func (b *pbuilder) partitionLevel(nodes []*levelNode) ([]*nodeTask, error) {
 		leftSample, rightSample := t.sample.Split(b.schema, sp)
 		var leftStats, rightStats *clouds.NodeStats
 		if !b.cfg.Clouds.IsSmall(nl, b.nRoot) && !b.cfg.Clouds.ShouldStop(leftCounts, nl, t.depth+1) {
-			leftStats = clouds.NewNodeStats(b.schema, b.nodeIntervals(leftSample, nl))
+			leftStats = clouds.NewNodeStats(b.schema, leftSample.Intervals(b.cfg.Clouds.NodeQ(nl, b.nRoot)))
 		}
 		if !b.cfg.Clouds.IsSmall(nr, b.nRoot) && !b.cfg.Clouds.ShouldStop(rightCounts, nr, t.depth+1) {
-			rightStats = clouds.NewNodeStats(b.schema, b.nodeIntervals(rightSample, nr))
+			rightStats = clouds.NewNodeStats(b.schema, rightSample.Intervals(b.cfg.Clouds.NodeQ(nr, b.nRoot)))
 		}
 
 		b.nextID++

@@ -706,7 +706,7 @@ func (e *engine) growFrontier() error {
 	off := 0
 	for _, fl := range e.frontier {
 		n := fl.stats.FlatLen()
-		global := clouds.NewNodeStats(e.cfg.Schema, intervalsOf(fl.stats))
+		global := clouds.NewNodeStats(e.cfg.Schema, fl.stats.Intervals())
 		if err := global.Unflatten(gflat[off : off+n]); err != nil {
 			return err
 		}
@@ -794,16 +794,6 @@ func misclassified(flat *tree.Compiled, recs []record.Record) int64 {
 		}
 	}
 	return n
-}
-
-// intervalsOf extracts the interval structures of a NodeStats, preserving
-// schema numeric order — the shape needed to allocate a mergeable twin.
-func intervalsOf(ns *clouds.NodeStats) []*histogram.Intervals {
-	out := make([]*histogram.Intervals, len(ns.Numeric))
-	for j, nst := range ns.Numeric {
-		out[j] = nst.Intervals
-	}
-	return out
 }
 
 func treeShape(t *tree.Tree) string {
