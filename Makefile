@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all check build fmt vet vet-concurrency test race chaos chaos-quick fuzz experiments examples cover scrub outputs clean
+.PHONY: all check build fmt vet vet-concurrency test race chaos chaos-quick fuzz kernel-bench experiments examples cover scrub outputs clean
 
 all: build vet test
 
@@ -9,8 +9,9 @@ all: build vet test
 # every benchmark workload with its correctness gates), the
 # concurrency-heavy packages (the async I/O pipeline, transports and the
 # SPMD driver) under the race detector, the quick self-healing subset, and
-# the runnable examples, which no test runs.
-check: build fmt vet test race chaos-quick examples
+# the runnable examples, which no test runs, and one iteration of every
+# split-kernel benchmark.
+check: build fmt vet test race chaos-quick examples kernel-bench
 
 build:
 	$(GO) build ./...
@@ -97,6 +98,12 @@ fuzz:
 			$(GO) test -run='^$$' -fuzz="^$$target\$$" -fuzztime=10s ./$$(dirname $$file); \
 		done; \
 	done
+
+# One iteration of each split-kernel benchmark (the exact search, the
+# resident partition, the point sort and the batched statistics count), so
+# every kernel benchmark compiles and runs on every commit.
+kernel-bench:
+	$(GO) test -run '^$$' -bench 'EvaluateSorted|PresortedSplit|SortPoints|NodeStatsAddBatch' -benchtime 1x ./internal/clouds/
 
 # Offline integrity scrub: verify every checksum in the artifact
 # directories named by SCRUB_PATHS (out-of-core stores, checkpoint trees,

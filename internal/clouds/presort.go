@@ -103,33 +103,36 @@ func (p *Presorted) Split(schema *record.Schema, sp *tree.Splitter) (left, right
 
 	// Stable partition: left rows are compacted in place (the write index
 	// never passes the read index), right rows wait in scratch and are
-	// copied in after them.
-	nl, spill := 0, p.sc.rows[:0]
+	// copied in after them. Every entry is written to both places and the
+	// side it goes to advances, so no branch depends on the data.
+	nl, nr, spill := 0, 0, p.sc.rows[:n]
 	for _, r := range p.rows {
-		if goes[r] {
-			p.rows[nl] = r
-			nl++
-		} else {
-			spill = append(spill, r)
-		}
+		g := b2i(goes[r])
+		p.rows[nl], spill[nr] = r, r
+		nl, nr = nl+g, nr+1-g
 	}
-	copy(p.rows[nl:], spill)
+	copy(p.rows[nl:], spill[:nr])
 	left = &Presorted{recs: p.recs, rows: p.rows[:nl:nl], cols: make([][]Point, len(p.cols)), sc: p.sc}
 	right = &Presorted{recs: p.recs, rows: p.rows[nl:], cols: make([][]Point, len(p.cols)), sc: p.sc}
 	for j, col := range p.cols {
-		k, spill := 0, p.sc.pts[:0]
+		k, nr, spill := 0, 0, p.sc.pts[:n]
 		for _, e := range col {
-			if goes[e.Row] {
-				col[k] = e
-				k++
-			} else {
-				spill = append(spill, e)
-			}
+			g := b2i(goes[e.Row])
+			col[k], spill[nr] = e, e
+			k, nr = k+g, nr+1-g
 		}
-		copy(col[k:], spill)
+		copy(col[k:], spill[:nr])
 		left.cols[j], right.cols[j] = col[:k:k], col[k:]
 	}
 	return left, right
+}
+
+// b2i is 1 for true and 0 for false, compiled without a branch.
+func b2i(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
 }
 
 // Intervals builds the node's interval structures, q intervals per numeric

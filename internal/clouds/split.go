@@ -151,12 +151,15 @@ func DecodeCandidate(src []byte) (Candidate, error) {
 // belong to the interval left of it); the last interval has no boundary.
 // The sequential builders pass an attribute's whole range (first 0, before
 // zero); pCLOUDS passes the run a rank owns under its replication scheme.
+// Cuts strictly increase, so a later boundary wins only on a strictly
+// smaller gini: the search keeps its best as scalars and builds one
+// candidate at the end.
 func BestBoundaryInRun(attr int, cuts []float64, first int, rows [][]int64, before, total []int64, nTotal int64) Candidate {
-	best := Candidate{Valid: false, Gini: math.Inf(1)}
 	left := gini.Clone(before)
 	right := make([]int64, len(total))
 	bestLeft := make([]int64, len(total))
-	nLeft := gini.Sum(left)
+	nLeft, sumTotal := gini.Sum(left), gini.Sum(total)
+	bestK, bestGini, bestN := -1, math.Inf(1), int64(0)
 	for k, row := range rows {
 		gini.Add(left, row)
 		nLeft += gini.Sum(row)
@@ -166,23 +169,16 @@ func BestBoundaryInRun(attr int, cuts []float64, first int, rows [][]int64, befo
 		for i := range right {
 			right[i] = total[i] - left[i]
 		}
-		cand := Candidate{
-			Valid:     true,
-			Gini:      gini.SplitIndex(left, right),
-			Attr:      attr,
-			Kind:      tree.NumericSplit,
-			Threshold: cuts[first+k],
-			LeftN:     nLeft,
-		}
-		if cand.Better(best) {
+		if g := gini.SplitIndexN(left, right, nLeft, sumTotal-nLeft); bestK < 0 || g < bestGini {
+			bestK, bestGini, bestN = k, g, nLeft
 			copy(bestLeft, left)
-			best = cand
 		}
 	}
-	if best.Valid {
-		best.LeftCounts = bestLeft
+	if bestK < 0 {
+		return Candidate{Valid: false, Gini: math.Inf(1)}
 	}
-	return best
+	return Candidate{Valid: true, Gini: bestGini, Attr: attr, Kind: tree.NumericSplit,
+		Threshold: cuts[first+bestK], LeftN: bestN, LeftCounts: bestLeft}
 }
 
 // BestCategorical evaluates one categorical attribute's subset split from
@@ -362,23 +358,27 @@ func EvaluateInterval(attr int, leftBefore, total []int64, pts []Point) Candidat
 // EvaluateSorted is the exact search over points already in value order,
 // NaN last: the gini at the last point of every distinct value. It serves
 // EvaluateInterval, the parallel build's merged alive runs and, over a
-// whole presorted column, the direct method.
+// whole presorted column, the direct method. One call fixes the attribute
+// and its thresholds strictly increase, so a later value wins only on a
+// strictly smaller gini: the loop keeps the best gini, its point and its
+// left counts as scalars and a copy, and builds one candidate at the end.
 // A zero threshold is stored as +0: -0 and +0 tie, so the last point of a
 // tie is either one depending on input order, and the threshold's bytes
 // must not depend on it (both route every record the same way).
 func EvaluateSorted(attr int, leftBefore, total []int64, pts []Point) Candidate {
-	best := Candidate{Valid: false, Gini: math.Inf(1)}
 	if len(pts) == 0 {
-		return best
+		return Candidate{Valid: false, Gini: math.Inf(1)}
 	}
 	nTotal := gini.Sum(total)
 	c := len(total)
 	buf := make([]int64, 3*c)
 	left, right, bestLeft := buf[:c:c], buf[c:2*c:2*c], buf[2*c:]
 	copy(left, leftBefore)
-	var nLeft int64 = gini.Sum(leftBefore)
+	nLeft := gini.Sum(leftBefore)
+	bestI, bestGini, bestN := -1, math.Inf(1), int64(0)
 	for i := 0; i < len(pts); i++ {
-		if pts[i].V != pts[i].V {
+		v := pts[i].V
+		if v != v {
 			// NaN sorts last and satisfies no "attr <= v" test: neither it
 			// nor anything after it can move left.
 			break
@@ -386,7 +386,7 @@ func EvaluateSorted(attr int, leftBefore, total []int64, pts []Point) Candidate 
 		left[pts[i].Class]++
 		nLeft++
 		// Only evaluate at the last occurrence of each distinct value.
-		if i+1 < len(pts) && pts[i+1].V == pts[i].V {
+		if i+1 < len(pts) && pts[i+1].V == v {
 			continue
 		}
 		if nLeft == 0 || nLeft == nTotal {
@@ -395,25 +395,18 @@ func EvaluateSorted(attr int, leftBefore, total []int64, pts []Point) Candidate 
 		for k := range right {
 			right[k] = total[k] - left[k]
 		}
-		threshold := pts[i].V
-		if threshold == 0 {
-			threshold = 0 // -0 becomes +0
-		}
-		cand := Candidate{
-			Valid:     true,
-			Gini:      gini.SplitIndex(left, right),
-			Attr:      attr,
-			Kind:      tree.NumericSplit,
-			Threshold: threshold,
-			LeftN:     nLeft,
-		}
-		if cand.Better(best) {
+		if g := gini.SplitIndexN(left, right, nLeft, nTotal-nLeft); bestI < 0 || g < bestGini {
+			bestI, bestGini, bestN = i, g, nLeft
 			copy(bestLeft, left)
-			best = cand
 		}
 	}
-	if best.Valid {
-		best.LeftCounts = bestLeft
+	if bestI < 0 {
+		return Candidate{Valid: false, Gini: math.Inf(1)}
 	}
-	return best
+	threshold := pts[bestI].V
+	if threshold == 0 {
+		threshold = 0 // -0 becomes +0
+	}
+	return Candidate{Valid: true, Gini: bestGini, Attr: attr, Kind: tree.NumericSplit,
+		Threshold: threshold, LeftN: bestN, LeftCounts: bestLeft}
 }

@@ -12,22 +12,7 @@ import (
 
 // Index returns the gini impurity 1 - sum_i (c_i/n)^2 of a class-frequency
 // vector. An empty vector has impurity 0 by convention.
-func Index(counts []int64) float64 {
-	var n int64
-	for _, c := range counts {
-		n += c
-	}
-	if n == 0 {
-		return 0
-	}
-	sumSq := 0.0
-	fn := float64(n)
-	for _, c := range counts {
-		f := float64(c) / fn
-		sumSq += f * f
-	}
-	return 1 - sumSq
-}
+func Index(counts []int64) float64 { return indexN(counts, Sum(counts)) }
 
 // SplitIndex returns the size-weighted gini of a binary partition with the
 // given left and right class-frequency vectors:
@@ -49,6 +34,32 @@ func SplitIndex(left, right []int64) float64 {
 	}
 	fn := float64(n)
 	return float64(nl)/fn*Index(left) + float64(nr)/fn*Index(right)
+}
+
+// SplitIndexN is SplitIndex for a caller that already holds the two sides'
+// totals, nl = Sum(left) and nr = Sum(right): the same expression over the
+// same per-class terms, so the same bits, without re-summing either vector.
+func SplitIndexN(left, right []int64, nl, nr int64) float64 {
+	n := nl + nr
+	if n == 0 {
+		return 0
+	}
+	fn := float64(n)
+	return float64(nl)/fn*indexN(left, nl) + float64(nr)/fn*indexN(right, nr)
+}
+
+// indexN is Index of a vector whose total n is known.
+func indexN(counts []int64, n int64) float64 {
+	if n == 0 {
+		return 0
+	}
+	sumSq := 0.0
+	fn := float64(n)
+	for _, c := range counts {
+		f := float64(c) / fn
+		sumSq += f * f
+	}
+	return 1 - sumSq
 }
 
 // Sum returns the total count of a frequency vector.

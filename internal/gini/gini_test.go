@@ -340,3 +340,27 @@ func TestBestSubsetLargeCardinalityManyClasses(t *testing.T) {
 		t.Fatalf("degenerate subset %v", ss.InLeft)
 	}
 }
+
+// TestSplitIndexNBitIdentical: given the sums of its two vectors,
+// SplitIndexN returns SplitIndex's bits exactly, over random count vectors
+// of 2–16 classes with empty, sparse and large counts on either side.
+func TestSplitIndexNBitIdentical(t *testing.T) {
+	rng := rand.New(rand.NewSource(41))
+	for it := 0; it < 20000; it++ {
+		c := 2 + rng.Intn(15)
+		left, right := make([]int64, c), make([]int64, c)
+		scale := []int64{0, 1, 3, 100, 1 << 20, 1 << 40}[rng.Intn(6)]
+		for i := range left {
+			if scale > 0 && rng.Intn(3) > 0 {
+				left[i] = rng.Int63n(scale + 1)
+			}
+			if scale > 0 && rng.Intn(3) > 0 {
+				right[i] = rng.Int63n(scale + 1)
+			}
+		}
+		want := SplitIndex(left, right)
+		if got := SplitIndexN(left, right, Sum(left), Sum(right)); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("SplitIndexN(%v, %v) = %v (%#x), SplitIndex %v (%#x)", left, right, got, math.Float64bits(got), want, math.Float64bits(want))
+		}
+	}
+}

@@ -104,6 +104,18 @@ func (b *pbuilder) aliveBatch(batch []*levelNode, out []clouds.Candidate) error 
 	}
 	owner := assignIntervals(list, p)
 
+	// A resident run this rank searches is copied into room carved from
+	// one scratch that every batch and level reuses.
+	var owned int64
+	for g, la := range list {
+		if owner[g] == rank && batch[la.node].t.data != nil {
+			owned += la.Count
+		}
+	}
+	if int64(cap(b.ownedPts)) < owned {
+		b.ownedPts = make([]clouds.Point, owned)
+	}
+
 	// This rank's points of every alive interval, as one value-sorted run
 	// each. The statistics pass already counted them per interval, so every
 	// slot is sized up front: a slot this rank will search itself gets room
@@ -114,7 +126,7 @@ func (b *pbuilder) aliveBatch(batch []*levelNode, out []clouds.Candidate) error 
 	pass := &scanPass{b: b}
 	runs := make([][]clouds.Point, len(list))
 	sendBytes := make([]int, p)
-	g := 0
+	g, carved := 0, 0
 	for _, n := range batch {
 		first := g
 		capacity := make([]int64, len(n.alive))
@@ -136,7 +148,9 @@ func (b *pbuilder) aliveBatch(batch []*levelNode, out []clouds.Candidate) error 
 						n.t.id, ai.Interval, ai.AttrJ, len(run), localN))
 				}
 				if owner[first+s] == rank {
-					run = append(make([]clouds.Point, 0, capacity[s]), run...)
+					end := carved + int(capacity[s])
+					run = append(b.ownedPts[carved:carved:end], run...)
+					carved = end
 				}
 				runs[first+s] = run
 			}
@@ -159,12 +173,19 @@ func (b *pbuilder) aliveBatch(batch []*levelNode, out []clouds.Candidate) error 
 	}
 
 	// One all-to-all ships every run to its interval's assignee; the run
-	// this rank keeps is never encoded.
-	parts := make([][]byte, p)
+	// this rank keeps is never encoded. Send does not retain its data, so
+	// the frames are carved from one scratch the builder reuses too.
+	var frames int
+	for _, n := range sendBytes {
+		frames += n
+	}
+	if cap(b.sendBuf) < frames {
+		b.sendBuf = make([]byte, frames)
+	}
+	parts, off := make([][]byte, p), 0
 	for d := range parts {
-		if d != rank {
-			parts[d] = make([]byte, 0, sendBytes[d])
-		}
+		parts[d] = b.sendBuf[off : off : off+sendBytes[d]]
+		off += sendBytes[d]
 	}
 	ends := make([][]int, len(list))
 	for g, run := range runs {

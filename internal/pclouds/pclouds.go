@@ -256,6 +256,11 @@ type pbuilder struct {
 	// sorter orders alive points and merges their runs (aliveBatch),
 	// reusing its scratch across intervals and levels.
 	sorter clouds.PointSorter
+	// ownedPts and sendBuf are the room aliveBatch carves a resident
+	// rank's searched runs and its outgoing point frames from, reused
+	// across batches and levels.
+	ownedPts []clouds.Point
+	sendBuf  []byte
 	// Deferred frontier-file removal (checkpointed builds only): store
 	// files the build has let go of, deleted by pruneLevels once no
 	// retained checkpoint level names them. rootFile is the staged root,
