@@ -78,16 +78,19 @@ chaos-quick: vet
 # new target is picked up without touching this file. Two kinds today.
 # Differential kernel targets, where a fast path must equal its reference:
 # histogram.Locate against sort.SearchFloat64s, the compiled tree against
-# the pointer walk (every row must reach the same leaf), and the presorted
-# builder against the per-node sort (same tree bytes, same stats), and
-# resident ranks against streamed builds (same tree bytes, traffic and
-# counts). Decoder
+# the pointer walk (every row must reach the same leaf), the presorted
+# builder against the per-node sort (same tree bytes, same stats), resident
+# ranks against streamed builds (same tree bytes, traffic and counts), and
+# the stream frontier's sort-once cuts against per-leaf sorts (same cut
+# bits). Decoder
 # targets, where garbage must error and accepted bytes must re-encode
 # identically: the tree and model-file decoders, the prediction-server
 # request decoders (malformed JSON/binary rows must get a 4xx, never a
 # panic), the v2 record-block decoder (corrupt blocks must fail their CRC,
 # never decode silently), the wire frame reader, the ooc frame-stream
-# verifier, the stream window checkpoint and batch partial-tree and
+# verifier, the stream window checkpoint and peer sample-block decoders
+# (a sample record outside the schema must be refused), the batch
+# partial-tree and
 # level-manifest checkpoint decoders, and the level-batched point-bucket,
 # alive-descriptor and candidate-vector decoders of the parallel build.
 fuzz:
@@ -100,10 +103,12 @@ fuzz:
 	done
 
 # One iteration of each split-kernel benchmark (the exact search, the
-# resident partition, the point sort and the batched statistics count), so
-# every kernel benchmark compiles and runs on every commit.
+# resident partition, the point sort and the batched statistics count) and
+# of the stream engine's window close, so every kernel benchmark compiles
+# and runs on every commit.
 kernel-bench:
 	$(GO) test -run '^$$' -bench 'EvaluateSorted|PresortedSplit|SortPoints|NodeStatsAddBatch' -benchtime 1x ./internal/clouds/
+	$(GO) test -run '^$$' -bench 'WindowClose' -benchtime 1x -benchmem ./internal/stream/
 
 # Offline integrity scrub: verify every checksum in the artifact
 # directories named by SCRUB_PATHS (out-of-core stores, checkpoint trees,

@@ -110,3 +110,46 @@ func TestCheckpointDriftStateRoundTrip(t *testing.T) {
 		t.Fatalf("empty state round-tripped as %+v", got2)
 	}
 }
+
+// FuzzDecodeSamples hammers the decoder of the window sample blocks peers
+// all-gather at every close: garbage must error, never panic; a record
+// outside the schema must be refused; and an accepted block must re-encode
+// byte-identically.
+func FuzzDecodeSamples(f *testing.F) {
+	schema := datagen.Schema()
+	g, err := datagen.New(datagen.Config{Function: 2, Seed: 5})
+	if err != nil {
+		f.Fatal(err)
+	}
+	recs := g.Generate(3).Records
+	good := encodeSamples([]int64{0, 8, 1 << 40}, recs, schema)
+	f.Add(good)
+	f.Add(encodeSamples(nil, nil, schema))
+	f.Add(good[:len(good)-1])
+	f.Add(good[:3])
+	f.Add([]byte{})
+	badClass := append([]byte(nil), good...)
+	badClass[len(badClass)-1] = 0x7f // the last record's class, high byte
+	f.Add(badClass)
+	inflated := append([]byte(nil), good...)
+	inflated[3] = 0xff // claim 2^24+ records
+	f.Add(inflated)
+
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		idxs, recs, err := decodeSamples(raw, schema)
+		if err != nil {
+			return
+		}
+		if len(idxs) != len(recs) {
+			t.Fatalf("%d indices for %d records", len(idxs), len(recs))
+		}
+		for i, r := range recs {
+			if err := r.Validate(schema); err != nil {
+				t.Fatalf("accepted record %d outside the schema: %v", i, err)
+			}
+		}
+		if re := encodeSamples(idxs, recs, schema); !bytes.Equal(re, raw) {
+			t.Fatalf("accepted %d bytes that re-encode to %d different bytes", len(raw), len(re))
+		}
+	})
+}

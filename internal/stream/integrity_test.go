@@ -6,6 +6,7 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -217,5 +218,55 @@ func TestCheckpointEveryBitFlipDetected(t *testing.T) {
 	}
 	if got.window != 1 {
 		t.Fatalf("recovered window %d, want degradation to 1", got.window)
+	}
+}
+
+// TestOutOfSchemaRecordFailsEveryRank: a tailed record whose class or
+// categorical value lies outside the schema stops every rank with an error
+// naming its global index (at the same record, so no rank is left waiting
+// in a collective), instead of indexing a sketch with it.
+func TestOutOfSchemaRecordFailsEveryRank(t *testing.T) {
+	const n, bad = 1000, 250 // record 250 falls in window 1, a grown window
+	for _, tc := range []struct {
+		name  string
+		spoil func(*record.Record)
+	}{
+		{"class", func(r *record.Record) { r.Class = 7 }},
+		{"categorical", func(r *record.Record) { r.Cat[0] = 99 }},
+	} {
+		for _, p := range []int{1, 2} {
+			g, err := datagen.New(datagen.Config{Function: 2, Seed: 42})
+			if err != nil {
+				t.Fatal(err)
+			}
+			d := g.Generate(n)
+			tc.spoil(&d.Records[bad])
+			var buf bytes.Buffer
+			if err := d.WriteBinaryV2(&buf, 1); err != nil {
+				t.Fatal(err)
+			}
+			path := filepath.Join(t.TempDir(), "stream.bin")
+			if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			cfg := testConfig(t)
+			cfg.PublishDir = t.TempDir()
+			errs := make([]error, p)
+			comm.Run(p, costmodel.Zero(), func(c *comm.ChannelComm) error {
+				src, err := TailFile(d.Schema, path, TailOptions{Poll: time.Millisecond, Limit: n})
+				if err != nil {
+					errs[c.Rank()] = err
+					return err
+				}
+				defer src.Close()
+				_, errs[c.Rank()] = Run(cfg, c, src)
+				return errs[c.Rank()]
+			})
+			for r, err := range errs {
+				if err == nil || !strings.Contains(err.Error(), "global record 250") {
+					t.Errorf("%s, p=%d: rank %d returned %v, want an error naming global record 250", tc.name, p, r, err)
+				}
+			}
+		}
 	}
 }

@@ -14,9 +14,10 @@
 //	          checkpoint every rank still holds and can load; replay the
 //	          source to the agreed high-water mark, or fresh-start from
 //	          record 0.
-//	ingest    scan the global stream; own records with index % p == rank;
-//	          accumulate owned records into per-frontier-leaf sketches and
-//	          a 1-in-SampleEvery reservoir sample.
+//	ingest    scan the global stream, failing on a record outside the
+//	          schema; own records with index % p == rank; accumulate
+//	          owned records into per-frontier-leaf sketches and a
+//	          1-in-SampleEvery reservoir sample.
 //	close     exchange window samples (all-gather, merged in global index
 //	          order), then either refresh — rebuild via clouds.BuildInCore
 //	          over the replicated reservoir, identically on every rank —
@@ -42,6 +43,7 @@ import (
 	"errors"
 	"fmt"
 	"path/filepath"
+	"slices"
 	"sort"
 	"time"
 
@@ -237,12 +239,21 @@ type engine struct {
 	tree      *tree.Tree
 	reservoir []record.Record
 
-	// frontier lists the tree's leaves in preorder; flat is the tree
-	// compiled when the frontier was built, and frontierOf maps each of its
-	// leaf indices to that leaf's frontier position.
+	// frontier lists the tree's leaves in preorder; frontierOf maps each
+	// leaf index of flat to that leaf's frontier position. flat is e.tree
+	// compiled, or nil when the tree changed since: the close that scores
+	// the holdout compiles its model once, and the next window's frontier
+	// routes through that same compile.
 	frontier   []*frontierLeaf
 	flat       *tree.Compiled
 	frontierOf []int32
+
+	// Window-close scratch, reused across windows: the frontier cut
+	// construction's buffers, the sketch all-reduce vector, and the
+	// holdout scoring's class output.
+	cuts    cutScratch
+	sketch  []int64
+	classes []int32
 
 	// winSampleIdx/winSample accumulate this rank's owned reservoir
 	// candidates for the current window; cleared by mergeSamples.
@@ -360,7 +371,7 @@ func (e *engine) loop() error {
 		if !willRefresh {
 			e.buildFrontier()
 		} else {
-			e.frontier, e.flat, e.frontierOf = nil, nil, nil
+			e.frontier, e.frontierOf = nil, nil
 		}
 		scanned, streamEnd, err := e.ingestWindow()
 		if err != nil {
@@ -392,6 +403,11 @@ func (e *engine) ingestWindow() (scanned int64, streamEnd bool, err error) {
 			return ok, err
 		}
 		idx := e.nextIdx
+		// Every rank scans every record, so every rank refuses a record
+		// outside the schema at the same index, before any collective.
+		if err := rec.Validate(e.cfg.Schema); err != nil {
+			return false, fmt.Errorf("stream: global record %d: %w", idx, err)
+		}
 		e.nextIdx++
 		scanned++
 		e.stats.Scanned++
@@ -475,36 +491,105 @@ func (e *engine) route(rec record.Record) int {
 	return int(e.frontierOf[e.flat.Leaf(rec)])
 }
 
-// buildFrontier compiles the tree, enumerates its leaves in preorder and
-// allocates a window sketch per leaf. Each leaf's bin edges are its
-// reservoir share's quantile cuts merged (histogram.Merge) with the global
-// attribute grid, so a leaf whose reservoir share is tiny still has
-// candidate boundaries. A leaf's share is the reservoir records routed to
-// it, in reservoir order. Everything here is a deterministic function of
-// replicated state, so all ranks build identical shapes — the precondition
-// for the flat sketch all-reduce.
+// buildFrontier enumerates the tree's leaves in preorder and allocates a
+// window sketch per leaf. Each leaf's bin edges are its reservoir share's
+// quantile cuts merged (histogram.Merge) with the global attribute grid, so
+// a leaf whose reservoir share is tiny still has candidate boundaries; a
+// leaf's share is the reservoir records routed to it (frontierIntervals).
+// Everything here is a deterministic function of replicated state, so all
+// ranks build identical shapes — the precondition for the flat sketch
+// all-reduce.
 func (e *engine) buildFrontier() {
-	grid := clouds.BuildIntervals(e.cfg.Schema, e.reservoir, e.cfg.Clouds.HistBins)
-	e.flat = tree.Compile(e.tree)
-	shares := make([][]record.Record, e.flat.NumNodes())
-	for _, r := range e.reservoir {
-		leaf := e.flat.Leaf(r)
-		shares[leaf] = append(shares[leaf], r)
+	if e.flat == nil {
+		e.flat = tree.Compile(e.tree)
 	}
+	e.frontierOf = resized(e.frontierOf, e.flat.NumNodes())
 	e.frontier = e.frontier[:0]
-	e.frontierOf = make([]int32, len(shares))
 	i := 0 // the preorder index Walk is at, the compiled node index
 	e.tree.Walk(func(n *tree.Node, depth int) {
 		if n.IsLeaf() {
-			leafIv := clouds.BuildIntervals(e.cfg.Schema, shares[i], e.cfg.Clouds.HistBins)
-			for j := range leafIv {
-				leafIv[j] = histogram.Merge(leafIv[j], grid[j])
-			}
 			e.frontierOf[i] = int32(len(e.frontier))
-			e.frontier = append(e.frontier, &frontierLeaf{node: n, depth: depth, stats: clouds.NewNodeStats(e.cfg.Schema, leafIv)})
+			e.frontier = append(e.frontier, &frontierLeaf{node: n, depth: depth})
 		}
 		i++
 	})
+	leafOf := resized(e.cuts.leafOf, len(e.reservoir))
+	for k, r := range e.reservoir {
+		leafOf[k] = int32(e.route(r))
+	}
+	e.cuts.leafOf = leafOf
+	ivs := frontierIntervals(e.cfg.Schema, e.reservoir, leafOf, len(e.frontier), e.cfg.Clouds.HistBins, &e.cuts)
+	nNum := e.cfg.Schema.NumNumeric()
+	for l, fl := range e.frontier {
+		fl.stats = clouds.NewNodeStats(e.cfg.Schema, ivs[l*nNum:(l+1)*nNum])
+	}
+}
+
+// resized returns buf at length n, reusing its array when it is large
+// enough; the contents are not cleared.
+func resized[T any](buf []T, n int) []T { return slices.Grow(buf[:0], n)[:n] }
+
+// cutScratch holds the frontier cut construction's buffers between
+// windows: each reservoir row's leaf, and frontierIntervals' own.
+type cutScratch struct {
+	leafOf      []int32
+	pts         []clouds.Point
+	all, shares []float64
+	start, next []int
+}
+
+// frontierIntervals returns the interval structures each of nLeaves
+// frontier leaves counts its sketch over, leaf l's numeric attributes at
+// [l*k, (l+1)*k) for k numeric attributes: the q-bin quantile cuts of the
+// rows routed to the leaf (leafOf[i] is row i's leaf) merged with the
+// q-bin cuts of all rows, the grid. Each column is sorted once
+// (clouds.SortPoints, NaN last) and one pass scatters it into the leaves'
+// shares, so every share arrives sorted and the cuts come from
+// histogram.FromSorted. The cuts are those of histogram.FromSample over
+// each share: both drop NaN, and FromSorted stores zero as +0, so the
+// order of tied values, the only thing the two sorts can disagree on,
+// reaches no cut.
+func frontierIntervals(schema *record.Schema, rows []record.Record, leafOf []int32, nLeaves, q int, s *cutScratch) []*histogram.Intervals {
+	n, nNum := len(rows), schema.NumNumeric()
+	// Leaf l's share is shares[start[l]:start[l+1]], filled up to next[l].
+	start := resized(s.start, nLeaves+1)
+	clear(start)
+	for _, l := range leafOf {
+		start[l+1]++
+	}
+	for l := range nLeaves {
+		start[l+1] += start[l]
+	}
+	next := resized(s.next, nLeaves)
+	pts := resized(s.pts, n)
+	all := resized(s.all, n)
+	shares := resized(s.shares, n)
+	s.start, s.next, s.pts, s.all, s.shares = start, next, pts, all, shares
+
+	out := make([]*histogram.Intervals, nLeaves*nNum)
+	for j := range nNum {
+		for i, r := range rows {
+			pts[i] = clouds.Point{V: r.Num[j], Row: int32(i)}
+		}
+		clouds.SortPoints(pts)
+		copy(next, start)
+		m := 0
+		for _, pt := range pts {
+			if pt.V != pt.V {
+				break // NaN sorts last: the rest are NaN too
+			}
+			all[m] = pt.V
+			m++
+			l := leafOf[pt.Row]
+			shares[next[l]] = pt.V
+			next[l]++
+		}
+		grid := histogram.FromSorted(all[:m], q)
+		for l := range nLeaves {
+			out[l*nNum+j] = histogram.Merge(histogram.FromSorted(shares[start[l]:next[l]], q), grid)
+		}
+	}
+	return out
 }
 
 // closeWindow runs the collective close: sample exchange, grow-or-refresh,
@@ -543,10 +628,14 @@ func (e *engine) closeWindow(refresh bool) error {
 	}
 	var candErr, lastErr int64
 	score := e.cfg.HoldoutEvery > 0 && e.tree != nil
+	// Growth or a refresh changed the tree; the compile that scores the
+	// candidate also routes the next window's frontier.
+	e.flat = nil
 	if score {
-		candErr = misclassified(tree.Compile(e.tree), holdout)
+		e.flat = tree.Compile(e.tree)
+		candErr = e.misclassified(e.flat, holdout)
 		if e.lastPubFlat != nil {
-			lastErr = misclassified(e.lastPubFlat, holdout)
+			lastErr = e.misclassified(e.lastPubFlat, holdout)
 		}
 	}
 	sums, err := comm.AllReduceInt64(e.c, []int64{ok, candErr, lastErr, int64(len(holdout))}, sumI64)
@@ -653,10 +742,12 @@ func (e *engine) mergeSamples() error {
 	for _, en := range entries {
 		e.reservoir = append(e.reservoir, en.rec)
 	}
-	if len(e.reservoir) > e.cfg.ReservoirCap {
-		trimmed := make([]record.Record, e.cfg.ReservoirCap)
-		copy(trimmed, e.reservoir[len(e.reservoir)-e.cfg.ReservoirCap:])
-		e.reservoir = trimmed
+	if over := len(e.reservoir) - e.cfg.ReservoirCap; over > 0 {
+		// Evict the oldest in place; nothing holds the reservoir across
+		// windows but e.reservoir itself.
+		n := copy(e.reservoir, e.reservoir[over:])
+		clear(e.reservoir[n:])
+		e.reservoir = e.reservoir[:n]
 	}
 	return nil
 }
@@ -688,38 +779,35 @@ func (e *engine) refreshTree() error {
 // conservation stays exact). Leaves that don't split absorb their window
 // counts; ancestors are recomputed bottom-up.
 func (e *engine) growFrontier() error {
-	flatLen := 0
+	e.sketch = e.sketch[:0]
 	for _, fl := range e.frontier {
-		flatLen += fl.stats.FlatLen()
+		e.sketch = fl.stats.AppendFlatten(e.sketch)
 	}
-	flat := make([]int64, 0, flatLen)
-	for _, fl := range e.frontier {
-		flat = append(flat, fl.stats.Flatten()...)
-	}
-	gflat, err := comm.AllReduceInt64(e.c, flat, histogram.MergeCount)
+	gflat, err := comm.AllReduceInt64(e.c, e.sketch, histogram.MergeCount)
 	if err != nil {
 		return err
 	}
-	e.stats.SketchBytes += 8 * int64(len(flat))
-	e.live.sketchBytes.Add(8 * int64(len(flat)))
+	e.stats.SketchBytes += 8 * int64(len(e.sketch))
+	e.live.sketchBytes.Add(8 * int64(len(e.sketch)))
 
+	// The merged counts replace each leaf's local ones in place: the
+	// frontier is rebuilt before the next window counts into it.
 	off := 0
 	for _, fl := range e.frontier {
 		n := fl.stats.FlatLen()
-		global := clouds.NewNodeStats(e.cfg.Schema, fl.stats.Intervals())
-		if err := global.Unflatten(gflat[off : off+n]); err != nil {
+		if err := fl.stats.Unflatten(gflat[off : off+n]); err != nil {
 			return err
 		}
 		off += n
-		e.applyLeaf(fl, global)
+		e.applyLeaf(fl)
 	}
 	recomputeCounts(e.tree.Root)
 	return nil
 }
 
 // applyLeaf folds one leaf's merged window statistics into the tree.
-func (e *engine) applyLeaf(fl *frontierLeaf, g *clouds.NodeStats) {
-	nd := fl.node
+func (e *engine) applyLeaf(fl *frontierLeaf) {
+	nd, g := fl.node, fl.stats
 	if g.N == 0 {
 		return
 	}
@@ -784,12 +872,12 @@ func (e *engine) publish() error {
 
 // misclassified counts the records of recs that flat does not classify as
 // their class.
-func misclassified(flat *tree.Compiled, recs []record.Record) int64 {
-	out := make([]int32, len(recs))
-	flat.ClassifyBatch(recs, out)
+func (e *engine) misclassified(flat *tree.Compiled, recs []record.Record) int64 {
+	e.classes = resized(e.classes, len(recs))
+	flat.ClassifyBatch(recs, e.classes)
 	var n int64
 	for i, r := range recs {
-		if out[i] != r.Class {
+		if e.classes[i] != r.Class {
 			n++
 		}
 	}
@@ -830,6 +918,9 @@ func decodeSamples(src []byte, schema *record.Schema) ([]int64, []record.Record,
 		src = src[8:]
 		if _, err := recs[i].Decode(schema, src[:rb]); err != nil {
 			return nil, nil, err
+		}
+		if err := recs[i].Validate(schema); err != nil {
+			return nil, nil, fmt.Errorf("stream: sample of record %d: %w", idxs[i], err)
 		}
 		src = src[rb:]
 	}
