@@ -103,11 +103,12 @@ fuzz:
 	done
 
 # One iteration of each split-kernel benchmark (the exact search, the
-# resident partition, the point sort and the batched statistics count) and
-# of the stream engine's window close, so every kernel benchmark compiles
-# and runs on every commit.
+# resident partition, the point sort, the batched statistics count and the
+# two streamed passes: partition and alive collection) and of the stream
+# engine's window close, so every kernel benchmark compiles and runs on
+# every commit.
 kernel-bench:
-	$(GO) test -run '^$$' -bench 'EvaluateSorted|PresortedSplit|SortPoints|NodeStatsAddBatch' -benchtime 1x ./internal/clouds/
+	$(GO) test -run '^$$' -bench 'EvaluateSorted|PresortedSplit|SortPoints|NodeStatsAddBatch|Partition|AliveCollect' -benchtime 1x ./internal/clouds/
 	$(GO) test -run '^$$' -bench 'WindowClose' -benchtime 1x -benchmem ./internal/stream/
 
 # Offline integrity scrub: verify every checksum in the artifact

@@ -1,6 +1,8 @@
 package clouds
 
 import (
+	"math"
+
 	"pclouds/internal/gini"
 	"pclouds/internal/histogram"
 )
@@ -11,9 +13,11 @@ import (
 // per-interval slots. An in-memory node needs no pass: its alive points are
 // ranges of its sorted columns (Presorted.Range). A dense
 // [attribute][interval] → slot table replaces a keyed lookup, attributes
-// without an alive interval are never located, and all slots are carved
-// from one buffer sized up front — the per-interval frequencies of the
-// statistics pass already say how many points each slot will receive.
+// without an alive interval are never decoded or located, a value outside
+// its attribute's alive span is never located either, and all slots are
+// carved from the caller's room, sized up front — the per-interval
+// frequencies of the statistics pass already say how many points each slot
+// will receive.
 type AliveCollector struct {
 	attrs []aliveAttr
 	slots [][]Point
@@ -24,52 +28,77 @@ type aliveAttr struct {
 	j    int // numeric index (position in Record.Num)
 	iv   *histogram.Intervals
 	slot []int32 // interval → slot, -1 when the interval is not alive
+	// first and last are the lowest and highest alive intervals, lo and
+	// hi the cuts that bound them (±Inf at the ends): the alive span is
+	// (lo, hi] and its edge values.
+	first, last int
+	lo, hi      float64
 }
 
 // NewAliveCollector prepares collection for the given alive intervals of a
 // node whose interval structures are intervals (one per numeric attribute).
 // Slot s collects alive[s]; capacity[s] is the room reserved for it — the
 // number of points the caller expects the pass to add, plus whatever it
-// means to append itself afterwards. A slot that outgrows its room
-// reallocates on its own, never into a neighbour.
-func NewAliveCollector(intervals []*histogram.Intervals, alive []AliveInterval, capacity []int64) *AliveCollector {
+// means to append itself afterwards. The slots are carved from room in
+// order, so room must hold the sum of capacity; a slot that outgrows its
+// room reallocates on its own, never into a neighbour.
+func NewAliveCollector(intervals []*histogram.Intervals, alive []AliveInterval, capacity []int64, room []Point) *AliveCollector {
 	c := &AliveCollector{slots: make([][]Point, len(alive))}
 	byAttr := make([]int, len(intervals))
 	for j := range byAttr {
 		byAttr[j] = -1
 	}
-	var total int64
 	for s, ai := range alive {
 		if byAttr[ai.AttrJ] < 0 {
 			byAttr[ai.AttrJ] = len(c.attrs)
-			slot := make([]int32, intervals[ai.AttrJ].NumIntervals())
+			iv := intervals[ai.AttrJ]
+			slot := make([]int32, iv.NumIntervals())
 			for i := range slot {
 				slot[i] = -1
 			}
-			c.attrs = append(c.attrs, aliveAttr{j: ai.AttrJ, iv: intervals[ai.AttrJ], slot: slot})
+			c.attrs = append(c.attrs, aliveAttr{j: ai.AttrJ, iv: iv, slot: slot, first: ai.Interval, last: ai.Interval})
 		}
-		c.attrs[byAttr[ai.AttrJ]].slot[ai.Interval] = int32(s)
-		total += capacity[s]
-	}
-	buf := make([]Point, total)
-	for s := range alive {
+		at := &c.attrs[byAttr[ai.AttrJ]]
+		at.slot[ai.Interval] = int32(s)
+		at.first, at.last = min(at.first, ai.Interval), max(at.last, ai.Interval)
 		n := capacity[s]
-		c.slots[s], buf = buf[:0:n], buf[n:]
+		c.slots[s], room = room[:0:n], room[n:]
+	}
+	for a := range c.attrs {
+		at := &c.attrs[a]
+		cuts := at.iv.Cuts
+		at.lo, at.hi = math.Inf(-1), math.Inf(1)
+		if at.first > 0 {
+			at.lo = cuts[at.first-1]
+		}
+		if at.last < len(cuts) {
+			at.hi = cuts[at.last]
+		}
 	}
 	return c
 }
 
+// edge reports whether v, outside (lo, hi], still lies in the attribute's
+// alive span under Locate's rules: −Inf when the span starts at interval
+// 0, NaN when it ends at the last interval.
+func (at *aliveAttr) edge(v float64) bool {
+	return at.first == 0 && math.IsInf(v, -1) || at.last == len(at.iv.Cuts) && math.IsNaN(v)
+}
+
 // AddBatch routes a batch's rows into the alive slots they hit, one
-// located column at a time; the points reach each slot in row order.
+// column at a time: only values inside the attribute's alive span are
+// located. The points reach each slot in row order.
 func (c *AliveCollector) AddBatch(b *Batch) {
-	locs := scratch(&b.locs, b.Len())
+	cls := b.Classes()
 	for a := range c.attrs {
 		at := &c.attrs[a]
-		col := b.Num[at.j]
-		at.iv.LocateBatch(col, locs)
-		for i, l := range locs {
-			if s := at.slot[l]; s >= 0 {
-				c.slots[s] = append(c.slots[s], Point{V: col[i], Class: b.Class[i]})
+		lo, hi := at.lo, at.hi
+		for i, v := range b.num(at.j) {
+			if !(v > lo && v <= hi) && !at.edge(v) {
+				continue
+			}
+			if s := at.slot[at.iv.Locate(v)]; s >= 0 {
+				c.slots[s] = append(c.slots[s], Point{V: v, Class: cls[i]})
 			}
 		}
 	}

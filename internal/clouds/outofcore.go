@@ -33,7 +33,7 @@ func BuildOutOfCore(cfg Config, store *ooc.Store, rootName string, sample []reco
 	// inherits its counts from the parent's partition pass.
 	rootCounts := make([]int64, schema.NumClasses)
 	if _, err := ScanBatches(store, rootName, func(bt *Batch) error {
-		for _, c := range bt.Class {
+		for _, c := range bt.Classes() {
 			rootCounts[c]++
 		}
 		return nil
@@ -60,6 +60,9 @@ type oocBuilder struct {
 	store  *ooc.Store
 	mem    *ooc.MemLimit
 	nextID int
+	// alivePts is the room every streamed node's alive points are
+	// collected into, reused from node to node.
+	alivePts []Point
 }
 
 // build constructs the subtree rooted at the node whose records live in
@@ -205,10 +208,12 @@ func (b *oocBuilder) streamSplit(name string, sample *Presorted, n int64, fusedS
 	// each alive interval fits in main memory).
 	return b.splitLarge(ns, func(alive []AliveInterval) ([][]Point, error) {
 		capacity := make([]int64, len(alive))
+		var total int64
 		for s, ai := range alive {
 			capacity[s] = ai.Count
+			total += ai.Count
 		}
-		col := NewAliveCollector(ns.Intervals(), alive, capacity)
+		col := NewAliveCollector(ns.Intervals(), alive, capacity, scratch(&b.alivePts, int(total)))
 		if _, err := ScanBatches(b.store, name, func(bt *Batch) error {
 			col.AddBatch(bt)
 			return nil

@@ -78,7 +78,7 @@ func (b *oracleBuilder) largeSplit(recs, sample []record.Record, n int64) Candid
 	}
 	b.stats.RecordReads += n
 	best, _ := b.splitLarge(ns, func(alive []AliveInterval) ([][]Point, error) {
-		col := NewAliveCollector(ns.Intervals(), alive, make([]int64, len(alive)))
+		col := NewAliveCollector(ns.Intervals(), alive, make([]int64, len(alive)), nil)
 		for i := range recs {
 			col.Add(&recs[i])
 		}

@@ -92,9 +92,11 @@ func (ns *NodeStats) Add(rec record.Record) {
 // AddBatch accumulates rows of a batch — every row when rows is nil, else
 // the listed ones — with exactly the integers Add counts record by record.
 // Each numeric column is located as a whole (Intervals.LocateBatch) and
-// counted in one loop; each categorical column in another.
+// counted in one loop; each categorical column in another. Every row's
+// columns are decoded whole; listed rows' entries are read straight from
+// the page.
 func (ns *NodeStats) AddBatch(b *Batch, rows []int32) {
-	cls := gather(&b.cls, b.Class, rows)
+	cls := b.classesAt(rows)
 	ns.N += int64(len(cls))
 	for _, c := range cls {
 		ns.Class[c]++
@@ -102,14 +104,14 @@ func (ns *NodeStats) AddBatch(b *Batch, rows []int32) {
 	classes := len(ns.Class)
 	locs := scratch(&b.locs, len(cls))
 	for j, nst := range ns.Numeric {
-		nst.Intervals.LocateBatch(gather(&b.vals, b.Num[j], rows), locs)
+		nst.Intervals.LocateBatch(b.numAt(j, rows), locs)
 		flat := nst.flat
 		for k, l := range locs {
 			flat[int(l)*classes+int(cls[k])]++
 		}
 	}
 	for j, cm := range ns.Cat {
-		for k, v := range gather(&b.catVals, b.Cat[j], rows) {
+		for k, v := range b.catAt(j, rows) {
 			cm.Counts[v][cls[k]]++
 		}
 	}

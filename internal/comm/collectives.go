@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
 )
 
 // This file implements the collective communication primitives of the
@@ -333,27 +334,26 @@ func BytesToInt64s(b []byte) ([]int64, error) {
 }
 
 // AllReduceInt64 combines equal-length vectors element-wise with op across
-// all ranks; every rank returns the combined vector. Power-of-two groups use
-// reduce-scatter + all-gather (Table 1's O(ts·log p + tw·m) global combine);
-// other sizes use a binomial reduce followed by a broadcast.
+// all ranks; every rank returns the combined vector, which never aliases v.
+// Power-of-two groups use reduce-scatter + all-gather (Table 1's
+// O(ts·log p + tw·m) global combine); other sizes use a binomial reduce
+// followed by a broadcast. v is encoded once and every step combines the
+// collective's own byte vector in place.
 func AllReduceInt64(c Communicator, v []int64, op func(a, b int64) int64) ([]int64, error) {
 	countCall(c, OpReduce)
+	if c.Size() == 1 {
+		return slices.Clone(v), nil
+	}
 	res, err := allReduceRaw(c, Int64sToBytes(v), func(a, b []byte) ([]byte, error) {
-		av, err := BytesToInt64s(a)
-		if err != nil {
-			return nil, err
+		if len(a) != len(b) || len(a)%8 != 0 {
+			return nil, fmt.Errorf("comm: allreduce length mismatch %d vs %d bytes", len(a), len(b))
 		}
-		bv, err := BytesToInt64s(b)
-		if err != nil {
-			return nil, err
+		for i := 0; i < len(a); i += 8 {
+			x := int64(binary.LittleEndian.Uint64(a[i:]))
+			y := int64(binary.LittleEndian.Uint64(b[i:]))
+			binary.LittleEndian.PutUint64(a[i:], uint64(op(x, y)))
 		}
-		if len(av) != len(bv) {
-			return nil, fmt.Errorf("comm: allreduce length mismatch %d vs %d", len(av), len(bv))
-		}
-		for i := range av {
-			av[i] = op(av[i], bv[i])
-		}
-		return Int64sToBytes(av), nil
+		return a, nil
 	}, 8)
 	if err != nil {
 		return nil, err

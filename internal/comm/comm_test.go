@@ -228,6 +228,17 @@ func TestAllReduceInt64Sum(t *testing.T) {
 				if err != nil {
 					return err
 				}
+				if len(got) != m {
+					return fmt.Errorf("p=%d m=%d: %d elements", p, m, len(got))
+				}
+				// The result is the caller's own: writing it leaves v alone.
+				for i := range got {
+					got[i]++
+					if v[i] != int64(c.Rank()*1000+i) {
+						return fmt.Errorf("p=%d m=%d: result aliases the input", p, m)
+					}
+					got[i]--
+				}
 				for i := range got {
 					var want int64
 					for r := 0; r < p; r++ {

@@ -285,21 +285,23 @@ func (w *Writer) Write(rec record.Record) error {
 	return nil
 }
 
-// WriteEncoded appends whole records given in their encoded form, as a
-// Reader's page holds them: the bytes are copied, never decoded. Pages are
-// flushed at the same record boundaries as record-by-record Write calls, so
-// the file, its write operations and its checksum frames are the same.
-func (w *Writer) WriteEncoded(enc []byte) error {
+// WriteRows appends the listed rows of page, whole records in the layout
+// Record.Encode writes (row i is the i-th record), in list order: the bytes
+// are copied straight into the writer's page, never decoded. Pages are
+// flushed at the same record boundaries as record-by-record Write calls,
+// so the file, its write operations and its checksum frames are the same.
+// Every listed row must lie within page.
+func (w *Writer) WriteRows(page []byte, rows []int32) error {
 	rb := w.s.schema.RecordBytes()
-	if len(enc)%rb != 0 {
-		return fmt.Errorf("ooc: writing %q: %d bytes are not whole %d-byte records", w.name, len(enc), rb)
-	}
-	for len(enc) > 0 {
-		// The records that reach PageSize, at least one.
-		take := min(len(enc), max(1, (PageSize-len(w.buf)+rb-1)/rb)*rb)
-		w.buf = append(w.buf, enc[:take]...)
-		w.n += int64(take / rb)
-		enc = enc[take:]
+	for len(rows) > 0 {
+		// The rows that reach PageSize, at least one.
+		take := rows[:min(len(rows), max(1, (PageSize-len(w.buf)+rb-1)/rb))]
+		for _, r := range take {
+			off := int(r) * rb
+			w.buf = append(w.buf, page[off:off+rb]...)
+		}
+		w.n += int64(len(take))
+		rows = rows[len(take):]
 		if len(w.buf) >= PageSize {
 			if err := w.flush(); err != nil {
 				return err

@@ -104,41 +104,41 @@ func (b *pbuilder) aliveBatch(batch []*levelNode, out []clouds.Candidate) error 
 	}
 	owner := assignIntervals(list, p)
 
-	// A resident run this rank searches is copied into room carved from
-	// one scratch that every batch and level reuses.
-	var owned int64
-	for g, la := range list {
-		if owner[g] == rank && batch[la.node].t.data != nil {
-			owned += la.Count
-		}
-	}
-	if int64(cap(b.ownedPts)) < owned {
-		b.ownedPts = make([]clouds.Point, owned)
-	}
-
 	// This rank's points of every alive interval, as one value-sorted run
 	// each. The statistics pass already counted them per interval, so every
 	// slot is sized up front: a slot this rank will search itself gets room
 	// for the interval's global count (the peers' runs are appended to it),
 	// any other slot exactly the local points it will ship. A resident
-	// node's run is a range of its sorted column; a streaming node's runs
-	// are collected in one pass over its file and sorted.
+	// node's run is a range of its sorted column, copied only when this
+	// rank searches it; a streaming node's runs are collected in one pass
+	// over its file and sorted. Every copied run and every collected slot
+	// is carved from one scratch that every batch and level reuses.
+	capacity := make([]int64, len(list))
+	sendBytes := make([]int, p)
+	var room int64
+	for g, la := range list {
+		n := batch[la.node]
+		if owner[g] == rank {
+			capacity[g] = la.Count
+		} else {
+			capacity[g] = gini.Sum(n.local.Numeric[la.AttrJ].Freq[la.Interval])
+			sendBytes[owner[g]] += 8 + 12*int(capacity[g])
+		}
+		if owner[g] == rank || n.t.data == nil {
+			room += capacity[g]
+		}
+	}
+	if int64(cap(b.alivePts)) < room {
+		b.alivePts = make([]clouds.Point, room)
+	}
+	free := b.alivePts[:room]
+
 	pass := &scanPass{b: b}
 	runs := make([][]clouds.Point, len(list))
-	sendBytes := make([]int, p)
-	g, carved := 0, 0
+	g := 0
 	for _, n := range batch {
 		first := g
-		capacity := make([]int64, len(n.alive))
-		for s, ai := range n.alive {
-			if owner[g] == rank {
-				capacity[s] = ai.Count
-			} else {
-				capacity[s] = gini.Sum(n.local.Numeric[ai.AttrJ].Freq[ai.Interval])
-				sendBytes[owner[g]] += 8 + 12*int(capacity[s])
-			}
-			g++
-		}
+		g += len(n.alive)
 		if d := n.t.data; d != nil {
 			for s, ai := range n.alive {
 				nst := n.local.Numeric[ai.AttrJ]
@@ -147,16 +147,16 @@ func (b *pbuilder) aliveBatch(batch []*levelNode, out []clouds.Candidate) error 
 					pass.fail("", fmt.Errorf("pclouds: node %s: alive interval %d of attribute %d holds %d resident points, its statistics %d",
 						n.t.id, ai.Interval, ai.AttrJ, len(run), localN))
 				}
-				if owner[first+s] == rank {
-					end := carved + int(capacity[s])
-					run = append(b.ownedPts[carved:carved:end], run...)
-					carved = end
+				if c := capacity[first+s]; owner[first+s] == rank {
+					run = append(free[:0:c], run...)
+					free = free[c:]
 				}
 				runs[first+s] = run
 			}
 			continue
 		}
-		col := clouds.NewAliveCollector(n.local.Intervals(), n.alive, capacity)
+		col := clouds.NewAliveCollector(n.local.Intervals(), n.alive, capacity[first:g], free)
+		free = free[gini.Sum(capacity[first:g]):]
 		if !pass.scan(n.t.file, func(bt *clouds.Batch) error {
 			col.AddBatch(bt)
 			return nil

@@ -256,10 +256,11 @@ type pbuilder struct {
 	// sorter orders alive points and merges their runs (aliveBatch),
 	// reusing its scratch across intervals and levels.
 	sorter clouds.PointSorter
-	// ownedPts and sendBuf are the room aliveBatch carves a resident
-	// rank's searched runs and its outgoing point frames from, reused
-	// across batches and levels.
-	ownedPts []clouds.Point
+	// alivePts and sendBuf are the room aliveBatch carves its alive
+	// points (streamed slots and the resident runs this rank searches)
+	// and its outgoing point frames from, reused across batches and
+	// levels.
+	alivePts []clouds.Point
 	sendBuf  []byte
 	// Deferred frontier-file removal (checkpointed builds only): store
 	// files the build has let go of, deleted by pruneLevels once no
@@ -401,7 +402,7 @@ func buildAttempt(cfg Config, c comm.Communicator, store *ooc.Store, rootName st
 		localCounts := make([]int64, schema.NumClasses)
 		res := residentShare(cfg, store, rootName)
 		localN, scanErr := clouds.ScanBatches(store, rootName, func(bt *clouds.Batch) error {
-			for _, c := range bt.Class {
+			for _, c := range bt.Classes() {
 				localCounts[c]++
 			}
 			return res.add(bt)
