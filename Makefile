@@ -82,7 +82,8 @@ chaos-quick: vet
 # builder against the per-node sort (same tree bytes, same stats), resident
 # ranks against streamed builds (same tree bytes, traffic and counts), and
 # the stream frontier's sort-once cuts against per-leaf sorts (same cut
-# bits). Decoder
+# bits), and the stream's kept sorted reservoir columns against a fresh
+# sort after every admission. Decoder
 # targets, where garbage must error and accepted bytes must re-encode
 # identically: the tree and model-file decoders, the prediction-server
 # request decoders (malformed JSON/binary rows must get a 4xx, never a
@@ -105,11 +106,12 @@ fuzz:
 # One iteration of each split-kernel benchmark (the exact search, the
 # resident partition, the point sort, the batched statistics count and the
 # two streamed passes: partition and alive collection) and of the stream
-# engine's window close, so every kernel benchmark compiles and runs on
-# every commit.
+# engine's window close (frontier and growth, and the steady-state close
+# with the reservoir admission), so every kernel benchmark compiles and
+# runs on every commit.
 kernel-bench:
 	$(GO) test -run '^$$' -bench 'EvaluateSorted|PresortedSplit|SortPoints|NodeStatsAddBatch|Partition|AliveCollect' -benchtime 1x ./internal/clouds/
-	$(GO) test -run '^$$' -bench 'WindowClose' -benchtime 1x -benchmem ./internal/stream/
+	$(GO) test -run '^$$' -bench 'WindowClose|WindowCloseSteady' -benchtime 1x -benchmem ./internal/stream/
 
 # Offline integrity scrub: verify every checksum in the artifact
 # directories named by SCRUB_PATHS (out-of-core stores, checkpoint trees,

@@ -173,7 +173,7 @@ func (s *PointSorter) Merge(pts []Point, ends []int) []Point {
 				next = append(next, bounds[r+1])
 				continue
 			}
-			mergeTwo(dst[lo:bounds[r+2]], src[lo:bounds[r+1]], src[bounds[r+1]:bounds[r+2]])
+			MergePoints(dst[lo:bounds[r+2]], src[lo:bounds[r+1]], src[bounds[r+1]:bounds[r+2]])
 			next = append(next, bounds[r+2])
 		}
 		bounds = next
@@ -182,9 +182,9 @@ func (s *PointSorter) Merge(pts []Point, ends []int) []Point {
 	return src
 }
 
-// mergeTwo merges the value-sorted a and b into dst (len(a)+len(b) long),
-// taking a's point first on a tie.
-func mergeTwo(dst, a, b []Point) {
+// MergePoints merges the value-sorted a and b (NaN last) into dst,
+// len(a)+len(b) long, taking a's point first on a tie.
+func MergePoints(dst, a, b []Point) {
 	i, j, k := 0, 0, 0
 	for i < len(a) && j < len(b) {
 		if pointKey(b[j].V) < pointKey(a[i].V) {

@@ -10,6 +10,7 @@ package clouds
 
 import (
 	"fmt"
+	"slices"
 
 	"pclouds/internal/gini"
 	"pclouds/internal/histogram"
@@ -45,26 +46,83 @@ type NodeStats struct {
 // NewNodeStats allocates zeroed statistics. intervals must hold one
 // interval structure per numeric attribute, in schema numeric order.
 func NewNodeStats(schema *record.Schema, intervals []*histogram.Intervals) *NodeStats {
+	ns := new(NodeStats)
+	ns.Carve(schema, intervals, make([]int64, StatsFlatLen(schema, intervals)))
+	return ns
+}
+
+// StatsFlatLen returns the Flatten length of statistics over intervals.
+func StatsFlatLen(schema *record.Schema, intervals []*histogram.Intervals) int {
+	c := schema.NumClasses
+	n := 1 + c
+	for _, iv := range intervals {
+		n += iv.NumIntervals() * c
+	}
+	for _, attr := range schema.CategoricalIndices() {
+		n += schema.Attrs[attr].Cardinality * c
+	}
+	return n
+}
+
+// Carve makes ns zeroed statistics over intervals whose counters are
+// carved from the front of room in Flatten order and returns the rest of
+// room. The first counter of the carving is the slot Flatten gives N, which
+// stays the field N: a caller that reduces a whole vector of carved
+// statistics stores N there before and loads it back after. ns's own
+// slices are reused, so statistics re-carved every round allocate only
+// when a shape outgrows them. room must hold StatsFlatLen(schema,
+// intervals) counters; intervals must hold one interval structure per
+// numeric attribute, in schema numeric order.
+func (ns *NodeStats) Carve(schema *record.Schema, intervals []*histogram.Intervals, room []int64) []int64 {
 	if len(intervals) != schema.NumNumeric() {
 		panic(fmt.Sprintf("clouds: %d interval structures for %d numeric attributes", len(intervals), schema.NumNumeric()))
 	}
-	ns := &NodeStats{
-		Schema: schema,
-		Class:  make([]int64, schema.NumClasses),
+	c := schema.NumClasses
+	clear(room[:StatsFlatLen(schema, intervals)])
+	take := func(n int) []int64 {
+		s := room[:n:n]
+		room = room[n:]
+		return s
 	}
+	take(1) // N's slot
+	ns.Schema, ns.N, ns.Class = schema, 0, take(c)
+	num := ns.Numeric[:cap(ns.Numeric)]
+	ns.Numeric = ns.Numeric[:0]
 	for j, attr := range schema.NumericIndices() {
-		iv := intervals[j]
-		freq := make([][]int64, iv.NumIntervals())
-		flat := make([]int64, iv.NumIntervals()*schema.NumClasses)
-		for i, rest := 0, flat; i < len(freq); i++ {
-			freq[i], rest = rest[:schema.NumClasses], rest[schema.NumClasses:]
+		var nst *NumericStats
+		if j < len(num) && num[j] != nil {
+			nst = num[j]
+		} else {
+			nst = new(NumericStats)
 		}
-		ns.Numeric = append(ns.Numeric, &NumericStats{Attr: attr, Intervals: iv, Freq: freq, flat: flat})
+		nst.Attr, nst.Intervals = attr, intervals[j]
+		nst.flat = take(intervals[j].NumIntervals() * c)
+		nst.Freq = carveRows(nst.Freq, nst.flat, c)
+		ns.Numeric = append(ns.Numeric, nst)
 	}
-	for _, attr := range schema.CategoricalIndices() {
-		ns.Cat = append(ns.Cat, gini.NewCountMatrix(schema.Attrs[attr].Cardinality, schema.NumClasses))
+	cat := ns.Cat[:cap(ns.Cat)]
+	ns.Cat = ns.Cat[:0]
+	for j, attr := range schema.CategoricalIndices() {
+		var cm *gini.CountMatrix
+		if j < len(cat) && cat[j] != nil {
+			cm = cat[j]
+		} else {
+			cm = new(gini.CountMatrix)
+		}
+		cm.Counts = carveRows(cm.Counts, take(schema.Attrs[attr].Cardinality*c), c)
+		ns.Cat = append(ns.Cat, cm)
 	}
-	return ns
+	return room
+}
+
+// carveRows returns rows resized to hold flat's rows of c counters each,
+// reusing rows' array.
+func carveRows(rows [][]int64, flat []int64, c int) [][]int64 {
+	rows = slices.Grow(rows[:0], len(flat)/c)[:len(flat)/c]
+	for i := range rows {
+		rows[i] = flat[i*c : (i+1)*c : (i+1)*c]
+	}
+	return rows
 }
 
 // Intervals returns the interval structures the statistics count over, one

@@ -38,11 +38,12 @@ const (
 	quarantineSuffix = ".quarantined"
 )
 
-// WriteFile writes data to path atomically: the bytes go to a temporary
-// "<base>.tmp-*" file in the destination directory, are fsynced, and only
-// then renamed over path. A concurrent reader sees either the old complete
-// file or the new one, never a torn file; a failed write leaves path
-// untouched and removes the temporary.
+// WriteFile writes data to path atomically and durably: the bytes go to a
+// temporary "<base>.tmp-*" file in the destination directory, are fsynced,
+// and only then renamed over path, and the directory is fsynced so the
+// rename itself survives a crash. A concurrent reader sees either the old
+// complete file or the new one, never a torn file; a write that fails
+// before the rename leaves path untouched and removes the temporary.
 func WriteFile(path string, data []byte) (err error) {
 	f, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+tempInfix+"*")
 	if err != nil {
@@ -63,7 +64,20 @@ func WriteFile(path string, data []byte) (err error) {
 	if err = f.Close(); err != nil {
 		return err
 	}
-	return os.Rename(f.Name(), path)
+	if err = os.Rename(f.Name(), path); err != nil {
+		return err
+	}
+	return syncDir(filepath.Dir(path))
+}
+
+// syncDir fsyncs a directory, making the entries renamed into it durable.
+func syncDir(dir string) error {
+	d, err := os.Open(dir)
+	if err != nil {
+		return err
+	}
+	defer d.Close()
+	return d.Sync()
 }
 
 // QuarantineName is the name a corrupt file at path is set aside under.

@@ -84,6 +84,10 @@ func newMemBackend() *memBackend {
 	return &memBackend{files: make(map[string][]byte)}
 }
 
+// memWriter builds one memory file. Close hands the written bytes to the
+// backend without copying them and drops the writer's hold on them; a
+// Write after Close fails, so the stored file cannot change under its
+// readers.
 type memWriter struct {
 	b    *memBackend
 	name string
@@ -91,7 +95,12 @@ type memWriter struct {
 	done bool
 }
 
-func (w *memWriter) Write(p []byte) (int, error) { return w.buf.Write(p) }
+func (w *memWriter) Write(p []byte) (int, error) {
+	if w.done {
+		return 0, fmt.Errorf("ooc: write to %s after close: %w", w.name, os.ErrClosed)
+	}
+	return w.buf.Write(p)
+}
 
 func (w *memWriter) Close() error {
 	if w.done {
@@ -99,8 +108,9 @@ func (w *memWriter) Close() error {
 	}
 	w.done = true
 	w.b.mu.Lock()
-	w.b.files[w.name] = append([]byte(nil), w.buf.Bytes()...)
+	w.b.files[w.name] = w.buf.Bytes()
 	w.b.mu.Unlock()
+	w.buf = bytes.Buffer{}
 	return nil
 }
 

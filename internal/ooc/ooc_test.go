@@ -1,7 +1,10 @@
 package ooc
 
 import (
+	"errors"
+	"io"
 	"math/rand"
+	"os"
 	"slices"
 	"testing"
 
@@ -309,6 +312,47 @@ func TestAppendWriter(t *testing.T) {
 				t.Fatal("append changed order or contents")
 			}
 		})
+	}
+}
+
+// TestMemWriterHandsOver: a memory file holds exactly what was written
+// before Close; a write after Close fails and changes neither the stored
+// bytes nor what an open reader sees, and an append to the file leaves
+// the bytes its earlier reader holds alone.
+func TestMemWriterHandsOver(t *testing.T) {
+	m := newMemBackend()
+	w, err := m.Create("f")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := w.Write([]byte("abc")); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := w.Write([]byte("XYZ")); !errors.Is(err, os.ErrClosed) {
+		t.Fatalf("write after close: %v, want os.ErrClosed", err)
+	}
+	r, err := m.Open("f")
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, err := m.Append("f")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := a.Write([]byte("def")); err != nil {
+		t.Fatal(err)
+	}
+	if err := a.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if got, _ := io.ReadAll(r); string(got) != "abc" {
+		t.Fatalf("earlier reader sees %q, want %q", got, "abc")
+	}
+	if got := string(m.files["f"]); got != "abcdef" {
+		t.Fatalf("stored %q after append, want %q", got, "abcdef")
 	}
 }
 

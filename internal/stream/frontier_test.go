@@ -3,9 +3,11 @@ package stream
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"pclouds/internal/clouds"
+	"pclouds/internal/datagen"
 	"pclouds/internal/histogram"
 	"pclouds/internal/record"
 	"pclouds/internal/tree"
@@ -187,4 +189,112 @@ func sameCuts(a, b []float64) bool {
 		}
 	}
 	return true
+}
+
+// FuzzReservoirColumns holds the sorted reservoir columns the engine keeps
+// across windows to a from-scratch sort, window after window: a reservoir
+// of a fuzzed cap admits windows of fuzzed sizes (some larger than the
+// cap, so a window's own oldest records are evicted too) over values with
+// NaN, ±Inf, ±0 and heavy ties. After every admission each kept column
+// must hold the values of clouds.SortPoints over the reservoir, in order,
+// each naming a row that holds its value exactly once, and the frontier
+// cuts read from the columns must equal frontierIntervalsOracle's.
+func FuzzReservoirColumns(f *testing.F) {
+	s := fuzzFrontierSchema(f)
+	rng := rand.New(rand.NewSource(2))
+	for _, n := range []int{0, 3, 40, 200, 700} {
+		for _, c := range []byte{0, 9, 63} {
+			f.Add(append([]byte{c, byte(rng.Intn(256))}, frontierSeed(rng, 5, n)...))
+		}
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) < 2 {
+			return
+		}
+		capacity, sizes := 1+int(data[0])%96, rand.New(rand.NewSource(int64(data[1])))
+		q, tr, records := decodeFrontierCase(s, data[2:])
+		e := &engine{cfg: Config{Schema: s, Clouds: clouds.Config{HistBins: q}, ReservoirCap: capacity}, tree: tr}
+		e.buildFrontier() // builds the (empty) columns, as a fresh engine's first frontier does
+		for w := 0; len(records) > 0; w++ {
+			k := min(sizes.Intn(2*capacity+1), len(records))
+			e.reservoir = append(e.reservoir, records[:k]...)
+			records = records[k:]
+			e.evict(k)
+			checkColumns(t, w, e.reservoir, e.cols.cols)
+			e.flat = nil
+			e.buildFrontier()
+			want := frontierIntervalsOracle(s, tr, e.reservoir, q)
+			for l, fl := range e.frontier {
+				for j, iv := range fl.stats.Intervals() {
+					if !sameCuts(iv.Cuts, want[l][j].Cuts) {
+						t.Fatalf("window %d leaf %d attribute %d: cuts %v, oracle %v", w, l, j, iv.Cuts, want[l][j].Cuts)
+					}
+				}
+			}
+		}
+	})
+}
+
+// checkColumns compares kept sorted columns with a fresh sort of rows.
+func checkColumns(t *testing.T, w int, rows []record.Record, cols [][]clouds.Point) {
+	t.Helper()
+	for j, col := range cols {
+		want := make([]clouds.Point, len(rows))
+		for i, r := range rows {
+			want[i] = clouds.Point{V: r.Num[j], Row: int32(i)}
+		}
+		clouds.SortPoints(want)
+		if len(col) != len(want) {
+			t.Fatalf("window %d attribute %d: %d kept points for %d rows", w, j, len(col), len(rows))
+		}
+		seen := make([]bool, len(rows))
+		for i, pt := range col {
+			if pt.V != want[i].V && (pt.V == pt.V || want[i].V == want[i].V) {
+				t.Fatalf("window %d attribute %d position %d: kept %v, sort %v", w, j, i, pt.V, want[i].V)
+			}
+			if pt.Row < 0 || int(pt.Row) >= len(rows) || seen[pt.Row] {
+				t.Fatalf("window %d attribute %d position %d: row %d out of range or repeated", w, j, i, pt.Row)
+			}
+			seen[pt.Row] = true
+			if math.Float64bits(rows[pt.Row].Num[j]) != math.Float64bits(pt.V) {
+				t.Fatalf("window %d attribute %d: row %d holds %v, its point %v", w, j, pt.Row, rows[pt.Row].Num[j], pt.V)
+			}
+		}
+	}
+}
+
+// TestSketchVectorFlattens: the sketch vector the frontier leaves' counters
+// are carved from is, after a window's records are counted into the
+// leaves, exactly the leaves' AppendFlatten vectors in preorder — the
+// payload the per-leaf flatten built before — on frontiers that grow and
+// shrink between windows, so carvings are reused across shapes.
+func TestSketchVectorFlattens(t *testing.T) {
+	cfg := goldenConfig("").withDefaults()
+	g, err := datagen.New(datagen.Config{Function: 2, Seed: 42, Noise: 0.05})
+	if err != nil {
+		t.Fatal(err)
+	}
+	reservoir := g.Generate(cfg.ReservoirCap).Records
+	e := &engine{cfg: cfg, reservoir: reservoir}
+	for _, depth := range []int{2, 6, 1, 4} {
+		cc := cfg.Clouds
+		cc.MaxDepth = depth
+		tr, _, err := clouds.BuildInCore(cc, &record.Dataset{Schema: cfg.Schema, Records: reservoir}, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		e.tree, e.flat = tr, nil
+		e.buildFrontier()
+		for _, r := range g.Generate(cfg.WindowRecords).Records {
+			e.frontier[e.route(r)].stats.Add(r)
+		}
+		var want []int64
+		for l := range e.frontier {
+			want = e.frontier[l].stats.AppendFlatten(want)
+		}
+		if got := e.sketchVector(); !slices.Equal(got, want) {
+			t.Fatalf("depth %d: %d leaves: sketch vector (%d counters) differs from the leaves' flatten (%d counters)",
+				depth, len(e.frontier), len(got), len(want))
+		}
+	}
 }

@@ -1,0 +1,108 @@
+package stream
+
+import (
+	"fmt"
+	"strings"
+	"testing"
+
+	"pclouds/internal/comm"
+	"pclouds/internal/costmodel"
+	"pclouds/internal/datagen"
+	"pclouds/internal/tree"
+)
+
+// TestGateVerdictAgainstTruth measures the publish gate rather than
+// pinning it: on the stream-tail engine configuration (goldenConfig) over
+// 140 windows of the benchmark's stream (generator seed 1) and of the
+// golden stream (seed 42), every window's candidate and the last-published
+// model it was gated against are scored on 50,000 independent records from
+// the same generator, and the gate's verdict (publish or skip, from 128
+// holdout records a window) is compared with the true error ordering. It
+// also counts the refreshes whose model is truly worse than the last
+// published one by more than the gate's tolerance, and the gated windows
+// from one of them up to the next refresh. The table it logs is EXPERIMENTS.md's "The publish
+// gate against the truth"; the test changes no behaviour and asserts only
+// that the gate decided.
+func TestGateVerdictAgainstTruth(t *testing.T) {
+	if testing.Short() {
+		t.Skip("scores 280 windows on 50,000 records")
+	}
+	const windows, evalRecords = 140, 50_000
+	g, err := datagen.New(datagen.Config{Function: 2, Seed: 1_000_003, Noise: 0.05})
+	if err != nil {
+		t.Fatal(err)
+	}
+	eval := g.Generate(evalRecords).Records
+	out := make([]int32, len(eval))
+	trueErr := func(tr *tree.Tree) float64 {
+		tree.Compile(tr).ClassifyBatch(eval, out)
+		wrong := 0
+		for i, r := range eval {
+			if out[i] != r.Class {
+				wrong++
+			}
+		}
+		return float64(wrong) / float64(len(eval))
+	}
+	var report strings.Builder
+	fmt.Fprintln(&report, "seed decisions gated gated&worse gated&worse>tol published published&notworse agree refreshes worse-refreshes gated-after-worse-refresh")
+	for _, seed := range []int64{1, 42} {
+		var n, gated, gatedWorse, gatedWorseTol, pub, pubNotWorse, refreshes, badRefreshes, gatedAfterBad int
+		err := comm.Run(1, costmodel.Zero(), func(c *comm.ChannelComm) error {
+			src, err := NewSynthetic(datagen.Config{Function: 2, Seed: seed, Noise: 0.05}, 0)
+			if err != nil {
+				return err
+			}
+			cfg := goldenConfig("").withDefaults()
+			e := &engine{cfg: cfg, c: c, src: src, fp: cfg.fingerprint(), live: newLiveMetrics(nil, nil)}
+			afterBad := false
+			for k := 1; k <= windows; k++ {
+				last, skips, refreshed := e.lastPub, e.stats.GateSkips, e.stats.Refreshes
+				e.cfg.MaxWindows = k // loop runs exactly one more window
+				if err := e.loop(); err != nil {
+					return err
+				}
+				if last == nil {
+					continue // nothing to gate against yet
+				}
+				n++
+				diff := trueErr(e.tree) - trueErr(last)
+				if e.stats.Refreshes > refreshed {
+					refreshes++
+					afterBad = diff > cfg.GateTolerance
+					if afterBad {
+						badRefreshes++
+					}
+				}
+				if e.stats.GateSkips == skips {
+					pub++
+					if diff <= 0 {
+						pubNotWorse++
+					}
+					continue
+				}
+				gated++
+				if diff > 0 {
+					gatedWorse++
+				}
+				if diff > cfg.GateTolerance {
+					gatedWorseTol++
+				}
+				if afterBad {
+					gatedAfterBad++
+				}
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		fmt.Fprintf(&report, "%4d %9d %5d %11d %15d %9d %18d %5.2f %9d %15d %25d\n",
+			seed, n, gated, gatedWorse, gatedWorseTol, pub, pubNotWorse,
+			float64(gatedWorse+pubNotWorse)/float64(max(n, 1)), refreshes, badRefreshes, gatedAfterBad)
+		if n == 0 || gated == 0 {
+			t.Errorf("seed %d: %d gate decisions, %d skips: the gate did not run", seed, n, gated)
+		}
+	}
+	t.Logf("publish gate verdicts against %d independent records:\n%s", evalRecords, report.String())
+}

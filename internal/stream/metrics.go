@@ -52,7 +52,7 @@ func newLiveMetrics(reg *obs.Registry, e *engine) *liveMetrics {
 		Func(func() float64 { return float64(lm.driftFires.Load()) })
 	reg.Counter("pclouds_stream_gate_skips_total", "Windows that committed but were refused publication by the quality gate.").
 		Func(func() float64 { return float64(lm.gateSkips.Load()) })
-	reg.HistogramVec("pclouds_stream_publish_seconds", "Model publish latency (SaveFile to rename visible).",
+	reg.HistogramVec("pclouds_stream_publish_seconds", "Model publish latency: the model file write, from temp file to directory fsync.",
 		obs.ExpBounds(1e-4, 2, 14)).Attach(e.pubHist)
 	return lm
 }

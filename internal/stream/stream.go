@@ -26,8 +26,10 @@
 //	          everywhere.
 //	commit    validate the model and all-reduce the ok votes (sum): all
 //	          ranks agree window N is good before model N publishes.
-//	publish   rank 0 writes the model atomically (tree.SaveFile) into
-//	          PublishDir; every rank checkpoints its replicated state.
+//	publish   rank 0 writes the model atomically into PublishDir, behind
+//	          the next window (one write in flight, joined before the
+//	          next publish, before a checkpoint and when Run returns);
+//	          every rank checkpoints its replicated state.
 //
 // Determinism: with a fixed seed and count-based window boundaries, the
 // published model sequence is bit-identical at any rank count — ownership
@@ -39,16 +41,17 @@
 package stream
 
 import (
+	"cmp"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"path/filepath"
 	"slices"
-	"sort"
 	"time"
 
 	"pclouds/internal/clouds"
 	"pclouds/internal/comm"
+	"pclouds/internal/durable"
 	"pclouds/internal/histogram"
 	"pclouds/internal/obs"
 	"pclouds/internal/record"
@@ -239,21 +242,32 @@ type engine struct {
 	tree      *tree.Tree
 	reservoir []record.Record
 
-	// frontier lists the tree's leaves in preorder; frontierOf maps each
-	// leaf index of flat to that leaf's frontier position. flat is e.tree
-	// compiled, or nil when the tree changed since: the close that scores
-	// the holdout compiles its model once, and the next window's frontier
-	// routes through that same compile.
-	frontier   []*frontierLeaf
+	// frontier lists the tree's leaves in preorder, empty in a refresh
+	// window; frontierOf maps each leaf index of flat to that leaf's
+	// frontier position. flat is e.tree compiled, or nil when the tree
+	// changed since: the close that scores the holdout compiles its model
+	// once, and the next window's frontier routes through that same
+	// compile.
+	frontier   []frontierLeaf
 	flat       *tree.Compiled
 	frontierOf []int32
 
+	// cols keeps the reservoir's numeric columns sorted across windows.
+	cols sortedColumns
+
 	// Window-close scratch, reused across windows: the frontier cut
-	// construction's buffers, the sketch all-reduce vector, and the
+	// construction's buffers, the sketch vector every frontier leaf's
+	// counters are carved from (the sketch all-reduce's payload), and the
 	// holdout scoring's class output.
 	cuts    cutScratch
 	sketch  []int64
 	classes []int32
+
+	// pending is rank 0's in-flight model write, nil when none: publish
+	// hands a window's file bytes to one background write and the next
+	// window starts at once. It is joined (joinPublish) before the next
+	// publish, before a checkpoint write and on every exit of Run.
+	pending chan publishDone
 
 	// winSampleIdx/winSample accumulate this rank's owned reservoir
 	// candidates for the current window; cleared by mergeSamples.
@@ -279,14 +293,6 @@ type engine struct {
 	pubHist *obs.Histogram
 }
 
-// frontierLeaf is one growable leaf of the current tree plus the window's
-// sketch accumulating over it.
-type frontierLeaf struct {
-	node  *tree.Node
-	depth int
-	stats *clouds.NodeStats
-}
-
 // Run executes the streaming pipeline on this rank until MaxWindows
 // windows are committed, the source ends, or Stop closes. All ranks must
 // call it with identical configuration. The returned tree is identical on
@@ -301,7 +307,11 @@ func Run(cfg Config, c comm.Communicator, src Source) (*Result, error) {
 	if err := e.resume(); err != nil {
 		return nil, err
 	}
-	if err := e.loop(); err != nil {
+	err := e.loop()
+	if perr := e.joinPublish(); perr != nil {
+		err = errors.Join(err, perr)
+	}
+	if err != nil {
 		return nil, err
 	}
 	e.stats.Windows = e.window
@@ -371,7 +381,7 @@ func (e *engine) loop() error {
 		if !willRefresh {
 			e.buildFrontier()
 		} else {
-			e.frontier, e.frontierOf = nil, nil
+			e.frontier = e.frontier[:0]
 		}
 		scanned, streamEnd, err := e.ingestWindow()
 		if err != nil {
@@ -423,7 +433,7 @@ func (e *engine) ingestWindow() (scanned int64, streamEnd bool, err error) {
 				e.winHoldout = append(e.winHoldout, rec.Clone())
 				return true, nil
 			}
-			if e.frontier != nil {
+			if len(e.frontier) > 0 {
 				e.frontier[e.route(rec)].stats.Add(rec)
 			}
 			if idx%int64(e.cfg.SampleEvery) == 0 {
@@ -489,107 +499,6 @@ func (e *engine) ingestWindow() (scanned int64, streamEnd bool, err error) {
 // route returns the frontier index of the leaf rec lands in.
 func (e *engine) route(rec record.Record) int {
 	return int(e.frontierOf[e.flat.Leaf(rec)])
-}
-
-// buildFrontier enumerates the tree's leaves in preorder and allocates a
-// window sketch per leaf. Each leaf's bin edges are its reservoir share's
-// quantile cuts merged (histogram.Merge) with the global attribute grid, so
-// a leaf whose reservoir share is tiny still has candidate boundaries; a
-// leaf's share is the reservoir records routed to it (frontierIntervals).
-// Everything here is a deterministic function of replicated state, so all
-// ranks build identical shapes — the precondition for the flat sketch
-// all-reduce.
-func (e *engine) buildFrontier() {
-	if e.flat == nil {
-		e.flat = tree.Compile(e.tree)
-	}
-	e.frontierOf = resized(e.frontierOf, e.flat.NumNodes())
-	e.frontier = e.frontier[:0]
-	i := 0 // the preorder index Walk is at, the compiled node index
-	e.tree.Walk(func(n *tree.Node, depth int) {
-		if n.IsLeaf() {
-			e.frontierOf[i] = int32(len(e.frontier))
-			e.frontier = append(e.frontier, &frontierLeaf{node: n, depth: depth})
-		}
-		i++
-	})
-	leafOf := resized(e.cuts.leafOf, len(e.reservoir))
-	for k, r := range e.reservoir {
-		leafOf[k] = int32(e.route(r))
-	}
-	e.cuts.leafOf = leafOf
-	ivs := frontierIntervals(e.cfg.Schema, e.reservoir, leafOf, len(e.frontier), e.cfg.Clouds.HistBins, &e.cuts)
-	nNum := e.cfg.Schema.NumNumeric()
-	for l, fl := range e.frontier {
-		fl.stats = clouds.NewNodeStats(e.cfg.Schema, ivs[l*nNum:(l+1)*nNum])
-	}
-}
-
-// resized returns buf at length n, reusing its array when it is large
-// enough; the contents are not cleared.
-func resized[T any](buf []T, n int) []T { return slices.Grow(buf[:0], n)[:n] }
-
-// cutScratch holds the frontier cut construction's buffers between
-// windows: each reservoir row's leaf, and frontierIntervals' own.
-type cutScratch struct {
-	leafOf      []int32
-	pts         []clouds.Point
-	all, shares []float64
-	start, next []int
-}
-
-// frontierIntervals returns the interval structures each of nLeaves
-// frontier leaves counts its sketch over, leaf l's numeric attributes at
-// [l*k, (l+1)*k) for k numeric attributes: the q-bin quantile cuts of the
-// rows routed to the leaf (leafOf[i] is row i's leaf) merged with the
-// q-bin cuts of all rows, the grid. Each column is sorted once
-// (clouds.SortPoints, NaN last) and one pass scatters it into the leaves'
-// shares, so every share arrives sorted and the cuts come from
-// histogram.FromSorted. The cuts are those of histogram.FromSample over
-// each share: both drop NaN, and FromSorted stores zero as +0, so the
-// order of tied values, the only thing the two sorts can disagree on,
-// reaches no cut.
-func frontierIntervals(schema *record.Schema, rows []record.Record, leafOf []int32, nLeaves, q int, s *cutScratch) []*histogram.Intervals {
-	n, nNum := len(rows), schema.NumNumeric()
-	// Leaf l's share is shares[start[l]:start[l+1]], filled up to next[l].
-	start := resized(s.start, nLeaves+1)
-	clear(start)
-	for _, l := range leafOf {
-		start[l+1]++
-	}
-	for l := range nLeaves {
-		start[l+1] += start[l]
-	}
-	next := resized(s.next, nLeaves)
-	pts := resized(s.pts, n)
-	all := resized(s.all, n)
-	shares := resized(s.shares, n)
-	s.start, s.next, s.pts, s.all, s.shares = start, next, pts, all, shares
-
-	out := make([]*histogram.Intervals, nLeaves*nNum)
-	for j := range nNum {
-		for i, r := range rows {
-			pts[i] = clouds.Point{V: r.Num[j], Row: int32(i)}
-		}
-		clouds.SortPoints(pts)
-		copy(next, start)
-		m := 0
-		for _, pt := range pts {
-			if pt.V != pt.V {
-				break // NaN sorts last: the rest are NaN too
-			}
-			all[m] = pt.V
-			m++
-			l := leafOf[pt.Row]
-			shares[next[l]] = pt.V
-			next[l]++
-		}
-		grid := histogram.FromSorted(all[:m], q)
-		for l := range nLeaves {
-			out[l*nNum+j] = histogram.Merge(histogram.FromSorted(shares[start[l]:next[l]], q), grid)
-		}
-	}
-	return out
 }
 
 // closeWindow runs the collective close: sample exchange, grow-or-refresh,
@@ -687,19 +596,25 @@ func (e *engine) closeWindow(refresh bool) error {
 	// update — serving (and the next window's gate baseline) keep the
 	// last good model.
 	if publish && e.tree != nil {
-		if err := e.publish(); err != nil {
-			return err
-		}
-		// The gate baseline must be a snapshot: frontier growth mutates
+		// One encoding feeds both the published file and the gate
+		// baseline, which must be a snapshot: frontier growth mutates
 		// e.tree in place, so aliasing it here would make every grown
 		// candidate compare against itself.
-		snap, err := tree.Decode(e.cfg.Schema, tree.Encode(e.tree))
+		blob := tree.Encode(e.tree)
+		if err := e.publish(blob); err != nil {
+			return err
+		}
+		snap, err := tree.Decode(e.cfg.Schema, blob)
 		if err != nil {
 			return fmt.Errorf("stream: snapshotting published model: %w", err)
 		}
 		e.lastPub, e.lastPubWin, e.lastPubFlat = snap, e.window, tree.Compile(snap)
 	}
 	if e.cfg.CheckpointDir != "" {
+		// The window's model is on disk before its checkpoint can be.
+		if err := e.joinPublish(); err != nil {
+			return err
+		}
 		if err := e.checkpoint(); err != nil {
 			return err
 		}
@@ -738,18 +653,26 @@ func (e *engine) mergeSamples() error {
 	}
 	// Global index order is the canonical reservoir order; indices are
 	// unique, so the sort is total and identical on every rank.
-	sort.Slice(entries, func(i, j int) bool { return entries[i].idx < entries[j].idx })
+	slices.SortFunc(entries, func(a, b entry) int { return cmp.Compare(a.idx, b.idx) })
 	for _, en := range entries {
 		e.reservoir = append(e.reservoir, en.rec)
 	}
-	if over := len(e.reservoir) - e.cfg.ReservoirCap; over > 0 {
+	e.evict(len(entries))
+	return nil
+}
+
+// evict drops the oldest reservoir records over ReservoirCap once added
+// records were appended, and keeps the sorted columns in step.
+func (e *engine) evict(added int) {
+	over := max(len(e.reservoir)-e.cfg.ReservoirCap, 0)
+	if over > 0 {
 		// Evict the oldest in place; nothing holds the reservoir across
 		// windows but e.reservoir itself.
 		n := copy(e.reservoir, e.reservoir[over:])
 		clear(e.reservoir[n:])
 		e.reservoir = e.reservoir[:n]
 	}
-	return nil
+	e.cols.admit(e.reservoir, over, min(added, len(e.reservoir)))
 }
 
 // refreshTree rebuilds the model over the replicated reservoir. The build
@@ -779,11 +702,7 @@ func (e *engine) refreshTree() error {
 // conservation stays exact). Leaves that don't split absorb their window
 // counts; ancestors are recomputed bottom-up.
 func (e *engine) growFrontier() error {
-	e.sketch = e.sketch[:0]
-	for _, fl := range e.frontier {
-		e.sketch = fl.stats.AppendFlatten(e.sketch)
-	}
-	gflat, err := comm.AllReduceInt64(e.c, e.sketch, histogram.MergeCount)
+	gflat, err := comm.AllReduceInt64(e.c, e.sketchVector(), histogram.MergeCount)
 	if err != nil {
 		return err
 	}
@@ -792,22 +711,30 @@ func (e *engine) growFrontier() error {
 
 	// The merged counts replace each leaf's local ones in place: the
 	// frontier is rebuilt before the next window counts into it.
-	off := 0
-	for _, fl := range e.frontier {
-		n := fl.stats.FlatLen()
-		if err := fl.stats.Unflatten(gflat[off : off+n]); err != nil {
-			return err
-		}
-		off += n
+	copy(e.sketch, gflat)
+	for l := range e.frontier {
+		fl := &e.frontier[l]
+		fl.stats.N = e.sketch[fl.off]
 		e.applyLeaf(fl)
 	}
 	recomputeCounts(e.tree.Root)
 	return nil
 }
 
+// sketchVector returns the sketch all-reduce's payload: the vector every
+// frontier leaf's counters are carved from, each leaf's Flatten vector in
+// preorder, once each leaf's N, the one count that lives outside it, is
+// stored in its slot.
+func (e *engine) sketchVector() []int64 {
+	for l := range e.frontier {
+		e.sketch[e.frontier[l].off] = e.frontier[l].stats.N
+	}
+	return e.sketch
+}
+
 // applyLeaf folds one leaf's merged window statistics into the tree.
 func (e *engine) applyLeaf(fl *frontierLeaf) {
-	nd, g := fl.node, fl.stats
+	nd, g := fl.node, &fl.stats
 	if g.N == 0 {
 		return
 	}
@@ -852,19 +779,55 @@ func recomputeCounts(n *tree.Node) {
 	n.Class = n.Majority()
 }
 
-// publish writes the committed window's model into PublishDir (rank 0
-// only; the model is replicated, so one writer suffices and the registry
-// sees exactly one atomic rename per window).
-func (e *engine) publish() error {
-	if e.cfg.PublishDir == "" || e.tree == nil || e.c.Rank() != 0 {
+// publish starts writing the committed window's model, blob its
+// tree.Encode bytes, into PublishDir (rank 0 only; the model is
+// replicated, so one writer suffices and the registry sees exactly one
+// atomic rename per window). The write runs behind the next window: it
+// owns the file bytes alone and reads nothing of the engine, whose tree
+// the next window's growth mutates in place. It first joins the previous
+// write, so one is in flight at a time and the registry sees the windows
+// in order.
+func (e *engine) publish(blob []byte) error {
+	if e.cfg.PublishDir == "" || e.c.Rank() != 0 {
 		return nil
 	}
-	name := filepath.Join(e.cfg.PublishDir, fmt.Sprintf("model-w%06d.tree", e.window))
-	start := time.Now()
-	if err := tree.SaveFile(e.tree, name); err != nil {
+	if err := e.joinPublish(); err != nil {
+		return err
+	}
+	file, err := tree.FileBytes(e.cfg.Schema, blob)
+	if err != nil {
 		return fmt.Errorf("stream: publishing window %d: %w", e.window, err)
 	}
-	e.pubHist.Observe(time.Since(start).Seconds())
+	name := filepath.Join(e.cfg.PublishDir, fmt.Sprintf("model-w%06d.tree", e.window))
+	done, window := make(chan publishDone, 1), e.window
+	go func() {
+		start := time.Now()
+		err := durable.WriteFile(name, file)
+		done <- publishDone{window: window, took: time.Since(start), err: err}
+	}()
+	e.pending = done
+	return nil
+}
+
+// publishDone is the outcome of one model write.
+type publishDone struct {
+	window int
+	took   time.Duration
+	err    error
+}
+
+// joinPublish waits for the in-flight model write, if any, and accounts
+// for it; a failed write fails the rank here.
+func (e *engine) joinPublish() error {
+	if e.pending == nil {
+		return nil
+	}
+	p := <-e.pending
+	e.pending = nil
+	if p.err != nil {
+		return fmt.Errorf("stream: publishing window %d: %w", p.window, p.err)
+	}
+	e.pubHist.Observe(p.took.Seconds())
 	e.stats.Published++
 	e.live.published.Add(1)
 	return nil
@@ -913,7 +876,13 @@ func decodeSamples(src []byte, schema *record.Schema) ([]int64, []record.Record,
 	}
 	idxs := make([]int64, n)
 	recs := make([]record.Record, n)
+	// Every record's columns are carved from two arrays, which Decode
+	// fills in place.
+	nNum, nCat := schema.NumNumeric(), schema.NumCategorical()
+	nums, cats := make([]float64, n*nNum), make([]int32, n*nCat)
 	for i := 0; i < n; i++ {
+		recs[i].Num = nums[i*nNum : (i+1)*nNum : (i+1)*nNum]
+		recs[i].Cat = cats[i*nCat : (i+1)*nCat : (i+1)*nCat]
 		idxs[i] = int64(binary.LittleEndian.Uint64(src))
 		src = src[8:]
 		if _, err := recs[i].Decode(schema, src[:rb]); err != nil {

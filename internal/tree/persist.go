@@ -1,7 +1,6 @@
 package tree
 
 import (
-	"bytes"
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
@@ -101,11 +100,21 @@ func (h schemaHeader) schema() (*record.Schema, error) {
 
 // Write serialises the model (schema + tree + checksum footer) to w.
 func Write(w io.Writer, t *Tree) error {
-	hdr, err := json.Marshal(headerOf(t.Schema))
+	file, err := FileBytes(t.Schema, Encode(t))
 	if err != nil {
-		return fmt.Errorf("tree: encoding schema: %w", err)
+		return err
 	}
-	blob := Encode(t)
+	_, err = w.Write(file)
+	return err
+}
+
+// FileBytes returns the model file Write writes for a tree of schema whose
+// Encode bytes are blob, for a caller that already holds the encoding.
+func FileBytes(schema *record.Schema, blob []byte) ([]byte, error) {
+	hdr, err := json.Marshal(headerOf(schema))
+	if err != nil {
+		return nil, fmt.Errorf("tree: encoding schema: %w", err)
+	}
 	body := make([]byte, 0, 8+len(hdr)+len(blob)+8)
 	var b8 [8]byte
 	binary.LittleEndian.PutUint32(b8[0:], modelMagic)
@@ -113,10 +122,7 @@ func Write(w io.Writer, t *Tree) error {
 	body = append(body, b8[:]...)
 	body = append(body, hdr...)
 	body = append(body, blob...)
-	if _, err := w.Write(AppendChecksum(body)); err != nil {
-		return err
-	}
-	return nil
+	return AppendChecksum(body), nil
 }
 
 // Read parses a model written by Write, verifying the checksum footer when
@@ -155,11 +161,11 @@ func Read(r io.Reader) (*Tree, error) {
 // concurrent reader such as the serving registry's hot-reload poller sees
 // either the old complete model or the new one, never a torn file.
 func SaveFile(t *Tree, path string) error {
-	var buf bytes.Buffer
-	if err := Write(&buf, t); err != nil {
+	file, err := FileBytes(t.Schema, Encode(t))
+	if err != nil {
 		return err
 	}
-	return durable.WriteFile(path, buf.Bytes())
+	return durable.WriteFile(path, file)
 }
 
 // LoadFile reads a model written by SaveFile.
