@@ -32,13 +32,15 @@ test:
 # the hot-swap registry and batching engine under concurrent clients, and
 # the pclouds/clouds tests run every split-finding protocol (sse, hist,
 # vote) across concurrent simulated ranks, and one compiled tree is shared
-# read-only by every serving engine worker across registry swaps, so every
-# build exercises the concurrency under the race detector.
+# read-only by every serving engine worker across registry swaps, and the
+# notify watches hand wakes from their reader goroutines to the registry
+# and the stream tail, so every build exercises the concurrency under the
+# race detector.
 race: vet-concurrency
-	$(GO) test -race ./internal/ooc/... ./internal/comm/... ./internal/fault/... ./internal/pclouds/... ./internal/clouds/... ./internal/serve/... ./internal/driver/... ./internal/stream/... ./internal/record/... ./internal/scrub/... ./internal/durable/... ./internal/tree/... ./internal/metrics/... ./internal/cli/...
+	$(GO) test -race ./internal/ooc/... ./internal/comm/... ./internal/fault/... ./internal/pclouds/... ./internal/clouds/... ./internal/serve/... ./internal/driver/... ./internal/stream/... ./internal/record/... ./internal/scrub/... ./internal/durable/... ./internal/tree/... ./internal/metrics/... ./internal/cli/... ./internal/notify/...
 
 vet-concurrency:
-	$(GO) vet ./internal/ooc/... ./internal/comm/tcp/... ./internal/fault/... ./internal/pclouds/... ./internal/clouds/... ./internal/serve/... ./internal/driver/... ./internal/stream/... ./internal/record/... ./internal/scrub/... ./internal/durable/... ./internal/tree/... ./internal/metrics/... ./internal/cli/...
+	$(GO) vet ./internal/ooc/... ./internal/comm/tcp/... ./internal/fault/... ./internal/pclouds/... ./internal/clouds/... ./internal/serve/... ./internal/driver/... ./internal/stream/... ./internal/record/... ./internal/scrub/... ./internal/durable/... ./internal/tree/... ./internal/metrics/... ./internal/cli/... ./internal/notify/...
 
 # Fault-injection acceptance suite: killed/wedged ranks, dropped and
 # corrupted frames, slow and failing storage — every scenario must end in
@@ -59,7 +61,8 @@ chaos:
 # supervised kill-and-respawn acceptance test, generation fencing, the
 # checkpoint GC, resume-policy and end-of-build vote tests of the batch
 # build, the resume agreement and degraded-mode retention of the streaming
-# engine, and the ooc page
+# engine, the registry's and the stream tail's wake on file events, and
+# the ooc page
 # lifecycle with poisoned pages (the prefetch and write-behind goroutines
 # give pages back across goroutines), and the resident-against-streamed
 # differential (resident ranks split presorted columns through one scratch
@@ -70,7 +73,8 @@ chaos-quick: vet
 	$(GO) test -race -timeout 300s -run 'TestSupervised|TestRunRank|TestSupervise' ./internal/driver/
 	$(GO) test -race -timeout 300s -run 'TestGeneration|TestDoorman|TestStale' ./internal/comm/tcp/
 	$(GO) test -race -timeout 300s -run 'TestCheckpointGC|TestDegraded|TestResume|TestChaosFinalExchange' ./internal/pclouds/
-	$(GO) test -race -timeout 300s -run 'TestResume|TestDegraded' ./internal/stream/
+	$(GO) test -race -timeout 300s -run 'TestResume|TestDegraded|TestTailWake' ./internal/stream/
+	$(GO) test -race -timeout 300s -run 'TestRegistryWatch' ./internal/serve/
 	$(GO) test -race -timeout 300s -run 'TestPage|TestPoison|TestPipeline|TestWriteBehind|TestPrefetch|TestIntegrity' ./internal/ooc/
 	$(GO) test -race -timeout 300s -run 'TestPipelineParityFileBackend|TestFileCreatesCounted|TestResidentMatchesStreamed|TestCorruptionDetectedAttributed' ./internal/pclouds/
 

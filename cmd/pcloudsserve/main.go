@@ -3,7 +3,8 @@
 // Serving (default mode): point it at a model file or a directory of
 // models written by pclouds -save-model; the newest file becomes the
 // active version and the registry hot-swaps newer models with zero
-// downtime (on a poll interval and on SIGHUP):
+// downtime (as soon as a model lands on Linux, and on a poll interval and
+// on SIGHUP everywhere):
 //
 //	pcloudsserve -models ./models -addr :8391
 //
@@ -53,7 +54,7 @@ func main() {
 		queue     = flag.Int("queue", 1024, "request queue bound; a full queue sheds with 503")
 		maxBatch  = flag.Int("max-batch", 256, "max rows coalesced into one worker batch")
 		maxRows   = flag.Int("max-rows", 16384, "max rows per request")
-		poll      = flag.Duration("poll", 2*time.Second, "model hot-reload poll interval (0 disables; SIGHUP always reloads)")
+		poll      = flag.Duration("poll", 2*time.Second, "model hot-reload poll interval: on Linux a new model is picked up when it lands and this only bounds staleness (0 disables hot reload; SIGHUP always reloads)")
 		reqTO     = flag.Duration("request-timeout", 10*time.Second, "per-request engine timeout")
 		drainTO   = flag.Duration("drain-timeout", 10*time.Second, "graceful shutdown drain window")
 		debugAddr = flag.String("debug-addr", "", "serve /debug/pprof and /debug/vars on this address")

@@ -89,7 +89,7 @@ func (s *Pcloudsstream) Command(run func(s *Pcloudsstream, r *Rank) error) *Comm
 			s.Stream.Clouds = clouds.Config{Split: clouds.SplitHist, MinNodeSize: 2}
 			fs.StringVar(&s.Source, "source", "synthetic", "record source: synthetic (Agrawal generator) or tail (follow a binary file)")
 			fs.StringVar(&s.Tail, "tail", "", "fixed-width binary record file to tail (-source tail)")
-			fs.DurationVar(&s.TailPoll, "tail-poll", 50*time.Millisecond, "poll interval when the tail has caught up")
+			fs.DurationVar(&s.TailPoll, "tail-poll", 50*time.Millisecond, "poll interval when the tail has caught up: on Linux an append wakes the tail when it lands and this only bounds how late a missed wake makes it")
 			fs.IntVar(&s.Gen.Function, "function", 2, "generator classification function (-source synthetic)")
 			fs.Int64Var(&s.Gen.Seed, "data-seed", 1, "generator seed (-source synthetic; must match across ranks)")
 			fs.Float64Var(&s.Gen.Noise, "noise", 0, "generator label noise probability (-source synthetic)")

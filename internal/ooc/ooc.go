@@ -535,7 +535,10 @@ func (r *Reader) fill() error {
 
 // fillPrefetched takes the next page from the background reader, charging
 // its cost here — the point the synchronous path would have performed the
-// read — and recording time the scan actually stalled as I/O wait.
+// read — and recording time the scan actually stalled as I/O wait. With no
+// partial record pending the prefetched page becomes the window and the
+// old window goes back to the pool; a pending tail is kept in place and
+// the page is copied in behind it.
 func (r *Reader) fillPrefetched() error {
 	var c pfChunk
 	var ok bool
@@ -554,10 +557,16 @@ func (r *Reader) fillPrefetched() error {
 		r.eof = true
 		return fmt.Errorf("ooc: reading %q: %w", r.name, c.err)
 	}
-	n := copy(r.buf[r.end:], c.data)
-	putPage(c.data)
-	if n != len(c.data) {
-		return fmt.Errorf("ooc: reading %q: prefetched page of %d bytes overflows %d-byte window", r.name, len(c.data), len(r.buf)-r.end)
+	n := len(c.data)
+	if r.end == 0 {
+		putPage(r.buf)
+		r.buf = c.data[:PageSize]
+	} else {
+		copied := copy(r.buf[r.end:], c.data)
+		putPage(c.data)
+		if copied != n {
+			return fmt.Errorf("ooc: reading %q: prefetched page of %d bytes overflows %d-byte window", r.name, n, len(r.buf)-r.end)
+		}
 	}
 	r.s.chargeRead(n)
 	r.end += n

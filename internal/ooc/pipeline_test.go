@@ -1,6 +1,7 @@
 package ooc
 
 import (
+	"bytes"
 	"errors"
 	"runtime"
 	"testing"
@@ -309,5 +310,65 @@ func TestObserverMayCallBackIntoStore(t *testing.T) {
 	}
 	if calls == 0 {
 		t.Fatal("observer never invoked")
+	}
+}
+
+// TestPrefetchPageParityRecordWidths: a pipelined reader hands out the
+// same NextPage windows as the synchronous reader, whether the record
+// width divides PageSize (every prefetched page becomes the window) or
+// not (a partial record is carried and pages are copied in behind it).
+func TestPrefetchPageParityRecordWidths(t *testing.T) {
+	for _, attrs := range [][]record.Attribute{
+		{{Name: "x", Kind: record.Numeric}, {Name: "y", Kind: record.Numeric}},                     // 20 B
+		{{Name: "x", Kind: record.Numeric}, {Name: "c", Kind: record.Categorical, Cardinality: 5}}, // 16 B
+	} {
+		schema := record.MustSchema(attrs, 2)
+		rb := schema.RecordBytes()
+		sync := NewMemStore(schema, costmodel.Default(), costmodel.NewClock())
+		async := NewMemStore(schema, costmodel.Default(), costmodel.NewClock())
+		async.SetPipeline(Pipeline{Enabled: true, Depth: 2})
+		recs := make([]record.Record, 7*PageSize/(2*rb)+3) // three and a half pages and a bit
+		for i := range recs {
+			recs[i] = record.Record{Num: []float64{float64(i)}, Class: int32(i % 2)}
+			if schema.NumNumeric() == 2 {
+				recs[i].Num = append(recs[i].Num, -float64(i))
+			} else {
+				recs[i].Cat = []int32{int32(i % 5)}
+			}
+		}
+		for _, st := range []*Store{sync, async} {
+			if err := st.WriteAll("d", recs); err != nil {
+				t.Fatal(err)
+			}
+		}
+		rs, err := sync.OpenReader("d")
+		if err != nil {
+			t.Fatal(err)
+		}
+		ra, err := async.OpenReader("d")
+		if err != nil {
+			t.Fatal(err)
+		}
+		for page := 0; ; page++ {
+			want, err := rs.NextPage()
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := ra.NextPage()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got, want) {
+				t.Fatalf("%d-byte records, page %d: pipelined %d bytes, synchronous %d, or their contents differ", rb, page, len(got), len(want))
+			}
+			if len(want) == 0 {
+				break
+			}
+		}
+		rs.Close()
+		ra.Close()
+		if a, b := sync.Stats(), async.Stats(); a.ReadOps != b.ReadOps || a.ReadBytes != b.ReadBytes {
+			t.Fatalf("%d-byte records: read stats diverge: sync %v async %v", rb, a, b)
+		}
 	}
 }

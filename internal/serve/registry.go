@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"pclouds/internal/durable"
+	"pclouds/internal/notify"
 	"pclouds/internal/obs"
 	"pclouds/internal/tree"
 )
@@ -22,15 +23,16 @@ import (
 // without locks.
 //
 // Hot reload is pull-based: Reload rescans and swaps if the best candidate
-// on disk differs from what is being served. Watch runs Reload on a
-// timer; cmd/pcloudsserve also triggers it on SIGHUP. Because tree.SaveFile
-// renames a complete, fsynced temp file into place, the poller can never
-// observe a torn model; and if a foreign writer does produce a corrupt
-// file, loading fails validation and the previous version keeps serving —
-// for directory registries the corrupt file is additionally quarantined
-// (renamed aside by durable.Quarantine) so the poller moves on to
-// the next-best candidate instead of retrying the same broken file every
-// tick.
+// on disk differs from what is being served. Watch runs Reload when a
+// model lands in the registry path (where the platform reports file
+// events) and on a timer; cmd/pcloudsserve also triggers it on SIGHUP.
+// Because tree.SaveFile renames a complete, fsynced temp file into
+// place, the poller can never observe a torn model; and if a foreign
+// writer does produce a corrupt file, loading fails validation and the
+// previous version keeps serving — for directory registries the corrupt
+// file is additionally quarantined (renamed aside by durable.Quarantine)
+// so the poller moves on to the next-best candidate instead of retrying
+// the same broken file every tick.
 //
 // The registry also keeps a last-known-good slot: the model displaced by
 // the most recent swap. Rollback re-activates it and pins the displaced
@@ -60,13 +62,16 @@ type Registry struct {
 	// candidate matching it is treated as unchanged. Guarded by mu.
 	pin    candidate
 	pinned bool
+	// watch arms Watch's change notification (notify.Watch); tests
+	// substitute one that fails.
+	watch func(path string, match func(name string) bool) (<-chan struct{}, func(), error)
 }
 
 // OpenRegistry opens a registry rooted at path (a directory of model files
 // or one model file) and loads the initial model. It fails if no valid
 // model can be loaded, so a server never starts ready-but-empty.
 func OpenRegistry(path string) (*Registry, error) {
-	r := &Registry{path: path, logf: func(string, ...any) {}}
+	r := &Registry{path: path, logf: func(string, ...any) {}, watch: notify.Watch}
 	if _, _, err := r.Reload(); err != nil {
 		return nil, err
 	}
@@ -277,23 +282,56 @@ func (r *Registry) reloadLocked() (*Model, bool, error) {
 	}
 }
 
-// Watch polls Reload every interval until ctx is cancelled. Errors are
-// reported through the registry logger (deduplicated) and LastError; the
-// previous model keeps serving.
+// Watch runs Reload until ctx is cancelled: as soon as a model lands in
+// the registry path, and every interval. The interval bounds how stale
+// the served model can get where file events are not available (or
+// cannot be watched); on Linux a published model is picked up when its
+// rename lands. Errors are reported through the registry logger
+// (deduplicated) and LastError; the previous model keeps serving.
 func (r *Registry) Watch(ctx context.Context, interval time.Duration) {
 	if interval <= 0 {
 		interval = 2 * time.Second
 	}
 	t := time.NewTicker(interval)
 	defer t.Stop()
+	wake, stop := r.notifications()
+	defer stop()
 	for {
 		select {
 		case <-ctx.Done():
 			return
 		case <-t.C:
-			r.Reload() //nolint:errcheck // logged (once) inside Reload
+		case <-wake:
 		}
+		r.Reload() //nolint:errcheck // logged (once) inside Reload
 	}
+}
+
+// notifications arms a change watch on the registry path and returns its
+// wake channel, or a nil channel (Watch then polls) when there is nothing
+// to watch or arming fails. Only names a scan could pick wake a directory
+// registry: a WriteFile temporary being written, or a quarantine rename,
+// does not. A single-file registry watches its parent directory for the
+// file's own name, since an atomic overwrite replaces the file it would
+// otherwise watch. Reload runs once right after arming, so a model that
+// landed before the watch existed is not left waiting for the ticker.
+func (r *Registry) notifications() (<-chan struct{}, func()) {
+	if r.path == "" {
+		return nil, func() {}
+	}
+	dir, match := r.path, func(name string) bool {
+		return !strings.HasPrefix(name, ".") && durable.Live(name)
+	}
+	if st, err := os.Stat(r.path); err == nil && !st.IsDir() {
+		base := filepath.Base(r.path)
+		dir, match = filepath.Dir(r.path), func(name string) bool { return name == base }
+	}
+	wake, stop, err := r.watch(dir, match)
+	if err != nil {
+		return nil, func() {}
+	}
+	r.Reload() //nolint:errcheck // logged (once) inside Reload
+	return wake, stop
 }
 
 // LoadModelFile loads and validates one persisted model; the version is

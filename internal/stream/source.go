@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"pclouds/internal/datagen"
+	"pclouds/internal/notify"
 	"pclouds/internal/record"
 )
 
@@ -63,7 +64,9 @@ func (s *SyntheticSource) Close() error { return nil }
 // TailOptions tunes a TailSource.
 type TailOptions struct {
 	// Poll is how often the tail re-checks the file for appended records
-	// when it has caught up (default 50ms).
+	// when it has caught up (default 50ms). Where the platform reports
+	// file events (Linux) an append wakes the tail at once, and Poll only
+	// bounds how late a missed event can make it.
 	Poll time.Duration
 	// Limit > 0 ends the stream cleanly after that many records; 0 tails
 	// forever.
@@ -74,9 +77,10 @@ type TailOptions struct {
 }
 
 // TailSource follows a binary record file the way `tail -f` follows a log:
-// it reads whole records as they are appended and polls when it has caught
-// up. Both dataset formats are tailed. A checksummed v2 file (record.V2Magic,
-// as `datagen -stream` now produces) is consumed block by block with every
+// it reads whole records as they are appended and, when it has caught up,
+// waits for the next write to the file (or the next poll). Both dataset
+// formats are tailed. A checksummed v2 file (record.V2Magic, as
+// `datagen -stream` now produces) is consumed block by block with every
 // block CRC verified: an incomplete trailing block is a writer mid-append
 // and is polled until whole, while a complete block that fails its checksum
 // — or an implausible block header — is data corruption and surfaces as an
@@ -97,6 +101,12 @@ type TailSource struct {
 	hdr     record.V2Header
 	block   []byte // verified payload of the current v2 block
 	bpos    int    // decode position within block
+	// The file's change watch, armed on the first wait so a tail that
+	// never catches up with its writer never holds one. armed stays set
+	// when arming failed: the tail then polls without retrying.
+	armed   bool
+	wake    <-chan struct{}
+	unwatch func()
 }
 
 // TailFile opens path for tailing. The file must exist (create it empty
@@ -195,17 +205,27 @@ func (s *TailSource) nextBlock() (bool, error) {
 	return true, nil
 }
 
-// wait blocks one poll interval; true means Stop closed (clean end).
+// wait blocks until the file is written, a poll interval passes or Stop
+// closes; true means Stop closed (clean end). The first call arms the
+// file's change watch and returns at once, so the caller reads the file
+// once more before it blocks: an append that landed before the watch was
+// armed is not left waiting for the poll.
 func (s *TailSource) wait() bool {
-	if s.opts.Stop != nil {
-		select {
-		case <-s.opts.Stop:
-			return true
-		case <-time.After(s.opts.Poll):
+	if !s.armed {
+		s.armed = true
+		if wake, unwatch, err := notify.Watch(s.f.Name(), nil); err == nil {
+			s.wake, s.unwatch = wake, unwatch
 			return false
 		}
 	}
-	time.Sleep(s.opts.Poll)
+	t := time.NewTimer(s.opts.Poll)
+	defer t.Stop()
+	select {
+	case <-s.opts.Stop:
+		return true
+	case <-s.wake:
+	case <-t.C:
+	}
 	return false
 }
 
@@ -260,4 +280,11 @@ func (s *TailSource) Next(rec *record.Record) (bool, error) {
 	}
 }
 
-func (s *TailSource) Close() error { return s.f.Close() }
+// Close releases the file and its change watch.
+func (s *TailSource) Close() error {
+	if s.unwatch != nil {
+		s.unwatch()
+		s.unwatch = nil
+	}
+	return s.f.Close()
+}
