@@ -58,7 +58,9 @@ chaos:
 	$(GO) test -race ./internal/scrub/
 
 # chaos-quick is the self-healing subset that gates every commit: the
-# supervised kill-and-respawn acceptance test, generation fencing, the
+# supervised kill-and-respawn acceptance test, the peer protocol's order
+# table, hello verdicts and fuzz seeds (pure, deterministic, seconds),
+# generation fencing, the
 # checkpoint GC, resume-policy and end-of-build vote tests of the batch
 # build, the resume agreement and degraded-mode retention of the streaming
 # engine, the registry's and the stream tail's wake on file events, and
@@ -71,6 +73,7 @@ chaos:
 # so a hang fails fast instead of eating the gate.
 chaos-quick: vet
 	$(GO) test -race -timeout 300s -run 'TestSupervised|TestRunRank|TestSupervise' ./internal/driver/
+	$(GO) test -race -timeout 300s ./internal/comm/peer/
 	$(GO) test -race -timeout 300s -run 'TestGeneration|TestDoorman|TestStale' ./internal/comm/tcp/
 	$(GO) test -race -timeout 300s -run 'TestCheckpointGC|TestDegraded|TestResume|TestChaosFinalExchange' ./internal/pclouds/
 	$(GO) test -race -timeout 300s -run 'TestResume|TestDegraded|TestTailWake' ./internal/stream/

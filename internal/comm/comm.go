@@ -18,9 +18,9 @@
 // stops calling collectives, its peers' pending Recv calls either fail
 // (TCP: connection teardown surfaces an error) or block (channel mesh) —
 // a deployment is expected to abort the whole job on any rank error, as
-// cmd/pcloudsd does. Protocol errors (tag mismatches, corrupt frames,
-// invalid ranks) are returned as errors rather than matched loosely, so
-// desynchronised gangs fail fast instead of computing garbage.
+// cmd/pcloudsd does. Protocol errors (corrupt frames, invalid ranks, a tag
+// mismatch on the channel mesh) are returned as errors, so desynchronised
+// gangs fail fast instead of computing garbage.
 package comm
 
 import (
@@ -162,11 +162,11 @@ func countCall(c Communicator, cl OpClass) {
 	}
 }
 
-// Communicator is the per-rank handle to a process group. Implementations
-// must deliver messages between a fixed (from, to) pair in FIFO order.
-// Send blocks at most until the message is buffered; Recv blocks until the
-// next message from the given rank arrives and fails if its tag differs
-// from the expectation (a protocol error, not a matching feature).
+// Communicator is the per-rank handle to a process group. Callers may rely
+// on FIFO per (from, to, tag) and nothing more: whether a message of another
+// tag queued ahead is an error (the channel transport) or is held for a
+// later Recv (the TCP transport's per-tag queues) is the transport's choice,
+// and no caller may depend on either. Send blocks at most until buffered.
 type Communicator interface {
 	// Rank returns this process's id in [0, Size()).
 	Rank() int
@@ -176,7 +176,7 @@ type Communicator interface {
 	// not retained; implementations copy or fully transmit it before
 	// returning.
 	Send(to int, tag Tag, data []byte) error
-	// Recv returns the next message from rank from, verifying its tag.
+	// Recv returns the oldest message from rank from with tag tag.
 	Recv(from int, tag Tag) ([]byte, error)
 	// Clock returns this rank's simulated clock, or nil if the transport
 	// does not simulate time.

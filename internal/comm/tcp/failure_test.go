@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"pclouds/internal/comm"
+	"pclouds/internal/comm/peer"
 	"pclouds/internal/costmodel"
 )
 
@@ -225,12 +226,7 @@ func TestQueuedFramesDrainBeforeFailure(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Wait for the frame to land in rank 0's queue, then kill rank 1.
-	waitUntil(t, func() bool {
-		pe := comms[0].peers[1]
-		pe.mu.Lock()
-		defer pe.mu.Unlock()
-		return len(pe.queues[int32(comm.TagUser)]) > 0
-	})
+	waitUntil(t, func() bool { return linkOf(comms[0], 1).Queued > 0 })
 	comms[1].Close()
 	b, err := comms[0].Recv(1, comm.TagUser)
 	if err != nil {
@@ -242,6 +238,13 @@ func TestQueuedFramesDrainBeforeFailure(t *testing.T) {
 	if _, err := comms[0].Recv(1, comm.TagUser); err == nil {
 		t.Fatal("drained queue should surface the failure")
 	}
+}
+
+// linkOf reads c's protocol state for its peer q.
+func linkOf(c *Comm, q int) peer.Link {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.m.Link(q)
 }
 
 func waitUntil(t *testing.T, cond func() bool) {
@@ -274,12 +277,11 @@ func TestHeartbeatsExcludedFromTraffic(t *testing.T) {
 	}
 }
 
-// TestConcurrentPeerFailuresNoDeadlock is the regression test for the
-// gossipDown deadlock: two peers of a 4-rank mesh are declared down at the
-// same moment, so one declarer runs the failure gossip (which looks at every
-// other peer) while the other waits for it. With onDown fired under the
-// failed peer's mutex, the gossiper blocked on that mutex and its holder on
-// the gossip Once, and Close then hung forever in peer.fail.
+// TestConcurrentPeerFailuresNoDeadlock: two peers of a 4-rank mesh are
+// declared down at the same moment, from two goroutines that each feed the
+// protocol machine a read error, and Close must still return with both
+// declarations counted. Two simultaneous failures followed by Close once
+// deadlocked the per-peer locking design this machine replaced.
 func TestConcurrentPeerFailuresNoDeadlock(t *testing.T) {
 	const rounds = 200
 	done := make(chan struct{})
@@ -292,11 +294,12 @@ func TestConcurrentPeerFailuresNoDeadlock(t *testing.T) {
 			start := make(chan struct{})
 			for _, r := range []int{1, 2} {
 				wg.Add(1)
-				go func(pe *peer) {
+				go func(q int) {
 					defer wg.Done()
 					<-start
-					pe.fail(&comm.PeerDown{Rank: pe.rank, Addr: pe.addr, Cause: "injected"})
-				}(c.peers[r])
+					c.mu.Lock()
+					c.perform(c.m.ReadError(nil, c.now(), q, errors.New("injected")))
+				}(r)
 			}
 			close(start)
 			wg.Wait()
@@ -342,10 +345,8 @@ func TestFinishedPeerDoesNotPoisonOthers(t *testing.T) {
 	}
 	comms[2].Close()
 	waitUntil(t, func() bool {
-		pe := comms[0].peers[2]
-		pe.mu.Lock()
-		defer pe.mu.Unlock()
-		return pe.finished && pe.closed
+		l := linkOf(comms[0], 2)
+		return l.Finished && l.Closed
 	})
 	time.Sleep(2 * comms[0].cfg.PeerTimeout) // the silence monitor gets its chance
 	for r := 0; r < 2; r++ {
@@ -370,11 +371,11 @@ func TestFinishedPeerDoesNotPoisonOthers(t *testing.T) {
 		t.Fatalf("Recv from the finished peer: want PeerDown(rank 2, finished), got %v", err)
 	}
 	waitUntil(t, func() bool { // rank 0's gossip has reached rank 1
-		comms[1].statsMu.Lock()
-		defer comms[1].statsMu.Unlock()
-		return comms[1].firstDown != nil
+		comms[1].mu.Lock()
+		defer comms[1].mu.Unlock()
+		return comms[1].m.Root() != nil
 	})
-	if err := comms[1].peers[2].failure(); err != nil {
+	if err := linkOf(comms[1], 2).Err; err != nil {
 		t.Fatalf("rank 1 failed its connection to the finished peer on gossip: %v", err)
 	}
 	if b, err := comms[1].Recv(2, comm.TagUser); err != nil || string(b) != "last" {
@@ -397,13 +398,8 @@ func TestCloseSaysByeUnderSendContention(t *testing.T) {
 	time.Sleep(50 * time.Millisecond)
 	pe.sendM.Unlock()
 	<-closed
-	waitUntil(t, func() bool {
-		pe := comms[1].peers[0]
-		pe.mu.Lock()
-		defer pe.mu.Unlock()
-		return pe.closed
-	})
-	if err := comms[1].peers[0].failure(); err != nil {
+	waitUntil(t, func() bool { return linkOf(comms[1], 0).Closed })
+	if err := linkOf(comms[1], 0).Err; err != nil {
 		t.Fatalf("a clean Close behind a busy send lock read as a failure: %v", err)
 	}
 }
