@@ -211,6 +211,17 @@ func (c Config) IsSmall(nNode, nRoot int64) bool {
 // built from. Callers that need p-independent parallel builds draw the
 // sample once from the full dataset and share it.
 func (c Config) SampleFor(data *record.Dataset) []record.Record {
+	rows := c.SampleRows(data.Len())
+	out := make([]record.Record, len(rows))
+	for i, r := range rows {
+		out[i] = data.Records[r]
+	}
+	return out
+}
+
+// SampleRows draws the rows of an n-row dataset that SampleFor's sample
+// holds, in the sample's order.
+func (c Config) SampleRows(n int) []int {
 	k := c.SampleSize
 	if k <= 0 {
 		k = 10 * c.QRoot
@@ -218,8 +229,7 @@ func (c Config) SampleFor(data *record.Dataset) []record.Record {
 			k = 2000
 		}
 	}
-	rng := rand.New(rand.NewSource(c.Seed))
-	return data.Sample(k, rng)
+	return record.SampleRows(n, k, rand.New(rand.NewSource(c.Seed)))
 }
 
 // BuildStats aggregates diagnostics of one tree construction.
@@ -258,6 +268,10 @@ type builder struct {
 	schema *record.Schema
 	nRoot  int64
 	stats  BuildStats
+	// cut, when positive, is the depth at which build leaves nodes
+	// unbuilt and collects them in tasks (BuildTop).
+	cut   int
+	tasks []*Task
 }
 
 // BuildInCore constructs a CLOUDS decision tree over an in-memory dataset.
@@ -282,17 +296,40 @@ func BuildInCore(cfg Config, data *record.Dataset, sample []record.Record) (*tre
 	return t, &st, nil
 }
 
-// BuildSubtree builds a subtree over in-memory records starting at the
-// given depth, with nRoot the *global* root size so that interval counts
-// and small-node decisions match a full build. sample is the node's
-// presorted sample; the builder splits it and the node must not be used
+// Task is a node that BuildTop left unbuilt at its cut depth: the node's
+// presorted rows and sample (nil below a small node) and its depth.
+type Task struct {
+	Data, Sample *Presorted
+	Depth        int
+	at           *tree.Node // the node's placeholder in the tree
+}
+
+// Attach puts the task's subtree into the tree in place of its placeholder.
+func (t *Task) Attach(root *tree.Node) { *t.at = *root }
+
+// BuildTop runs the in-core recursion over a presorted root, data and
+// sample, down to depth cut: a node it reaches at depth cut is not built
+// but returned as a Task, in preorder, with a placeholder in the tree.
+// BuildSubtree over each task with nRoot data.Len(), attached, gives the
+// tree BuildInCore builds over the same rows and sample; a cut of 0 or
+// less builds the whole tree. data and sample are split in place.
+func BuildTop(cfg Config, schema *record.Schema, data, sample *Presorted, cut int) (*tree.Tree, []*Task) {
+	b := &builder{cfg: cfg.WithDefaults(), schema: schema, nRoot: int64(data.Len()), cut: cut}
+	root := b.build(data, sample, 0)
+	return &tree.Tree{Schema: schema, Root: root}, b.tasks
+}
+
+// BuildSubtree builds the subtree of a node's presorted rows starting at
+// the given depth, with nRoot the *global* root size so that interval
+// counts and small-node decisions match a full build. sample is the node's
+// presorted sample. Both are split in place and must not be used
 // afterwards. pCLOUDS uses it to solve shipped small nodes on their
-// assigned processor.
-func BuildSubtree(cfg Config, schema *record.Schema, recs []record.Record, sample *Presorted, depth int, nRoot int64) (*tree.Node, *BuildStats) {
+// assigned processor, and the stream refresh to build BuildTop's tasks.
+func BuildSubtree(cfg Config, schema *record.Schema, data, sample *Presorted, depth int, nRoot int64) (*tree.Node, *BuildStats) {
 	cfg = cfg.WithDefaults()
 	b := &builder{cfg: cfg, schema: schema, nRoot: nRoot}
 	span := cfg.Trace.Start("small-subtree")
-	nd := b.build(Presort(schema, recs), sample, depth)
+	nd := b.build(data, sample, depth)
 	span.End()
 	st := b.stats
 	return nd, &st
@@ -333,6 +370,11 @@ func (c Config) ShouldStop(classCounts []int64, n int64, depth int) bool {
 // columns, and the children of a small node are small too, so their sample
 // is no longer split.
 func (b *builder) build(data, sample *Presorted, depth int) *tree.Node {
+	if b.cut > 0 && depth == b.cut {
+		t := &Task{Data: data, Sample: sample, Depth: depth, at: &tree.Node{}}
+		b.tasks = append(b.tasks, t)
+		return t.at
+	}
 	if depth > b.stats.MaxDepth {
 		b.stats.MaxDepth = depth
 	}

@@ -2,6 +2,7 @@ package clouds
 
 import (
 	"math"
+	"slices"
 	"sort"
 
 	"pclouds/internal/gini"
@@ -58,6 +59,42 @@ func Presort(schema *record.Schema, recs []record.Record) *Presorted {
 			col[i] = Point{V: recs[i].Num[j], Class: recs[i].Class, Row: int32(i)}
 		}
 		SortPoints(col)
+		p.cols[j] = col
+	}
+	return p
+}
+
+// NewPresorted returns the Presorted of rows of recs from columns already
+// sorted: cols[j] holds the rows by Num[j], NaN last, with Row naming the
+// record, as Presort orders them up to the order of tied values. keep, when
+// non-nil, selects by row the rows to take, a sample of recs. The columns
+// are copied with Class filled in, so cols are only read. reuse, when
+// non-nil, is a root from an earlier call whose nodes are all out of use;
+// the result takes over its storage. recs must outlive the result and
+// every node split from it.
+func NewPresorted(recs []record.Record, cols [][]Point, keep []bool, reuse *Presorted) *Presorted {
+	n := len(recs)
+	p := reuse
+	if p == nil {
+		p = &Presorted{sc: &presortScratch{}}
+	}
+	p.recs, p.rows = recs, p.rows[:0]
+	for r := range n {
+		if keep == nil || keep[r] {
+			p.rows = append(p.rows, int32(r))
+		}
+	}
+	p.sc.left = slices.Grow(p.sc.left[:0], n)[:n]
+	// Split leaves a root's column headers as they were, so each column's
+	// array is there to be refilled.
+	p.cols = slices.Grow(p.cols[:0], len(cols))[:len(cols)]
+	for j, src := range cols {
+		col := slices.Grow(p.cols[j][:0], len(p.rows))
+		for _, e := range src {
+			if keep == nil || keep[e.Row] {
+				col = append(col, Point{V: e.V, Class: recs[e.Row].Class, Row: e.Row})
+			}
+		}
 		p.cols[j] = col
 	}
 	return p

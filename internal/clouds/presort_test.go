@@ -234,7 +234,7 @@ func checkPresortedAgainstOracle(t *testing.T, data *record.Dataset, sample []re
 		name  string
 		nRoot int64
 	}{{"whole", nRoot}, {"small-task", 1 << 40}} {
-		got, gotStats := BuildSubtree(cfg, schema, data.Records, Presort(schema, sample), 1, c.nRoot)
+		got, gotStats := BuildSubtree(cfg, schema, Presort(schema, data.Records), Presort(schema, sample), 1, c.nRoot)
 		want, wantStats := perNodeSortBuild(cfg, schema, data.Records, sample, 1, c.nRoot)
 		gotBytes := tree.Encode(&tree.Tree{Schema: schema, Root: got})
 		wantBytes := tree.Encode(&tree.Tree{Schema: schema, Root: want})

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"slices"
+	"sync"
 )
 
 // This file implements the collective communication primitives of the
@@ -200,45 +201,39 @@ func AllGather(c Communicator, data []byte) ([][]byte, error) {
 	ranks := []int{r}
 	blocks := [][]byte{append([]byte(nil), data...)}
 	for mask := 1; mask < p; mask <<= 1 {
-		partner := r ^ mask
-		payload := packBlocks(ranks, blocks)
-		// Lower rank sends first; buffered channels make the order safe,
-		// and deterministic ordering keeps transcripts reproducible.
-		if r < partner {
-			if err := c.Send(partner, tagAllGather, payload); err != nil {
-				return nil, err
-			}
-			raw, err := c.Recv(partner, tagAllGather)
-			if err != nil {
-				return nil, err
-			}
-			rs, bs, err := unpackBlocks(raw)
-			if err != nil {
-				return nil, err
-			}
-			ranks = append(ranks, rs...)
-			blocks = append(blocks, bs...)
-		} else {
-			raw, err := c.Recv(partner, tagAllGather)
-			if err != nil {
-				return nil, err
-			}
-			if err := c.Send(partner, tagAllGather, payload); err != nil {
-				return nil, err
-			}
-			rs, bs, err := unpackBlocks(raw)
-			if err != nil {
-				return nil, err
-			}
-			ranks = append(ranks, rs...)
-			blocks = append(blocks, bs...)
+		raw, err := exchange(c, r^mask, tagAllGather, packBlocks(ranks, blocks))
+		if err != nil {
+			return nil, err
 		}
+		rs, bs, err := unpackBlocks(raw)
+		if err != nil {
+			return nil, err
+		}
+		ranks = append(ranks, rs...)
+		blocks = append(blocks, bs...)
 	}
 	out := make([][]byte, p)
 	for i, rk := range ranks {
 		out[rk] = blocks[i]
 	}
 	return out, nil
+}
+
+// exchange sends payload to partner and returns partner's payload, both on
+// tag. The lower rank sends first: buffered transports make either order
+// safe, and a fixed order keeps transcripts reproducible.
+func exchange(c Communicator, partner int, tag Tag, payload []byte) ([]byte, error) {
+	if c.Rank() < partner {
+		if err := c.Send(partner, tag, payload); err != nil {
+			return nil, err
+		}
+		return c.Recv(partner, tag)
+	}
+	raw, err := c.Recv(partner, tag)
+	if err != nil {
+		return nil, err
+	}
+	return raw, c.Send(partner, tag, payload)
 }
 
 func allGatherViaRoot(c Communicator, data []byte) ([][]byte, error) {
@@ -281,33 +276,23 @@ func AllToAll(c Communicator, parts [][]byte) ([][]byte, error) {
 	out := make([][]byte, p)
 	out[r] = parts[r]
 	for i := 1; i < p; i++ {
-		var sendTo, recvFrom int
 		if isPow2(p) {
-			sendTo = r ^ i
-			recvFrom = r ^ i
-		} else {
-			sendTo = (r + i) % p
-			recvFrom = (r - i + p) % p
-		}
-		if r < sendTo || !isPow2(p) {
-			if err := c.Send(sendTo, tagAllToAll, parts[sendTo]); err != nil {
-				return nil, err
-			}
-			raw, err := c.Recv(recvFrom, tagAllToAll)
+			raw, err := exchange(c, r^i, tagAllToAll, parts[r^i])
 			if err != nil {
 				return nil, err
 			}
-			out[recvFrom] = raw
-		} else {
-			raw, err := c.Recv(recvFrom, tagAllToAll)
-			if err != nil {
-				return nil, err
-			}
-			if err := c.Send(sendTo, tagAllToAll, parts[sendTo]); err != nil {
-				return nil, err
-			}
-			out[recvFrom] = raw
+			out[r^i] = raw
+			continue
 		}
+		sendTo, recvFrom := (r+i)%p, (r-i+p)%p
+		if err := c.Send(sendTo, tagAllToAll, parts[sendTo]); err != nil {
+			return nil, err
+		}
+		raw, err := c.Recv(recvFrom, tagAllToAll)
+		if err != nil {
+			return nil, err
+		}
+		out[recvFrom] = raw
 	}
 	return out, nil
 }
@@ -333,18 +318,30 @@ func BytesToInt64s(b []byte) ([]int64, error) {
 	return out, nil
 }
 
+// int64Scratch lends AllReduceInt64 the byte vector it reduces in.
+var int64Scratch = sync.Pool{New: func() any { return new([]byte) }}
+
 // AllReduceInt64 combines equal-length vectors element-wise with op across
-// all ranks; every rank returns the combined vector, which never aliases v.
+// all ranks and overwrites v with the combined vector, which it returns.
 // Power-of-two groups use reduce-scatter + all-gather (Table 1's
 // O(ts·log p + tw·m) global combine); other sizes use a binomial reduce
-// followed by a broadcast. v is encoded once and every step combines the
-// collective's own byte vector in place.
+// followed by a broadcast. v is encoded once into scratch borrowed from a
+// pool, every step combines in that scratch, and the result is decoded
+// back into v.
 func AllReduceInt64(c Communicator, v []int64, op func(a, b int64) int64) ([]int64, error) {
 	countCall(c, OpReduce)
-	if c.Size() == 1 {
-		return slices.Clone(v), nil
+	p := c.Size()
+	if p == 1 {
+		return v, nil
 	}
-	res, err := allReduceRaw(c, Int64sToBytes(v), func(a, b []byte) ([]byte, error) {
+	buf := int64Scratch.Get().(*[]byte)
+	defer int64Scratch.Put(buf)
+	data := slices.Grow((*buf)[:0], 8*len(v))[:8*len(v)]
+	*buf = data
+	for i, x := range v {
+		binary.LittleEndian.PutUint64(data[8*i:], uint64(x))
+	}
+	combine := func(a, b []byte) ([]byte, error) {
 		if len(a) != len(b) || len(a)%8 != 0 {
 			return nil, fmt.Errorf("comm: allreduce length mismatch %d vs %d bytes", len(a), len(b))
 		}
@@ -354,24 +351,24 @@ func AllReduceInt64(c Communicator, v []int64, op func(a, b int64) int64) ([]int
 			binary.LittleEndian.PutUint64(a[i:], uint64(op(x, y)))
 		}
 		return a, nil
-	}, 8)
+	}
+	res := data
+	var err error
+	if isPow2(p) && len(v) >= p {
+		err = allReduceRS(c, data, combine, 8)
+	} else {
+		res, err = allReduceTree(c, data, combine, tagReduce)
+	}
+	if err == nil && len(res) != len(data) {
+		err = fmt.Errorf("comm: allreduce result %d bytes, want %d", len(res), len(data))
+	}
 	if err != nil {
 		return nil, err
 	}
-	return BytesToInt64s(res)
-}
-
-// allReduceRaw combines byte vectors whose element size is elem bytes.
-// combine must be associative and commutative on aligned vectors.
-func allReduceRaw(c Communicator, data []byte, combine func(a, b []byte) ([]byte, error), elem int) ([]byte, error) {
-	p := c.Size()
-	if p == 1 {
-		return data, nil
+	for i := range v {
+		v[i] = int64(binary.LittleEndian.Uint64(res[8*i:]))
 	}
-	if isPow2(p) && len(data) >= elem*p {
-		return allReduceRS(c, data, combine, elem)
-	}
-	return allReduceTree(c, data, combine, tagReduce)
+	return v, nil
 }
 
 // AllReduceBytes combines opaque byte payloads across ranks with a custom
@@ -414,14 +411,11 @@ func allReduceTree(c Communicator, data []byte, combine func(a, b []byte) ([]byt
 // allReduceRS: recursive-halving reduce-scatter followed by recursive-
 // doubling all-gather, for power-of-two p. The vector is split into p chunks
 // on element boundaries; after reduce-scatter rank r holds the fully reduced
-// chunk r, and the all-gather reassembles the full vector everywhere. The
-// per-byte term is O(tw·m), independent of p.
-func allReduceRS(c Communicator, data []byte, combine func(a, b []byte) ([]byte, error), elem int) ([]byte, error) {
+// chunk r, and the all-gather reassembles the full vector everywhere, in
+// data itself. The per-byte term is O(tw·m), independent of p.
+func allReduceRS(c Communicator, data []byte, combine func(a, b []byte) ([]byte, error), elem int) error {
 	p, r := c.Size(), c.Rank()
 	nElems := len(data) / elem
-	if len(data)%elem != 0 {
-		return nil, fmt.Errorf("comm: allreduce payload %d not a multiple of element size %d", len(data), elem)
-	}
 	chunk := (nElems + p - 1) / p
 	chunkByte := func(cidx int) int { // byte offset where chunk cidx starts
 		e := cidx * chunk
@@ -433,24 +427,6 @@ func allReduceRS(c Communicator, data []byte, combine func(a, b []byte) ([]byte,
 	rangeBytes := func(loChunk, hiChunk int) []byte {
 		return data[chunkByte(loChunk):chunkByte(hiChunk)]
 	}
-	exchange := func(partner int, payload []byte, tag Tag) ([]byte, error) {
-		if r < partner {
-			if err := c.Send(partner, tag, payload); err != nil {
-				return nil, err
-			}
-			return c.Recv(partner, tag)
-		}
-		raw, err := c.Recv(partner, tag)
-		if err != nil {
-			return nil, err
-		}
-		if err := c.Send(partner, tag, payload); err != nil {
-			return nil, err
-		}
-		return raw, nil
-	}
-
-	data = append([]byte(nil), data...)
 	lo, hi := 0, p // chunk range this rank is responsible for
 	for mask := p / 2; mask >= 1; mask >>= 1 {
 		partner := r ^ mask
@@ -467,17 +443,17 @@ func allReduceRS(c Communicator, data []byte, combine func(a, b []byte) ([]byte,
 		} else {
 			payload = rangeBytes(lo, mid)
 		}
-		recv, err := exchange(partner, payload, tagReduce)
+		recv, err := exchange(c, partner, tagReduce, payload)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		mine := rangeBytes(keepLo, keepHi)
 		if len(recv) != len(mine) {
-			return nil, fmt.Errorf("comm: allreduce chunk mismatch: %d vs %d", len(recv), len(mine))
+			return fmt.Errorf("comm: allreduce chunk mismatch: %d vs %d", len(recv), len(mine))
 		}
 		combined, err := combine(mine, recv)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		copy(mine, combined)
 		lo, hi = keepLo, keepHi
@@ -488,14 +464,14 @@ func allReduceRS(c Communicator, data []byte, combine func(a, b []byte) ([]byte,
 	// block of `mask` chunks starts at lo ^ mask.
 	for mask := 1; mask < p; mask <<= 1 {
 		partner := r ^ mask
-		recv, err := exchange(partner, rangeBytes(lo, hi), tagAllGather)
+		recv, err := exchange(c, partner, tagAllGather, rangeBytes(lo, hi))
 		if err != nil {
-			return nil, err
+			return err
 		}
 		partnerLo := lo ^ mask
 		want := chunkByte(partnerLo+mask) - chunkByte(partnerLo)
 		if len(recv) != want {
-			return nil, fmt.Errorf("comm: allgather block mismatch: got %d bytes, want %d", len(recv), want)
+			return fmt.Errorf("comm: allgather block mismatch: got %d bytes, want %d", len(recv), want)
 		}
 		copy(data[chunkByte(partnerLo):], recv)
 		if partnerLo < lo {
@@ -504,7 +480,7 @@ func allReduceRS(c Communicator, data []byte, combine func(a, b []byte) ([]byte,
 			hi = partnerLo + mask
 		}
 	}
-	return data, nil
+	return nil
 }
 
 // PrefixSumInt64 returns the inclusive prefix sum across ranks: rank r gets

@@ -167,14 +167,17 @@ func countCall(c Communicator, cl OpClass) {
 // tag queued ahead is an error (the channel transport) or is held for a
 // later Recv (the TCP transport's per-tag queues) is the transport's choice,
 // and no caller may depend on either. Send blocks at most until buffered.
+//
+// Ownership: Send does not retain its data (it copies or fully transmits
+// it before returning), so the caller may reuse the slice at once; the
+// slice Recv returns belongs to the caller; and a collective overwrites
+// only what it says it does, AllReduceInt64 its v.
 type Communicator interface {
 	// Rank returns this process's id in [0, Size()).
 	Rank() int
 	// Size returns the number of processes in the group.
 	Size() int
-	// Send delivers data to rank to with the given tag. The data slice is
-	// not retained; implementations copy or fully transmit it before
-	// returning.
+	// Send delivers data to rank to with the given tag.
 	Send(to int, tag Tag, data []byte) error
 	// Recv returns the oldest message from rank from with tag tag.
 	Recv(from int, tag Tag) ([]byte, error)

@@ -231,13 +231,9 @@ func TestAllReduceInt64Sum(t *testing.T) {
 				if len(got) != m {
 					return fmt.Errorf("p=%d m=%d: %d elements", p, m, len(got))
 				}
-				// The result is the caller's own: writing it leaves v alone.
-				for i := range got {
-					got[i]++
-					if v[i] != int64(c.Rank()*1000+i) {
-						return fmt.Errorf("p=%d m=%d: result aliases the input", p, m)
-					}
-					got[i]--
+				// The result overwrites v (TestAllReduceInt64InPlace).
+				if m > 0 && &got[0] != &v[0] {
+					return fmt.Errorf("p=%d m=%d: result is not v", p, m)
 				}
 				for i := range got {
 					var want int64

@@ -1,6 +1,7 @@
 package tcpcomm
 
 import (
+	"fmt"
 	"testing"
 
 	"pclouds/internal/comm"
@@ -80,5 +81,66 @@ func TestPerCollectiveParityWithChannelMesh(t *testing.T) {
 			t.Errorf("rank %d aggregate bytes: tcp %d, channel %d",
 				r, tcpStats[r].BytesSent, chanStats[r].BytesSent)
 		}
+	}
+}
+
+// allReduceInPlace checks one rank's side of the ownership rule for
+// AllReduceInt64 on a short vector (the tree path) and one of 16 elements
+// (reduce-scatter at power-of-two p): the sum lands in the caller's v, and
+// rank 0 writing its result afterwards changes no other rank's.
+func allReduceInPlace(c comm.Communicator) error {
+	p := c.Size()
+	for _, m := range []int{1, 16} {
+		v := make([]int64, m)
+		for i := range v {
+			v[i] = int64(100*c.Rank() + i)
+		}
+		got, err := comm.AllReduceInt64(c, v, func(a, b int64) int64 { return a + b })
+		if err != nil {
+			return err
+		}
+		if &got[0] != &v[0] {
+			return fmt.Errorf("p=%d m=%d rank %d: the result is not the caller's v", p, m, c.Rank())
+		}
+		check := func() error {
+			for i, x := range v {
+				if want := int64(100*p*(p-1)/2 + p*i); x != want {
+					return fmt.Errorf("p=%d m=%d rank %d: element %d is %d, want %d", p, m, c.Rank(), i, x, want)
+				}
+			}
+			return nil
+		}
+		if err := check(); err != nil {
+			return err
+		}
+		if err := comm.Barrier(c); err != nil {
+			return err
+		}
+		if c.Rank() == 0 {
+			for i := range v {
+				v[i] = -1
+			}
+		}
+		if err := comm.Barrier(c); err != nil {
+			return err
+		}
+		if c.Rank() != 0 {
+			if err := check(); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
+}
+
+// TestAllReduceInt64InPlace holds both transports to the ownership rule on
+// comm.Communicator: AllReduceInt64 overwrites v with the result and
+// returns v, and no rank's result shares memory with another's.
+func TestAllReduceInt64InPlace(t *testing.T) {
+	for _, p := range []int{1, 2, 3, 4} {
+		if err := comm.Run(p, costmodel.Zero(), func(c *comm.ChannelComm) error { return allReduceInPlace(c) }); err != nil {
+			t.Fatalf("channel p=%d: %v", p, err)
+		}
+		parallel(t, dialGroup(t, p), func(c *Comm) error { return allReduceInPlace(c) })
 	}
 }

@@ -173,8 +173,9 @@ func (b *pbuilder) aliveBatch(batch []*levelNode, out []clouds.Candidate) error 
 	}
 
 	// One all-to-all ships every run to its interval's assignee; the run
-	// this rank keeps is never encoded. Send does not retain its data, so
-	// the frames are carved from one scratch the builder reuses too.
+	// this rank keeps is never encoded. Send does not retain its data (the
+	// ownership rule on comm.Communicator), so the frames are carved from
+	// one scratch the builder reuses too.
 	var frames int
 	for _, n := range sendBytes {
 		frames += n

@@ -127,26 +127,6 @@ func TestTaskRecordCodec(t *testing.T) {
 	}
 }
 
-func TestSubtreeCodec(t *testing.T) {
-	results := [][]byte{nil, {1, 2, 3}, nil, {}}
-	pairs, err := decodeSubtrees(encodeSubtrees(results))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(pairs) != 2 {
-		t.Fatalf("pairs %d", len(pairs))
-	}
-	if pairs[0].idx != 1 || string(pairs[0].blob) != string([]byte{1, 2, 3}) {
-		t.Fatalf("pair 0: %+v", pairs[0])
-	}
-	if pairs[1].idx != 3 || len(pairs[1].blob) != 0 {
-		t.Fatalf("pair 1: %+v", pairs[1])
-	}
-	if _, err := decodeSubtrees([]byte{9}); err == nil {
-		t.Fatal("corrupt frame should fail")
-	}
-}
-
 func TestIntervalMappingProperties(t *testing.T) {
 	f := func(nI8, p8 uint8) bool {
 		nI := int(nI8%200) + 1

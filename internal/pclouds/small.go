@@ -8,6 +8,7 @@ import (
 
 	"pclouds/internal/clouds"
 	"pclouds/internal/comm"
+	"pclouds/internal/dnc"
 	"pclouds/internal/durable"
 	"pclouds/internal/record"
 	"pclouds/internal/tree"
@@ -29,7 +30,11 @@ func (b *pbuilder) smallNodePhase(small []*nodeTask) error {
 	b.stats.SmallTasks = len(small)
 
 	rank := b.c.Rank()
-	owner := assignTasks(small, b.c.Size())
+	tasks := make([]dnc.Task, len(small))
+	for i, t := range small {
+		tasks[i] = dnc.Task{ID: t.id, Depth: t.depth, N: t.n}
+	}
+	owner := dnc.AssignTasks(tasks, b.c.Size())
 	taskRecs, err := b.redistributeSmall(small, owner)
 	if err != nil {
 		return err
@@ -43,7 +48,7 @@ func (b *pbuilder) smallNodePhase(small []*nodeTask) error {
 		if owner[i] != rank {
 			continue
 		}
-		nd, st := clouds.BuildSubtree(b.cfg.Clouds, b.schema, taskRecs[i], t.sample, t.depth, b.nRoot)
+		nd, st := clouds.BuildSubtree(b.cfg.Clouds, b.schema, clouds.Presort(b.schema, taskRecs[i]), t.sample, t.depth, b.nRoot)
 		b.stats.Build.RecordReads += st.RecordReads
 		b.chargeCPU(st.RecordReads)
 		b.stats.Build.AlivePoints += st.AlivePoints
@@ -236,11 +241,11 @@ var errNotAssembled = errors.New("pclouds: finished tree not assembled on every 
 // peers' vote fails too.
 func (b *pbuilder) exchangeSubtrees(small []*nodeTask, results [][]byte) error {
 	defer b.rec.Start("small-exchange").End()
-	gathered, err := comm.AllGather(b.c, encodeSubtrees(results))
+	gathered, err := comm.AllGather(b.c, tree.EncodeSubtrees(results))
 	if err != nil {
 		return err
 	}
-	err = b.attachSubtrees(small, gathered)
+	err = tree.AttachSubtrees(b.schema, gathered, len(small), func(i int, root *tree.Node) { small[i].attach(root) })
 	if b.cfg.CheckpointDir == "" {
 		return err
 	}
@@ -254,61 +259,6 @@ func (b *pbuilder) exchangeSubtrees(small []*nodeTask, results [][]byte) error {
 		return errNotAssembled
 	}
 	return nil
-}
-
-// attachSubtrees decodes the gathered subtrees and attaches each to its
-// small task; every task must receive exactly one.
-func (b *pbuilder) attachSubtrees(small []*nodeTask, gathered [][]byte) error {
-	attached := 0
-	for _, raw := range gathered {
-		pairs, err := decodeSubtrees(raw)
-		if err != nil {
-			return err
-		}
-		for _, pr := range pairs {
-			if pr.idx < 0 || pr.idx >= len(small) {
-				return fmt.Errorf("pclouds: subtree index %d out of range", pr.idx)
-			}
-			t, err := tree.Decode(b.schema, pr.blob)
-			if err != nil {
-				return err
-			}
-			small[pr.idx].attach(t.Root)
-			attached++
-		}
-	}
-	if attached != len(small) {
-		return fmt.Errorf("pclouds: attached %d subtrees, expected %d", attached, len(small))
-	}
-	return nil
-}
-
-// assignTasks maps small nodes to owners, longest-processing-time first by
-// global node size; deterministic on every rank.
-func assignTasks(tasks []*nodeTask, p int) []int {
-	idx := make([]int, len(tasks))
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.SliceStable(idx, func(a, b int) bool {
-		if tasks[idx[a]].n != tasks[idx[b]].n {
-			return tasks[idx[a]].n > tasks[idx[b]].n
-		}
-		return tasks[idx[a]].id < tasks[idx[b]].id
-	})
-	load := make([]int64, p)
-	owner := make([]int, len(tasks))
-	for _, i := range idx {
-		best := 0
-		for r := 1; r < p; r++ {
-			if load[r] < load[best] {
-				best = r
-			}
-		}
-		owner[i] = best
-		load[best] += tasks[i].n
-	}
-	return owner
 }
 
 // decodeTaskRecords appends the records of every [u32 taskIdx][u32 n]
@@ -335,42 +285,4 @@ func decodeTaskRecords(schema *record.Schema, src []byte, into [][]record.Record
 		}
 	}
 	return nil
-}
-
-type subtreePair struct {
-	idx  int
-	blob []byte
-}
-
-// encodeSubtrees frames the non-nil results as [u32 idx][u64 len][len bytes].
-func encodeSubtrees(results [][]byte) []byte {
-	size := 0
-	for _, blob := range results {
-		if blob != nil {
-			size += 12 + len(blob)
-		}
-	}
-	out := make([]byte, 0, size)
-	for i, blob := range results {
-		if blob == nil {
-			continue
-		}
-		out = binary.LittleEndian.AppendUint32(out, uint32(i))
-		out = binary.LittleEndian.AppendUint64(out, uint64(len(blob)))
-		out = append(out, blob...)
-	}
-	return out
-}
-
-func decodeSubtrees(src []byte) ([]subtreePair, error) {
-	var out []subtreePair
-	r := &frameReader{buf: src}
-	for r.more() {
-		idx, n := int(r.u32()), r.u64()
-		if r.err != nil || n > uint64(len(r.buf)) {
-			return nil, fmt.Errorf("pclouds: malformed subtree frame (%d bytes)", len(src))
-		}
-		out = append(out, subtreePair{idx: idx, blob: r.take(int(n))})
-	}
-	return out, nil
 }

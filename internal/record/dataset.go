@@ -67,26 +67,27 @@ func (d *Dataset) Split(frac float64) (*Dataset, *Dataset) {
 	return a, b
 }
 
-// Sample draws k records uniformly without replacement using rng. If k
-// exceeds the dataset size, all records are returned (in random order).
-func (d *Dataset) Sample(k int, rng *rand.Rand) []Record {
-	n := len(d.Records)
+// SampleRows draws k of the row indices 0..n-1 uniformly without
+// replacement using rng, in random order: Floyd's algorithm, then a
+// shuffle. If k is at least n, every row is drawn.
+func SampleRows(n, k int, rng *rand.Rand) []int {
 	if k >= n {
-		out := make([]Record, n)
-		copy(out, d.Records)
+		out := make([]int, n)
+		for i := range out {
+			out[i] = i
+		}
 		rng.Shuffle(n, func(i, j int) { out[i], out[j] = out[j], out[i] })
 		return out
 	}
-	// Floyd's algorithm for sampling without replacement.
-	chosen := make(map[int]bool, k)
-	out := make([]Record, 0, k)
+	chosen := make([]bool, n)
+	out := make([]int, 0, k)
 	for j := n - k; j < n; j++ {
 		t := rng.Intn(j + 1)
 		if chosen[t] {
 			t = j
 		}
 		chosen[t] = true
-		out = append(out, d.Records[t])
+		out = append(out, t)
 	}
 	rng.Shuffle(len(out), func(i, j int) { out[i], out[j] = out[j], out[i] })
 	return out

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"math"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -258,27 +259,25 @@ func TestClassCounts(t *testing.T) {
 }
 
 func TestSampleWithoutReplacement(t *testing.T) {
-	s := testSchema(t)
-	d := NewDataset(s)
-	for i := 0; i < 100; i++ {
-		d.Append(Record{Num: []float64{float64(i), 0}, Cat: []int32{0, 0}, Class: 0})
-	}
 	rng := rand.New(rand.NewSource(3))
-	got := d.Sample(30, rng)
+	got := SampleRows(100, 30, rng)
 	if len(got) != 30 {
 		t.Fatalf("sampled %d", len(got))
 	}
-	seen := map[float64]bool{}
+	seen := map[int]bool{}
 	for _, r := range got {
-		if seen[r.Num[0]] {
-			t.Fatalf("duplicate sample %v", r.Num[0])
+		if r < 0 || r >= 100 || seen[r] {
+			t.Fatalf("row %d out of range or drawn twice", r)
 		}
-		seen[r.Num[0]] = true
+		seen[r] = true
 	}
-	// Oversampling returns everything.
-	all := d.Sample(500, rng)
-	if len(all) != 100 {
-		t.Fatalf("oversample returned %d", len(all))
+	// Oversampling draws every row.
+	all := SampleRows(100, 500, rng)
+	slices.Sort(all)
+	for i, r := range all {
+		if r != i {
+			t.Fatalf("oversample drew %v", all)
+		}
 	}
 }
 

@@ -1,6 +1,7 @@
 package stream
 
 import (
+	"slices"
 	"testing"
 
 	"pclouds/internal/clouds"
@@ -66,7 +67,15 @@ func BenchmarkWindowClose(b *testing.B) {
 // windows cycle through 16 distinct record sets, so every iteration
 // evicts and admits records as a long run does. Restoring the tree and
 // ingesting the window's 1,024 records are not timed.
-func BenchmarkWindowCloseSteady(b *testing.B) {
+func BenchmarkWindowCloseSteady(b *testing.B) { benchWindowCloseSteady(b, 1) }
+
+// BenchmarkWindowCloseSteadyP2 is BenchmarkWindowCloseSteady on two
+// channel ranks, each ingesting the records it owns: the sample all-gather
+// and the sketch all-reduce cross the mesh, and both ranks' allocations
+// count.
+func BenchmarkWindowCloseSteadyP2(b *testing.B) { benchWindowCloseSteady(b, 2) }
+
+func benchWindowCloseSteady(b *testing.B, p int) {
 	cfg := goldenConfig("").withDefaults()
 	g, err := datagen.New(datagen.Config{Function: 2, Seed: 42, Noise: 0.05})
 	if err != nil {
@@ -82,29 +91,59 @@ func BenchmarkWindowCloseSteady(b *testing.B) {
 		b.Fatal(err)
 	}
 	blob := tree.Encode(tr)
-	err = comm.Run(1, costmodel.Zero(), func(c *comm.ChannelComm) error {
-		e := &engine{cfg: cfg, c: c, reservoir: reservoir, live: newLiveMetrics(nil, nil)}
-		window := func(i int, timed bool) error {
+	// Rank 0 alone drives the timer. The other ranks meet it at every
+	// switch: they arrive, rank 0 switches and lets them go, so no rank
+	// works on the untimed side while the timer runs or the other way
+	// round.
+	arrive, leave := make(chan struct{}, p), make([]chan struct{}, p)
+	for r := range leave {
+		leave[r] = make(chan struct{}, 1)
+	}
+	timer := func(rank int, on bool) {
+		if rank != 0 {
+			arrive <- struct{}{}
+			<-leave[rank]
+			return
+		}
+		for range p - 1 {
+			<-arrive
+		}
+		if on {
+			b.StartTimer()
+		} else {
 			b.StopTimer()
+		}
+		for r := 1; r < p; r++ {
+			leave[r] <- struct{}{}
+		}
+	}
+	err = comm.Run(p, costmodel.Zero(), func(c *comm.ChannelComm) error {
+		rank := c.Rank()
+		e := &engine{cfg: cfg, c: c, reservoir: slices.Clone(reservoir), live: newLiveMetrics(nil, nil)}
+		window := func(i int, timed bool) error {
+			timer(rank, false)
+			var err error
 			if e.tree, err = tree.Decode(cfg.Schema, blob); err != nil {
 				return err
 			}
 			e.flat = nil
 			if timed {
-				b.StartTimer()
+				timer(rank, true)
 			}
 			e.buildFrontier()
-			b.StopTimer()
+			timer(rank, false)
 			for _, r := range windows[i%len(windows)] {
-				e.frontier[e.route(r)].stats.Add(r)
-				if e.nextIdx%int64(cfg.SampleEvery) == 0 {
-					e.winSampleIdx = append(e.winSampleIdx, e.nextIdx)
-					e.winSample = append(e.winSample, r.Clone())
+				if e.nextIdx%int64(p) == int64(rank) {
+					e.frontier[e.route(r)].stats.Add(r)
+					if e.nextIdx%int64(cfg.SampleEvery) == 0 {
+						e.winSampleIdx = append(e.winSampleIdx, e.nextIdx)
+						e.winSample = append(e.winSample, r.Clone())
+					}
 				}
 				e.nextIdx++
 			}
 			if timed {
-				b.StartTimer()
+				timer(rank, true)
 			}
 			if err := e.mergeSamples(); err != nil {
 				return err
@@ -115,8 +154,10 @@ func BenchmarkWindowCloseSteady(b *testing.B) {
 		if err := window(len(windows)-1, false); err != nil {
 			return err
 		}
-		b.ReportAllocs()
-		b.ResetTimer()
+		if rank == 0 {
+			b.ReportAllocs()
+			b.ResetTimer()
+		}
 		for i := range b.N {
 			if err := window(i, true); err != nil {
 				return err

@@ -74,11 +74,12 @@ var goldenPublished = map[string]uint32{
 }
 
 // TestGoldenPublishedSequence pins every published model's bytes on forty
-// windows of noisy function-2 data at one and two ranks: bootstrap and
+// windows of noisy function-2 data at one to four ranks: bootstrap and
 // periodic refreshes, frontier growth from merged sketches and the holdout
-// gate all run.
+// gate all run. Three ranks exercise the non-power-of-two collectives and
+// an uneven split of the refresh's subtrees.
 func TestGoldenPublishedSequence(t *testing.T) {
-	for _, p := range []int{1, 2} {
+	for _, p := range []int{1, 2, 3, 4} {
 		dir := t.TempDir()
 		src := func(int) Source {
 			s, err := NewSynthetic(datagen.Config{Function: 2, Seed: 42, Noise: 0.05}, 0)

@@ -19,9 +19,11 @@
 //	          owned records into per-frontier-leaf sketches and a
 //	          1-in-SampleEvery reservoir sample.
 //	close     exchange window samples (all-gather, merged in global index
-//	          order), then either refresh — rebuild via clouds.BuildInCore
-//	          over the replicated reservoir, identically on every rank —
-//	          or grow: merge all frontier sketches in one all-reduce
+//	          order), then either refresh — rebuild the replicated
+//	          reservoir's tree from the kept sorted columns, each rank
+//	          building its share of the subtrees below a shallow
+//	          replicated top, one all-gather of them when p > 1 — or
+//	          grow: merge all frontier sketches in one all-reduce
 //	          (histogram.MergeCount) and apply the same split decisions
 //	          everywhere.
 //	commit    validate the model and all-reduce the ok votes (sum): all
@@ -45,12 +47,14 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math/bits"
 	"path/filepath"
 	"slices"
 	"time"
 
 	"pclouds/internal/clouds"
 	"pclouds/internal/comm"
+	"pclouds/internal/dnc"
 	"pclouds/internal/durable"
 	"pclouds/internal/histogram"
 	"pclouds/internal/obs"
@@ -69,8 +73,9 @@ type Config struct {
 	Schema *record.Schema
 	// Clouds parameterises refresh builds and frontier growth: Split
 	// (default SplitHist), HistBins (sketch resolution), MaxDepth,
-	// MinNodeSize, Seed. Refresh builds run clouds.BuildInCore with this
-	// configuration over the replicated reservoir — no communication.
+	// MinNodeSize, Seed. A refresh builds the tree clouds.BuildInCore
+	// builds with this configuration over the replicated reservoir, its
+	// subtrees split across the ranks: one all-gather when p > 1.
 	Clouds clouds.Config
 	// WindowRecords is the tumbling window size in global records
 	// (default 1024). Ignored when WindowDuration is set.
@@ -254,6 +259,14 @@ type engine struct {
 
 	// cols keeps the reservoir's numeric columns sorted across windows.
 	cols sortedColumns
+
+	// refresh holds a refresh's presorted root, its sample and the
+	// sample's row mask from one refresh to the next; nothing of them is
+	// in use between refreshes.
+	refresh struct {
+		data, sample *clouds.Presorted
+		inSample     []bool
+	}
 
 	// Window-close scratch, reused across windows: the frontier cut
 	// construction's buffers, the sketch vector every frontier leaf's
@@ -675,18 +688,63 @@ func (e *engine) evict(added int) {
 	e.cols.admit(e.reservoir, over, min(added, len(e.reservoir)))
 }
 
-// refreshTree rebuilds the model over the replicated reservoir. The build
-// is purely local — the reservoir is identical everywhere, so every rank
-// computes the identical tree with zero communication.
+// refreshTree rebuilds the model over the replicated reservoir: the tree
+// clouds.BuildInCore builds over it, started from the kept sorted columns
+// instead of a fresh sort. The ranks share the build (the paper's delayed
+// task parallelism for small nodes): every rank builds the replicated top
+// of the tree down to cut depth ⌈log₂ p⌉ + 1, the nodes there are assigned
+// to ranks longest first (dnc.AssignTasks), each rank builds its own, and
+// one all-gather hands every subtree to every rank. The cut, the tasks and
+// their owners are functions of replicated state, so every rank agrees on
+// them and on whether there is a collective at all (none at p = 1, or when
+// no node reaches the cut); the tree's bytes depend on neither p nor the
+// cut.
 func (e *engine) refreshTree() error {
 	if len(e.reservoir) == 0 {
 		e.cfg.Logf("stream: rank %d: refresh skipped, empty reservoir", e.c.Rank())
 		return nil
 	}
-	data := &record.Dataset{Schema: e.cfg.Schema, Records: e.reservoir}
-	t, _, err := clouds.BuildInCore(e.cfg.Clouds, data, nil)
-	if err != nil {
-		return fmt.Errorf("stream: refresh build: %w", err)
+	schema, cfg, n := e.cfg.Schema, e.cfg.Clouds, len(e.reservoir)
+	if !e.cols.valid {
+		e.cols.rebuild(e.reservoir, schema.NumNumeric())
+	}
+	// The sample is the one clouds.BuildInCore would draw, taken from the
+	// same columns.
+	rs := &e.refresh
+	rs.inSample = resized(rs.inSample, n)
+	clear(rs.inSample)
+	for _, r := range cfg.SampleRows(n) {
+		rs.inSample[r] = true
+	}
+	rs.data = clouds.NewPresorted(e.reservoir, e.cols.cols, nil, rs.data)
+	rs.sample = clouds.NewPresorted(e.reservoir, e.cols.cols, rs.inSample, rs.sample)
+	p, rank := e.c.Size(), e.c.Rank()
+	cut := 0
+	if p > 1 {
+		cut = bits.Len(uint(p-1)) + 1
+	}
+	t, tasks := clouds.BuildTop(cfg, schema, rs.data, rs.sample, cut)
+	if len(tasks) > 0 {
+		// Zero-padded preorder IDs break LPT's ties in preorder.
+		sizes := make([]dnc.Task, len(tasks))
+		for i, tk := range tasks {
+			sizes[i] = dnc.Task{ID: fmt.Sprintf("%06d", i), Depth: tk.Depth, N: int64(tk.Data.Len())}
+		}
+		owner := dnc.AssignTasks(sizes, p)
+		built := make([][]byte, len(tasks))
+		for i, tk := range tasks {
+			if owner[i] == rank {
+				nd, _ := clouds.BuildSubtree(cfg, schema, tk.Data, tk.Sample, tk.Depth, int64(n))
+				built[i] = tree.Encode(&tree.Tree{Schema: schema, Root: nd})
+			}
+		}
+		blocks, err := comm.AllGather(e.c, tree.EncodeSubtrees(built))
+		if err != nil {
+			return err
+		}
+		if err := tree.AttachSubtrees(schema, blocks, len(tasks), func(i int, root *tree.Node) { tasks[i].Attach(root) }); err != nil {
+			return fmt.Errorf("stream: refresh subtrees: %w", err)
+		}
 	}
 	e.tree = t
 	e.stats.Refreshes++
@@ -702,16 +760,13 @@ func (e *engine) refreshTree() error {
 // conservation stays exact). Leaves that don't split absorb their window
 // counts; ancestors are recomputed bottom-up.
 func (e *engine) growFrontier() error {
-	gflat, err := comm.AllReduceInt64(e.c, e.sketchVector(), histogram.MergeCount)
-	if err != nil {
+	// The merged counts overwrite each leaf's local ones in place: the
+	// frontier is rebuilt before the next window counts into it.
+	if _, err := comm.AllReduceInt64(e.c, e.sketchVector(), histogram.MergeCount); err != nil {
 		return err
 	}
 	e.stats.SketchBytes += 8 * int64(len(e.sketch))
 	e.live.sketchBytes.Add(8 * int64(len(e.sketch)))
-
-	// The merged counts replace each leaf's local ones in place: the
-	// frontier is rebuilt before the next window counts into it.
-	copy(e.sketch, gflat)
 	for l := range e.frontier {
 		fl := &e.frontier[l]
 		fl.stats.N = e.sketch[fl.off]

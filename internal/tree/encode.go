@@ -251,3 +251,60 @@ func decode(s *record.Schema, src []byte, partial bool) (*Tree, error) {
 	}
 	return &Tree{Schema: s, Root: root}, nil
 }
+
+// EncodeSubtrees frames the non-nil results, each one subtree's Encode
+// bytes, as [u32 index][u64 length][length bytes]: the block in which a
+// rank hands the subtrees it built to the other ranks.
+func EncodeSubtrees(results [][]byte) []byte {
+	size := 0
+	for _, blob := range results {
+		if blob != nil {
+			size += 12 + len(blob)
+		}
+	}
+	out := make([]byte, 0, size)
+	for i, blob := range results {
+		if blob == nil {
+			continue
+		}
+		out = binary.LittleEndian.AppendUint32(out, uint32(i))
+		out = binary.LittleEndian.AppendUint64(out, uint64(len(blob)))
+		out = append(out, blob...)
+	}
+	return out
+}
+
+// AttachSubtrees decodes every EncodeSubtrees block in blocks and calls
+// attach with each subtree's index and root. Each of the n indices must
+// arrive exactly once.
+func AttachSubtrees(s *record.Schema, blocks [][]byte, n int, attach func(i int, root *Node)) error {
+	seen := make([]bool, n)
+	got := 0
+	for _, src := range blocks {
+		for len(src) > 0 {
+			if len(src) < 12 {
+				return fmt.Errorf("tree: truncated subtree frame (%d bytes)", len(src))
+			}
+			i, size := int(binary.LittleEndian.Uint32(src)), binary.LittleEndian.Uint64(src[4:])
+			src = src[12:]
+			if size > uint64(len(src)) {
+				return fmt.Errorf("tree: subtree frame of %d bytes in %d", size, len(src))
+			}
+			if i >= n || seen[i] {
+				return fmt.Errorf("tree: subtree index %d out of range or repeated", i)
+			}
+			t, err := Decode(s, src[:size])
+			if err != nil {
+				return err
+			}
+			src = src[size:]
+			seen[i] = true
+			got++
+			attach(i, t.Root)
+		}
+	}
+	if got != n {
+		return fmt.Errorf("tree: attached %d subtrees, expected %d", got, n)
+	}
+	return nil
+}

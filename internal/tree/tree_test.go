@@ -243,3 +243,32 @@ func TestWalkOrder(t *testing.T) {
 		}
 	}
 }
+
+func TestSubtreeCodec(t *testing.T) {
+	schema := testSchema(t)
+	tr := buildTestTree(t)
+	leaf := &Tree{Schema: schema, Root: &Node{ClassCounts: []int64{3, 1}, N: 4}}
+	results := [][]byte{nil, Encode(tr), nil, Encode(leaf)}
+	block := EncodeSubtrees(results)
+	got := make([]*Node, 4)
+	attach := func(i int, root *Node) { got[i] = root }
+	// One rank's block holds indices 1 and 3; another rank built 0 and 2.
+	other := EncodeSubtrees([][]byte{Encode(leaf), nil, Encode(leaf)})
+	if err := AttachSubtrees(schema, [][]byte{block, other}, 4, attach); err != nil {
+		t.Fatal(err)
+	}
+	same := func(n *Node, want *Tree) bool { return Equal(&Tree{Schema: schema, Root: n}, want) }
+	if !same(got[1], tr) || !same(got[3], leaf) || !same(got[0], leaf) {
+		t.Fatal("subtrees mangled")
+	}
+	for name, blocks := range map[string][][]byte{
+		"corrupt":  {{9}},
+		"missing":  {block},
+		"repeated": {block, block, other},
+		"range":    {block, other, EncodeSubtrees([][]byte{4: Encode(leaf)})},
+	} {
+		if err := AttachSubtrees(schema, blocks, 4, attach); err == nil {
+			t.Errorf("%s: want an error", name)
+		}
+	}
+}
