@@ -114,11 +114,12 @@ fuzz:
 # resident partition, the point sort, the batched statistics count and the
 # two streamed passes: partition and alive collection) and of the stream
 # engine's window close (frontier and growth, and the steady-state close
-# with the reservoir admission, on one rank and on two channel ranks), so
-# every kernel benchmark compiles and runs on every commit.
+# with the reservoir admission, on one rank and on two channel ranks) and
+# its steady-state block ingest (one and two ranks), so every kernel
+# benchmark compiles and runs on every commit.
 kernel-bench:
 	$(GO) test -run '^$$' -bench 'EvaluateSorted|PresortedSplit|SortPoints|NodeStatsAddBatch|Partition|AliveCollect' -benchtime 1x ./internal/clouds/
-	$(GO) test -run '^$$' -bench 'WindowClose|WindowCloseSteady|WindowCloseSteadyP2' -benchtime 1x -benchmem ./internal/stream/
+	$(GO) test -run '^$$' -bench 'WindowClose|WindowCloseSteady|WindowCloseSteadyP2|IngestWindow' -benchtime 1x -benchmem ./internal/stream/
 
 # Offline integrity scrub: verify every checksum in the artifact
 # directories named by SCRUB_PATHS (out-of-core stores, checkpoint trees,

@@ -9,6 +9,7 @@ package histogram
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 )
 
@@ -24,11 +25,11 @@ import (
 // iff v <= Cuts[i]; this makes boundary i the candidate splitter "attr <=
 // Cuts[i]".
 type Intervals struct {
-	// Cuts is read-only after construction: FromSample and Merge also build
-	// a guide index over it that lets Locate skip most of its search, and
-	// editing or reslicing Cuts would leave the index describing cuts that
-	// are no longer there. A structure written as a literal has no index
-	// and is searched in full.
+	// Cuts is read-only after construction: FromSample, Merge and Reset
+	// also build a guide index over it that lets Locate skip most of its
+	// search, and editing or reslicing Cuts would leave the index
+	// describing cuts that are no longer there. A structure written as a
+	// literal has no index and is searched in full.
 	Cuts []float64
 	g    guide
 }
@@ -44,12 +45,21 @@ const guideFactor = 4
 // (at most 30 cuts, a few dozen records per leaf) ever recover.
 const minGuideCuts = 32
 
+// linearCuts is the widest span search counts instead of halving: every
+// structure too small for a guide index, and a guide bracket. Measured
+// over uniform random values on a 2-vCPU x86-64 VM, median of three runs
+// in ns per search (halving against counting): 19.8 against 12.9 at 8
+// cuts, 33.7 against 18.7 at 15, 41.4 against 28.7 at 30, and 42.9
+// against 56.4 at 60.
+const linearCuts = 32
+
 // guide cuts the span [lo, hi] of the cuts into equal-width buckets;
 // start[k] counts the cuts in buckets below k. bucket is monotone in v (IEEE
 // rounding of v-lo and of the product never reorders two values), so every
 // cut in a lower bucket than v is below v and every cut in a higher one is
 // above it: the first cut >= v lies in [start[k], start[k+1]] for
-// k = bucket(v). A nil start means no index.
+// k = bucket(v). An empty start means no index; its array is kept for the
+// next Reset.
 //
 // cuts is the structure's cuts followed by a +Inf sentinel (Cuts shares
 // its array), so a bucket holding zero or one cut resolves with a single
@@ -60,25 +70,47 @@ type guide struct {
 	cuts          []float64
 }
 
-// newIntervals wraps cuts and indexes them unless they are fewer than
-// minGuideCuts, fail Validate, or span a range the buckets cannot scale: an
-// infinite end cut or a span past MaxFloat64 makes hi-lo infinite, a
-// subnormal span overflows the scale.
+// newIntervals wraps cuts, which nothing else holds, as Reset does.
 func newIntervals(cuts []float64) *Intervals {
-	iv := &Intervals{Cuts: cuts}
+	iv := new(Intervals)
+	iv.Reset(cuts)
+	return iv
+}
+
+// Reset makes iv the structure over cuts that FromSorted and Merge build,
+// reusing iv's guide storage, so a caller that rebuilds its structures
+// every round allocates only when one outgrows its storage. Empty cuts
+// are stored as nil. The cuts are indexed unless they are fewer than
+// minGuideCuts, fail Validate, or span a range the buckets cannot scale:
+// an infinite end cut or a span past MaxFloat64 makes hi-lo infinite, a
+// subnormal span overflows the scale. iv keeps cuts, which must not change
+// afterwards, and an indexed iv writes its +Inf sentinel at
+// cuts[len(cuts)] when the capacity allows, so the array past the cuts
+// must hold nothing else; without that room the cuts are copied.
+func (iv *Intervals) Reset(cuts []float64) {
 	n := len(cuts)
+	if n == 0 {
+		cuts = nil
+	}
+	iv.Cuts, iv.g = cuts, guide{start: iv.g.start[:0]}
 	if n < minGuideCuts || iv.Validate() != nil {
-		return iv
+		return
 	}
 	lo, hi := cuts[0], cuts[n-1]
 	scale := float64(guideFactor*n) / (hi - lo)
 	if math.IsInf(hi-lo, 0) || math.IsInf(scale, 0) {
-		return iv
+		return
 	}
-	g := guide{lo: lo, hi: hi, scale: scale, start: make([]int32, guideFactor*n+1), cuts: append(cuts[:n:n], math.Inf(1))}
-	iv.Cuts = g.cuts[:n:n]
+	if cap(cuts) > n {
+		cuts = cuts[:n+1]
+		cuts[n] = math.Inf(1)
+	} else {
+		cuts = append(cuts[:n:n], math.Inf(1))
+	}
+	g := guide{lo: lo, hi: hi, scale: scale, start: slices.Grow(iv.g.start, guideFactor*n+1)[:guideFactor*n+1], cuts: cuts}
+	iv.Cuts = cuts[:n:n]
 	k := 0
-	for i, c := range cuts {
+	for i, c := range iv.Cuts {
 		for b := g.bucket(c); k <= b; k++ {
 			g.start[k] = int32(i)
 		}
@@ -87,7 +119,6 @@ func newIntervals(cuts []float64) *Intervals {
 		g.start[k] = int32(n)
 	}
 	iv.g = g
-	return iv
 }
 
 // bucket maps v in [lo, hi] to its bucket; rounding can carry hi one past
@@ -123,7 +154,7 @@ func (iv *Intervals) LocateBatch(vs []float64, out []int32) {
 	out = out[:len(vs)]
 	n := len(iv.Cuts)
 	g := iv.g
-	if g.start == nil {
+	if len(g.start) == 0 {
 		for i, v := range vs {
 			out[i] = int32(iv.Locate(v))
 		}
@@ -150,7 +181,7 @@ func (iv *Intervals) LocateBatch(vs []float64, out []int32) {
 func (iv *Intervals) find(v float64) int {
 	g := &iv.g
 	switch {
-	case g.start == nil:
+	case len(g.start) == 0:
 		return search(iv.Cuts, 0, len(iv.Cuts), v)
 	case v <= g.lo:
 		return 0
@@ -182,8 +213,19 @@ func resolve(cuts []float64, lo, hi int, v float64) int {
 }
 
 // search returns the first index in [lo, hi] whose cut is >= v, given that
-// every cut below lo is < v and every cut from hi on is >= v.
+// every cut below lo is < v and every cut from hi on is >= v. A span of at
+// most linearCuts cuts is counted rather than halved: the counting loop has
+// no data-dependent branch, where a binary search over values arriving in
+// no order mispredicts every other step.
 func search(cuts []float64, lo, hi int, v float64) int {
+	if hi-lo <= linearCuts {
+		for _, c := range cuts[lo:hi] {
+			if c < v {
+				lo++
+			}
+		}
+		return lo
+	}
 	for lo < hi {
 		m := int(uint(lo+hi) >> 1)
 		if cuts[m] < v {
@@ -229,20 +271,27 @@ func FromSample(sample []float64, q int) *Intervals {
 
 // FromSorted builds at most q equal-mass intervals from sample values s
 // that are already sorted ascending and hold no NaN; cut points are sample
-// quantiles. Duplicate quantile values are merged, so the result may have
-// fewer than q intervals (e.g. for heavily repeated values). A sample
-// smaller than q yields one interval per distinct adjacent pair. A cut
-// equal to zero is stored as +0: -0 and +0 tie, so which of the two a
-// quantile lands on depends on the sample's order, and the cut's bytes
-// must not. s is not retained.
+// quantiles (AppendQuantiles). s is not retained.
 func FromSorted(s []float64, q int) *Intervals {
-	if q < 1 {
-		q = 1
-	}
-	if len(s) == 0 || q == 1 {
+	if len(s) == 0 || q <= 1 {
 		return newIntervals(nil)
 	}
-	cuts := make([]float64, 0, q-1)
+	return newIntervals(AppendQuantiles(make([]float64, 0, q-1), s, q))
+}
+
+// AppendQuantiles appends to dst the cuts of at most q equal-mass
+// intervals over s, sorted ascending without NaN, and returns the extended
+// slice: the cuts FromSorted builds. Duplicate quantile values are merged,
+// so there may be fewer than q intervals (e.g. for heavily repeated
+// values). A sample smaller than q yields one interval per distinct
+// adjacent pair. A cut equal to zero is stored as +0: -0 and +0 tie, so
+// which of the two a quantile lands on depends on the sample's order, and
+// the cut's bytes must not.
+func AppendQuantiles(dst, s []float64, q int) []float64 {
+	if len(s) == 0 || q <= 1 {
+		return dst
+	}
+	first := len(dst)
 	for k := 1; k < q; k++ {
 		idx := k*len(s)/q - 1
 		if idx < 0 {
@@ -255,14 +304,14 @@ func FromSorted(s []float64, q int) *Intervals {
 		if c == 0 {
 			c = 0 // -0 becomes +0
 		}
-		if len(cuts) == 0 || c > cuts[len(cuts)-1] {
-			cuts = append(cuts, c)
+		if len(dst) == first || c > dst[len(dst)-1] {
+			dst = append(dst, c)
 		}
 	}
 	// Drop a final cut equal to the sample maximum: it would create an empty
 	// top interval and a degenerate "everything left" candidate split.
-	if len(cuts) > 0 && cuts[len(cuts)-1] >= s[len(s)-1] {
-		cuts = cuts[:len(cuts)-1]
+	if len(dst) > first && dst[len(dst)-1] >= s[len(s)-1] {
+		dst = dst[:len(dst)-1]
 	}
-	return newIntervals(cuts)
+	return dst
 }

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 )
@@ -62,10 +63,11 @@ func sortedDistinct(vals []float64) []float64 {
 	return out[:k]
 }
 
-// constructions builds the three kinds of structure Locate must answer
+// constructions builds the four kinds of structure Locate must answer
 // alike for: FromSample over the sample, Merge of the even- and
-// odd-positioned cuts (as literals) of that structure, and a bare literal
-// holding the same cuts, which carries no index.
+// odd-positioned cuts (as literals) of that structure, the same cuts Reset
+// into a structure built over twice as many, and a bare literal holding
+// the same cuts, which carries no index.
 func constructions(sample []float64, q int) map[string]*Intervals {
 	iv := FromSample(sample, q)
 	var even, odd []float64
@@ -76,9 +78,14 @@ func constructions(sample []float64, q int) map[string]*Intervals {
 			odd = append(odd, c)
 		}
 	}
+	// Reset rebuilds a structure that held more cuts before, in place,
+	// with room for the sentinel past the cuts.
+	reused := FromSample(append(slices.Clone(sample), sample...), 2*q)
+	reused.Reset(append(make([]float64, 0, len(iv.Cuts)+1), iv.Cuts...))
 	return map[string]*Intervals{
 		"FromSample": iv,
 		"Merge":      Merge(&Intervals{Cuts: even}, &Intervals{Cuts: odd}),
+		"Reset":      reused,
 		"literal":    {Cuts: iv.Cuts},
 	}
 }

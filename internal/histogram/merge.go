@@ -14,28 +14,30 @@ func Merge(a, b *Intervals) *Intervals {
 	if b == nil {
 		b = &Intervals{}
 	}
-	cuts := make([]float64, 0, len(a.Cuts)+len(b.Cuts))
+	return newIntervals(AppendMerged(make([]float64, 0, len(a.Cuts)+len(b.Cuts)), a.Cuts, b.Cuts))
+}
+
+// AppendMerged appends to dst the sorted, deduplicated union of the cut
+// sets a and b, each strictly increasing, and returns the extended slice:
+// the cuts Merge builds.
+func AppendMerged(dst, a, b []float64) []float64 {
 	i, j := 0, 0
-	for i < len(a.Cuts) && j < len(b.Cuts) {
-		av, bv := a.Cuts[i], b.Cuts[j]
+	for i < len(a) && j < len(b) {
+		av, bv := a[i], b[j]
 		switch {
 		case av < bv:
-			cuts = append(cuts, av)
+			dst = append(dst, av)
 			i++
 		case bv < av:
-			cuts = append(cuts, bv)
+			dst = append(dst, bv)
 			j++
 		default: // equal: keep one
-			cuts = append(cuts, av)
+			dst = append(dst, av)
 			i, j = i+1, j+1
 		}
 	}
-	cuts = append(cuts, a.Cuts[i:]...)
-	cuts = append(cuts, b.Cuts[j:]...)
-	if len(cuts) == 0 {
-		return newIntervals(nil)
-	}
-	return newIntervals(cuts)
+	dst = append(dst, a[i:]...)
+	return append(dst, b[j:]...)
 }
 
 // MergeCount is the scalar histogram-count combine, shaped for

@@ -1,8 +1,10 @@
 package histogram
 
 import (
+	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 )
 
@@ -96,5 +98,68 @@ func TestMergeCountOrderIndependent(t *testing.T) {
 				t.Fatalf("trial %d: fold %v, want %v", trial, acc, want)
 			}
 		}
+	}
+}
+
+// TestResetMatchesFresh holds the frontier's in-place construction,
+// AppendQuantiles of a share merged (AppendMerged) with a grid's cuts into
+// kept storage and Reset into one reused structure, to
+// Merge(FromSorted(share, q), grid) field for field, guide index included:
+// over empty shares, ties, signed zeros, and cut counts on both sides of
+// minGuideCuts, growing and shrinking from one round to the next.
+func TestResetMatchesFresh(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	var (
+		iv         Intervals
+		store, tmp []float64
+	)
+	indexedRounds := 0
+	for round := range 400 {
+		q := 1 + rng.Intn(40)
+		draw := func(n int) []float64 {
+			s := make([]float64, n)
+			for i := range s {
+				switch rng.Intn(8) {
+				case 0:
+					s[i] = math.Copysign(0, -1)
+				case 1:
+					s[i] = 0
+				default:
+					s[i] = float64(rng.Intn(200)-100) / 4
+				}
+			}
+			slices.Sort(s)
+			return s
+		}
+		all, share := draw(rng.Intn(300)), draw(rng.Intn(3)*rng.Intn(60))
+		grid := FromSorted(all, q)
+		want := Merge(FromSorted(share, q), grid)
+
+		tmp = AppendQuantiles(tmp[:0], share, q)
+		store = slices.Grow(store[:0], 2*q-1)
+		iv.Reset(AppendMerged(store[:0], tmp, grid.Cuts))
+
+		if !slices.Equal(iv.Cuts, want.Cuts) || (iv.Cuts == nil) != (want.Cuts == nil) {
+			t.Fatalf("round %d: cuts %v, want %v", round, iv.Cuts, want.Cuts)
+		}
+		g, w := iv.g, want.g
+		if g.lo != w.lo || g.hi != w.hi || g.scale != w.scale || !slices.Equal(g.start, w.start) || !slices.Equal(g.cuts, w.cuts) {
+			t.Fatalf("round %d (%d cuts): guide %+v, want %+v", round, len(want.Cuts), g, w)
+		}
+		if len(w.start) > 0 {
+			indexedRounds++
+		}
+	}
+	if indexedRounds == 0 {
+		t.Fatal("no round built a guide index")
+	}
+	// Rebuilt over cuts with room for the sentinel, an indexed structure
+	// allocates nothing.
+	cuts := make([]float64, 64, 65)
+	for i := range cuts {
+		cuts[i] = float64(i)
+	}
+	if n := testing.AllocsPerRun(10, func() { iv.Reset(cuts) }); n != 0 || len(iv.g.start) == 0 {
+		t.Fatalf("Reset allocated %v times per run (indexed %v)", n, len(iv.g.start) > 0)
 	}
 }

@@ -1,6 +1,7 @@
 package stream
 
 import (
+	"fmt"
 	"slices"
 	"testing"
 
@@ -75,31 +76,53 @@ func BenchmarkWindowCloseSteady(b *testing.B) { benchWindowCloseSteady(b, 1) }
 // count.
 func BenchmarkWindowCloseSteadyP2(b *testing.B) { benchWindowCloseSteady(b, 2) }
 
-func benchWindowCloseSteady(b *testing.B, p int) {
+// steadyBench is the steady-state set-up the window benchmarks share: the
+// stream-tail engine configuration, a full reservoir, the tree built over
+// it, and 16 windows of encoded rows for a blockSource to cycle through.
+type steadyBench struct {
+	cfg       Config
+	reservoir []record.Record
+	blob      []byte // tree.Encode of the reservoir's tree
+	rows      []byte
+}
+
+func newSteadyBench(b *testing.B) *steadyBench {
 	cfg := goldenConfig("").withDefaults()
 	g, err := datagen.New(datagen.Config{Function: 2, Seed: 42, Noise: 0.05})
 	if err != nil {
 		b.Fatal(err)
 	}
-	reservoir := g.Generate(cfg.ReservoirCap).Records
-	windows := make([][]record.Record, 16)
-	for i := range windows {
-		windows[i] = g.Generate(cfg.WindowRecords).Records
-	}
-	tr, _, err := clouds.BuildInCore(cfg.Clouds, &record.Dataset{Schema: cfg.Schema, Records: reservoir}, nil)
+	sb := &steadyBench{cfg: cfg, reservoir: g.Generate(cfg.ReservoirCap).Records}
+	sb.rows = record.EncodeAll(g.Generate(16 * cfg.WindowRecords).Records)
+	tr, _, err := clouds.BuildInCore(cfg.Clouds, &record.Dataset{Schema: cfg.Schema, Records: sb.reservoir}, nil)
 	if err != nil {
 		b.Fatal(err)
 	}
-	blob := tree.Encode(tr)
-	// Rank 0 alone drives the timer. The other ranks meet it at every
-	// switch: they arrive, rank 0 switches and lets them go, so no rank
-	// works on the untimed side while the timer runs or the other way
-	// round.
+	sb.blob = tree.Encode(tr)
+	return sb
+}
+
+// engine returns a rank's engine over the set-up, its source the windows
+// in 512-row blocks.
+func (sb *steadyBench) engine(b *testing.B, c comm.Communicator) *engine {
+	tr, err := tree.Decode(sb.cfg.Schema, sb.blob)
+	if err != nil {
+		b.Fatal(err)
+	}
+	src := &blockSource{rows: sb.rows, rb: sb.cfg.Schema.RecordBytes(), perBlock: 512}
+	return &engine{cfg: sb.cfg, c: c, src: src, tree: tr, reservoir: slices.Clone(sb.reservoir), live: newLiveMetrics(nil, nil)}
+}
+
+// rankTimer returns the timer switch of a p-rank benchmark. Rank 0 alone
+// drives the timer. The other ranks meet it at every switch: they arrive,
+// rank 0 switches and lets them go, so no rank works on the untimed side
+// while the timer runs or the other way round.
+func rankTimer(b *testing.B, p int) func(rank int, on bool) {
 	arrive, leave := make(chan struct{}, p), make([]chan struct{}, p)
 	for r := range leave {
 		leave[r] = make(chan struct{}, 1)
 	}
-	timer := func(rank int, on bool) {
+	return func(rank int, on bool) {
 		if rank != 0 {
 			arrive <- struct{}{}
 			<-leave[rank]
@@ -117,13 +140,18 @@ func benchWindowCloseSteady(b *testing.B, p int) {
 			leave[r] <- struct{}{}
 		}
 	}
-	err = comm.Run(p, costmodel.Zero(), func(c *comm.ChannelComm) error {
+}
+
+func benchWindowCloseSteady(b *testing.B, p int) {
+	sb := newSteadyBench(b)
+	timer := rankTimer(b, p)
+	err := comm.Run(p, costmodel.Zero(), func(c *comm.ChannelComm) error {
 		rank := c.Rank()
-		e := &engine{cfg: cfg, c: c, reservoir: slices.Clone(reservoir), live: newLiveMetrics(nil, nil)}
-		window := func(i int, timed bool) error {
+		e := sb.engine(b, c)
+		window := func(timed bool) error {
 			timer(rank, false)
 			var err error
-			if e.tree, err = tree.Decode(cfg.Schema, blob); err != nil {
+			if e.tree, err = tree.Decode(sb.cfg.Schema, sb.blob); err != nil {
 				return err
 			}
 			e.flat = nil
@@ -132,16 +160,10 @@ func benchWindowCloseSteady(b *testing.B, p int) {
 			}
 			e.buildFrontier()
 			timer(rank, false)
-			for _, r := range windows[i%len(windows)] {
-				if e.nextIdx%int64(p) == int64(rank) {
-					e.frontier[e.route(r)].stats.Add(r)
-					if e.nextIdx%int64(cfg.SampleEvery) == 0 {
-						e.winSampleIdx = append(e.winSampleIdx, e.nextIdx)
-						e.winSample = append(e.winSample, r.Clone())
-					}
-				}
-				e.nextIdx++
+			if _, _, err := e.ingestWindow(); err != nil {
+				return err
 			}
+			e.holdout = e.holdout[:0]
 			if timed {
 				timer(rank, true)
 			}
@@ -151,15 +173,15 @@ func benchWindowCloseSteady(b *testing.B, p int) {
 			return e.growFrontier()
 		}
 		// One untimed window first: the steady state has seen a window.
-		if err := window(len(windows)-1, false); err != nil {
+		if err := window(false); err != nil {
 			return err
 		}
 		if rank == 0 {
 			b.ReportAllocs()
 			b.ResetTimer()
 		}
-		for i := range b.N {
-			if err := window(i, true); err != nil {
+		for range b.N {
+			if err := window(true); err != nil {
 				return err
 			}
 		}
@@ -167,5 +189,52 @@ func benchWindowCloseSteady(b *testing.B, p int) {
 	})
 	if err != nil {
 		b.Fatal(err)
+	}
+}
+
+// BenchmarkIngestWindow times one steady window's ingest on the
+// stream-tail benchmark's configuration, rank 0 of one and of two: 1,024
+// rows handed out in 512-row blocks, as TailSource hands out a verified v2
+// block, scanned, validated and ownership-filtered row by row, the owned
+// training rows counted into a grown tree's frontier sketches block by
+// block, the held-out rows and the sample copied out. At steady state it
+// should allocate nothing: the window's kept rows land in buffers the
+// engine reuses.
+func BenchmarkIngestWindow(b *testing.B) {
+	for _, p := range []int{1, 2} {
+		b.Run(fmt.Sprintf("p=%d", p), func(b *testing.B) {
+			sb := newSteadyBench(b)
+			timer := rankTimer(b, p)
+			err := comm.Run(p, costmodel.Zero(), func(c *comm.ChannelComm) error {
+				rank := c.Rank()
+				e := sb.engine(b, c)
+				e.buildFrontier()
+				window := func() error {
+					_, _, err := e.ingestWindow()
+					e.samples, e.holdout = e.samples[:4], e.holdout[:0]
+					return err
+				}
+				// One window first: the buffers reach their steady size.
+				if err := window(); err != nil {
+					return err
+				}
+				timer(rank, false)
+				if rank == 0 {
+					b.ReportAllocs()
+					b.ResetTimer()
+				}
+				for range b.N {
+					timer(rank, true)
+					if err := window(); err != nil {
+						return err
+					}
+					timer(rank, false)
+				}
+				return nil
+			})
+			if err != nil {
+				b.Fatal(err)
+			}
+		})
 	}
 }

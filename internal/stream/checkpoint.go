@@ -8,6 +8,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"slices"
 
 	"pclouds/internal/comm"
 	"pclouds/internal/durable"
@@ -97,7 +98,11 @@ type ckptState struct {
 	det          phDetector
 	driftPending bool
 	lastPub      *tree.Tree // last gate-passed model; nil before the first publish
-	lastPubWin   int
+	// lastPubBlob is lastPub's tree.Encode bytes: the engine's own copy
+	// when it writes, which encodeCkpt stores in lastPub's place, and the
+	// stored bytes when a checkpoint is read.
+	lastPubBlob []byte
+	lastPubWin  int
 }
 
 // fingerprint hashes every configuration knob that shapes the deterministic
@@ -134,8 +139,8 @@ func encodeCkpt(fp, srcCRC uint32, st *ckptState) []byte {
 	if st.tree != nil {
 		treeBytes = tree.Encode(st.tree)
 	}
-	var lastPubBytes []byte
-	if st.lastPub != nil {
+	lastPubBytes := st.lastPubBlob
+	if lastPubBytes == nil && st.lastPub != nil {
 		lastPubBytes = tree.Encode(st.lastPub)
 	}
 	res := record.EncodeAll(st.reservoir)
@@ -251,7 +256,7 @@ func decodeCkpt(schema *record.Schema, fp, srcCRC uint32, src []byte) (*ckptStat
 		if err := t.Validate(); err != nil {
 			return nil, fmt.Errorf("stream: checkpoint last-published model: %w", err)
 		}
-		st.lastPub = t
+		st.lastPub, st.lastPubBlob = t, slices.Clone(src)
 	}
 	return st, nil
 }
@@ -264,7 +269,7 @@ func (e *engine) checkpoint() error {
 	dir, rank := e.cfg.CheckpointDir, e.c.Rank()
 	st := &ckptState{
 		window: e.window, nextIdx: e.nextIdx, tree: e.tree, reservoir: e.reservoir,
-		det: e.det, driftPending: e.driftPending, lastPub: e.lastPub, lastPubWin: e.lastPubWin,
+		det: e.det, driftPending: e.driftPending, lastPubBlob: e.lastPubBlob, lastPubWin: e.lastPubWin,
 	}
 	werr := writeCkpt(dir, rank, e.fp, e.cfg.SourceChecksum, st)
 	if werr != nil {

@@ -26,10 +26,11 @@ type frontierLeaf struct {
 // merged (histogram.Merge) with the global attribute grid, so a leaf whose
 // reservoir share is tiny still has candidate boundaries; a leaf's share is
 // the reservoir records routed to it (frontierIntervals, over the kept
-// sorted columns). Everything here is a deterministic function of
-// replicated state, so all ranks build identical shapes — the precondition
-// for the flat sketch all-reduce. The leaves, their statistics and the
-// vector are reused from window to window.
+// sorted columns, routed by one batched leaf walk). Everything here is a
+// deterministic function of replicated state, so all ranks build identical
+// shapes — the precondition for the flat sketch all-reduce. The leaves,
+// their statistics, their interval structures and the vector are reused
+// from window to window.
 func (e *engine) buildFrontier() {
 	if e.flat == nil {
 		e.flat = tree.Compile(e.tree)
@@ -55,8 +56,9 @@ func (e *engine) buildFrontier() {
 	})
 	e.frontier = all[:leaves]
 	leafOf := resized(e.cuts.leafOf, len(e.reservoir))
-	for k, r := range e.reservoir {
-		leafOf[k] = int32(e.route(r))
+	e.flat.LeafBatch(e.reservoir, leafOf)
+	for k, l := range leafOf {
+		leafOf[k] = e.frontierOf[l]
 	}
 	e.cuts.leafOf = leafOf
 	ivs := frontierIntervals(e.cols.cols, leafOf, leaves, e.cfg.Clouds.HistBins, &e.cuts)
@@ -80,11 +82,11 @@ func resized[T any](buf []T, n int) []T { return slices.Grow(buf[:0], n)[:n] }
 // sortedColumns keeps each numeric attribute's reservoir column sorted by
 // value, NaN last, as clouds.Points whose Row is the record's reservoir
 // position, so a window's frontier reads its cuts without sorting. A
-// window's admission is O(n) per column (admit): the evicted rows drop out
-// and the rest shift down, and only the window's new points are sorted
-// before they are merged in. The columns are built by one full sort the
-// first time a frontier needs them — after a fresh start or a resume — and
-// kept in step from then on.
+// window's admission is O(n) per column (admit): only the window's new
+// points are sorted, and one pass drops the evicted rows, shifts the rest
+// down and merges the new points in. The columns are built by one full
+// sort the first time a frontier needs them — after a fresh start or a
+// resume — and kept in step from then on.
 type sortedColumns struct {
 	valid bool
 	cols  [][]clouds.Point
@@ -118,29 +120,88 @@ func (s *sortedColumns) admit(rows []record.Record, over, added int) {
 	fresh := resized(s.added, added)
 	s.added = fresh
 	for j, col := range s.cols {
-		kept := col[:0]
-		for _, pt := range col {
-			if pt.Row >= int32(over) {
-				pt.Row -= int32(over)
-				kept = append(kept, pt)
-			}
-		}
 		for k := range fresh {
 			fresh[k] = clouds.Point{V: rows[first+k].Num[j], Row: int32(first + k)}
 		}
-		clouds.SortPoints(fresh)
+		numbers := sortFresh(fresh)
 		merged := resized(s.spare, len(rows))
-		clouds.MergePoints(merged, kept, fresh)
+		mergeAdmitted(merged, col, int32(over), fresh, numbers)
 		s.cols[j], s.spare = merged, col
 	}
 }
 
+// sortFresh sorts a window's new points by value, NaN last, and returns
+// how many are not NaN. A window adds a few hundred points at most, which
+// an insertion sort on the values orders faster than a general sort; a
+// larger admission goes to clouds.SortPoints.
+func sortFresh(pts []clouds.Point) int {
+	n := len(pts)
+	for i := 0; i < n; {
+		if pts[i].V != pts[i].V {
+			n--
+			pts[i], pts[n] = pts[n], pts[i]
+		} else {
+			i++
+		}
+	}
+	if n > insertionMax {
+		clouds.SortPoints(pts[:n])
+		return n
+	}
+	for i := 1; i < n; i++ {
+		pt := pts[i]
+		k := i
+		for ; k > 0 && pt.V < pts[k-1].V; k-- {
+			pts[k] = pts[k-1]
+		}
+		pts[k] = pt
+	}
+	return n
+}
+
+// insertionMax is the most new points sortFresh orders by insertion.
+const insertionMax = 256
+
+// mergeAdmitted writes into dst, in one pass, the kept column col without
+// its rows below over (the evicted ones), each remaining Row shifted down
+// by over, merged with fresh, sorted with its first numbers points not
+// NaN: the order clouds.MergePoints gives, by value with -0 tied with +0
+// and NaN last, the kept point first on a tie, compared on the values
+// themselves.
+func mergeAdmitted(dst, col []clouds.Point, over int32, fresh []clouds.Point, numbers int) {
+	d, f := 0, 0
+	for _, pt := range col {
+		if pt.Row < over {
+			continue
+		}
+		pt.Row -= over
+		if pt.V == pt.V {
+			for f < numbers && fresh[f].V < pt.V {
+				dst[d] = fresh[f]
+				d, f = d+1, f+1
+			}
+		} else {
+			// The kept NaNs close the column: every new number goes first.
+			d += copy(dst[d:], fresh[f:numbers])
+			f = numbers
+		}
+		dst[d] = pt
+		d++
+	}
+	copy(dst[d:], fresh[f:])
+}
+
 // cutScratch holds the frontier cut construction's buffers between
-// windows: each reservoir row's leaf, and frontierIntervals' own.
+// windows: each reservoir row's leaf, frontierIntervals' own, and the
+// interval structures it builds, each leaf and attribute's cuts kept in
+// its own stretch of store.
 type cutScratch struct {
-	leafOf      []int32
-	all, shares []float64
-	start, next []int
+	leafOf             []int32
+	all, shares        []float64
+	start, next        []int
+	grid, share, store []float64
+	kept               []histogram.Intervals
+	ivs                []*histogram.Intervals
 }
 
 // frontierIntervals returns the interval structures each of nLeaves
@@ -149,11 +210,14 @@ type cutScratch struct {
 // the rows routed to the leaf (leafOf[i] is row i's leaf) merged with the
 // q-bin cuts of all rows, the grid. One pass over each column, sorted by
 // value with NaN last and Row naming the row, scatters it into the leaves'
-// shares, so every share arrives sorted and the cuts come from
-// histogram.FromSorted. The cuts are those of histogram.FromSample over
-// each share: both drop NaN, and FromSorted stores zero as +0, so the
-// order of tied values, the only thing two sorts can disagree on, reaches
-// no cut.
+// shares, so every share arrives sorted and its cuts come from
+// histogram.AppendQuantiles. The cuts are those of histogram.FromSample
+// over each share: both drop NaN, and the quantiles store zero as +0, so
+// the order of tied values, the only thing two sorts can disagree on,
+// reaches no cut. Each structure equals
+// histogram.Merge(histogram.FromSorted(share, q), grid), built into the
+// scratch's kept storage: the structures and their cuts are the scratch's,
+// valid until the next call.
 func frontierIntervals(cols [][]clouds.Point, leafOf []int32, nLeaves, q int, s *cutScratch) []*histogram.Intervals {
 	n, nNum := len(leafOf), len(cols)
 	// Leaf l's share is shares[start[l]:start[l+1]], filled up to next[l].
@@ -170,7 +234,12 @@ func frontierIntervals(cols [][]clouds.Point, leafOf []int32, nLeaves, q int, s 
 	shares := resized(s.shares, n)
 	s.start, s.next, s.all, s.shares = start, next, all, shares
 
-	out := make([]*histogram.Intervals, nLeaves*nNum)
+	// A structure's merged cuts are at most q-1 from each side, and an
+	// indexed one writes its sentinel past them.
+	stride := 2*max(q, 1) - 1
+	s.store = resized(s.store, nLeaves*nNum*stride)
+	s.kept = resized(s.kept, nLeaves*nNum)
+	s.ivs = resized(s.ivs, nLeaves*nNum)
 	for j, col := range cols {
 		copy(next, start)
 		m := 0
@@ -184,10 +253,13 @@ func frontierIntervals(cols [][]clouds.Point, leafOf []int32, nLeaves, q int, s 
 			shares[next[l]] = pt.V
 			next[l]++
 		}
-		grid := histogram.FromSorted(all[:m], q)
+		s.grid = histogram.AppendQuantiles(s.grid[:0], all[:m], q)
 		for l := range nLeaves {
-			out[l*nNum+j] = histogram.Merge(histogram.FromSorted(shares[start[l]:next[l]], q), grid)
+			s.share = histogram.AppendQuantiles(s.share[:0], shares[start[l]:next[l]], q)
+			i := l*nNum + j
+			s.kept[i].Reset(histogram.AppendMerged(s.store[i*stride:i*stride:(i+1)*stride], s.share, s.grid))
+			s.ivs[i] = &s.kept[i]
 		}
 	}
-	return out
+	return s.ivs
 }

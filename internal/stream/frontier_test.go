@@ -13,6 +13,12 @@ import (
 	"pclouds/internal/tree"
 )
 
+// route returns the frontier index of the leaf rec lands in, one record
+// at a time: the routing block ingest does by LeafBatch.
+func (e *engine) route(rec record.Record) int {
+	return int(e.frontierOf[e.flat.Leaf(rec)])
+}
+
 // frontierIntervalsOracle is the frontier cut construction buildFrontier
 // replaced, kept as the reference: route each reservoir record to its leaf
 // (leaf shares in reservoir order), then per leaf sort its share again
@@ -295,6 +301,126 @@ func TestSketchVectorFlattens(t *testing.T) {
 		if got := e.sketchVector(); !slices.Equal(got, want) {
 			t.Fatalf("depth %d: %d leaves: sketch vector (%d counters) differs from the leaves' flatten (%d counters)",
 				depth, len(e.frontier), len(got), len(want))
+		}
+	}
+}
+
+// TestAdmitMatchesSortAndMerge holds a window's admission, sortFresh and
+// the one-pass mergeAdmitted, to the general kernels it replaced:
+// clouds.SortPoints of the new points, then clouds.MergePoints of the
+// kept points (evicted rows dropped, the rest shifted down) with them.
+// Values tie heavily and include NaN, ±Inf and both zeros; either side
+// may be empty, and the new points cross sortFresh's insertion limit. The
+// merged columns must hold the same values in the same order and the same
+// row at every position where the value is unique to one side.
+func TestAdmitMatchesSortAndMerge(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	value := func() float64 { return frontierValue(byte(rng.Intn(256))) }
+	for trial := range 500 {
+		kept := make([]clouds.Point, rng.Intn(3)*rng.Intn(200))
+		for i := range kept {
+			kept[i] = clouds.Point{V: value(), Row: int32(i)}
+		}
+		clouds.SortPoints(kept)
+		over := rng.Intn(len(kept) + 1)
+		sizes := []int{0, 1, rng.Intn(40), insertionMax, insertionMax + 1 + rng.Intn(100)}
+		fresh := make([]clouds.Point, sizes[rng.Intn(len(sizes))])
+		for i := range fresh {
+			fresh[i] = clouds.Point{V: value(), Row: int32(len(kept) - over + i)}
+		}
+
+		var want []clouds.Point
+		for _, pt := range kept {
+			if int(pt.Row) >= over {
+				want = append(want, clouds.Point{V: pt.V, Row: pt.Row - int32(over)})
+			}
+		}
+		sorted := slices.Clone(fresh)
+		clouds.SortPoints(sorted)
+		ref := make([]clouds.Point, len(want)+len(sorted))
+		clouds.MergePoints(ref, want, sorted)
+
+		got := make([]clouds.Point, len(ref))
+		numbers := sortFresh(fresh)
+		mergeAdmitted(got, kept, int32(over), fresh, numbers)
+		for i := range ref {
+			same := math.Float64bits(got[i].V) == math.Float64bits(ref[i].V) || (got[i].V != got[i].V && ref[i].V != ref[i].V)
+			if !same && !(got[i].V == 0 && ref[i].V == 0) {
+				t.Fatalf("trial %d position %d: value %v, reference %v", trial, i, got[i].V, ref[i].V)
+			}
+		}
+		// Kept points precede new ones among equal values on both sides,
+		// so a row's kept or new origin must agree position by position.
+		firstNew := int32(len(kept) - over)
+		for i := range ref {
+			if (got[i].Row >= firstNew) != (ref[i].Row >= firstNew) {
+				t.Fatalf("trial %d position %d: row %d, reference row %d: a tie broke the other way", trial, i, got[i].Row, ref[i].Row)
+			}
+		}
+		rows := make([]bool, len(ref))
+		for _, pt := range got {
+			if rows[pt.Row] {
+				t.Fatalf("trial %d: row %d merged twice", trial, pt.Row)
+			}
+			rows[pt.Row] = true
+		}
+	}
+}
+
+// TestFrontierCutsAcrossShapes holds the frontier's interval structures,
+// built into storage kept from window to window, to
+// histogram.Merge(histogram.FromSorted(share, q), grid) (the oracle's
+// per-leaf construction) on trees whose leaf count grows and shrinks
+// between windows, at bin counts whose merged cuts reach the guide
+// index's 32 or not: same cuts, and the same interval for every value.
+func TestFrontierCutsAcrossShapes(t *testing.T) {
+	cfg := goldenConfig("").withDefaults()
+	g, err := datagen.New(datagen.Config{Function: 2, Seed: 42, Noise: 0.05})
+	if err != nil {
+		t.Fatal(err)
+	}
+	reservoir := g.Generate(cfg.ReservoirCap).Records
+	for _, q := range []int{16, 40} {
+		e := &engine{cfg: cfg, reservoir: reservoir}
+		e.cfg.Clouds.HistBins = q
+		indexed := 0
+		for _, depth := range []int{3, 7, 1, 5, 8, 2} {
+			cc := cfg.Clouds
+			cc.MaxDepth = depth
+			tr, _, err := clouds.BuildInCore(cc, &record.Dataset{Schema: cfg.Schema, Records: reservoir}, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			e.tree, e.flat = tr, nil
+			e.buildFrontier()
+			want := frontierIntervalsOracle(cfg.Schema, tr, reservoir, q)
+			if len(e.frontier) != len(want) {
+				t.Fatalf("q=%d depth %d: %d frontier leaves, oracle %d", q, depth, len(e.frontier), len(want))
+			}
+			for l, fl := range e.frontier {
+				for j, iv := range fl.stats.Intervals() {
+					w := want[l][j]
+					if !sameCuts(iv.Cuts, w.Cuts) {
+						t.Fatalf("q=%d depth %d leaf %d attribute %d: cuts %v, oracle %v", q, depth, l, j, iv.Cuts, w.Cuts)
+					}
+					if len(w.Cuts) >= 32 {
+						indexed++
+					}
+					probes := []float64{math.NaN(), math.Inf(-1), math.Inf(1)}
+					for _, c := range w.Cuts {
+						probes = append(probes, c, math.Nextafter(c, math.Inf(-1)), math.Nextafter(c, math.Inf(1)))
+					}
+					got, ref := make([]int32, len(probes)), make([]int32, len(probes))
+					iv.LocateBatch(probes, got)
+					w.LocateBatch(probes, ref)
+					if !slices.Equal(got, ref) {
+						t.Fatalf("q=%d depth %d leaf %d attribute %d: intervals %v, oracle %v", q, depth, l, j, got, ref)
+					}
+				}
+			}
+		}
+		if q == 40 && indexed == 0 {
+			t.Fatalf("q=%d: no structure reached the guide index", q)
 		}
 	}
 }

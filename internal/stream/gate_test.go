@@ -11,6 +11,19 @@ import (
 	"pclouds/internal/tree"
 )
 
+// lastPublished returns the last model that passed the publish gate,
+// decoded from its published bytes, or nil before the first publish.
+func (e *engine) lastPublished() *tree.Tree {
+	if e.lastPubBlob == nil {
+		return nil
+	}
+	t, err := tree.Decode(e.cfg.Schema, e.lastPubBlob)
+	if err != nil {
+		panic(fmt.Sprintf("stream: the published model does not decode: %v", err))
+	}
+	return t
+}
+
 // TestGateVerdictAgainstTruth measures the publish gate rather than
 // pinning it: on the stream-tail engine configuration (goldenConfig) over
 // 140 windows of the benchmark's stream (generator seed 1) and of the
@@ -57,7 +70,7 @@ func TestGateVerdictAgainstTruth(t *testing.T) {
 			e := &engine{cfg: cfg, c: c, src: src, fp: cfg.fingerprint(), live: newLiveMetrics(nil, nil)}
 			afterBad := false
 			for k := 1; k <= windows; k++ {
-				last, skips, refreshed := e.lastPub, e.stats.GateSkips, e.stats.Refreshes
+				last, skips, refreshed := e.lastPublished(), e.stats.GateSkips, e.stats.Refreshes
 				e.cfg.MaxWindows = k // loop runs exactly one more window
 				if err := e.loop(); err != nil {
 					return err

@@ -21,18 +21,15 @@ import (
 // ReservoirCap of them.
 func goldenReservoir(t *testing.T, cfg Config) []record.Record {
 	t.Helper()
-	src, err := NewSynthetic(datagen.Config{Function: 2, Seed: 42, Noise: 0.05}, 0)
+	g, err := datagen.New(datagen.Config{Function: 2, Seed: 42, Noise: 0.05})
 	if err != nil {
 		t.Fatal(err)
 	}
 	var out []record.Record
-	var rec record.Record
 	for idx := int64(0); idx < int64(cfg.MaxWindows*cfg.WindowRecords); idx++ {
-		if ok, err := src.Next(&rec); err != nil || !ok {
-			t.Fatalf("source ended at %d: %v", idx, err)
-		}
+		rec := g.Next()
 		if idx%int64(cfg.SampleEvery) == 0 && !holdoutIdx(idx, cfg.HoldoutEvery) {
-			out = append(out, rec.Clone())
+			out = append(out, rec)
 		}
 	}
 	return out[len(out)-cfg.ReservoirCap:]

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
 	"time"
 
 	"pclouds/internal/datagen"
@@ -14,17 +15,21 @@ import (
 // Source yields the global record stream. Every rank opens the same source
 // and scans the same global sequence; ownership of individual records is
 // decided by the engine (round-robin on the global index), so a source does
-// not need to know the rank count. Next fills rec and reports whether a
-// record was produced; (false, nil) is a clean end of stream, after which
-// the engine commits the final (possibly partial) window and returns.
+// not need to know the rank count.
+//
+// Rows hands out the stream by blocks: the next whole records, at least
+// one and at most n (n >= 1), back to back in Record.Encode's layout. The
+// bytes are a view valid until the next call; the engine counts a block's
+// rows in place and copies out only the rows it keeps. No rows and a nil
+// error is a clean end of stream, after which the engine commits the
+// final (possibly partial) window and returns.
 //
 // Determinism contract: two opens of the same source must yield the same
 // record sequence. SyntheticSource regenerates it from the seed;
-// TailSource re-reads the fixed-width file from the top. The engine relies
-// on this to replay the stream up to a checkpoint's high-water mark after
-// recovery.
+// TailSource re-reads the file from the top. The engine relies on this to
+// replay the stream up to a checkpoint's high-water mark after recovery.
 type Source interface {
-	Next(rec *record.Record) (bool, error)
+	Rows(n int) ([]byte, error)
 	Close() error
 }
 
@@ -34,6 +39,7 @@ type SyntheticSource struct {
 	g     *datagen.Generator
 	limit int64
 	read  int64
+	buf   []byte // the last block, encoded
 }
 
 // NewSynthetic builds a synthetic stream. limit > 0 bounds the stream to
@@ -50,13 +56,18 @@ func NewSynthetic(cfg datagen.Config, limit int64) (*SyntheticSource, error) {
 // Schema returns the generator's record schema.
 func (s *SyntheticSource) Schema() *record.Schema { return s.g.Schema() }
 
-func (s *SyntheticSource) Next(rec *record.Record) (bool, error) {
-	if s.limit > 0 && s.read >= s.limit {
-		return false, nil
+// Rows generates the next n records (fewer at the limit) and encodes them
+// into a buffer reused from call to call.
+func (s *SyntheticSource) Rows(n int) ([]byte, error) {
+	if s.limit > 0 {
+		n = int(min(int64(n), s.limit-s.read))
 	}
-	*rec = s.g.Next()
-	s.read++
-	return true, nil
+	s.buf = s.buf[:0]
+	for range n {
+		s.buf = s.g.Next().Encode(s.buf)
+	}
+	s.read += int64(max(n, 0))
+	return s.buf, nil
 }
 
 func (s *SyntheticSource) Close() error { return nil }
@@ -81,26 +92,27 @@ type TailOptions struct {
 // waits for the next write to the file (or the next poll). Both dataset
 // formats are tailed. A checksummed v2 file (record.V2Magic, as
 // `datagen -stream` now produces) is consumed block by block with every
-// block CRC verified: an incomplete trailing block is a writer mid-append
-// and is polled until whole, while a complete block that fails its checksum
-// — or an implausible block header — is data corruption and surfaces as an
-// error with the file offset. A legacy headerless fixed-width file is
-// tailed record by record with no protection; either way a partial record
-// is never surfaced.
+// block CRC verified, and Rows hands out views of the verified block: an
+// incomplete trailing block is a writer mid-append and is polled until
+// whole, while a complete block that fails its checksum — or an
+// implausible block header — is data corruption and surfaces as an error
+// with the file offset. A legacy headerless fixed-width file is read as
+// the whole records already written, with no protection; either way a
+// partial record is never surfaced.
 type TailSource struct {
 	schema *record.Schema
 	f      *os.File
 	opts   TailOptions
 	off    int64
 	read   int64
-	buf    []byte
+	buf    []byte // v1: the rows of the last call
 	// Format detection state: the first bytes of the file decide the mode,
 	// which may not be knowable before the writer's first append.
 	sniffed bool
 	v2      bool
 	hdr     record.V2Header
 	block   []byte // verified payload of the current v2 block
-	bpos    int    // decode position within block
+	bpos    int    // offset of the block's first row not yet handed out
 	// The file's change watch, armed on the first wait so a tail that
 	// never catches up with its writer never holds one. armed stays set
 	// when arming failed: the tail then polls without retrying.
@@ -120,7 +132,7 @@ func TailFile(schema *record.Schema, path string, opts TailOptions) (*TailSource
 	if opts.Poll <= 0 {
 		opts.Poll = 50 * time.Millisecond
 	}
-	s := &TailSource{schema: schema, f: f, opts: opts, buf: make([]byte, schema.RecordBytes())}
+	s := &TailSource{schema: schema, f: f, opts: opts}
 	// Best-effort early sniff so HeaderChecksum is available right after
 	// open when the writer already wrote the header (the common case).
 	if err := s.sniff(); err != nil {
@@ -229,55 +241,72 @@ func (s *TailSource) wait() bool {
 	return false
 }
 
-func (s *TailSource) Next(rec *record.Record) (bool, error) {
-	if s.opts.Limit > 0 && s.read >= s.opts.Limit {
-		return false, nil
+// Rows returns the next whole records, at least one and at most n: a view
+// of the verified v2 block, whose rest is kept for the next call, or of
+// the legacy records already written. It waits for the writer when it has
+// caught up, and returns no rows at Limit or when Stop closes.
+func (s *TailSource) Rows(n int) ([]byte, error) {
+	if s.opts.Limit > 0 {
+		n = int(min(int64(n), s.opts.Limit-s.read))
 	}
+	if n <= 0 {
+		return nil, nil
+	}
+	rb := s.schema.RecordBytes()
 	for {
 		if err := s.sniff(); err != nil {
-			return false, err
+			return nil, err
 		}
 		if !s.sniffed {
 			if s.wait() {
-				return false, nil
+				return nil, nil
 			}
 			continue
 		}
 		if s.v2 {
 			if s.bpos < len(s.block) {
-				if _, err := rec.Decode(s.schema, s.block[s.bpos:]); err != nil {
-					return false, fmt.Errorf("stream: tail %s: %w", s.f.Name(), err)
-				}
-				s.bpos += s.schema.RecordBytes()
-				s.read++
-				return true, nil
+				k := min(n, (len(s.block)-s.bpos)/rb)
+				out := s.block[s.bpos : s.bpos+k*rb]
+				s.bpos += k * rb
+				s.read += int64(k)
+				return out, nil
 			}
 			ok, err := s.nextBlock()
 			if err != nil {
-				return false, err
+				return nil, err
 			}
 			if !ok && s.wait() {
-				return false, nil
+				return nil, nil
 			}
 			continue
 		}
-		n, err := s.f.ReadAt(s.buf, s.off)
-		if n == len(s.buf) {
-			if _, err := rec.Decode(s.schema, s.buf); err != nil {
-				return false, fmt.Errorf("stream: tail %s at offset %d: %w", s.f.Name(), s.off, err)
-			}
-			s.off += int64(n)
-			s.read++
-			return true, nil
+		s.buf = slices.Grow(s.buf[:0], n*rb)[:n*rb]
+		got, err := s.f.ReadAt(s.buf, s.off)
+		if k := got / rb; k > 0 {
+			s.off += int64(k * rb)
+			s.read += int64(k)
+			return s.buf[:k*rb], nil
 		}
 		if err != nil && err != io.EOF {
-			return false, fmt.Errorf("stream: tail %s: %w", s.f.Name(), err)
+			return nil, fmt.Errorf("stream: tail %s: %w", s.f.Name(), err)
 		}
 		// Caught up (or a record is mid-append): wait for the writer.
 		if s.wait() {
-			return false, nil
+			return nil, nil
 		}
 	}
+}
+
+// Next reads one record into rec through Rows; (false, nil) is a clean end.
+func (s *TailSource) Next(rec *record.Record) (bool, error) {
+	row, err := s.Rows(1)
+	if err != nil || len(row) == 0 {
+		return false, err
+	}
+	if _, err := rec.Decode(s.schema, row); err != nil {
+		return false, fmt.Errorf("stream: tail %s: %w", s.f.Name(), err)
+	}
+	return true, nil
 }
 
 // Close releases the file and its change watch.

@@ -14,10 +14,13 @@
 //	          checkpoint every rank still holds and can load; replay the
 //	          source to the agreed high-water mark, or fresh-start from
 //	          record 0.
-//	ingest    scan the global stream, failing on a record outside the
-//	          schema; own records with index % p == rank; accumulate
-//	          owned records into per-frontier-leaf sketches and a
-//	          1-in-SampleEvery reservoir sample.
+//	ingest    scan the global stream block by block (Source.Rows),
+//	          failing on a record outside the schema; own records with
+//	          index % p == rank; count each block's owned training rows
+//	          into the per-frontier-leaf sketches as one batch (a batched
+//	          leaf walk, rows grouped by leaf, NodeStats.AddBatch), and
+//	          copy held-out rows and a 1-in-SampleEvery reservoir sample
+//	          out as their encoded bytes.
 //	close     exchange window samples (all-gather, merged in global index
 //	          order), then either refresh — rebuild the replicated
 //	          reservoir's tree from the kept sorted columns, each rank
@@ -268,13 +271,16 @@ type engine struct {
 		inSample     []bool
 	}
 
-	// Window-close scratch, reused across windows: the frontier cut
-	// construction's buffers, the sketch vector every frontier leaf's
-	// counters are carved from (the sketch all-reduce's payload), and the
-	// holdout scoring's class output.
+	// Scratch reused across windows: ingest's, the frontier cut
+	// construction's (with the interval structures the frontier counts
+	// over), the sketch vector every frontier leaf's counters are carved
+	// from (the sketch all-reduce's payload), the holdout scoring's class
+	// output and the sample merge's entries.
+	in      ingestScratch
 	cuts    cutScratch
 	sketch  []int64
 	classes []int32
+	merged  []sampleEntry
 
 	// pending is rank 0's in-flight model write, nil when none: publish
 	// hands a window's file bytes to one background write and the next
@@ -282,24 +288,26 @@ type engine struct {
 	// publish, before a checkpoint write and on every exit of Run.
 	pending chan publishDone
 
-	// winSampleIdx/winSample accumulate this rank's owned reservoir
-	// candidates for the current window; cleared by mergeSamples.
-	winSampleIdx []int64
-	winSample    []record.Record
+	// samples is this rank's sample payload for the current window, in
+	// the sample all-gather's layout: a u32 record count (set at close),
+	// then each owned reservoir candidate as its u64 global index and its
+	// encoded row. mergeSamples sends and resets it.
+	samples []byte
 
-	// winHoldout buffers this rank's owned held-out records for the
-	// current window (HoldoutEvery > 0); consumed at window close.
-	winHoldout []record.Record
+	// holdout buffers this rank's owned held-out rows for the current
+	// window (HoldoutEvery > 0), encoded; consumed at window close.
+	holdout []byte
 
 	// Drift/gate state, replicated and checkpointed: the Page–Hinkley
 	// detector, whether it has scheduled an adaptive refresh for the next
 	// window, and the last model that passed the publish gate (with the
-	// window it was published at).
+	// window it was published at), kept as its tree.Encode bytes.
 	det          phDetector
 	driftPending bool
-	lastPub      *tree.Tree
+	lastPubBlob  []byte
 	lastPubWin   int
-	// lastPubFlat is lastPub compiled, once per publish or resume.
+	// lastPubFlat is the last published model compiled: the compile of
+	// the candidate it was, or of the checkpointed model after a resume.
 	lastPubFlat *tree.Compiled
 
 	stats   Stats
@@ -361,21 +369,23 @@ func (e *engine) resume() error {
 	}
 	e.window, e.nextIdx, e.tree, e.reservoir = st.window, st.nextIdx, st.tree, st.reservoir
 	e.det, e.driftPending = st.det, st.driftPending
-	e.lastPub, e.lastPubWin = st.lastPub, st.lastPubWin
-	if e.lastPub != nil {
-		e.lastPubFlat = tree.Compile(e.lastPub)
+	e.lastPubBlob, e.lastPubWin = st.lastPubBlob, st.lastPubWin
+	if st.lastPub != nil {
+		e.lastPubFlat = tree.Compile(st.lastPub)
 	}
 	e.stats.ResumedAt = st.window
 	e.live.set(e)
-	var rec record.Record
-	for i := int64(0); i < st.nextIdx; i++ {
-		ok, err := e.src.Next(&rec)
+	// Replay skips whole blocks without decoding them.
+	rb := int64(e.cfg.Schema.RecordBytes())
+	for i := int64(0); i < st.nextIdx; {
+		rows, err := e.src.Rows(int(min(st.nextIdx-i, 1<<16)))
 		if err != nil {
 			return fmt.Errorf("stream: replaying to checkpoint high-water %d: %w", st.nextIdx, err)
 		}
-		if !ok {
+		if len(rows) == 0 {
 			return fmt.Errorf("stream: source ended at record %d while replaying to checkpoint high-water %d", i, st.nextIdx)
 		}
+		i += int64(len(rows)) / rb
 	}
 	e.cfg.Logf("stream: rank %d: resumed at window %d (stream position %d, %d reservoir records)",
 		e.c.Rank(), e.window, e.nextIdx, len(e.reservoir))
@@ -413,114 +423,14 @@ func (e *engine) loop() error {
 	return nil
 }
 
-// ingestWindow scans the stream to the window boundary, accumulating owned
-// records into the frontier sketches and the window's reservoir sample.
-// It returns how many global records this window scanned and whether the
-// source ended inside the window.
-func (e *engine) ingestWindow() (scanned int64, streamEnd bool, err error) {
-	p, rank := e.c.Size(), e.c.Rank()
-	var rec record.Record
-	consume := func() (bool, error) {
-		ok, err := e.src.Next(&rec)
-		if err != nil || !ok {
-			return ok, err
-		}
-		idx := e.nextIdx
-		// Every rank scans every record, so every rank refuses a record
-		// outside the schema at the same index, before any collective.
-		if err := rec.Validate(e.cfg.Schema); err != nil {
-			return false, fmt.Errorf("stream: global record %d: %w", idx, err)
-		}
-		e.nextIdx++
-		scanned++
-		e.stats.Scanned++
-		if e.cfg.RecordHook != nil {
-			e.cfg.RecordHook(e.window, idx)
-		}
-		if idx%int64(p) == int64(rank) {
-			e.stats.Records++
-			e.live.records.Add(1)
-			if holdoutIdx(idx, e.cfg.HoldoutEvery) {
-				// Held out of training entirely: scored against the
-				// window's candidate model at close, then discarded.
-				e.winHoldout = append(e.winHoldout, rec.Clone())
-				return true, nil
-			}
-			if len(e.frontier) > 0 {
-				e.frontier[e.route(rec)].stats.Add(rec)
-			}
-			if idx%int64(e.cfg.SampleEvery) == 0 {
-				e.winSampleIdx = append(e.winSampleIdx, idx)
-				e.winSample = append(e.winSample, rec.Clone())
-			}
-		}
-		return true, nil
-	}
-
-	if e.cfg.WindowDuration > 0 {
-		// Time-based: ingest until the local deadline, then agree on the
-		// boundary (the furthest position any rank reached) and catch up.
-		deadline := time.Now().Add(e.cfg.WindowDuration)
-		for time.Now().Before(deadline) {
-			if e.stopped() {
-				return scanned, false, ErrStopped
-			}
-			ok, err := consume()
-			if err != nil {
-				return scanned, false, err
-			}
-			if !ok {
-				streamEnd = true
-				break
-			}
-		}
-		target, err := comm.AllReduceInt64(e.c, []int64{e.nextIdx}, func(a, b int64) int64 { return max(a, b) })
-		if err != nil {
-			return scanned, false, err
-		}
-		for e.nextIdx < target[0] {
-			// Some rank has already read these records, so the source can
-			// produce them; a clean end before the target is a source that
-			// violated the identical-global-stream contract.
-			ok, err := consume()
-			if err != nil {
-				return scanned, false, err
-			}
-			if !ok {
-				return scanned, false, fmt.Errorf("stream: source ended at %d before agreed boundary %d", e.nextIdx, target[0])
-			}
-		}
-		return scanned, streamEnd, nil
-	}
-
-	target := e.nextIdx + int64(e.cfg.WindowRecords)
-	for e.nextIdx < target {
-		if e.stopped() {
-			return scanned, false, ErrStopped
-		}
-		ok, err := consume()
-		if err != nil {
-			return scanned, false, err
-		}
-		if !ok {
-			return scanned, true, nil
-		}
-	}
-	return scanned, false, nil
-}
-
-// route returns the frontier index of the leaf rec lands in.
-func (e *engine) route(rec record.Record) int {
-	return int(e.frontierOf[e.flat.Leaf(rec)])
-}
-
 // closeWindow runs the collective close: sample exchange, grow-or-refresh,
 // holdout scoring + validation vote (one all-reduce), drift detection,
 // publish gate, publish, checkpoint.
 func (e *engine) closeWindow(refresh bool) error {
 	windowNum := e.window // 0-based index of the window being closed
-	holdout := e.winHoldout
-	e.winHoldout = e.winHoldout[:0]
+	// The arena is free once ingest is done: the holdout decodes into it.
+	holdout := e.in.arena.decodeRows(e.cfg.Schema, e.holdout)
+	e.holdout = e.holdout[:0]
 	if err := e.mergeSamples(); err != nil {
 		return err
 	}
@@ -579,7 +489,7 @@ func (e *engine) closeWindow(refresh bool) error {
 		e.stats.HoldoutErr = candRate
 		e.live.holdoutRecords.Add(sums[3])
 		e.live.setHoldoutErr(candRate)
-		if e.lastPub != nil {
+		if e.lastPubBlob != nil {
 			lastRate := float64(sums[2]) / float64(sums[3])
 			if candRate > lastRate+e.cfg.GateTolerance {
 				publish = false
@@ -609,19 +519,21 @@ func (e *engine) closeWindow(refresh bool) error {
 	// update — serving (and the next window's gate baseline) keep the
 	// last good model.
 	if publish && e.tree != nil {
-		// One encoding feeds both the published file and the gate
-		// baseline, which must be a snapshot: frontier growth mutates
-		// e.tree in place, so aliasing it here would make every grown
-		// candidate compare against itself.
+		// One encoding feeds both the published file and the checkpoint,
+		// and the candidate's compile is the gate baseline: both are
+		// snapshots, which the baseline must be, since frontier growth
+		// mutates e.tree in place and would make every grown candidate
+		// compare against itself. Without holdout scoring nothing
+		// compiled the candidate yet; the compile then also routes the
+		// next window's frontier.
 		blob := tree.Encode(e.tree)
 		if err := e.publish(blob); err != nil {
 			return err
 		}
-		snap, err := tree.Decode(e.cfg.Schema, blob)
-		if err != nil {
-			return fmt.Errorf("stream: snapshotting published model: %w", err)
+		if e.flat == nil {
+			e.flat = tree.Compile(e.tree)
 		}
-		e.lastPub, e.lastPubWin, e.lastPubFlat = snap, e.window, tree.Compile(snap)
+		e.lastPubBlob, e.lastPubWin, e.lastPubFlat = blob, e.window, e.flat
 	}
 	if e.cfg.CheckpointDir != "" {
 		// The window's model is on disk before its checkpoint can be.
@@ -639,38 +551,48 @@ func (e *engine) closeWindow(refresh bool) error {
 	return nil
 }
 
+// sampleEntry is one reservoir candidate of a window's merged samples.
+type sampleEntry struct {
+	idx int64
+	rec record.Record
+}
+
 // mergeSamples all-gathers every rank's window sample and appends the
 // union to the reservoir in global-index order — the canonical order that
 // makes the reservoir (and everything derived from it) independent of the
 // rank count.
 func (e *engine) mergeSamples() error {
-	payload := encodeSamples(e.winSampleIdx, e.winSample, e.cfg.Schema)
-	e.winSampleIdx, e.winSample = e.winSampleIdx[:0], e.winSample[:0]
-	blocks, err := comm.AllGather(e.c, payload)
+	if len(e.samples) == 0 {
+		e.samples = append(e.samples, 0, 0, 0, 0)
+	}
+	n := (len(e.samples) - 4) / (8 + e.cfg.Schema.RecordBytes())
+	binary.LittleEndian.PutUint32(e.samples, uint32(n))
+	blocks, err := comm.AllGather(e.c, e.samples)
+	// The all-gather copied the payload out (or, alone, hands it back):
+	// every block decodes below, before the next window appends to it.
+	e.samples = e.samples[:4]
 	if err != nil {
 		return err
 	}
-	type entry struct {
-		idx int64
-		rec record.Record
-	}
-	var entries []entry
+	entries := e.merged[:0]
 	for _, raw := range blocks {
 		idxs, recs, err := decodeSamples(raw, e.cfg.Schema)
 		if err != nil {
 			return err
 		}
 		for i := range idxs {
-			entries = append(entries, entry{idxs[i], recs[i]})
+			entries = append(entries, sampleEntry{idxs[i], recs[i]})
 		}
 	}
 	// Global index order is the canonical reservoir order; indices are
 	// unique, so the sort is total and identical on every rank.
-	slices.SortFunc(entries, func(a, b entry) int { return cmp.Compare(a.idx, b.idx) })
+	slices.SortFunc(entries, func(a, b sampleEntry) int { return cmp.Compare(a.idx, b.idx) })
 	for _, en := range entries {
 		e.reservoir = append(e.reservoir, en.rec)
 	}
 	e.evict(len(entries))
+	clear(entries)
+	e.merged = entries[:0]
 	return nil
 }
 
@@ -907,16 +829,6 @@ func treeShape(t *tree.Tree) string {
 		return "none"
 	}
 	return fmt.Sprintf("%d nodes depth %d", t.NumNodes(), t.Depth())
-}
-
-func encodeSamples(idxs []int64, recs []record.Record, schema *record.Schema) []byte {
-	out := make([]byte, 0, 4+len(recs)*(8+schema.RecordBytes()))
-	out = binary.LittleEndian.AppendUint32(out, uint32(len(recs)))
-	for i, r := range recs {
-		out = binary.LittleEndian.AppendUint64(out, uint64(idxs[i]))
-		out = r.Encode(out)
-	}
-	return out
 }
 
 func decodeSamples(src []byte, schema *record.Schema) ([]int64, []record.Record, error) {

@@ -123,18 +123,30 @@ func (c *Compiled) Leaf(r record.Record) int32 {
 	}
 }
 
-// batchRows is how many rows ClassifyBatch walks together.
+// batchRows is how many rows LeafBatch walks together.
 const batchRows = 16
 
 // ClassifyBatch writes the class of recs[i] to out[i]; out must be at least
-// as long as recs. Rows are walked batchRows at a time, one level per round
-// for every row of the batch. Each step evaluates both the numeric and the
+// as long as recs. It is LeafBatch's walk, ending in each leaf's class.
+func (c *Compiled) ClassifyBatch(recs []record.Record, out []int32) {
+	c.walkBatch(recs, out, true)
+}
+
+// LeafBatch writes Leaf(recs[i]) to out[i]; out must be at least as long
+// as recs. Rows are walked batchRows at a time, one level per round for
+// every row of the batch. Each step evaluates both the numeric and the
 // categorical test (a numeric node's categorical test reads the zero word,
 // a categorical node's numeric test slot 0) and combines them with the
 // node's kind arithmetically, so a step has no data-dependent branch:
 // independent rows' node loads overlap, and no level costs a mispredicted
 // branch. Leaves step to themselves, so the rounds end when no row moves.
-func (c *Compiled) ClassifyBatch(recs []record.Record, out []int32) {
+func (c *Compiled) LeafBatch(recs []record.Record, out []int32) {
+	c.walkBatch(recs, out, false)
+}
+
+// walkBatch is LeafBatch's walk; it writes each row's leaf, or with class
+// set the leaf's class.
+func (c *Compiled) walkBatch(recs []record.Record, out []int32, class bool) {
 	out = out[:len(recs)]
 	var (
 		at   [batchRows]int32
@@ -161,8 +173,9 @@ func (c *Compiled) ClassifyBatch(recs []record.Record, out []int32) {
 		}
 		if !full {
 			for k := range rows {
-				out[lo+k] = c.nodes[c.Leaf(rows[k])].class
+				at[k] = c.Leaf(rows[k])
 			}
+			c.emit(out[lo:], at[:len(rows)], class)
 			continue
 		}
 		for moved := int32(1); moved != 0; {
@@ -191,8 +204,18 @@ func (c *Compiled) ClassifyBatch(recs []record.Record, out []int32) {
 				at[k] = next
 			}
 		}
-		for k := range rows {
-			out[lo+k] = c.nodes[at[k]].class
-		}
+		c.emit(out[lo:], at[:len(rows)], class)
+	}
+}
+
+// emit writes the leaves a batch's rows reached to out, or with class set
+// their classes.
+func (c *Compiled) emit(out, leaves []int32, class bool) {
+	if !class {
+		copy(out, leaves)
+		return
+	}
+	for k, l := range leaves {
+		out[k] = c.nodes[l].class
 	}
 }

@@ -11,7 +11,8 @@ import (
 )
 
 // checkCompiled asserts that the compiled form of tr routes every row to
-// the leaf the pointer walk reaches, through Leaf and ClassifyBatch alike.
+// the leaf the pointer walk reaches, through Leaf, LeafBatch and
+// ClassifyBatch alike.
 func checkCompiled(t testing.TB, tr *Tree, rows []record.Record) {
 	t.Helper()
 	pre := map[*Node]int32{}
@@ -21,11 +22,13 @@ func checkCompiled(t testing.TB, tr *Tree, rows []record.Record) {
 		t.Fatalf("compiled %d nodes, tree has %d", c.NumNodes(), len(pre))
 	}
 	out := make([]int32, len(rows))
+	leaves := make([]int32, len(rows))
 	c.ClassifyBatch(rows, out)
+	c.LeafBatch(rows, leaves)
 	for i, r := range rows {
 		want := tr.Leaf(r)
-		if got := c.Leaf(r); got != pre[want] {
-			t.Fatalf("row %d %+v: compiled leaf %d, pointer walk leaf %d", i, r, got, pre[want])
+		if got := c.Leaf(r); got != pre[want] || leaves[i] != pre[want] {
+			t.Fatalf("row %d %+v: compiled leaf %d, batched %d, pointer walk leaf %d", i, r, got, leaves[i], pre[want])
 		}
 		if c.nodes[c.Leaf(r)].class != want.Class || out[i] != tr.Classify(r) {
 			t.Fatalf("row %d %+v: compiled class %d/%d, pointer walk %d", i, r, c.nodes[c.Leaf(r)].class, out[i], tr.Classify(r))
@@ -184,6 +187,13 @@ func FuzzCompiledTree(f *testing.F) {
 	row([]float64{0}, nil)
 	f.Add(mixed, rows)
 	f.Add(Encode(&Tree{Schema: s, Root: &Node{ClassCounts: []int64{1, 2}, N: 3, Class: 1}}), rows)
+	// Two and a half batches of full-width rows, which LeafBatch walks
+	// without the per-row fallback, NaN and out-of-range values among them.
+	rows = nil
+	for k := range 2*batchRows + batchRows/2 {
+		row([]float64{[]float64{float64(k%5) - 1, math.NaN(), math.Inf(1)}[k%3]}, []int32{int32(k%6 - 1)})
+	}
+	f.Add(mixed, rows)
 	f.Fuzz(func(t *testing.T, treeBytes, rowBytes []byte) {
 		tr, err := Decode(s, treeBytes)
 		if err != nil {
