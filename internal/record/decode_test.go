@@ -132,6 +132,14 @@ func TestBlockDecodedRecordsDoNotAlias(t *testing.T) {
 	decoders := map[string]func() ([]Record, error){
 		"DecodeAll":         func() ([]Record, error) { return DecodeAll(s, enc) },
 		"DecodeAllFeatures": func() ([]Record, error) { return DecodeAllFeatures(s, feat) },
+		"FeatureRows reused": func() ([]Record, error) {
+			var f FeatureRows
+			if err := f.Decode(s, bytes.Repeat(feat, 2)); err != nil {
+				return nil, err
+			}
+			err := f.Decode(s, feat)
+			return f.Recs, err
+		},
 		"v1 ReadBinary": func() ([]Record, error) {
 			ds, err := ReadBinary(s, bytes.NewReader(enc))
 			if err != nil {

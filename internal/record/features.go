@@ -60,14 +60,49 @@ func (r *Record) DecodeFeatures(s *Schema, src []byte) (int, error) {
 	return off, nil
 }
 
-// DecodeAllFeatures decodes every feature row of schema s contained in src.
+// DecodeAllFeatures decodes every feature row of schema s contained in src
+// into fresh storage: FeatureRows.Decode on an empty FeatureRows.
 func DecodeAllFeatures(s *Schema, src []byte) ([]Record, error) {
+	var f FeatureRows
+	if err := f.Decode(s, src); err != nil {
+		return nil, err
+	}
+	return f.Recs, nil
+}
+
+// FeatureRows is reusable storage for decoded feature rows: the records and
+// the one []float64 and one []int32 arena their values live in. A server
+// that decodes one request after another into the same FeatureRows
+// allocates only when a request has more rows than any before it.
+type FeatureRows struct {
+	Recs []Record
+	num  []float64
+	cat  []int32
+}
+
+// Decode replaces f.Recs with every feature row of schema s contained in
+// src, reusing f's records and arenas when they are large enough. The rows
+// of an earlier Decode are overwritten, so a caller must be done with them.
+// Each record gets three-index slices of the arenas (cap == len), as
+// DecodeAll gives.
+func (f *FeatureRows) Decode(s *Schema, src []byte) error {
 	fb := s.FeatureBytes()
 	if fb == 0 {
-		return nil, fmt.Errorf("record: schema has no attributes")
+		return fmt.Errorf("record: schema has no attributes")
 	}
 	if len(src)%fb != 0 {
-		return nil, fmt.Errorf("record: buffer length %d not a multiple of feature row size %d", len(src), fb)
+		return fmt.Errorf("record: buffer length %d not a multiple of feature row size %d", len(src), fb)
 	}
-	return decodeBlock(s, make([]Record, 0, len(src)/fb), src, fb), nil
+	n := len(src) / fb
+	if cap(f.Recs) < n {
+		f.Recs = make([]Record, 0, n)
+	}
+	if nn := n * s.NumNumeric(); cap(f.num) < nn {
+		f.num = make([]float64, nn)
+	}
+	if nc := n * s.NumCategorical(); cap(f.cat) < nc {
+		f.cat = make([]int32, nc)
+	}
+	f.Recs = decodeRows(s, f.Recs[:0], f.num[:cap(f.num)], f.cat[:cap(f.cat)], src, fb)
+	return nil
 }

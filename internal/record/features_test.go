@@ -74,3 +74,40 @@ func TestDecodeAllFeatures(t *testing.T) {
 		t.Fatal("ragged buffer accepted")
 	}
 }
+
+// TestFeatureRowsReuse: decoding into storage that held a longer request
+// gives exactly what a fresh decode gives — no row of the earlier request
+// survives — and, once the storage is large enough, allocates nothing.
+func TestFeatureRowsReuse(t *testing.T) {
+	d := decodeTestDataset(300)
+	s := d.Schema
+	var long, short []byte
+	for i, r := range d.Records {
+		long = r.EncodeFeatures(long)
+		if i < 7 {
+			short = r.EncodeFeatures(short)
+		}
+	}
+	var f FeatureRows
+	if err := f.Decode(s, long); err != nil {
+		t.Fatal(err)
+	}
+	want, err := DecodeAllFeatures(s, long)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameRecords(t, "first decode", f.Recs, want)
+	if err := f.Decode(s, short); err != nil {
+		t.Fatal(err)
+	}
+	if want, err = DecodeAllFeatures(s, short); err != nil {
+		t.Fatal(err)
+	}
+	sameRecords(t, "shorter decode into reused rows", f.Recs, want)
+	if err := f.Decode(s, short[:len(short)-1]); err == nil {
+		t.Fatal("ragged buffer accepted")
+	}
+	if allocs := testing.AllocsPerRun(20, func() { f.Decode(s, long) }); allocs != 0 { //nolint:errcheck // checked above
+		t.Fatalf("steady-state Decode allocates %.0f objects", allocs)
+	}
+}

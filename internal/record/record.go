@@ -261,18 +261,24 @@ func DecodeAll(s *Schema, src []byte) ([]Record, error) {
 	return decodeBlock(s, make([]Record, 0, len(src)/rb), src, rb), nil
 }
 
-// decodeBlock appends the len(src)/stride fixed-width rows of src to dst.
-// A row of stride RecordBytes ends in its class; a feature row (stride
-// FeatureBytes) has none and decodes with class 0. Every row's values land
-// in one fresh []float64 and one fresh []int32 for the whole block, and
-// each record gets three-index slices of them (cap == len), so an append to
-// one record reallocates instead of overwriting its neighbour. The records
-// equal what Decode or DecodeFeatures gives row by row.
+// decodeBlock appends the len(src)/stride fixed-width rows of src to dst,
+// their values in one fresh []float64 and one fresh []int32 for the whole
+// block (see decodeRows).
 func decodeBlock(s *Schema, dst []Record, src []byte, stride int) []Record {
+	n := len(src) / stride
+	return decodeRows(s, dst, make([]float64, n*s.NumNumeric()), make([]int32, n*s.NumCategorical()), src, stride)
+}
+
+// decodeRows appends the len(src)/stride fixed-width rows of src to dst. A
+// row of stride RecordBytes ends in its class; a feature row (stride
+// FeatureBytes) has none and decodes with class 0. Every row's values land
+// in nums and cats, which hold at least the block's values, and each record
+// gets three-index slices of them (cap == len), so an append to one record
+// reallocates instead of overwriting its neighbour. The records equal what
+// Decode or DecodeFeatures gives row by row.
+func decodeRows(s *Schema, dst []Record, nums []float64, cats []int32, src []byte, stride int) []Record {
 	nn, nc := s.NumNumeric(), s.NumCategorical()
 	n := len(src) / stride
-	nums := make([]float64, n*nn)
-	cats := make([]int32, n*nc)
 	withClass := stride == s.RecordBytes()
 	for i := 0; i < n; i++ {
 		row := src[i*stride : (i+1)*stride]

@@ -40,23 +40,23 @@ func (c *EngineConfig) setDefaults() {
 }
 
 // task is one admitted classification request travelling through the
-// queue. The worker that picks it up fills out/version/err and closes
-// done; the submitting goroutine is the only other reader.
+// queue: its rows, the model they were validated against, and the caller's
+// output slice. The worker that picks it up fills out and closes done; the
+// submitting goroutine is the only other reader.
 type task struct {
-	recs    []record.Record
-	out     []int32
-	version string
-	err     error
-	done    chan struct{}
+	m    *Model
+	recs []record.Record
+	out  []int32
+	done chan struct{}
 }
 
 // Engine is the batched prediction engine: a bounded queue of requests
 // drained by a pool of workers. Each worker pulls one request and then
 // opportunistically coalesces whatever else is already queued (up to
-// MaxBatchRows rows) into one batch, snapshots the active model once, and
-// classifies the whole batch against it — so a hot-swap lands between
-// batches, never inside one, and every row of a request is answered by a
-// single version.
+// MaxBatchRows rows) into one batch. Every request is answered by the model
+// it was admitted with, so every row of a request is answered by a single
+// version, and a hot swap after admission cannot walk rows checked against
+// one schema through a tree of another.
 //
 // Admission control: Classify never blocks on a full queue. If the queue
 // is full the request is shed immediately with ErrOverloaded; the HTTP
@@ -91,25 +91,50 @@ func NewEngine(src ModelSource, cfg EngineConfig, st *Stats) *Engine {
 }
 
 // Classify routes every record in recs through the active model and
-// returns the predicted classes plus the model version that answered.
-// It returns ErrOverloaded without blocking when the queue is full,
-// ErrClosed after Close, ErrNoModel when nothing is loaded, and ctx's
-// error if the caller gives up while queued.
+// returns the predicted classes plus the model version that answered. It
+// returns the errors of ClassifyInto; the result is always the caller's.
 func (e *Engine) Classify(ctx context.Context, recs []record.Record) ([]int32, string, error) {
-	if len(recs) == 0 {
-		m := e.src.Active()
-		if m == nil {
-			return nil, "", ErrNoModel
-		}
-		return nil, m.Info.Version, nil
+	m := e.src.Active()
+	var out []int32
+	if len(recs) > 0 {
+		out = make([]int32, len(recs))
 	}
-	t := &task{recs: recs, out: make([]int32, len(recs)), done: make(chan struct{})}
+	if _, err := e.ClassifyInto(ctx, m, recs, out); err != nil {
+		return nil, "", err
+	}
+	return out, m.Info.Version, nil
+}
+
+// ClassifyInto routes every record in recs through m and writes the
+// predicted classes to out, which must have len(recs) entries. It returns
+// ErrOverloaded without blocking when the queue is full, ErrClosed after
+// Close, ErrNoModel for a nil m, and ctx's error if the caller gives up
+// while the request is queued or being classified.
+//
+// Ownership: recs and out belong to the engine from the call until the
+// worker has finished the request. released reports whether that has
+// happened. It is false only when ClassifyInto returned on ctx while the
+// request was still in the engine: a worker will still read recs and write
+// out, so the caller must neither reuse nor read them, and leaves them to
+// the garbage collector. In every other case the caller may reuse both as
+// soon as ClassifyInto returns.
+func (e *Engine) ClassifyInto(ctx context.Context, m *Model, recs []record.Record, out []int32) (released bool, err error) {
+	if m == nil {
+		if e.stats != nil && len(recs) > 0 {
+			e.stats.observeRequest(len(recs), "", 0, ErrNoModel)
+		}
+		return true, ErrNoModel
+	}
+	if len(recs) == 0 {
+		return true, nil
+	}
+	t := &task{m: m, recs: recs, out: out, done: make(chan struct{})}
 	start := time.Now()
 
 	e.qmu.RLock()
 	if e.closed {
 		e.qmu.RUnlock()
-		return nil, "", ErrClosed
+		return true, ErrClosed
 	}
 	select {
 	case e.queue <- t:
@@ -123,23 +148,17 @@ func (e *Engine) Classify(ctx context.Context, recs []record.Record) ([]int32, s
 		if e.stats != nil {
 			e.stats.incShed(int64(len(recs)))
 		}
-		return nil, "", ErrOverloaded
+		return true, ErrOverloaded
 	}
 
 	select {
 	case <-t.done:
 		if e.stats != nil {
-			e.stats.observeRequest(len(recs), t.version, time.Since(start), t.err)
+			e.stats.observeRequest(len(recs), m.Info.Version, time.Since(start), nil)
 		}
-		if t.err != nil {
-			return nil, "", t.err
-		}
-		return t.out, t.version, nil
+		return true, nil
 	case <-ctx.Done():
-		// The task stays queued; a worker will still process it, but
-		// nobody reads the result. The out slice is owned by the task, so
-		// there is no data race with the departed caller.
-		return nil, "", ctx.Err()
+		return false, ctx.Err()
 	}
 }
 
@@ -169,8 +188,8 @@ func (e *Engine) worker() {
 		rows := len(t.recs)
 		// Coalesce whatever is already waiting, up to the row cap. This is
 		// purely opportunistic: an idle server classifies single requests
-		// immediately, a busy one amortises model lookup and keeps the hot
-		// tree levels cache-resident across the batch.
+		// immediately, a busy one amortises the queue handoff and keeps the
+		// hot tree levels cache-resident across the batch.
 	coalesce:
 		for rows < e.cfg.MaxBatchRows {
 			select {
@@ -185,14 +204,8 @@ func (e *Engine) worker() {
 			}
 		}
 
-		m := e.src.Active()
 		for _, bt := range batch {
-			if m == nil {
-				bt.err = ErrNoModel
-			} else {
-				bt.version = m.Info.Version
-				m.flat.ClassifyBatch(bt.recs, bt.out)
-			}
+			bt.m.flat.ClassifyBatch(bt.recs, bt.out)
 			close(bt.done)
 		}
 		if e.stats != nil {

@@ -9,6 +9,7 @@ import (
 	"io"
 	"net"
 	"net/http"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -62,6 +63,8 @@ type Server struct {
 	mux      *http.ServeMux
 	draining atomic.Bool
 	hs       *http.Server
+	// binScratch pools *binScratch, the working memory of binary requests.
+	binScratch sync.Pool
 }
 
 // New assembles a server (engine workers start immediately).
@@ -75,6 +78,7 @@ func New(reg *Registry, cfg ServerConfig) *Server {
 		cfg:   cfg,
 		mux:   http.NewServeMux(),
 	}
+	s.binScratch.New = func() any { return new(binScratch) }
 	s.mux.HandleFunc("/v1/classify", s.handleClassifyJSON)
 	s.mux.HandleFunc("/v1/classify.bin", s.handleClassifyBin)
 	s.mux.HandleFunc("/healthz", s.handleHealthz)
@@ -184,12 +188,12 @@ func (s *Server) handleClassifyJSON(w http.ResponseWriter, r *http.Request) {
 		}
 		recs[i] = record.Record{Num: row.Num, Cat: row.Cat}
 	}
-	out, version, err := s.classify(r.Context(), recs)
-	if err != nil {
+	out := make([]int32, len(recs))
+	if _, err := s.classify(r.Context(), m, recs, out); err != nil {
 		s.engineError(w, err)
 		return
 	}
-	resp := classifyResponse{ModelVersion: version, Classes: out}
+	resp := classifyResponse{ModelVersion: m.Info.Version, Classes: out}
 	if single {
 		resp.Class = &out[0]
 	}
@@ -197,60 +201,149 @@ func (s *Server) handleClassifyJSON(w http.ResponseWriter, r *http.Request) {
 	json.NewEncoder(w).Encode(resp) //nolint:errcheck // client went away
 }
 
+// binScratch is the working memory of one binary request: the body, the
+// rows decoded from it, the engine's output and the reply. Scratch goes back
+// to the server's pool only once the engine has let go of its rows and
+// output, so a steady stream of requests reuses the same few and allocates
+// almost nothing.
+type binScratch struct {
+	body []byte
+	rows record.FeatureRows
+	out  []int32
+	resp []byte
+}
+
 func (s *Server) handleClassifyBin(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		http.Error(w, "POST only", http.StatusMethodNotAllowed)
 		return
 	}
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
-	if err != nil {
-		s.badRequest(w, err)
-		return
+	sc := s.binScratch.Get().(*binScratch)
+	if s.classifyBin(w, r, sc) {
+		s.binScratch.Put(sc)
 	}
-	m := s.reg.Active()
-	if m == nil {
-		s.engineError(w, ErrNoModel)
-		return
-	}
-	schema := m.Tree.Schema
-	if len(body) == 0 {
-		s.badRequest(w, errors.New("empty body"))
-		return
-	}
-	// The row cap is checked from the length alone, before any row is
-	// decoded.
-	fb := schema.FeatureBytes()
-	if len(body)%fb != 0 {
-		s.badRequest(w, fmt.Errorf("body length %d not a multiple of feature row size %d", len(body), fb))
-		return
-	}
-	if rows := len(body) / fb; rows > s.cfg.MaxRows {
-		s.tooLarge(w, rows)
-		return
-	}
-	recs, err := record.DecodeAllFeatures(schema, body)
-	if err != nil {
-		s.badRequest(w, err)
-		return
-	}
-	out, version, err := s.classify(r.Context(), recs)
-	if err != nil {
-		s.engineError(w, err)
-		return
-	}
-	resp := make([]byte, 4*len(out))
-	for i, c := range out {
-		binary.LittleEndian.PutUint32(resp[4*i:], uint32(c))
-	}
-	w.Header().Set("Content-Type", "application/octet-stream")
-	w.Header().Set("X-Model-Version", version)
-	w.Write(resp) //nolint:errcheck // client went away
 }
 
-func (s *Server) classify(ctx context.Context, recs []record.Record) ([]int32, string, error) {
+// classifyBin answers one binary request out of sc and reports whether sc
+// may go back to the pool: false only when the request was abandoned while
+// the engine still held sc's rows and output.
+func (s *Server) classifyBin(w http.ResponseWriter, r *http.Request, sc *binScratch) bool {
+	m := s.reg.Active()
+	body, ok := s.readBin(w, r, m, sc)
+	if !ok {
+		return true
+	}
+	if err := sc.rows.Decode(m.Tree.Schema, body); err != nil {
+		s.badRequest(w, err)
+		return true
+	}
+	recs := sc.rows.Recs
+	sc.out = grow(sc.out, len(recs))
+	released, err := s.classify(r.Context(), m, recs, sc.out)
+	if err != nil {
+		s.engineError(w, err)
+		return released
+	}
+	sc.resp = grow(sc.resp, 4*len(recs))
+	for i, c := range sc.out {
+		binary.LittleEndian.PutUint32(sc.resp[4*i:], uint32(c))
+	}
+	w.Header().Set("Content-Type", "application/octet-stream")
+	w.Header().Set("X-Model-Version", m.Info.Version)
+	w.Write(sc.resp) //nolint:errcheck // client went away
+	return true
+}
+
+// readBin reads a binary request's body into sc.body and returns it, or
+// answers the request with an error and returns false. The caps are judged
+// from the body's length before any row is decoded, in this order: over
+// MaxBodyBytes (413), no model (503), empty or ragged (400), over MaxRows
+// rows (413). A request that declares its length (Content-Length) is judged
+// before a byte is read, and then read in one go into a buffer of exactly
+// that size. A body of undeclared length (chunked) is read until the first
+// byte past the row cap; the rest is counted, not kept, so no pooled buffer
+// outgrows a valid request.
+func (s *Server) readBin(w http.ResponseWriter, r *http.Request, m *Model, sc *binScratch) ([]byte, bool) {
+	n := r.ContentLength
+	if n > s.cfg.MaxBodyBytes {
+		s.badRequest(w, &http.MaxBytesError{Limit: s.cfg.MaxBodyBytes})
+		return nil, false
+	}
+	body := http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
+	if n < 0 {
+		keep := 0
+		if m != nil {
+			keep = s.cfg.MaxRows*m.Tree.Schema.FeatureBytes() + 1
+		}
+		var err error
+		if sc.body, n, err = readUndeclared(sc.body, body, keep); err != nil {
+			s.badRequest(w, err)
+			return nil, false
+		}
+	}
+	if m == nil {
+		s.engineError(w, ErrNoModel)
+		return nil, false
+	}
+	fb := int64(m.Tree.Schema.FeatureBytes())
+	switch {
+	case n == 0:
+		s.badRequest(w, errors.New("empty body"))
+		return nil, false
+	case n%fb != 0:
+		s.badRequest(w, fmt.Errorf("body length %d not a multiple of feature row size %d", n, fb))
+		return nil, false
+	case n/fb > int64(s.cfg.MaxRows):
+		s.tooLarge(w, int(n/fb))
+		return nil, false
+	}
+	if r.ContentLength >= 0 {
+		sc.body = grow(sc.body, int(n))
+		if _, err := io.ReadFull(body, sc.body); err != nil {
+			s.badRequest(w, err)
+			return nil, false
+		}
+	}
+	return sc.body, true
+}
+
+// readUndeclared reads body to its end into buf's storage, keeping at most
+// keep bytes, and returns what it kept and the body's full length. The
+// storage grows by doubling, never past keep.
+func readUndeclared(buf []byte, body io.Reader, keep int) ([]byte, int64, error) {
+	buf = buf[:0]
+	for len(buf) < keep {
+		if len(buf) == cap(buf) {
+			buf = append(make([]byte, 0, min(max(2*cap(buf), 512), keep)), buf...)
+		}
+		k, err := body.Read(buf[len(buf):min(cap(buf), keep)])
+		buf = buf[:len(buf)+k]
+		if err == io.EOF {
+			return buf, int64(len(buf)), nil
+		}
+		if err != nil {
+			return buf, 0, err
+		}
+	}
+	rest, err := io.Copy(io.Discard, body)
+	return buf, int64(len(buf)) + rest, err
+}
+
+// grow returns s resized to n entries, reallocating only when s's capacity
+// is short. The entries' values are whatever s held.
+func grow[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
+}
+
+// classify runs recs through m on the engine, bounded by RequestTimeout; the
+// result and ownership are Engine.ClassifyInto's.
+func (s *Server) classify(ctx context.Context, m *Model, recs []record.Record, out []int32) (bool, error) {
 	ctx, cancel := context.WithTimeout(ctx, s.cfg.RequestTimeout)
 	defer cancel()
-	return s.eng.Classify(ctx, recs)
+	return s.eng.ClassifyInto(ctx, m, recs, out)
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {

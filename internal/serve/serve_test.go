@@ -35,7 +35,7 @@ func leafModel(t *testing.T, version string, class int32) *Model {
 func leafRec() record.Record { return record.Record{Num: []float64{1}} }
 
 // trainedModel trains a real (small) CLOUDS tree on datagen records.
-func trainedModel(t *testing.T, n int, version string) (*Model, *record.Dataset) {
+func trainedModel(t testing.TB, n int, version string) (*Model, *record.Dataset) {
 	t.Helper()
 	gen, err := datagen.New(datagen.Config{Function: 2, Seed: 7})
 	if err != nil {
