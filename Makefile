@@ -115,13 +115,17 @@ fuzz:
 # two streamed passes: partition and alive collection) and of the stream
 # engine's window close (frontier and growth, and the steady-state close
 # with the reservoir admission, on one rank and on two channel ranks) and
-# its steady-state block ingest (one and two ranks), and of one 8,192-row
-# binary classify request through the server's handler, so every kernel
-# benchmark compiles and runs on every commit.
+# its steady-state block ingest (one and two ranks), of one 8,192-row
+# binary classify request through the server's handler, and of the two
+# halves of scoring a file (loading a 100,000-row v2 file, and evaluating
+# rows with the served model's shape), so every kernel benchmark compiles
+# and runs on every commit.
 kernel-bench:
 	$(GO) test -run '^$$' -bench 'EvaluateSorted|PresortedSplit|SortPoints|NodeStatsAddBatch|Partition|AliveCollect' -benchtime 1x ./internal/clouds/
 	$(GO) test -run '^$$' -bench 'WindowClose|WindowCloseSteady|WindowCloseSteadyP2|IngestWindow' -benchtime 1x -benchmem ./internal/stream/
 	$(GO) test -run '^$$' -bench 'ClassifyBin' -benchtime 1x -benchmem ./internal/serve/
+	$(GO) test -run '^$$' -bench 'LoadFile' -benchtime 1x -benchmem ./internal/record/
+	$(GO) test -run '^$$' -bench 'Evaluate' -benchtime 1x -benchmem ./internal/metrics/
 
 # Offline integrity scrub: verify every checksum in the artifact
 # directories named by SCRUB_PATHS (out-of-core stores, checkpoint trees,

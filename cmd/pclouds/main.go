@@ -12,6 +12,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"math/rand"
 	"os"
 
@@ -63,7 +64,7 @@ func main() {
 	defer stopProfile()
 
 	if *loadModel != "" {
-		if err := classifyOnly(*loadModel, *testPath, *printTree); err != nil {
+		if err := classifyOnly(os.Stdout, *loadModel, *testPath, *printTree); err != nil {
 			fatal(err)
 		}
 		return
@@ -155,8 +156,8 @@ func main() {
 	}
 }
 
-// classifyOnly loads a saved model and evaluates it.
-func classifyOnly(modelPath, testPath string, printTree bool) error {
+// classifyOnly loads a saved model and evaluates it, writing the report to w.
+func classifyOnly(w io.Writer, modelPath, testPath string, printTree bool) error {
 	t, err := tree.LoadFile(modelPath)
 	if err != nil {
 		return err
@@ -164,18 +165,18 @@ func classifyOnly(modelPath, testPath string, printTree bool) error {
 	if err := t.Validate(); err != nil {
 		return fmt.Errorf("%s: %w", modelPath, err)
 	}
-	fmt.Printf("loaded model: %s\n", metrics.Summarize(t))
+	fmt.Fprintf(w, "loaded model: %s\n", metrics.Summarize(t))
 	if testPath != "" {
 		test, err := record.LoadFile(t.Schema, testPath)
 		if err != nil {
 			return err
 		}
 		conf := metrics.Evaluate(t, test)
-		fmt.Printf("test accuracy: %.4f over %d records\n", conf.Accuracy(), conf.Total())
-		fmt.Print(conf)
+		fmt.Fprintf(w, "test accuracy: %.4f over %d records\n", conf.Accuracy(), conf.Total())
+		fmt.Fprint(w, conf)
 	}
 	if printTree {
-		t.Dump(os.Stdout)
+		t.Dump(w)
 	}
 	return nil
 }

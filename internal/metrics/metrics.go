@@ -5,7 +5,9 @@ package metrics
 
 import (
 	"fmt"
+	"runtime"
 	"strings"
+	"sync"
 
 	"pclouds/internal/record"
 	"pclouds/internal/tree"
@@ -96,16 +98,50 @@ func (c *Confusion) String() string {
 // evalChunk is how many rows Evaluate classifies per ClassifyBatch call.
 const evalChunk = 1024
 
+// evalShare is the fewest rows Evaluate gives one goroutine, so a small set
+// is scored on the caller's goroutine alone.
+const evalShare = 16 << 10
+
 // Evaluate classifies every record of data with t, compiled once, and
-// returns the confusion matrix.
+// returns the confusion matrix. The records are cut into at most GOMAXPROCS
+// contiguous shares of at least evalShare rows, each share is counted into
+// its own matrix on its own goroutine, and the matrices are summed: integer
+// sums, so the result is the same at any worker count. Every record's class
+// must lie in the schema, as record.LoadFile ensures.
 func Evaluate(t *tree.Tree, data *record.Dataset) *Confusion {
-	c := NewConfusion(data.Schema.NumClasses)
 	flat := tree.Compile(t)
+	recs, classes := data.Records, data.Schema.NumClasses
+	shares := max(1, min(runtime.GOMAXPROCS(0), len(recs)/evalShare))
+	parts := make([]*Confusion, shares-1)
+	var wg sync.WaitGroup
+	for i := range parts {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			parts[i] = evaluate(flat, classes, recs[i*len(recs)/shares:(i+1)*len(recs)/shares])
+		}()
+	}
+	c := evaluate(flat, classes, recs[(shares-1)*len(recs)/shares:])
+	wg.Wait()
+	for _, p := range parts {
+		for i, row := range p.M {
+			for j, v := range row {
+				c.M[i][j] += v
+			}
+		}
+	}
+	return c
+}
+
+// evaluate counts recs into a fresh confusion matrix, classified a chunk
+// at a time.
+func evaluate(flat *tree.Compiled, classes int, recs []record.Record) *Confusion {
+	c := NewConfusion(classes)
 	var out [evalChunk]int32
-	for lo := 0; lo < len(data.Records); lo += evalChunk {
-		recs := data.Records[lo:min(lo+evalChunk, len(data.Records))]
-		flat.ClassifyBatch(recs, out[:])
-		for i, r := range recs {
+	for lo := 0; lo < len(recs); lo += evalChunk {
+		chunk := recs[lo:min(lo+evalChunk, len(recs))]
+		flat.ClassifyBatch(chunk, out[:])
+		for i, r := range chunk {
 			c.Add(r.Class, out[i])
 		}
 	}

@@ -184,11 +184,11 @@ func (d *Dataset) WriteBinaryV2(w io.Writer, fileID uint64) error {
 	return bw.Flush()
 }
 
-// readBinaryV2 consumes a v2 stream after the magic has been sniffed,
-// appending to d. Each block's checksum is verified before any of its rows
-// is decoded.
-func readBinaryV2(d *Dataset, br *bufio.Reader) (*Dataset, error) {
-	s := d.Schema
+// v2Blocks consumes a v2 stream's header, after the magic has been sniffed,
+// and returns the reader of its blocks for loadBlocks: each call reads the
+// next block's header and payload into c, or reports false at the clean end
+// of the stream.
+func v2Blocks(br *bufio.Reader, rb int) (func(c *chunk) (bool, error), error) {
 	hb := make([]byte, V2HeaderSize)
 	if _, err := io.ReadFull(br, hb); err != nil {
 		return nil, fmt.Errorf("record: reading v2 header: %w", err)
@@ -197,35 +197,29 @@ func readBinaryV2(d *Dataset, br *bufio.Reader) (*Dataset, error) {
 	if err != nil {
 		return nil, err
 	}
-	rb := s.RecordBytes()
 	if hdr.RecordBytes != uint32(rb) {
 		return nil, fmt.Errorf("record: v2 file record width %d does not match schema width %d", hdr.RecordBytes, rb)
 	}
-	var bh [V2BlockHeaderSize]byte
-	var payload []byte
-	for block := 0; ; block++ {
-		if _, err := io.ReadFull(br, bh[:]); err != nil {
+	return func(c *chunk) (bool, error) {
+		if _, err := io.ReadFull(br, c.hdr[:]); err != nil {
 			if err == io.EOF {
-				return d, nil
+				return false, nil
 			}
-			return nil, fmt.Errorf("record: v2 block %d: truncated header: %w", block, err)
+			return false, fmt.Errorf("record: v2 block %d: truncated header: %w", c.block, err)
 		}
-		plen, err := V2BlockLen(bh[:], uint32(rb))
+		plen, err := V2BlockLen(c.hdr[:], uint32(rb))
 		if err != nil {
-			return nil, fmt.Errorf("record: v2 block %d: %w", block, err)
+			return false, fmt.Errorf("record: v2 block %d: %w", c.block, err)
 		}
-		if cap(payload) < int(plen) {
-			payload = make([]byte, plen)
+		if cap(c.payload) < int(plen) {
+			c.payload = make([]byte, plen)
 		}
-		payload = payload[:plen]
-		if _, err := io.ReadFull(br, payload); err != nil {
-			return nil, fmt.Errorf("record: v2 block %d: truncated payload: %w", block, err)
+		c.payload = c.payload[:plen]
+		if _, err := io.ReadFull(br, c.payload); err != nil {
+			return false, fmt.Errorf("record: v2 block %d: truncated payload: %w", c.block, err)
 		}
-		if err := VerifyV2Block(bh[:], payload); err != nil {
-			return nil, fmt.Errorf("record: v2 block %d: %w", block, err)
-		}
-		d.Records = decodeBlock(s, d.Records, payload, rb)
-	}
+		return true, nil
+	}, nil
 }
 
 // VerifyV2Stream scans a v2 stream front to back without a schema,

@@ -202,6 +202,16 @@ func FuzzRecordBlock(f *testing.F) {
 	f.Add([]byte{0x01}, uint32(30))
 	f.Add([]byte{0xFF, 0x00, 0x80}, uint32(100))
 	f.Add([]byte(V2Magic), uint32(0))
+	// A whole file of five small blocks, the last one short: the loader's
+	// workers take them in parallel.
+	multi := EncodeV2Header(uint32(d.Schema.RecordBytes()), 78)
+	for k := range 5 {
+		multi = EncodeV2Block(multi, EncodeAll(d.Records[10*k:10*k+10-k/4*3]))
+	}
+	if ds, err := ReadBinary(d.Schema, bytes.NewReader(multi)); err != nil || ds.Len() != 47 {
+		f.Fatalf("multi-block seed: %v", err)
+	}
+	f.Add(multi, uint32(0))
 	f.Fuzz(func(t *testing.T, mutation []byte, off uint32) {
 		// Arbitrary bytes as a whole file: error or success, never panic.
 		if ds, err := ReadBinary(d.Schema, bytes.NewReader(mutation)); err == nil {

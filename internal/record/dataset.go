@@ -113,31 +113,6 @@ func ReadBinary(s *Schema, r io.Reader) (*Dataset, error) {
 	return readBinary(NewDataset(s), r)
 }
 
-// v1ChunkRecords is how many legacy fixed-width records ReadBinary reads
-// and decodes at a time.
-const v1ChunkRecords = 4096
-
-// readBinary is ReadBinary appending to d, whose Records may have been
-// presized.
-func readBinary(d *Dataset, r io.Reader) (*Dataset, error) {
-	br := bufio.NewReaderSize(r, 1<<16)
-	if head, err := br.Peek(len(V2Magic)); err == nil && string(head) == V2Magic {
-		return readBinaryV2(d, br)
-	}
-	rb := d.Schema.RecordBytes()
-	buf := make([]byte, v1ChunkRecords*rb)
-	for {
-		n, err := io.ReadFull(br, buf)
-		d.Records = decodeBlock(d.Schema, d.Records, buf[:n-n%rb], rb)
-		if err == io.EOF || (err == io.ErrUnexpectedEOF && n%rb == 0) {
-			return d, nil
-		}
-		if err != nil {
-			return nil, fmt.Errorf("record: reading binary dataset: %w", err)
-		}
-	}
-}
-
 // SaveFile writes the dataset to path in binary form.
 func (d *Dataset) SaveFile(path string) error {
 	f, err := os.Create(path)

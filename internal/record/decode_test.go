@@ -154,6 +154,17 @@ func TestBlockDecodedRecordsDoNotAlias(t *testing.T) {
 			}
 			return ds.Records, nil
 		},
+		"v2 ReadBinary, several blocks": func() ([]Record, error) {
+			var buf bytes.Buffer
+			if err := decodeTestDataset(pipelinedRows).WriteBinaryV2(&buf, 5); err != nil {
+				return nil, err
+			}
+			ds, err := ReadBinary(s, &buf)
+			if err != nil {
+				return nil, err
+			}
+			return ds.Records, nil
+		},
 	}
 	for name, decode := range decoders {
 		recs, err := decode()

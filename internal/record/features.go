@@ -95,7 +95,7 @@ func (f *FeatureRows) Decode(s *Schema, src []byte) error {
 	}
 	n := len(src) / fb
 	if cap(f.Recs) < n {
-		f.Recs = make([]Record, 0, n)
+		f.Recs = make([]Record, n)
 	}
 	if nn := n * s.NumNumeric(); cap(f.num) < nn {
 		f.num = make([]float64, nn)
@@ -103,6 +103,7 @@ func (f *FeatureRows) Decode(s *Schema, src []byte) error {
 	if nc := n * s.NumCategorical(); cap(f.cat) < nc {
 		f.cat = make([]int32, nc)
 	}
-	f.Recs = decodeRows(s, f.Recs[:0], f.num[:cap(f.num)], f.cat[:cap(f.cat)], src, fb)
+	f.Recs = f.Recs[:n]
+	decodeRows(s, f.Recs, f.num[:cap(f.num)], f.cat[:cap(f.cat)], src, fb)
 	return nil
 }

@@ -258,29 +258,30 @@ func DecodeAll(s *Schema, src []byte) ([]Record, error) {
 	if len(src)%rb != 0 {
 		return nil, fmt.Errorf("record: buffer length %d not a multiple of record size %d", len(src), rb)
 	}
-	return decodeBlock(s, make([]Record, 0, len(src)/rb), src, rb), nil
+	recs := make([]Record, len(src)/rb)
+	decodeBlock(s, recs, src, rb)
+	return recs, nil
 }
 
-// decodeBlock appends the len(src)/stride fixed-width rows of src to dst,
-// their values in one fresh []float64 and one fresh []int32 for the whole
-// block (see decodeRows).
-func decodeBlock(s *Schema, dst []Record, src []byte, stride int) []Record {
-	n := len(src) / stride
-	return decodeRows(s, dst, make([]float64, n*s.NumNumeric()), make([]int32, n*s.NumCategorical()), src, stride)
+// decodeBlock decodes the len(dst) fixed-width rows of src into dst, their
+// values in one fresh []float64 and one fresh []int32 for the whole block
+// (see decodeRows).
+func decodeBlock(s *Schema, dst []Record, src []byte, stride int) {
+	n := len(dst)
+	decodeRows(s, dst, make([]float64, n*s.NumNumeric()), make([]int32, n*s.NumCategorical()), src, stride)
 }
 
-// decodeRows appends the len(src)/stride fixed-width rows of src to dst. A
+// decodeRows decodes the first len(dst) fixed-width rows of src into dst. A
 // row of stride RecordBytes ends in its class; a feature row (stride
 // FeatureBytes) has none and decodes with class 0. Every row's values land
 // in nums and cats, which hold at least the block's values, and each record
 // gets three-index slices of them (cap == len), so an append to one record
 // reallocates instead of overwriting its neighbour. The records equal what
 // Decode or DecodeFeatures gives row by row.
-func decodeRows(s *Schema, dst []Record, nums []float64, cats []int32, src []byte, stride int) []Record {
+func decodeRows(s *Schema, dst []Record, nums []float64, cats []int32, src []byte, stride int) {
 	nn, nc := s.NumNumeric(), s.NumCategorical()
-	n := len(src) / stride
 	withClass := stride == s.RecordBytes()
-	for i := 0; i < n; i++ {
+	for i := range dst {
 		row := src[i*stride : (i+1)*stride]
 		var r Record
 		if nn > 0 {
@@ -299,7 +300,29 @@ func decodeRows(s *Schema, dst []Record, nums []float64, cats []int32, src []byt
 		if withClass {
 			r.Class = int32(binary.LittleEndian.Uint32(row[stride-4:]))
 		}
-		dst = append(dst, r)
+		dst[i] = r
 	}
-	return dst
+}
+
+// FirstInvalid returns the index of the first of rows, whole records in
+// Encode's layout, whose class or a categorical value lies outside s, or
+// the number of rows when none does. Those are the only fields of a whole
+// row that can: the row's width fixes how many values of each kind it
+// holds. Validate gives the decoded row's reason.
+func FirstInvalid(s *Schema, rows []byte) int {
+	rb, catOff := s.RecordBytes(), 8*s.NumNumeric()
+	classes := uint32(s.NumClasses)
+	n := len(rows) / rb
+	for i := range n {
+		row := rows[i*rb : (i+1)*rb]
+		if binary.LittleEndian.Uint32(row[rb-4:]) >= classes {
+			return i
+		}
+		for j, attr := range s.catIdx {
+			if binary.LittleEndian.Uint32(row[catOff+4*j:]) >= uint32(s.Attrs[attr].Cardinality) {
+				return i
+			}
+		}
+	}
+	return n
 }

@@ -108,7 +108,7 @@ func (e *engine) scan(rows []byte, deadline time.Time) (int, error) {
 	schema, s := e.cfg.Schema, &e.in
 	rb := schema.RecordBytes()
 	n := len(rows) / rb
-	bad := firstInvalid(schema, rows)
+	bad := record.FirstInvalid(schema, rows)
 	p, rank := int64(e.c.Size()), int64(e.c.Rank())
 	every := int64(e.cfg.SampleEvery)
 	if len(e.samples) == 0 {
@@ -208,31 +208,9 @@ func (e *engine) count(rows []byte, train []int32) {
 	s.batch.Decode(nil) // the block is the source's; do not hold it
 }
 
-// firstInvalid returns the index of the first of rows, whole records in
-// Record.Encode's layout, whose class or a categorical value lies outside
-// schema, or the number of rows when none does. Those are the only fields
-// of a whole row that can: the row's width fixes how many values of each
-// kind it holds.
-func firstInvalid(schema *record.Schema, rows []byte) int {
-	rb, catOff := schema.RecordBytes(), 8*schema.NumNumeric()
-	classes := uint32(schema.NumClasses)
-	n := len(rows) / rb
-	for i := range n {
-		row := rows[i*rb : (i+1)*rb]
-		if binary.LittleEndian.Uint32(row[rb-4:]) >= classes {
-			return i
-		}
-		for j, attr := range schema.CategoricalIndices() {
-			if binary.LittleEndian.Uint32(row[catOff+4*j:]) >= uint32(schema.Attrs[attr].Cardinality) {
-				return i
-			}
-		}
-	}
-	return n
-}
-
 // invalidRow returns the error of the row at global index idx that
-// firstInvalid found: the one Record.Validate gives its decoded record.
+// record.FirstInvalid found: the one Record.Validate gives its decoded
+// record.
 func invalidRow(schema *record.Schema, idx int64, row []byte) error {
 	var rec record.Record
 	if _, err := rec.Decode(schema, row); err != nil {

@@ -208,47 +208,3 @@ func checkIngest(e *engine, recs []record.Record, first int64) error {
 	}
 	return nil
 }
-
-// TestFirstInvalidMatchesValidate holds the block check to
-// Record.Validate: over rows whose class and categorical codes sit at and
-// around their bounds, firstInvalid names the first row whose decoded
-// record Validate refuses, and invalidRow gives Validate's message.
-func TestFirstInvalidMatchesValidate(t *testing.T) {
-	schema := datagen.Schema()
-	g, err := datagen.New(datagen.Config{Function: 2, Seed: 9})
-	if err != nil {
-		t.Fatal(err)
-	}
-	valid := g.Generate(1).Records[0]
-	near := func(bound int32, k int) int32 { return []int32{bound - 1, bound, bound + 1, -1, 0, 1 << 30}[k%6] }
-	for trial := range 600 {
-		recs := make([]record.Record, 1+trial%7)
-		for i := range recs {
-			recs[i] = valid.Clone()
-		}
-		r := &recs[trial%len(recs)]
-		if j := trial % (len(r.Cat) + 1); j == len(r.Cat) {
-			r.Class = near(int32(schema.NumClasses), trial/7)
-		} else {
-			r.Cat[j] = near(int32(schema.Attrs[schema.CategoricalIndices()[j]].Cardinality), trial/7)
-		}
-		want := len(recs)
-		for i, rec := range recs {
-			if rec.Validate(schema) != nil {
-				want = i
-				break
-			}
-		}
-		rows := record.EncodeAll(recs)
-		if got := firstInvalid(schema, rows); got != want {
-			t.Fatalf("trial %d: first invalid row %d, Validate says %d", trial, got, want)
-		}
-		if want < len(recs) {
-			rb := schema.RecordBytes()
-			got := invalidRow(schema, 5, rows[want*rb:(want+1)*rb]).Error()
-			if w := fmt.Sprintf("stream: global record 5: %v", recs[want].Validate(schema)); got != w {
-				t.Fatalf("trial %d: %q, want %q", trial, got, w)
-			}
-		}
-	}
-}
